@@ -1,8 +1,9 @@
 """Command-line surface: synth, diarize, evaluate, sweep.
 
-Exit codes: 0 success, 1 degenerate input (zero vectors, empty segments,
-unnormalizable affinities, infeasible scenario geometry), 2 usage, flag,
-or file-format errors.
+Exit codes: 0 success; 1 degenerate input (zero vectors, empty segments,
+unnormalizable affinities, infeasible scenario geometry) or a numeric
+failure (NumericError, including eigensolver non-convergence); 2 usage,
+flag, or file-format errors.
 """
 
 from __future__ import annotations

@@ -407,7 +407,14 @@ def estimate_k_elbow(
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    """Clustering plus the diagnostics needed to inspect or visualize the run."""
+    """Clustering plus the diagnostics needed to inspect or visualize the run.
+
+    `eigenvalues` are those of the refined affinity, descending: all n of
+    them up to numerics.PARTIAL_EIGH_MIN_N segments, and above it only the
+    leading min(max_clusters, n - 1) + 1 that the eigen-gap rule reads.
+    `affinity` is the raw cosine affinity and `stages` the five refinement
+    snapshots.
+    """
 
     clustering: ClusteringResult
     k: int
@@ -432,7 +439,9 @@ def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
     max_c = min(params.max_clusters, n)
     a = build_affinity(x)
     refined, stages = refine_chain(a, params)
-    decomp = eigh(0.5 * (refined + refined.T))
+    # the eigen-gap rule reads values[0 .. min(max_c, n - 1)] and the
+    # embedding at most the first max_c vectors: nothing past them is needed
+    decomp = eigh(0.5 * (refined + refined.T), count=min(max_c, n - 1) + 1)
     if min_c > min(max_c, n - 1):
         k = min_c
     else:
@@ -467,7 +476,6 @@ class NaiveOnlineClusterer:
 
     threshold: float = 0.5
     _sums: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
-    _counts: list[int] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if not (-1.0 < self.threshold < 1.0):
@@ -486,10 +494,8 @@ class NaiveOnlineClusterer:
                 best_label, best_sim = label, sim
         if best_label < 0 or best_sim < self.threshold:
             self._sums.append(unit.copy())
-            self._counts.append(1)
             return len(self._sums) - 1
         self._sums[best_label] = self._sums[best_label] + unit
-        self._counts[best_label] += 1
         return best_label
 
 

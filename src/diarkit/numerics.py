@@ -1,8 +1,8 @@
 """Vector and matrix primitives used across the pipeline.
 
 Cosine geometry, 2-D Gaussian blur, nearest-rank percentiles, symmetric
-eigen-decomposition with a deterministic ordering/sign convention, and
-maximum-weight assignment.
+eigen-decomposition (full, or partial top-k for large matrices) with a
+deterministic ordering/sign convention, and maximum-weight assignment.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .core import InvalidInputError, NumericError, as_float_vector
 
@@ -124,13 +125,25 @@ class EigenDecomposition:
 # Inputs are required to be symmetric up to this absolute tolerance.
 SYMMETRY_TOL = 1e-10
 
+# Matrices with more rows than this get a partial (Lanczos) solve when
+# `eigh` is asked for fewer than all eigenpairs. Measured with two BLAS
+# threads on 2 vCPUs: at n = 700 the partial solve took a third less
+# time than the dense one, yet a p-percentile sweep ran 11 % slower end to
+# end, as every other stage slowed; at n = 1400 a whole `diarize` run took
+# 0.66 of its dense-path time.
+PARTIAL_EIGH_MIN_N = 1000
 
-def eigh(m) -> EigenDecomposition:
+
+def eigh(m, count: int | None = None) -> EigenDecomposition:
     """Eigen-decomposition of a symmetric matrix with deterministic output.
 
     Eigenvalues come back sorted descending (stable on ties) with unit-norm,
-    sign-fixed eigenvectors. Raises InvalidInputError if the input is not
-    symmetric within 1e-10, NumericError if the solver fails to converge.
+    sign-fixed eigenvectors. `count` asks for the `count` largest pairs
+    only: above PARTIAL_EIGH_MIN_N rows (and for count < n) just those are
+    computed, with ARPACK started from a fixed vector so repeated calls
+    agree; otherwise all n pairs are returned, as with count=None. Raises
+    InvalidInputError if the input is not symmetric within 1e-10 or count
+    lies outside [1, n], NumericError if the solver fails to converge.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -140,10 +153,16 @@ def eigh(m) -> EigenDecomposition:
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if asym > SYMMETRY_TOL:
         raise InvalidInputError(f"matrix is asymmetric beyond tolerance ({asym:.3e})")
+    n = m.shape[0]
+    if count is not None and not (1 <= count <= n):
+        raise InvalidInputError(f"count must lie in [1, {n}], got {count}")
     sym = 0.5 * (m + m.T)
     try:
-        values, vectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
+        if count is None or count == n or n <= PARTIAL_EIGH_MIN_N:
+            values, vectors = np.linalg.eigh(sym)
+        else:
+            values, vectors = eigsh(sym, k=count, which="LA", v0=np.ones(n))
+    except (np.linalg.LinAlgError, ArpackError) as exc:
         raise NumericError(f"eigen-decomposition failed: {exc}") from exc
     order = np.argsort(-values, kind="stable")
     values = values[order]

@@ -245,6 +245,22 @@ def test_planted_recovery(capsys, separated_suite):
     assert elapsed < 120.0
 
 
+def hierarchical_suite():
+    """50 hierarchical 4-speaker conversations: two pairs 70° apart, 25° within a pair."""
+    return [
+        SynthScenario(
+            n_speakers=4,
+            duration=120,
+            scenario_kind="hierarchical",
+            within_noise_deg=8.0,
+            group_angle_deg=70.0,
+            speaker_angle_deg=25.0,
+            seed=seed,
+        )
+        for seed in range(50)
+    ]
+
+
 def test_clustering_ordering(capsys):
     t0 = time.perf_counter()
 
@@ -258,20 +274,7 @@ def test_clustering_ordering(capsys):
             kmeans_totals.append(score_total(reference, embeddings, k_labels).total)
         return float(np.mean(spectral_totals)), float(np.mean(kmeans_totals))
 
-    hier_spectral, hier_kmeans = suite_means(
-        [
-            SynthScenario(
-                n_speakers=4,
-                duration=120,
-                scenario_kind="hierarchical",
-                within_noise_deg=8.0,
-                group_angle_deg=70.0,
-                speaker_angle_deg=25.0,
-                seed=seed,
-            )
-            for seed in range(50)
-        ]
-    )
+    hier_spectral, hier_kmeans = suite_means(hierarchical_suite())
     imb_spectral, imb_kmeans = suite_means(
         [
             SynthScenario(
@@ -315,6 +318,33 @@ def test_online_vs_offline_ordering(capsys, separated_suite):
         f"suite took {elapsed:.1f}s (limit 120s)",
     )
     assert naive_mean >= spectral_mean
+    assert elapsed < 120.0
+
+
+def test_online_vs_offline_hierarchical_ordering(capsys):
+    # The separated suite above is easy enough for both clusterers to tie;
+    # paired speakers defeat the naive threshold, so here the order is strict.
+    t0 = time.perf_counter()
+    naive_totals, spectral_totals = [], []
+    for scenario in hierarchical_suite():
+        reference, embeddings = prepare(scenario)
+        s_labels, _ = labels_spectral(embeddings)
+        n_labels, _ = labels_naive(embeddings)
+        spectral_totals.append(score_total(reference, embeddings, s_labels).total)
+        naive_totals.append(score_total(reference, embeddings, n_labels).total)
+    naive_mean = float(np.mean(naive_totals))
+    spectral_mean = float(np.mean(spectral_totals))
+    elapsed = time.perf_counter() - t0
+
+    ok = naive_mean > spectral_mean and elapsed < 120.0
+    report(
+        capsys,
+        ok,
+        "online-vs-offline ordering (hierarchical)",
+        f"naive mean DER {naive_mean:.3f}% > spectral mean DER {spectral_mean:.3f}%, "
+        f"suite took {elapsed:.1f}s (limit 120s)",
+    )
+    assert naive_mean > spectral_mean
     assert elapsed < 120.0
 
 

@@ -1,5 +1,7 @@
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import diarkit.numerics
 from diarkit import parse_rttm
 from diarkit.cli import main
 
@@ -188,6 +190,27 @@ class TestDiarize:
             ]
         )
         assert rc == 1
+
+    def test_eigensolver_non_convergence_exits_one(self, tmp_path, monkeypatch, capsys):
+        paths = run_synth(tmp_path, "conv")
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        # send this small recording down the partial-eigensolve path
+        monkeypatch.setattr(diarkit.numerics, "PARTIAL_EIGH_MIN_N", 1)
+        monkeypatch.setattr(diarkit.numerics, "eigsh", no_convergence)
+        rc = main(
+            [
+                "diarize",
+                "--embeddings", str(paths["emb"]),
+                "--regions", str(paths["reg"]),
+                "--algorithm", "spectral",
+                "--out", str(tmp_path / "o.rttm"),
+            ]
+        )
+        assert rc == 1
+        assert "eigen-decomposition failed" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -26,8 +26,10 @@ from diarkit import (
     spectral_cluster,
     spectral_embed,
 )
+import diarkit.numerics
 from diarkit.clustering import _lloyd
 from diarkit.core import AffinityMatrix
+from diarkit.numerics import PARTIAL_EIGH_MIN_N
 
 BLOCK = np.array(
     [
@@ -455,6 +457,23 @@ class TestSpectralCluster:
         assert result.affinity.shape == (12, 12)
         assert len(result.stages) == 5
 
+    def test_partial_eigensolve_matches_dense(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        q, _ = np.linalg.qr(rng.standard_normal((16, 4)))
+        per_cluster = PARTIAL_EIGH_MIN_N // 4 + 10
+        points, truth = planted_points(rng, q.T, per_cluster=per_cluster, noise_deg=40)
+        params = SpectralParams(seed=0)
+        partial = spectral_cluster(points, params)
+        monkeypatch.setattr(diarkit.numerics, "PARTIAL_EIGH_MIN_N", len(points))
+        dense = spectral_cluster(points, params)
+        count = params.max_clusters + 1
+        assert partial.eigenvalues.shape == (count,)
+        assert dense.eigenvalues.shape == (len(points),)
+        assert np.max(np.abs(partial.eigenvalues - dense.eigenvalues[:count])) <= 1e-10
+        assert partial.k == dense.k == 4
+        assert same_partition(partial.clustering.labels, dense.clustering.labels)
+        assert same_partition(partial.clustering.labels, truth)
+
     def test_single_segment_rejected(self):
         with pytest.raises(InvalidInputError):
             spectral_cluster(np.array([[1.0, 0.0]]), SpectralParams())
@@ -506,7 +525,7 @@ class TestNaiveOnline:
         s = 1 / math.sqrt(2)
         assert clusterer.step([1.0, 0.0]) == 0
         assert clusterer.step([1.0, 1.0]) == 0  # cos = 0.7071 >= 0.5
-        centroid = clusterer._sums[0] / clusterer._counts[0]
+        centroid = clusterer._sums[0] / 2  # mean of the two members
         assert np.allclose(centroid, [(1 + s) / 2, s / 2])
 
     def test_below_threshold_founds_new_cluster(self):

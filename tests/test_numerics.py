@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy.sparse.linalg import ArpackNoConvergence
+
+import diarkit.numerics
 from diarkit import (
     InvalidInputError,
+    NumericError,
+    SpectralParams,
+    build_affinity,
     cosine_distance,
     cosine_similarity,
     eigh,
@@ -12,7 +18,9 @@ from diarkit import (
     l2_normalize,
     nearest_rank_percentile,
     optimal_assignment,
+    refine_chain,
 )
+from diarkit.numerics import PARTIAL_EIGH_MIN_N
 from oracles import brute_force_assignment, direct_blur
 
 
@@ -218,6 +226,75 @@ class TestEigh:
     def test_tiny_asymmetry_tolerated(self):
         m = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
         eigh(m)
+
+
+@pytest.fixture(scope="module")
+def large_refined():
+    """A refined 4-cluster affinity just above the partial-solve cutoff,
+    with its full dense decomposition."""
+    rng = np.random.default_rng(21)
+    n = PARTIAL_EIGH_MIN_N + 50
+    centers = rng.standard_normal((4, 16))
+    x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
+    refined, _ = refine_chain(build_affinity(x), SpectralParams())
+    m = 0.5 * (refined + refined.T)
+    return m, eigh(m)
+
+
+class TestEighPartial:
+    COUNT = 9
+
+    def test_dense_path_returns_all_pairs(self, large_refined):
+        m, dense = large_refined
+        assert dense.values.shape == (m.shape[0],)
+        # at or below the cutoff, count does not truncate
+        small = m[:PARTIAL_EIGH_MIN_N, :PARTIAL_EIGH_MIN_N]
+        assert eigh(small, count=self.COUNT).values.shape == (PARTIAL_EIGH_MIN_N,)
+
+    def test_residual_and_orthonormality(self, large_refined):
+        m, _ = large_refined
+        d = eigh(m, count=self.COUNT)
+        assert d.values.shape == (self.COUNT,)
+        assert d.vectors.shape == (m.shape[0], self.COUNT)
+        scale = max(1.0, np.max(np.abs(m)))
+        residual = m @ d.vectors - d.vectors * d.values
+        assert np.max(np.abs(residual)) <= 1e-8 * scale
+        gram = d.vectors.T @ d.vectors
+        assert np.max(np.abs(gram - np.eye(self.COUNT))) <= 1e-8
+
+    def test_matches_dense(self, large_refined):
+        m, dense = large_refined
+        d = eigh(m, count=self.COUNT)
+        assert np.all(np.diff(d.values) <= 0)
+        assert np.max(np.abs(d.values - dense.values[: self.COUNT])) <= 1e-10
+
+    def test_sign_convention(self, large_refined):
+        m, _ = large_refined
+        d = eigh(m, count=self.COUNT)
+        for j in range(self.COUNT):
+            col = d.vectors[:, j]
+            assert col[int(np.argmax(np.abs(col)))] >= 0
+
+    def test_bit_identical_repeats(self, large_refined):
+        m, _ = large_refined
+        a = eigh(m, count=self.COUNT)
+        b = eigh(m, count=self.COUNT)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.vectors, b.vectors)
+
+    def test_count_out_of_range_rejected(self):
+        for count in (0, -1, 4):
+            with pytest.raises(InvalidInputError):
+                eigh(np.eye(3), count=count)
+
+    def test_non_convergence_is_numeric_error(self, large_refined, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(diarkit.numerics, "eigsh", no_convergence)
+        m, _ = large_refined
+        with pytest.raises(NumericError):
+            eigh(m, count=self.COUNT)
 
 
 class TestOptimalAssignment:
