@@ -13,7 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidInputError, SegmentEmbedding, TimeInterval, as_float_vector
+from .core import (
+    InvalidInputError,
+    SegmentEmbedding,
+    TimeInterval,
+    as_float_vector,
+    interval_union,
+)
 from .numerics import l2_normalize
 
 log = logging.getLogger(__name__)
@@ -42,12 +48,12 @@ class SpeechRegion:
     interval: TimeInterval
 
 
-def _check_regions(regions: Sequence[SpeechRegion]) -> None:
+def _check_disjoint(intervals: Sequence[TimeInterval], what: str) -> None:
     prev_end = -float("inf")
-    for region in regions:
-        if region.interval.start < prev_end:
-            raise InvalidInputError("speech regions must be sorted and non-overlapping")
-        prev_end = region.interval.end
+    for interval in intervals:
+        if interval.start < prev_end:
+            raise InvalidInputError(f"{what} must be sorted and non-overlapping")
+        prev_end = interval.end
 
 
 def segmentize(
@@ -62,7 +68,7 @@ def segmentize(
     """
     if not (max_len > 0) or not np.isfinite(max_len):
         raise InvalidInputError(f"max_len must be positive, got {max_len}")
-    _check_regions(regions)
+    _check_disjoint([region.interval for region in regions], "speech regions")
     out: list[TimeInterval] = []
     for region in regions:
         start, end = region.interval.start, region.interval.end
@@ -95,11 +101,7 @@ def aggregate(
     """
     if not segments:
         raise InvalidInputError("no segments to aggregate into")
-    prev_end = -float("inf")
-    for seg in segments:
-        if seg.start < prev_end:
-            raise InvalidInputError("segments must be sorted and non-overlapping")
-        prev_end = seg.end
+    _check_disjoint(segments, "segments")
     dim = None
     prev_start = -float("inf")
     for w in windows:
@@ -140,13 +142,5 @@ def aggregate(
 
 def regions_from_windows(windows: Sequence[WindowEmbedding]) -> list[SpeechRegion]:
     """Union of window extents as sorted, non-overlapping speech regions."""
-    if not windows:
-        return []
-    intervals = sorted((w.interval.start, w.interval.end) for w in windows)
-    merged: list[tuple[float, float]] = [intervals[0]]
-    for start, end in intervals[1:]:
-        if start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return [SpeechRegion(TimeInterval(s, e)) for s, e in merged]
+    spans = interval_union((w.interval.start, w.interval.end) for w in windows)
+    return [SpeechRegion(TimeInterval(s, e)) for s, e in spans]

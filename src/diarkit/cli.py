@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 from . import io as formats
-from .aggregation import aggregate, regions_from_windows, segmentize
-from .clustering import (
-    KMeansParams,
-    NaiveOnlineClusterer,
-    SpectralParams,
-    estimate_k_elbow,
-    kmeans,
-    run_online,
-    spectral_cluster,
-)
+from .clustering import STAGE_NAMES, SpectralParams, build_affinity, refine_chain
 from .core import (
     Annotation,
     InvalidInputError,
@@ -31,9 +24,8 @@ from .core import (
     annotation_from_clusters,
 )
 from .metrics import DerReport, EvalOptions, combine_reports, der
+from .pipeline import ALGORITHMS, DiarizeConfig, cluster, diarize, segment_embeddings
 from .synth import SCENARIO_KINDS, SynthScenario, generate
-
-STAGE_NAMES = ("blur", "threshold", "symmetrize", "diffuse", "rownorm")
 
 
 class UsageError(Exception):
@@ -45,69 +37,44 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _segment_embeddings(embeddings_path: str, regions_path: str | None, max_len: float):
-    windows = formats.read_embeddings_csv(Path(embeddings_path).read_text())
-    if regions_path:
-        regions = formats.read_regions_csv(Path(regions_path).read_text())
-    else:
-        regions = regions_from_windows(windows)
-    segments = segmentize(regions, max_len)
-    return aggregate(windows, segments)
+@contextmanager
+def _flag_values():
+    """Report a value that a parameter dataclass rejects as a usage error."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _cluster(seg_embs, algorithm: str, args) -> tuple[list[int], object]:
-    """Run one algorithm over segment embeddings; returns (labels, diagnostics)."""
-    if algorithm == "spectral":
-        params = SpectralParams(
-            sigma=args.sigma,
-            p_percentile=args.p_percentile,
-            soft_multiplier=args.soft_multiplier,
-            min_clusters=args.min_speakers,
-            max_clusters=args.max_speakers,
-            seed=args.seed,
-        )
-        result = spectral_cluster(seg_embs, params)
-        return list(result.clustering.labels), result
-    if algorithm == "kmeans":
-        n = len(seg_embs)
-        if n == 1:
-            k = 1
-        else:
-            k = estimate_k_elbow(
-                seg_embs,
-                min(args.max_speakers, n),
-                KMeansParams(seed=args.seed),
-                min_clusters=args.min_speakers,
-            )
-        result = kmeans(seg_embs, KMeansParams(k=k, seed=args.seed))
-        return list(result.labels), None
-    clusterer = NaiveOnlineClusterer(threshold=args.threshold)
-    result = run_online(clusterer, seg_embs)
-    return list(result.labels), None
+def _dump_stages(prefix: str, seg_embs, params: SpectralParams) -> None:
+    """Rebuild the raw affinity and the refinement stages; write each as a PGM."""
+    affinity = build_affinity(seg_embs)
+    _, stages = refine_chain(affinity, params)
+    formats.write_pgm_heatmap(affinity.entries, f"{prefix}_00_affinity.pgm")
+    for i, (name, stage) in enumerate(zip(STAGE_NAMES, stages), start=1):
+        formats.write_pgm_heatmap(stage, f"{prefix}_{i:02d}_{name}.pgm")
 
 
 def cmd_diarize(args) -> int:
     _require(args.max_segment_len > 0, "--max-segment-len must be positive")
-    _require(args.sigma >= 0, "--sigma must be >= 0")
-    _require(0 < args.p_percentile < 100, "--p-percentile must lie in (0, 100)")
-    _require(-1 < args.threshold < 1, "--threshold must lie in (-1, 1)")
-    _require(args.min_speakers >= 1, "--min-speakers must be >= 1")
-    _require(args.max_speakers >= args.min_speakers,
-             "--max-speakers must be >= --min-speakers")
     _require(args.seed >= 0, "--seed must be >= 0")
     _require(not (args.dump_stages and args.algorithm != "spectral"),
              "--dump-stages applies only to --algorithm spectral")
+    with _flag_values():
+        spectral = SpectralParams(
+            sigma=args.sigma, p_percentile=args.p_percentile,
+            soft_multiplier=args.soft_multiplier, min_clusters=args.min_speakers,
+            max_clusters=args.max_speakers, seed=args.seed,
+        )
+        config = DiarizeConfig(algorithm=args.algorithm, max_segment_len=args.max_segment_len,
+                               spectral=spectral, threshold=args.threshold)
 
-    seg_embs = _segment_embeddings(args.embeddings, args.regions, args.max_segment_len)
-    labels, diagnostics = _cluster(seg_embs, args.algorithm, args)
+    windows = formats.read_embeddings_csv(Path(args.embeddings).read_text())
+    regions = formats.read_regions_csv(Path(args.regions).read_text()) if args.regions else None
+    hypothesis = diarize(Path(args.embeddings).stem, windows, regions, config)
     if args.dump_stages:
-        formats.write_pgm_heatmap(diagnostics.affinity, f"{args.dump_stages}_00_affinity.pgm")
-        for i, (name, stage) in enumerate(zip(STAGE_NAMES, diagnostics.stages), start=1):
-            formats.write_pgm_heatmap(stage, f"{args.dump_stages}_{i:02d}_{name}.pgm")
-    recording_id = Path(args.embeddings).stem
-    hypothesis = annotation_from_clusters(
-        recording_id, [se.interval for se in seg_embs], labels
-    )
+        seg_embs = segment_embeddings(windows, regions, config.max_segment_len)
+        _dump_stages(args.dump_stages, seg_embs, config.spectral)
     Path(args.out).write_text(formats.write_rttm(hypothesis))
     return 0
 
@@ -127,7 +94,8 @@ def _report_lines(recording_id: str, report: DerReport) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    _require(args.collar >= 0, "--collar must be >= 0")
+    with _flag_values():
+        opts = EvalOptions(collar=args.collar, exclude_overlap=not args.no_overlap_exclusion)
     references = formats.parse_rttm(Path(args.reference).read_text())
     if not references:
         raise InvalidInputError("reference RTTM contains no SPEAKER lines")
@@ -152,12 +120,7 @@ def cmd_evaluate(args) -> int:
                 file=sys.stderr,
             )
             hypothesis = Annotation(rec, ())
-        opts = EvalOptions(
-            collar=args.collar,
-            exclude_overlap=not args.no_overlap_exclusion,
-            uem=uem,
-        )
-        rows.append((rec, der(reference, hypothesis, opts)))
+        rows.append((rec, der(reference, hypothesis, replace(opts, uem=uem))))
     if not rows:
         raise InvalidInputError("nothing to score")
     overall = combine_reports([report for _, report in rows])
@@ -217,10 +180,12 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
-    if args.param == "threshold":
-        _require(-1 < grid[0] and grid[-1] < 1, "threshold grid must stay inside (-1, 1)")
-    elif args.param == "p-percentile":
-        _require(0 < grid[0] and grid[-1] < 100, "p-percentile grid must stay inside (0, 100)")
+    with _flag_values():
+        if args.param == "threshold":
+            configs = [DiarizeConfig("naive", threshold=value) for value in grid]
+        else:
+            name = args.param.replace("-", "_")  # sigma or p_percentile
+            configs = [DiarizeConfig(spectral=SpectralParams(**{name: value})) for value in grid]
 
     list_text = Path(args.embeddings_list).read_text()
     embedding_paths = [line.strip() for line in list_text.splitlines() if line.strip()]
@@ -234,20 +199,14 @@ def cmd_sweep(args) -> int:
         rec = Path(path).stem
         if rec not in references:
             raise UsageError(f"recording {rec} is missing from the reference RTTM")
-        prepared.append((rec, _segment_embeddings(path, None, 0.4)))
+        windows = formats.read_embeddings_csv(Path(path).read_text())
+        prepared.append((rec, segment_embeddings(windows, None)))
 
     results: list[tuple[float, float]] = []
-    for value in grid:
+    for value, config in zip(grid, configs):
         reports = []
         for rec, seg_embs in prepared:
-            if args.param == "sigma":
-                result = spectral_cluster(seg_embs, SpectralParams(sigma=value))
-                labels = list(result.clustering.labels)
-            elif args.param == "p-percentile":
-                result = spectral_cluster(seg_embs, SpectralParams(p_percentile=value))
-                labels = list(result.clustering.labels)
-            else:
-                labels = list(run_online(NaiveOnlineClusterer(value), seg_embs).labels)
+            labels = cluster(seg_embs, config).labels
             hypothesis = annotation_from_clusters(
                 rec, [se.interval for se in seg_embs], labels
             )
@@ -272,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("diarize", help="cluster a recording and write hypothesis RTTM")
     d.add_argument("--embeddings", required=True, help="window embeddings CSV")
     d.add_argument("--regions", help="speech regions CSV (default: union of windows)")
-    d.add_argument("--algorithm", choices=("spectral", "kmeans", "naive"),
-                   default="spectral")
+    d.add_argument("--algorithm", choices=ALGORITHMS, default="spectral")
     d.add_argument("--max-segment-len", type=float, default=0.4)
     d.add_argument("--sigma", type=float, default=1.0)
     d.add_argument("--p-percentile", type=float, default=95.0)
@@ -329,10 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 2
     try:
         return args.func(args)
-    except (UsageError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvalidInputError, NumericError) as exc:

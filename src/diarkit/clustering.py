@@ -64,7 +64,7 @@ class SpectralParams:
 
 @dataclass(frozen=True)
 class KMeansParams:
-    """Spherical k-means settings; k=None means estimate it with the elbow."""
+    """Spherical k-means settings. `kmeans` needs k; the elbow search ignores it."""
 
     k: int | None = None
     max_iters: int = 300
@@ -172,26 +172,23 @@ def refine_row_max_normalize(m) -> np.ndarray:
     return m / row_max[:, None]
 
 
+# Names of the refine_chain stages, in the order it applies them.
+STAGE_NAMES = ("blur", "threshold", "symmetrize", "diffuse", "rownorm")
+
+
 def refine_chain(
     a: AffinityMatrix, params: SpectralParams
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Blur, threshold, symmetrize, diffuse, row-max-normalize, in that order.
 
     Returns the final matrix plus a snapshot of the matrix after each of
-    the five stages (for heatmap dumps).
+    the five stages (STAGE_NAMES), for heatmap dumps.
     """
-    stages: list[np.ndarray] = []
-    m = gaussian_blur(a.entries, params.sigma)
-    stages.append(m)
-    m = refine_threshold(m, params.p_percentile, params.soft_multiplier)
-    stages.append(m)
-    m = refine_symmetrize(m)
-    stages.append(m)
-    m = refine_diffuse(m)
-    stages.append(m)
-    m = refine_row_max_normalize(m)
-    stages.append(m)
-    return m, stages
+    stages = [gaussian_blur(a.entries, params.sigma)]
+    stages.append(refine_threshold(stages[-1], params.p_percentile, params.soft_multiplier))
+    for stage in (refine_symmetrize, refine_diffuse, refine_row_max_normalize):
+        stages.append(stage(stages[-1]))
+    return stages[-1], stages
 
 
 def estimate_k_eigengap(
@@ -342,12 +339,9 @@ def kmeans(embeddings, params: KMeansParams) -> ClusteringResult:
     """
     u = _unit_rows(_as_matrix(embeddings))
     n = u.shape[0]
-    if params.k is not None:
-        k = params.k
-    elif n == 1:
-        k = 1
-    else:
-        k = estimate_k_elbow(u, min(DEFAULT_MAX_CLUSTERS, n), params)
+    k = params.k
+    if k is None:
+        raise InvalidInputError("kmeans needs params.k; estimate_k_elbow can choose it")
     if k > n:
         raise InvalidInputError(f"k={k} exceeds the number of points ({n})")
     rng = np.random.default_rng(params.seed)
@@ -407,20 +401,15 @@ def estimate_k_elbow(
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    """Clustering plus the diagnostics needed to inspect or visualize the run.
+    """Clustering plus the eigenvalues its speaker count was read from.
 
     `eigenvalues` are those of the refined affinity, descending: all n of
     them up to numerics.PARTIAL_EIGH_MIN_N segments, and above it only the
     leading min(max_clusters, n - 1) + 1 that the eigen-gap rule reads.
-    `affinity` is the raw cosine affinity and `stages` the five refinement
-    snapshots.
     """
 
     clustering: ClusteringResult
-    k: int
     eigenvalues: np.ndarray
-    affinity: np.ndarray
-    stages: list[np.ndarray]
 
 
 def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
@@ -429,7 +418,8 @@ def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
     The refined matrix is symmetrized as (M + Mᵀ)/2 before
     eigen-decomposition (row-max normalization breaks symmetry). Cluster
     bounds are clamped to the segment count; when n is too small to leave
-    an eigen-gap search range, k is forced to the clamped minimum.
+    an eigen-gap search range, k is forced to the clamped minimum. The raw
+    affinity and the stage snapshots are freed once the chain has run.
     """
     x = _as_matrix(embeddings)
     n = x.shape[0]
@@ -437,8 +427,7 @@ def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
         raise InvalidInputError("spectral clustering needs at least 2 segments")
     min_c = min(params.min_clusters, n)
     max_c = min(params.max_clusters, n)
-    a = build_affinity(x)
-    refined, stages = refine_chain(a, params)
+    refined = refine_chain(build_affinity(x), params)[0]
     # the eigen-gap rule reads values[0 .. min(max_c, n - 1)] and the
     # embedding at most the first max_c vectors: nothing past them is needed
     decomp = eigh(0.5 * (refined + refined.T), count=min(max_c, n - 1) + 1)
@@ -448,13 +437,7 @@ def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
         k = estimate_k_eigengap(decomp.values, min_c, max_c, params.eig_floor)
     emb = spectral_embed(decomp, k)
     clustering = kmeans(emb, KMeansParams(k=k, seed=params.seed))
-    return SpectralResult(
-        clustering=clustering,
-        k=k,
-        eigenvalues=decomp.values,
-        affinity=a.entries,
-        stages=stages,
-    )
+    return SpectralResult(clustering=clustering, eigenvalues=decomp.values)
 
 
 class OnlineClusterer(Protocol):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,6 +67,18 @@ class TimeInterval:
 
     def overlaps(self, other: "TimeInterval") -> bool:
         return self.start < other.end and other.start < self.end
+
+
+def interval_union(spans: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Union of (start, end) pairs as sorted, disjoint pairs: empty pairs
+    (end <= start) are skipped, overlapping or touching ones merged."""
+    merged: list[tuple[float, float]] = []
+    for start, end in sorted((s, e) for s, e in spans if e > s):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregation import SpeechRegion, WindowEmbedding
-from .core import Annotation, InvalidInputError, ParseError, Segment, TimeInterval
+from .core import Annotation, InvalidInputError, ParseError, Segment, TimeInterval, interval_union
 
 RTTM_FIELDS = 10
 
@@ -85,17 +85,10 @@ def parse_uem(text: str) -> dict[str, list[TimeInterval]]:
         if start >= end:
             raise ParseError(f"start {start} must precede end {end}", lineno)
         raw.setdefault(fields[0], []).append((start, end))
-    out: dict[str, list[TimeInterval]] = {}
-    for file_id, spans in raw.items():
-        spans.sort()
-        merged = [spans[0]]
-        for s, e in spans[1:]:
-            if s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-            else:
-                merged.append((s, e))
-        out[file_id] = [TimeInterval(s, e) for s, e in merged]
-    return out
+    return {
+        file_id: [TimeInterval(s, e) for s, e in interval_union(spans)]
+        for file_id, spans in raw.items()
+    }
 
 
 def _format_float(x: float) -> str:

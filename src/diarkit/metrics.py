@@ -10,11 +10,11 @@ reports are bit-reproducible and free of float-boundary double counting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Annotation, InvalidInputError, TimeInterval
+from .core import Annotation, InvalidInputError, TimeInterval, interval_union
 from .numerics import optimal_assignment
 
 TICKS_PER_SECOND = 10_000_000
@@ -28,17 +28,6 @@ def _tick(t: float) -> int:
 
 def _seconds(ticks: int) -> float:
     return ticks / TICKS_PER_SECOND
-
-
-def _union(intervals: Iterable[tuple[int, int]]) -> Ticks:
-    pending = sorted((s, e) for s, e in intervals if e > s)
-    merged: Ticks = []
-    for s, e in pending:
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
 
 
 def _subtract(a: Ticks, b: Ticks) -> Ticks:
@@ -148,7 +137,7 @@ def _speaker_tick_timelines(annotation: Annotation) -> dict[str, Ticks]:
         per_speaker.setdefault(seg.speaker, []).append(
             (_tick(seg.interval.start), _tick(seg.interval.end))
         )
-    return {spk: _union(ivs) for spk, ivs in per_speaker.items()}
+    return {spk: interval_union(ivs) for spk, ivs in per_speaker.items()}
 
 
 def _overlap_regions(timelines: dict[str, Ticks]) -> Ticks:
@@ -171,7 +160,7 @@ def _overlap_regions(timelines: dict[str, Ticks]) -> Ticks:
             active += events[i][1]
             i += 1
         prev = t
-    return _union(out)
+    return interval_union(out)
 
 
 def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterval]:
@@ -184,7 +173,7 @@ def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterva
     if len(reference) == 0:
         raise InvalidInputError("reference annotation is empty")
     if opts.uem is not None:
-        base = _union((_tick(iv.start), _tick(iv.end)) for iv in opts.uem)
+        base = interval_union((_tick(iv.start), _tick(iv.end)) for iv in opts.uem)
     else:
         extent = reference.extent()
         base = [(_tick(extent.start), _tick(extent.end))]
@@ -195,7 +184,7 @@ def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterva
             for boundary in (seg.interval.start, seg.interval.end):
                 b = _tick(boundary)
                 cuts.append((b - collar, b + collar))
-        base = _subtract(base, _union(cuts))
+        base = _subtract(base, interval_union(cuts))
     if opts.exclude_overlap:
         base = _subtract(base, _overlap_regions(_speaker_tick_timelines(reference)))
     return [TimeInterval(_seconds(s), _seconds(e)) for s, e in base if e > s]

@@ -3,22 +3,14 @@
 from __future__ import annotations
 
 from diarkit import (
-    Annotation,
     EvalOptions,
-    KMeansParams,
-    NaiveOnlineClusterer,
     SpectralParams,
     SynthScenario,
-    aggregate,
     annotation_from_clusters,
     der,
-    estimate_k_elbow,
     generate,
-    kmeans,
-    run_online,
-    segmentize,
-    spectral_cluster,
 )
+from diarkit.pipeline import DiarizeConfig, cluster, segment_embeddings
 
 # Dev-tuned spectral settings for the synthetic corpus: the affinities are
 # already clean, so the pre-threshold smoothing is disabled; everything
@@ -29,34 +21,29 @@ TUNED_SPECTRAL = {"sigma": 0.0, "p_percentile": 95.0}
 def prepare(scenario: SynthScenario):
     """Scenario -> (reference annotation, segment embeddings)."""
     reference, windows, regions = generate(scenario)
-    return reference, aggregate(windows, segmentize(regions))
+    return reference, segment_embeddings(windows, regions)
+
+
+def _labels(embeddings, config: DiarizeConfig):
+    result = cluster(embeddings, config)
+    return result.labels, result.k
 
 
 def labels_spectral(embeddings, **overrides):
     params = SpectralParams(seed=0, **{**TUNED_SPECTRAL, **overrides})
-    result = spectral_cluster(embeddings, params)
-    return result.clustering.labels, result.k
+    return _labels(embeddings, DiarizeConfig(spectral=params))
 
 
 def labels_kmeans_elbow(embeddings, seed: int = 0):
-    params = KMeansParams(seed=seed)
-    k = estimate_k_elbow(embeddings, min(8, len(embeddings)), params, min_clusters=2)
-    return kmeans(embeddings, KMeansParams(k=k, seed=seed)).labels, k
+    return _labels(embeddings, DiarizeConfig("kmeans", spectral=SpectralParams(seed=seed)))
 
 
 def labels_naive(embeddings, threshold: float = 0.5):
-    result = run_online(NaiveOnlineClusterer(threshold=threshold), embeddings)
-    return result.labels, result.k
-
-
-def hypothesis_from(reference: Annotation, embeddings, labels) -> Annotation:
-    return annotation_from_clusters(
-        reference.recording_id, [e.interval for e in embeddings], labels
-    )
+    return _labels(embeddings, DiarizeConfig("naive", threshold=threshold))
 
 
 def score_total(reference, embeddings, labels, collar: float = 0.0):
-    report = der(
-        reference, hypothesis_from(reference, embeddings, labels), EvalOptions(collar=collar)
+    hypothesis = annotation_from_clusters(
+        reference.recording_id, [e.interval for e in embeddings], labels
     )
-    return report
+    return der(reference, hypothesis, EvalOptions(collar=collar))

@@ -492,7 +492,7 @@ def test_scale_smoke(capsys):
         ok,
         "scale smoke",
         f"1000 segments in {elapsed:.1f}s (limit 30s), peak {peak / 2**20:.0f} MiB "
-        f"(limit 1024 MiB), k={result.k}",
+        f"(limit 1024 MiB), k={result.clustering.k}",
     )
     assert elapsed < 30.0
     assert peak < 1 << 30

@@ -1,9 +1,17 @@
 import numpy as np
+import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import diarkit.numerics
-from diarkit import parse_rttm
+from diarkit import (
+    SpectralParams,
+    parse_rttm,
+    read_embeddings_csv,
+    read_regions_csv,
+    write_rttm,
+)
 from diarkit.cli import main
+from diarkit.pipeline import ALGORITHMS, DiarizeConfig, diarize
 
 E1_E1_E2_CSV = (
     "start,end,v0,v1\n"
@@ -149,6 +157,51 @@ class TestDiarize:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sigma", "-1"], ["--min-speakers", "3", "--max-speakers", "2"]],
+    )
+    def test_bad_spectral_flag_is_usage_error(self, tmp_path, capsys, flags):
+        # without the up-front check these would fail while clustering (exit 1)
+        emb = tmp_path / "toy.csv"
+        emb.write_text(E1_E1_E2_CSV)
+        out = tmp_path / "o.rttm"
+        rc = main(["diarize", "--embeddings", str(emb), *flags, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_kmeans_single_segment_is_one_speaker(self, tmp_path):
+        emb = tmp_path / "single.csv"
+        emb.write_text("start,end,v0,v1\n0.0,0.24,1.0,0.0\n")
+        out = tmp_path / "o.rttm"
+        rc = main(
+            ["diarize", "--embeddings", str(emb), "--algorithm", "kmeans", "--out", str(out)]
+        )
+        assert rc == 0
+        (hypothesis,) = parse_rttm(out.read_text())
+        assert hypothesis.labels() == ["spk0"]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_pipeline_diarize_matches_cli(self, tmp_path, algorithm):
+        paths = run_synth(tmp_path, "conv")
+        out = tmp_path / "hyp.rttm"
+        rc = main(
+            [
+                "diarize",
+                "--embeddings", str(paths["emb"]),
+                "--regions", str(paths["reg"]),
+                "--algorithm", algorithm,
+                "--seed", "3",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        windows = read_embeddings_csv(paths["emb"].read_text())
+        regions = read_regions_csv(paths["reg"].read_text())
+        config = DiarizeConfig(algorithm, spectral=SpectralParams(seed=3))
+        assert write_rttm(diarize("conv", windows, regions, config)) == out.read_text()
 
     def test_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
         emb = tmp_path / "toy.csv"

@@ -1,0 +1,68 @@
+"""Property tests of the interval algebra against a tick-set oracle.
+
+Spans are half-open [start, end) over integer ticks, so the set of ticks a
+list of spans covers is an exact model of what the list means.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from diarkit.core import interval_union
+from diarkit.metrics import _intersect, _subtract
+
+# (start, start + length); a length <= 0 gives an empty pair, which
+# interval_union must skip. Short lengths on a small range make spans
+# that touch or share an end point common.
+SPANS = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(-3, 12)).map(lambda p: (p[0], p[0] + p[1])),
+    max_size=10,
+)
+
+
+def ticks(spans) -> set[int]:
+    return {t for s, e in spans for t in range(s, e)}
+
+
+def assert_sorted_disjoint(spans, strict: bool) -> None:
+    """Non-empty, sorted, non-overlapping; strict also forbids touching."""
+    assert all(s < e for s, e in spans)
+    for (_, prev_end), (start, _) in zip(spans, spans[1:]):
+        assert prev_end < start if strict else prev_end <= start
+
+
+@settings(deadline=None)
+@given(SPANS)
+@example([(0, 5), (5, 10), (3, 3)])
+def test_union_covers_exactly_the_input_ticks(spans):
+    merged = interval_union(spans)
+    assert ticks(merged) == ticks(spans)
+    assert_sorted_disjoint(merged, strict=True)
+
+
+@settings(deadline=None)
+@given(SPANS)
+def test_union_is_idempotent_and_order_free(spans):
+    merged = interval_union(spans)
+    assert interval_union(merged) == merged
+    assert interval_union(reversed(spans)) == merged
+
+
+@settings(deadline=None)
+@given(SPANS, SPANS)
+@example([(0, 10)], [(0, 3), (5, 10)])
+def test_subtract_matches_set_difference(a, b):
+    a, b = interval_union(a), interval_union(b)
+    out = _subtract(a, b)
+    assert ticks(out) == ticks(a) - ticks(b)
+    assert_sorted_disjoint(out, strict=False)
+
+
+@settings(deadline=None)
+@given(SPANS, SPANS)
+@example([(0, 5)], [(5, 10)])
+def test_intersect_matches_set_intersection(a, b):
+    a, b = interval_union(a), interval_union(b)
+    out = _intersect(a, b)
+    assert ticks(out) == ticks(a) & ticks(b)
+    assert out == _intersect(b, a)
+    assert_sorted_disjoint(out, strict=False)

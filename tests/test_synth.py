@@ -8,15 +8,12 @@ from diarkit import (
     InvalidInputError,
     SpectralParams,
     SynthScenario,
-    aggregate,
     angular_stats,
-    annotation_from_clusters,
     der,
     generate,
-    segmentize,
     speaker_directions,
-    spectral_cluster,
 )
+from diarkit.pipeline import DiarizeConfig, cluster, diarize, segment_embeddings
 from diarkit.synth import WINDOW_SIZE, WINDOW_STEP
 
 
@@ -162,22 +159,14 @@ class TestGenerate:
         scenario = SynthScenario(n_speakers=1, duration=30, seed=9)
         reference, windows, regions = generate(scenario)
         assert reference.labels() == ["S0"]
-        embeddings = aggregate(windows, segmentize(regions))
-        result = spectral_cluster(embeddings, SpectralParams(min_clusters=1, seed=0))
-        assert result.k == 1
+        config = DiarizeConfig(spectral=SpectralParams(min_clusters=1, seed=0))
+        assert cluster(segment_embeddings(windows, regions), config).k == 1
 
     def test_separated_three_speakers_end_to_end(self):
         scenario = SynthScenario(n_speakers=3, duration=120, within_noise_deg=5, seed=0)
         reference, windows, regions = generate(scenario)
-        segments = segmentize(regions)
-        embeddings = aggregate(windows, segments)
-        result = spectral_cluster(embeddings, SpectralParams(seed=0))
-        assert result.k == 3
-        hypothesis = annotation_from_clusters(
-            reference.recording_id,
-            [e.interval for e in embeddings],
-            result.clustering.labels,
-        )
+        hypothesis = diarize(reference.recording_id, windows, regions, DiarizeConfig())
+        assert len(hypothesis.labels()) == 3
         report = der(reference, hypothesis, EvalOptions(collar=0.0))
         assert report.confusion < 2.0
 
