@@ -15,16 +15,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import io as formats
-from .clustering import STAGE_NAMES, SpectralParams, build_affinity, refine_chain
-from .core import (
-    Annotation,
-    InvalidInputError,
-    NumericError,
-    ParseError,
-    annotation_from_clusters,
-)
+from .clustering import SpectralParams, build_affinity, refine_stages
+from .core import Annotation, InvalidInputError, NumericError, ParseError
 from .metrics import DerReport, EvalOptions, combine_reports, der
-from .pipeline import ALGORITHMS, DiarizeConfig, cluster, diarize, segment_embeddings
+from .pipeline import ALGORITHMS, DiarizeConfig, diarize, segment_embeddings
 from .synth import SCENARIO_KINDS, SynthScenario, generate
 
 
@@ -47,17 +41,15 @@ def _flag_values():
 
 
 def _dump_stages(prefix: str, seg_embs, params: SpectralParams) -> None:
-    """Rebuild the raw affinity and the refinement stages; write each as a PGM."""
+    """Rebuild the raw affinity and each refinement stage; write each as a PGM."""
     affinity = build_affinity(seg_embs)
-    _, stages = refine_chain(affinity, params)
     formats.write_pgm_heatmap(affinity.entries, f"{prefix}_00_affinity.pgm")
-    for i, (name, stage) in enumerate(zip(STAGE_NAMES, stages), start=1):
+    for i, (name, stage) in enumerate(refine_stages(affinity, params), start=1):
         formats.write_pgm_heatmap(stage, f"{prefix}_{i:02d}_{name}.pgm")
 
 
 def cmd_diarize(args) -> int:
     _require(args.max_segment_len > 0, "--max-segment-len must be positive")
-    _require(args.seed >= 0, "--seed must be >= 0")
     _require(not (args.dump_stages and args.algorithm != "spectral"),
              "--dump-stages applies only to --algorithm spectral")
     with _flag_values():
@@ -66,14 +58,14 @@ def cmd_diarize(args) -> int:
             soft_multiplier=args.soft_multiplier, min_clusters=args.min_speakers,
             max_clusters=args.max_speakers, seed=args.seed,
         )
-        config = DiarizeConfig(algorithm=args.algorithm, max_segment_len=args.max_segment_len,
-                               spectral=spectral, threshold=args.threshold)
+        config = DiarizeConfig(algorithm=args.algorithm, spectral=spectral,
+                               threshold=args.threshold)
 
     windows = formats.read_embeddings_csv(Path(args.embeddings).read_text())
     regions = formats.read_regions_csv(Path(args.regions).read_text()) if args.regions else None
-    hypothesis = diarize(Path(args.embeddings).stem, windows, regions, config)
+    seg_embs = segment_embeddings(windows, regions, args.max_segment_len)
+    hypothesis = diarize(Path(args.embeddings).stem, seg_embs, config)
     if args.dump_stages:
-        seg_embs = segment_embeddings(windows, regions, config.max_segment_len)
         _dump_stages(args.dump_stages, seg_embs, config.spectral)
     Path(args.out).write_text(formats.write_rttm(hypothesis))
     return 0
@@ -204,13 +196,8 @@ def cmd_sweep(args) -> int:
 
     results: list[tuple[float, float]] = []
     for value, config in zip(grid, configs):
-        reports = []
-        for rec, seg_embs in prepared:
-            labels = cluster(seg_embs, config).labels
-            hypothesis = annotation_from_clusters(
-                rec, [se.interval for se in seg_embs], labels
-            )
-            reports.append(der(references[rec], hypothesis, EvalOptions()))
+        reports = [der(references[rec], diarize(rec, seg_embs, config), EvalOptions())
+                   for rec, seg_embs in prepared]
         results.append((value, combine_reports(reports).total))
 
     best = min(range(len(results)), key=lambda i: results[i][1])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -60,6 +60,8 @@ class SpectralParams:
             raise InvalidInputError("max_clusters must be >= min_clusters")
         if not (self.eig_floor > 0):
             raise InvalidInputError("eig_floor must be positive")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,8 @@ class KMeansParams:
             raise InvalidInputError("tol must be >= 0")
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _as_matrix(embeddings) -> np.ndarray:
@@ -172,23 +176,33 @@ def refine_row_max_normalize(m) -> np.ndarray:
     return m / row_max[:, None]
 
 
-# Names of the refine_chain stages, in the order it applies them.
-STAGE_NAMES = ("blur", "threshold", "symmetrize", "diffuse", "rownorm")
-
-
-def refine_chain(
-    a: AffinityMatrix, params: SpectralParams
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def refine_stages(a: AffinityMatrix, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
     """Blur, threshold, symmetrize, diffuse, row-max-normalize, in that order.
 
-    Returns the final matrix plus a snapshot of the matrix after each of
-    the five stages (STAGE_NAMES), for heatmap dumps.
+    Yields (stage name, matrix) after each stage, for heatmap dumps, and
+    holds only the latest matrix; the raw affinity is released once the
+    blur has run.
     """
-    stages = [gaussian_blur(a.entries, params.sigma)]
-    stages.append(refine_threshold(stages[-1], params.p_percentile, params.soft_multiplier))
-    for stage in (refine_symmetrize, refine_diffuse, refine_row_max_normalize):
-        stages.append(stage(stages[-1]))
-    return stages[-1], stages
+    m = gaussian_blur(a.entries, params.sigma)
+    del a
+    yield "blur", m
+    m = refine_threshold(m, params.p_percentile, params.soft_multiplier)
+    yield "threshold", m
+    m = refine_symmetrize(m)
+    yield "symmetrize", m
+    m = refine_diffuse(m)
+    yield "diffuse", m
+    m = refine_row_max_normalize(m)
+    yield "rownorm", m
+
+
+def refine_chain(a: AffinityMatrix, params: SpectralParams) -> np.ndarray:
+    """The matrix after the last of the refine_stages."""
+    stages = refine_stages(a, params)
+    del a  # lets refine_stages free the affinity once the blur has run
+    for _, m in stages:
+        pass
+    return m
 
 
 def estimate_k_eigengap(
@@ -415,11 +429,11 @@ class SpectralResult:
 def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
     """Affinity construction, refinement, eigen-gap k, re-embedding, k-means.
 
-    The refined matrix is symmetrized as (M + Mᵀ)/2 before
+    The refined matrix is symmetrized once, as (M + Mᵀ)/2, before
     eigen-decomposition (row-max normalization breaks symmetry). Cluster
     bounds are clamped to the segment count; when n is too small to leave
-    an eigen-gap search range, k is forced to the clamped minimum. The raw
-    affinity and the stage snapshots are freed once the chain has run.
+    an eigen-gap search range, k is forced to the clamped minimum. The
+    refinement keeps only its latest stage matrix.
     """
     x = _as_matrix(embeddings)
     n = x.shape[0]
@@ -427,10 +441,12 @@ def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
         raise InvalidInputError("spectral clustering needs at least 2 segments")
     min_c = min(params.min_clusters, n)
     max_c = min(params.max_clusters, n)
-    refined = refine_chain(build_affinity(x), params)[0]
+    m = refine_chain(build_affinity(x), params)
+    m = m + m.T
+    m *= 0.5
     # the eigen-gap rule reads values[0 .. min(max_c, n - 1)] and the
     # embedding at most the first max_c vectors: nothing past them is needed
-    decomp = eigh(0.5 * (refined + refined.T), count=min(max_c, n - 1) + 1)
+    decomp = eigh(m, count=min(max_c, n - 1) + 1)
     if min_c > min(max_c, n - 1):
         k = min_c
     else:

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import ArpackError, eigsh
 
@@ -48,48 +49,24 @@ def cosine_distance(a, b) -> float:
     return (1.0 - cosine_similarity(a, b)) / 2.0
 
 
-def gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    """Normalized 1-D Gaussian taps with radius ceil(3*sigma)."""
-    if not math.isfinite(sigma) or sigma < 0:
-        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0:
-        return np.array([1.0])
-    radius = math.ceil(3.0 * sigma)
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    w = np.exp(-0.5 * (x / sigma) ** 2)
-    return w / w.sum()
-
-
 def gaussian_blur(m, sigma: float) -> np.ndarray:
     """2-D convolution with a truncated, normalized Gaussian kernel.
 
     Kernel radius is ceil(3*sigma) in index units; borders are handled by
-    reflection (edge value repeated), which keeps constant matrices
-    constant. sigma = 0 is the identity.
+    reflection (edge value repeated: scipy.ndimage's "reflect" mode, numpy's
+    "symmetric" pad), which keeps constant matrices constant. sigma = 0
+    returns a copy.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise InvalidInputError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidInputError("matrix contains non-finite entries")
-    w = gaussian_kernel_1d(sigma)
-    if w.size == 1:
+    if not math.isfinite(sigma) or sigma < 0:
+        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
+    if sigma == 0:
         return m.copy()
-    out = _convolve_axis(m, w, axis=0)
-    return _convolve_axis(out, w, axis=1)
-
-
-def _convolve_axis(m: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    radius = (taps.size - 1) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(m, pad, mode="symmetric")
-    out = np.zeros_like(m)
-    for t, weight in enumerate(taps):
-        index = [slice(None), slice(None)]
-        index[axis] = slice(t, t + m.shape[axis])
-        out += weight * padded[tuple(index)]
-    return out
+    return gaussian_filter(m, sigma, mode="reflect", radius=math.ceil(3 * sigma))
 
 
 def nearest_rank_index(p: float, n: int) -> int:
@@ -144,6 +121,10 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
     agree; otherwise all n pairs are returned, as with count=None. Raises
     InvalidInputError if the input is not symmetric within 1e-10 or count
     lies outside [1, n], NumericError if the solver fails to converge.
+
+    The input is not re-symmetrized: an input that is symmetric only within
+    the tolerance is solved as given (the dense path reads its lower
+    triangle, the partial path multiplies by the whole matrix).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -156,12 +137,11 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
     n = m.shape[0]
     if count is not None and not (1 <= count <= n):
         raise InvalidInputError(f"count must lie in [1, {n}], got {count}")
-    sym = 0.5 * (m + m.T)
     try:
         if count is None or count == n or n <= PARTIAL_EIGH_MIN_N:
-            values, vectors = np.linalg.eigh(sym)
+            values, vectors = np.linalg.eigh(m)
         else:
-            values, vectors = eigsh(sym, k=count, which="LA", v0=np.ones(n))
+            values, vectors = eigsh(m, k=count, which="LA", v0=np.ones(n))
     except (np.linalg.LinAlgError, ArpackError) as exc:
         raise NumericError(f"eigen-decomposition failed: {exc}") from exc
     order = np.argsort(-values, kind="stable")

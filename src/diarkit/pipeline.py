@@ -32,7 +32,6 @@ class DiarizeConfig:
     """
 
     algorithm: str = "spectral"
-    max_segment_len: float = DEFAULT_MAX_SEGMENT_LEN
     spectral: SpectralParams = SpectralParams()
     threshold: float = 0.5
 
@@ -69,10 +68,7 @@ def cluster(seg_embs, config: DiarizeConfig) -> ClusteringResult:
     return kmeans(seg_embs, KMeansParams(k=k, seed=params.seed))
 
 
-def diarize(
-    recording_id: str, windows, regions, config: DiarizeConfig = DiarizeConfig()
-) -> Annotation:
-    """One recording's window embeddings and speech regions (or None) to its hypothesis."""
-    seg_embs = segment_embeddings(windows, regions, config.max_segment_len)
+def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig()) -> Annotation:
+    """One recording's segment embeddings (from segment_embeddings) to its hypothesis."""
     labels = cluster(seg_embs, config).labels
     return annotation_from_clusters(recording_id, [se.interval for se in seg_embs], labels)

@@ -26,6 +26,7 @@ from diarkit import (
     refine_chain,
     refine_diffuse,
     refine_row_max_normalize,
+    refine_stages,
     refine_symmetrize,
     refine_threshold,
     spectral_cluster,
@@ -126,11 +127,9 @@ def test_refinement_chain_suite(capsys):
         refine_row_max_normalize(np.array([[2.0, 4.0], [0.5, 0.25]])),
         np.array([[0.5, 1.0], [1.0, 0.5]]),
     )
-    final, stages = refine_chain(
-        AffinityMatrix(BLOCK),
-        SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=0.0),
-    )
-    check(final, BLOCK)
+    params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=0.0)
+    check(refine_chain(AffinityMatrix(BLOCK), params), BLOCK)
+    stages = list(refine_stages(AffinityMatrix(BLOCK), params))
     stage_count_ok = len(stages) == 5
 
     elapsed = time.perf_counter() - t0

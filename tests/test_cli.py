@@ -11,7 +11,7 @@ from diarkit import (
     write_rttm,
 )
 from diarkit.cli import main
-from diarkit.pipeline import ALGORITHMS, DiarizeConfig, diarize
+from diarkit.pipeline import ALGORITHMS, DiarizeConfig, diarize, segment_embeddings
 
 E1_E1_E2_CSV = (
     "start,end,v0,v1\n"
@@ -160,7 +160,7 @@ class TestDiarize:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--sigma", "-1"], ["--min-speakers", "3", "--max-speakers", "2"]],
+        [["--sigma", "-1"], ["--min-speakers", "3", "--max-speakers", "2"], ["--seed", "-1"]],
     )
     def test_bad_spectral_flag_is_usage_error(self, tmp_path, capsys, flags):
         # without the up-front check these would fail while clustering (exit 1)
@@ -201,7 +201,8 @@ class TestDiarize:
         windows = read_embeddings_csv(paths["emb"].read_text())
         regions = read_regions_csv(paths["reg"].read_text())
         config = DiarizeConfig(algorithm, spectral=SpectralParams(seed=3))
-        assert write_rttm(diarize("conv", windows, regions, config)) == out.read_text()
+        hypothesis = diarize("conv", segment_embeddings(windows, regions), config)
+        assert write_rttm(hypothesis) == out.read_text()
 
     def test_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
         emb = tmp_path / "toy.csv"

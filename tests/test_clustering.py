@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from diarkit import (
     refine_chain,
     refine_diffuse,
     refine_row_max_normalize,
+    refine_stages,
     refine_symmetrize,
     refine_threshold,
     run_online,
@@ -213,25 +215,27 @@ class TestRefineRowMaxNormalize:
 class TestRefineChain:
     def test_block_matrix_fixed_point(self):
         params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=0.0)
-        final, stages = refine_chain(AffinityMatrix(BLOCK), params)
+        stages = dict(refine_stages(AffinityMatrix(BLOCK), params))
         # blur(0) and threshold leave the blocks; diffusion doubles them;
         # row-max normalization rescales back to the exact block matrix
-        assert np.array_equal(final, BLOCK)
-        assert np.array_equal(stages[3], 2 * BLOCK)
+        assert np.array_equal(refine_chain(AffinityMatrix(BLOCK), params), BLOCK)
+        assert np.array_equal(stages["diffuse"], 2 * BLOCK)
 
     def test_snapshot_count_and_final(self):
         rng = np.random.default_rng(36)
         a = build_affinity(rng.normal(size=(10, 4)))
-        final, stages = refine_chain(a, SpectralParams())
-        assert len(stages) == 5
-        assert np.array_equal(final, stages[-1])
+        stages = list(refine_stages(a, SpectralParams()))
+        assert [name for name, _ in stages] == [
+            "blur", "threshold", "symmetrize", "diffuse", "rownorm"
+        ]
+        assert np.array_equal(refine_chain(a, SpectralParams()), stages[-1][1])
 
     def test_neutral_settings_reduce_to_diffuse_normalize(self):
         rng = np.random.default_rng(37)
         x = rng.normal(size=(6, 3))
         g = x @ x.T  # symmetric PSD
         params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=1.0)
-        final, _ = refine_chain(AffinityMatrix(g), params)
+        final = refine_chain(AffinityMatrix(g), params)
         expected = refine_row_max_normalize(refine_diffuse(g))
         assert np.max(np.abs(final - expected)) < 1e-12
 
@@ -476,6 +480,22 @@ class TestSpectralCluster:
         assert same_partition(partial.clustering.labels, dense.clustering.labels)
         assert same_partition(partial.clustering.labels, truth)
 
+    @pytest.mark.parametrize("n", [1000, 1500])  # dense and partial eigensolve
+    def test_peak_memory_at_most_five_matrices(self, n):
+        # one stage matrix at a time, the affinity freed after the blur: about
+        # 4.1 n^2 float64 arrays at the peak (6.0 while every snapshot was kept)
+        rng = np.random.default_rng(0)
+        centers = rng.standard_normal((4, 16))
+        x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
+        tracemalloc.start()
+        try:
+            result = spectral_cluster(x, SpectralParams(seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.clustering.k == 4
+        assert peak <= 5 * 8 * n * n
+
     def test_single_segment_rejected(self):
         with pytest.raises(InvalidInputError):
             spectral_cluster(np.array([[1.0, 0.0]]), SpectralParams())
@@ -502,6 +522,8 @@ class TestSpectralParams:
             SpectralParams(min_clusters=5, max_clusters=3)
         with pytest.raises(InvalidInputError):
             SpectralParams(eig_floor=0.0)
+        with pytest.raises(InvalidInputError):
+            SpectralParams(seed=-1)
 
     def test_kmeans_params_invalid_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -510,6 +532,8 @@ class TestSpectralParams:
             KMeansParams(restarts=0)
         with pytest.raises(InvalidInputError):
             KMeansParams(max_iters=0)
+        with pytest.raises(InvalidInputError):
+            KMeansParams(seed=-1)
 
 
 class TestNaiveOnline:

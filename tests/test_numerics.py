@@ -109,6 +109,10 @@ class TestGaussianBlur:
         for sigma in (0.4, 1.0, 1.7):
             m = rng.normal(size=(7, 7))
             assert np.max(np.abs(gaussian_blur(m, sigma) - direct_blur(m, sigma))) < 1e-10
+        # kernel radius ceil(3 sigma) >= the matrix size: borders reflect repeatedly
+        for size, sigma in ((1, 1.0), (2, 1.0), (3, 2.0), (4, 1.7), (5, 3.0)):
+            m = rng.normal(size=(size, size))
+            assert np.max(np.abs(gaussian_blur(m, sigma) - direct_blur(m, sigma))) < 1e-10
 
     def test_linear(self):
         rng = np.random.default_rng(15)
@@ -236,7 +240,7 @@ def large_refined():
     n = PARTIAL_EIGH_MIN_N + 50
     centers = rng.standard_normal((4, 16))
     x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
-    refined, _ = refine_chain(build_affinity(x), SpectralParams())
+    refined = refine_chain(build_affinity(x), SpectralParams())
     m = 0.5 * (refined + refined.T)
     return m, eigh(m)
 

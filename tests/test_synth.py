@@ -165,7 +165,8 @@ class TestGenerate:
     def test_separated_three_speakers_end_to_end(self):
         scenario = SynthScenario(n_speakers=3, duration=120, within_noise_deg=5, seed=0)
         reference, windows, regions = generate(scenario)
-        hypothesis = diarize(reference.recording_id, windows, regions, DiarizeConfig())
+        seg_embs = segment_embeddings(windows, regions)
+        hypothesis = diarize(reference.recording_id, seg_embs, DiarizeConfig())
         assert len(hypothesis.labels()) == 3
         report = der(reference, hypothesis, EvalOptions(collar=0.0))
         assert report.confusion < 2.0
