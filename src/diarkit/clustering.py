@@ -28,6 +28,7 @@ from .numerics import (
     gaussian_blur,
     l2_normalize,
     nearest_rank_index,
+    row_block,
 )
 
 DEFAULT_MAX_CLUSTERS = 8
@@ -141,15 +142,23 @@ def refine_threshold(m, p: float, soft_multiplier: float) -> np.ndarray:
     """Per row, scale entries strictly below the row's nearest-rank p-percentile.
 
     soft_multiplier = 0 reproduces hard zeroing; entries at or above the
-    percentile pass through unchanged.
+    percentile pass through unchanged. Works on one copy of the input, a
+    block of rows at a time: `np.partition` finds the same k-th entry as a
+    full sort, and the in-place product is the same elementwise `m * soft`.
     """
     m = _as_square(m)
     if not (0.0 < p < 100.0):
         raise InvalidInputError(f"p must lie in (0, 100), got {p}")
     if not math.isfinite(soft_multiplier):
         raise InvalidInputError("soft_multiplier must be finite")
-    cut = np.sort(m, axis=1)[:, nearest_rank_index(p, m.shape[1])]
-    return np.where(m < cut[:, None], m * soft_multiplier, m)
+    kth = nearest_rank_index(p, m.shape[1])
+    out = m.copy()
+    step = row_block(m.shape[1])
+    for lo in range(0, out.shape[0], step):
+        rows = out[lo : lo + step]
+        cut = np.partition(rows, kth, axis=1)[:, kth]
+        np.multiply(rows, soft_multiplier, out=rows, where=rows < cut[:, None])
+    return out
 
 
 def refine_symmetrize(m) -> np.ndarray:

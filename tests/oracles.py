@@ -57,6 +57,11 @@ def direct_blur(m: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+def sort_threshold(m: np.ndarray, kth: int, soft: float) -> np.ndarray:
+    """Threshold every row at its k-th smallest entry, read from a full sort."""
+    return np.where(m < np.sort(m, axis=1)[:, [kth]], m * soft, m)
+
+
 def _boundaries(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> list[float]:
     points: set[float] = set()
     for ann in (reference, hypothesis):

@@ -31,7 +31,8 @@ from diarkit import (
 import diarkit.numerics
 from diarkit.clustering import _lloyd
 from diarkit.core import AffinityMatrix
-from diarkit.numerics import PARTIAL_EIGH_MIN_N
+from diarkit.numerics import PARTIAL_EIGH_MIN_N, nearest_rank_index
+from oracles import sort_threshold
 
 BLOCK = np.array(
     [
@@ -148,6 +149,23 @@ class TestRefineThreshold:
         for i in range(6):
             row_only = refine_threshold(np.tile(m[i], (6, 1)), 80, 0.01)
             assert np.array_equal(out[i], row_only[0])
+
+    # in blocks of 2**16 entries these are one block, two and nineteen,
+    # the last block of each short
+    @pytest.mark.parametrize("n", [1, 257, 1100])
+    def test_blocks_match_sort_oracle(self, n):
+        rng = np.random.default_rng(n)
+        matrices = [
+            rng.integers(-2, 3, size=(n, n)).astype(np.float64),  # many ties
+            rng.choice([0.0, -0.0, 0.5, -0.5], size=(n, n)),
+            rng.standard_normal((n, n)),
+        ]
+        for m in matrices:
+            before = m.copy()
+            for p, soft in ((0.5, 0.01), (50, 0.0), (95, 0.01), (99.9, -2.0)):
+                expected = sort_threshold(m, nearest_rank_index(p, n), soft)
+                assert refine_threshold(m, p, soft).tobytes() == expected.tobytes()
+            assert m.tobytes() == before.tobytes()
 
     def test_p_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -495,6 +513,24 @@ class TestSpectralCluster:
             tracemalloc.stop()
         assert result.clustering.k == 4
         assert peak <= 5 * 8 * n * n
+
+    @pytest.mark.parametrize("n, arrays", [(1000, 3.1), (1500, 2.2), (2000, 2.2)])
+    def test_peak_memory_two_matrices_three_when_dense(self, n, arrays):
+        # every stage holds its input and its output, the threshold and the
+        # symmetry check working in row blocks beside them; at or below the
+        # cutoff the dense solve adds its n x n eigenvector matrix and the
+        # reordered copy `eigh` returns, for about 3.0 n^2
+        rng = np.random.default_rng(0)
+        centers = rng.standard_normal((4, 16))
+        x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
+        tracemalloc.start()
+        try:
+            result = spectral_cluster(x, SpectralParams(seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.clustering.k == 4
+        assert peak <= arrays * 8 * n * n
 
     def test_single_segment_rejected(self):
         with pytest.raises(InvalidInputError):

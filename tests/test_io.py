@@ -1,5 +1,9 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarkit import (
     Annotation,
@@ -207,3 +211,78 @@ class TestPgm:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             pgm_bytes(np.array([[np.nan, 1.0]]))
+
+
+NAMES = st.text(string.ascii_letters + string.digits + "-_", min_size=1, max_size=8)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def microsecond_annotations(draw):
+    """Annotations whose starts and durations lie on the 1 us grid RTTM writes."""
+    spans = draw(
+        st.lists(
+            st.tuples(st.integers(0, 10**10), st.integers(1, 10**8), NAMES),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return Annotation.create(
+        draw(NAMES),
+        [Segment(TimeInterval(s / 1e6, s / 1e6 + d / 1e6), name) for s, d, name in spans],
+    )
+
+
+@st.composite
+def sorted_windows(draw):
+    """Windows sorted by start, any finite floats, one dimension for all."""
+    dim = draw(st.integers(1, 4))
+    interval = st.tuples(
+        st.floats(min_value=0.0, max_value=1e9), st.floats(min_value=0.0, max_value=1e9)
+    ).filter(lambda p: p[0] < p[1])
+    rows = draw(
+        st.lists(st.tuples(interval, st.lists(FLOATS, min_size=dim, max_size=dim)), min_size=1)
+    )
+    return [
+        WindowEmbedding(TimeInterval(*span), np.array(vector))
+        for span, vector in sorted(rows, key=lambda row: row[0][0])
+    ]
+
+
+def float_bytes(*values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+class TestRoundTripProperties:
+    @settings(deadline=None)
+    @given(microsecond_annotations())
+    def test_rttm(self, annotation):
+        text = write_rttm(annotation)
+        (parsed,) = parse_rttm(text)
+        assert parsed.recording_id == annotation.recording_id
+        assert [s.speaker for s in parsed] == [s.speaker for s in annotation]
+        for a, b in zip(parsed, annotation):
+            assert a.interval.start == b.interval.start
+            assert a.interval.end == pytest.approx(b.interval.end, abs=1e-6)
+        assert write_rttm(parsed) == text
+
+    @settings(deadline=None)
+    @given(sorted_windows())
+    def test_embeddings_csv_exact(self, windows):
+        parsed = read_embeddings_csv(write_embeddings_csv(windows))
+        assert len(parsed) == len(windows)
+        for a, b in zip(parsed, windows):
+            assert float_bytes(a.interval.start, a.interval.end) == float_bytes(
+                b.interval.start, b.interval.end
+            )
+            assert a.embedding.tobytes() == b.embedding.tobytes()
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e9), unique=True, max_size=20))
+    def test_regions_csv(self, bounds):
+        # consecutive pairs of sorted distinct values: sorted, disjoint regions
+        ordered = sorted(bounds)
+        regions = [
+            SpeechRegion(TimeInterval(s, e)) for s, e in zip(ordered[::2], ordered[1::2])
+        ]
+        assert read_regions_csv(write_regions_csv(regions)) == regions

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from diarkit import (
     Annotation,
@@ -312,3 +314,56 @@ class TestInvariants:
 
             assert total == brute_force_assignment(matrix, maximize=True)
             checked += 1
+
+
+def annotations(prefix: str, min_size: int):
+    """Annotations of up to 12 segments on a 0.1 s grid, over up to 4 speakers."""
+    segment = st.tuples(st.integers(0, 180), st.integers(1, 40), st.integers(0, 3))
+    return st.lists(segment, min_size=min_size, max_size=12).map(
+        lambda spans: Annotation.create(
+            "rec",
+            [Segment(TimeInterval(s / 10, (s + d) / 10), f"{prefix}{k}") for s, d, k in spans],
+        )
+    )
+
+
+OPTIONS = st.builds(
+    EvalOptions, collar=st.sampled_from([0.0, 0.25, 0.3]), exclude_overlap=st.booleans()
+)
+
+
+def scored(reference, hypothesis, opts):
+    """der, or a rejected example when the reference leaves nothing to score."""
+    try:
+        return der(reference, hypothesis, opts)
+    except InvalidInputError:
+        reject()
+
+
+class TestDerProperties:
+    @settings(deadline=None)
+    @given(annotations("A", 1), OPTIONS)
+    def test_reference_against_itself_is_zero(self, reference, opts):
+        report = scored(reference, reference, opts)
+        assert report.fa_seconds == report.miss_seconds == report.confusion_seconds == 0.0
+        assert report.total == 0.0
+
+    @settings(deadline=None)
+    @given(annotations("A", 1), annotations("H", 0), OPTIONS, st.data())
+    def test_hypothesis_renaming_leaves_der_unchanged(self, reference, hypothesis, opts, data):
+        labels = hypothesis.labels()
+        new_names = data.draw(st.permutations([f"x{i}" for i in range(len(labels))]))
+        renamed = dict(zip(labels, new_names))
+        relabeled = Annotation.create(
+            "rec", [Segment(seg.interval, renamed[seg.speaker]) for seg in hypothesis]
+        )
+        assert scored(reference, relabeled, opts) == scored(reference, hypothesis, opts)
+
+    @settings(deadline=None)
+    @given(annotations("A", 1), annotations("H", 0), OPTIONS)
+    def test_components_non_negative_and_summed(self, reference, hypothesis, opts):
+        report = scored(reference, hypothesis, opts)
+        assert min(report.fa_seconds, report.miss_seconds, report.confusion_seconds) >= 0
+        assert min(report.fa, report.miss, report.confusion) >= 0
+        assert report.ref_speech_seconds > 0
+        assert report.total == report.fa + report.miss + report.confusion

@@ -231,6 +231,23 @@ class TestEigh:
         m = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
         eigh(m)
 
+    # in blocks of 2**16 entries: two row blocks at n = 257 and nineteen at
+    # n = 1100; (n-1, n-2) lies in the last block only, (0, n-1) off the
+    # diagonal blocks
+    @pytest.mark.parametrize("n", [257, 1100])
+    @pytest.mark.parametrize("i, j", [(-1, -2), (0, -1)], ids=["last_block", "off_diagonal"])
+    def test_asymmetry_found_in_any_row_block(self, n, i, j):
+        rng = np.random.default_rng(n)
+        b = rng.standard_normal((n, 3))
+        m = b @ b.T
+        m = 0.5 * (m + m.T)
+        bad = m.copy()
+        bad[i, j] += 1e-6
+        with pytest.raises(InvalidInputError, match="asymmetric"):
+            eigh(bad, count=1)
+        m[i, j] += 1e-12
+        eigh(m, count=1)
+
 
 @pytest.fixture(scope="module")
 def large_refined():
