@@ -6,9 +6,11 @@ matrix, spherical k-means with an elbow criterion, or a naive online
 clusterer), and scores hypotheses against references with DER.
 """
 
+from types import ModuleType as _ModuleType
+
 from .aggregation import (
     SpeechRegion,
-    WindowEmbedding,
+    Windows,
     aggregate,
     regions_from_windows,
     segmentize,
@@ -87,69 +89,8 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffinityMatrix",
-    "Annotation",
-    "ClusteringResult",
-    "DEFAULT_MAX_CLUSTERS",
-    "DegenerateAffinityError",
-    "DerReport",
-    "EigenDecomposition",
-    "EvalOptions",
-    "InvalidInputError",
-    "KMeansParams",
-    "NaiveOnlineClusterer",
-    "NumericError",
-    "OnlineClusterer",
-    "ParseError",
-    "Segment",
-    "SegmentEmbedding",
-    "SpeakerStats",
-    "SpectralParams",
-    "SpectralResult",
-    "SpeechRegion",
-    "SynthScenario",
-    "TimeInterval",
-    "WindowEmbedding",
-    "aggregate",
-    "angular_stats",
-    "annotation_from_clusters",
-    "build_affinity",
-    "combine_reports",
-    "cosine_distance",
-    "cosine_similarity",
-    "der",
-    "eigh",
-    "estimate_k_eigengap",
-    "estimate_k_elbow",
-    "gaussian_blur",
-    "generate",
-    "kmeans",
-    "l2_normalize",
-    "map_speakers",
-    "mscd_table",
-    "nearest_rank_percentile",
-    "optimal_assignment",
-    "parse_rttm",
-    "parse_uem",
-    "pgm_bytes",
-    "read_embeddings_csv",
-    "read_regions_csv",
-    "refine_chain",
-    "refine_diffuse",
-    "refine_row_max_normalize",
-    "refine_stages",
-    "refine_symmetrize",
-    "refine_threshold",
-    "regions_from_windows",
-    "run_online",
-    "scoring_region",
-    "segmentize",
-    "speaker_directions",
-    "spectral_cluster",
-    "spectral_embed",
-    "write_embeddings_csv",
-    "write_pgm_heatmap",
-    "write_regions_csv",
-    "write_rttm",
-]
+# every name imported above, listed once
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -13,14 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    InvalidInputError,
-    SegmentEmbedding,
-    TimeInterval,
-    as_float_vector,
-    interval_union,
-)
-from .numerics import l2_normalize
+from .core import InvalidInputError, SegmentEmbedding, TimeInterval
+from .numerics import l2_normalize_rows
 
 log = logging.getLogger(__name__)
 
@@ -30,15 +24,63 @@ DEFAULT_MAX_SEGMENT_LEN = 0.4
 MIN_PIECE_LEN = 0.01
 
 
-@dataclass(frozen=True, eq=False)
-class WindowEmbedding:
-    """One sliding-window extent and its embedding vector."""
+class InvalidWindowError(InvalidInputError):
+    """A window row breaks the Windows invariants; `row` is its index."""
 
-    interval: TimeInterval
-    embedding: np.ndarray
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """The sliding windows of one recording: window i spans [starts[i], ends[i])
+    seconds and carries vectors[i].
+
+    Checked here and nowhere else: all values finite, 0 <= start < end, rows
+    sorted by start, one dimension d >= 1. The arrays are read-only copies.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    vectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "embedding", as_float_vector(self.embedding))
+        names = ("starts", "ends", "vectors")
+        try:
+            arrays = [np.array(getattr(self, name), dtype=np.float64) for name in names]
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"window arrays must be numeric: {exc}") from None
+        starts, ends, vectors = arrays
+        m = vectors.shape[0] if vectors.ndim == 2 and vectors.shape[1] else -1
+        if starts.shape != (m,) or ends.shape != (m,):
+            raise InvalidInputError(
+                "windows need starts (m,), ends (m,) and vectors (m, d >= 1), got "
+                f"{starts.shape}, {ends.shape} and {vectors.shape}"
+            )
+        # one row per check, in the order a bad window reports them
+        failed = np.stack([
+            ~np.isfinite(np.column_stack([starts, ends, vectors])).all(axis=1),
+            starts < np.r_[-np.inf, starts[:-1]],
+            starts < 0,
+            ~(ends > starts),
+        ])
+        if failed.any():
+            i = int(np.argmax(failed.any(axis=0)))
+            start, end = float(starts[i]), float(ends[i])
+            messages = (
+                "window values must be finite",
+                "rows must be sorted by start time",
+                f"negative interval start {start}",
+                f"interval end must exceed start, got [{start}, {end}]",
+            )
+            raise InvalidWindowError(messages[int(np.argmax(failed[:, i]))], i)
+        for name, a in zip(names, arrays):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
 
 @dataclass(frozen=True)
@@ -89,7 +131,7 @@ def segmentize(
 
 
 def aggregate(
-    windows: Sequence[WindowEmbedding],
+    windows: Windows,
     segments: Sequence[TimeInterval],
 ) -> list[SegmentEmbedding]:
     """Average L2-normalized window vectors into one embedding per segment.
@@ -102,45 +144,30 @@ def aggregate(
     if not segments:
         raise InvalidInputError("no segments to aggregate into")
     _check_disjoint(segments, "segments")
-    dim = None
-    prev_start = -float("inf")
-    for w in windows:
-        if dim is None:
-            dim = w.embedding.size
-        elif w.embedding.size != dim:
-            raise InvalidInputError("window embeddings must share one dimension")
-        if w.interval.start < prev_start:
-            raise InvalidInputError("windows must be sorted by start time")
-        prev_start = w.interval.start
-
-    starts = np.array([seg.start for seg in segments])
-    sums: list[np.ndarray | None] = [None] * len(segments)
-    counts = [0] * len(segments)
-    for w in windows:
-        center = w.interval.center
-        idx = int(np.searchsorted(starts, center, side="right")) - 1
-        if idx < 0 or not segments[idx].contains(center):
-            continue
-        unit = l2_normalize(w.embedding)
-        sums[idx] = unit if sums[idx] is None else sums[idx] + unit
-        counts[idx] += 1
-
-    out: list[SegmentEmbedding] = []
-    dropped = 0
-    for seg, total, count in zip(segments, sums, counts):
-        if count == 0:
-            dropped += 1
-            continue
-        out.append(SegmentEmbedding(seg, total / count))
-    if dropped:
+    seg_starts, seg_ends = np.array([(seg.start, seg.end) for seg in segments]).T
+    centers = 0.5 * (windows.starts + windows.ends)
+    idx = np.searchsorted(seg_starts, centers, side="right") - 1
+    inside = (idx >= 0) & (centers < seg_ends[np.maximum(idx, 0)])
+    # -0.0 is the additive identity, so a one-window sum is that unit vector
+    sums = np.full((len(segments), windows.vectors.shape[1]), -0.0)
+    np.add.at(sums, idx[inside], l2_normalize_rows(windows.vectors[inside]))
+    counts = np.bincount(idx[inside], minlength=len(segments))
+    kept = np.flatnonzero(counts)
+    if kept.size < len(segments):
         log.warning("dropped %d of %d segments that contained no window centers",
-                    dropped, len(segments))
-    if not out:
+                    len(segments) - kept.size, len(segments))
+    if not kept.size:
         raise InvalidInputError("every segment was empty: no window centers fell inside")
-    return out
+    means = sums[kept] / counts[kept, None]
+    return [SegmentEmbedding(segments[i], mean) for i, mean in zip(kept.tolist(), means)]
 
 
-def regions_from_windows(windows: Sequence[WindowEmbedding]) -> list[SpeechRegion]:
+def regions_from_windows(windows: Windows) -> list[SpeechRegion]:
     """Union of window extents as sorted, non-overlapping speech regions."""
-    spans = interval_union((w.interval.start, w.interval.end) for w in windows)
+    # rows are sorted by start: a region opens at a start past every end so
+    # far (touching extents merge) and closes at the last end before the next
+    reach = np.maximum.accumulate(windows.ends)
+    opens = np.flatnonzero(windows.starts > np.r_[-np.inf, reach[:-1]])
+    closes = reach[np.r_[opens[1:], len(windows)] - 1] if len(windows) else reach
+    spans = zip(windows.starts[opens].tolist(), closes.tolist())
     return [SpeechRegion(TimeInterval(s, e)) for s, e in spans]

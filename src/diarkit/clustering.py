@@ -426,9 +426,8 @@ def estimate_k_elbow(
 class SpectralResult:
     """Clustering plus the eigenvalues its speaker count was read from.
 
-    `eigenvalues` are those of the refined affinity, descending: all n of
-    them up to numerics.PARTIAL_EIGH_MIN_N segments, and above it only the
-    leading min(max_clusters, n - 1) + 1 that the eigen-gap rule reads.
+    `eigenvalues` are the leading min(max_clusters, n - 1) + 1 of the
+    refined affinity, descending: those the eigen-gap rule reads.
     """
 
     clustering: ClusteringResult

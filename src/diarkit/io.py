@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import SpeechRegion, WindowEmbedding
+from .aggregation import InvalidWindowError, SpeechRegion, Windows
 from .core import Annotation, InvalidInputError, ParseError, Segment, TimeInterval, interval_union
 
 RTTM_FIELDS = 10
@@ -96,52 +96,59 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_embeddings_csv(windows: Sequence[WindowEmbedding]) -> str:
+def write_embeddings_csv(windows: Windows) -> str:
     """Header 'start,end,v0,...,v{D-1}' plus one row per window."""
-    if not windows:
+    if not len(windows):
         raise InvalidInputError("no windows to write")
-    dim = windows[0].embedding.size
-    header = "start,end," + ",".join(f"v{i}" for i in range(dim))
-    lines = [header]
-    for w in windows:
-        values = ",".join(_format_float(v) for v in w.embedding)
-        lines.append(f"{_format_float(w.interval.start)},{_format_float(w.interval.end)},{values}")
+    dim = windows.vectors.shape[1]
+    lines = ["start,end," + ",".join(f"v{i}" for i in range(dim))]
+    rows = zip(windows.starts.tolist(), windows.ends.tolist(), windows.vectors.tolist())
+    for start, end, vector in rows:
+        lines.append(",".join(map(_format_float, (start, end, *vector))))
     return "".join(line + "\n" for line in lines)
 
 
-def read_embeddings_csv(text: str) -> list[WindowEmbedding]:
-    """Inverse of write_embeddings_csv; dimension comes from the header."""
+def read_embeddings_csv(text: str) -> Windows:
+    """Inverse of write_embeddings_csv; dimension comes from the header.
+
+    Each cell goes through float() once, and Windows checks the rows. The
+    first bad line is reported, with the text a line-by-line check gives.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("missing header", 1)
     header = lines[0].split(",")
     if len(header) < 3 or header[0] != "start" or header[1] != "end":
         raise ParseError("header must be start,end,v0,...", 1)
-    dim = len(header) - 2
+    width = len(header)
     for i, name in enumerate(header[2:]):
         if name != f"v{i}":
             raise ParseError(f"expected column v{i}, got {name!r}", 1)
-    windows: list[WindowEmbedding] = []
-    prev_start = -math.inf
+    unparsed = [math.nan] * width  # a ragged or unparsable line's row fails as non-finite
+    flat: list[float] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) != dim + 2:
-            raise ParseError(f"expected {dim + 2} cells, got {len(cells)}", lineno)
-        start = _parse_float(cells[0], "start", lineno)
-        end = _parse_float(cells[1], "end", lineno)
-        vector = np.array([_parse_float(c, "component", lineno) for c in cells[2:]])
-        if start < prev_start:
-            raise ParseError("rows must be sorted by start time", lineno)
-        prev_start = start
         try:
-            windows.append(WindowEmbedding(TimeInterval(start, end), vector))
-        except InvalidInputError as exc:
-            raise ParseError(str(exc), lineno) from None
-    if not windows:
+            flat += [float(cell) for cell in cells] if len(cells) == width else unparsed
+        except ValueError:
+            flat += unparsed
+        linenos.append(lineno)
+    if not linenos:
         raise ParseError("no data rows", len(lines))
-    return windows
+    table = np.array(flat).reshape(-1, width)
+    try:
+        return Windows(table[:, 0], table[:, 1], table[:, 2:])
+    except InvalidWindowError as exc:
+        lineno = linenos[exc.row]
+        cells = lines[lineno - 1].split(",")
+        if len(cells) != width:
+            raise ParseError(f"expected {width} cells, got {len(cells)}", lineno) from None
+        for cell, what in zip(cells, ["start", "end"] + ["component"] * (width - 2)):
+            _parse_float(cell, what, lineno)  # names an unparsable or non-finite cell
+        raise ParseError(str(exc), lineno) from None
 
 
 def write_regions_csv(regions: Sequence[SpeechRegion]) -> str:

@@ -30,6 +30,20 @@ def l2_normalize(v) -> np.ndarray:
     return v / norm
 
 
+def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
+    """l2_normalize of each row of a finite (m, d) matrix, in one pass.
+
+    Bit for bit the same as l2_normalize row by row: the stacked product
+    takes each row's squared norm with the dot product np.linalg.norm uses
+    on one vector (np.linalg.norm(x, axis=1) sums in another order, and its
+    last bits differ).
+    """
+    norms = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+    if np.any(norms < ZERO_NORM_TOL):
+        raise InvalidInputError("cannot normalize a zero vector")
+    return x / norms[:, None]
+
+
 def cosine_similarity(a, b) -> float:
     """Cosine of the angle between a and b, clamped to [-1, 1]."""
     a = as_float_vector(a)
@@ -126,10 +140,10 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
     """Eigen-decomposition of a symmetric matrix with deterministic output.
 
     Eigenvalues come back sorted descending (stable on ties) with unit-norm,
-    sign-fixed eigenvectors. `count` asks for the `count` largest pairs
-    only: above PARTIAL_EIGH_MIN_N rows (and for count < n) just those are
+    sign-fixed eigenvectors: the `count` largest pairs, or all n for None.
+    Above PARTIAL_EIGH_MIN_N rows (and for count < n) only those are
     computed, with ARPACK started from a fixed vector so repeated calls
-    agree; otherwise all n pairs are returned, as with count=None. Raises
+    agree; else the dense solve's leading `count` are kept. Raises
     InvalidInputError if the input is not symmetric within 1e-10 or count
     lies outside [1, n], NumericError if the solver fails to converge.
 
@@ -160,7 +174,7 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
             values, vectors = eigsh(m, k=count, which="LA", v0=np.ones(n))
     except (np.linalg.LinAlgError, ArpackError) as exc:
         raise NumericError(f"eigen-decomposition failed: {exc}") from exc
-    order = np.argsort(-values, kind="stable")
+    order = np.argsort(-values, kind="stable")[:count]
     values = values[order]
     vectors = vectors[:, order]
     for j in range(vectors.shape[1]):

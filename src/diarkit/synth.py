@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import SpeechRegion, WindowEmbedding
+from .aggregation import SpeechRegion, Windows
 from .core import Annotation, InvalidInputError, Segment, TimeInterval
-from .numerics import l2_normalize
+from .numerics import l2_normalize, l2_normalize_rows
 
 WINDOW_SIZE = 0.24
 WINDOW_STEP = 0.12
@@ -154,7 +154,7 @@ def _draw_turns(scenario: SynthScenario) -> list[tuple[float, float, int]]:
 
 def generate(
     scenario: SynthScenario,
-) -> tuple[Annotation, list[WindowEmbedding], list[SpeechRegion]]:
+) -> tuple[Annotation, Windows, list[SpeechRegion]]:
     """Draw one conversation: reference annotation, window embeddings, regions.
 
     Turn lengths are exponential with mean turn_mean, separated by
@@ -173,23 +173,24 @@ def generate(
         scale /= _mean_chi(scenario.dim - 1) if scenario.dim > 1 else 1.0
 
     segments: list[Segment] = []
-    windows: list[WindowEmbedding] = []
     regions: list[SpeechRegion] = []
+    starts, vectors = [np.empty(0)], [np.empty((0, scenario.dim))]
     for start, end, speaker in turns:
         interval = TimeInterval(start, end)
         segments.append(Segment(interval, f"S{speaker}"))
         regions.append(SpeechRegion(interval))
+        offsets = np.arange(int((end - start) / WINDOW_STEP) + 2) * WINDOW_STEP
+        turn_starts = start + offsets[start + offsets + WINDOW_SIZE <= end + 1e-9]
         mean = directions[speaker]
-        w = 0
-        while start + w * WINDOW_STEP + WINDOW_SIZE <= end + 1e-9:
-            w_start = start + w * WINDOW_STEP
-            vec = mean
-            if scale > 0 and scenario.dim > 1:
-                z = rng.standard_normal(scenario.dim)
-                tangent = z - (z @ mean) * mean
-                vec = l2_normalize(mean + scale * tangent)
-            windows.append(WindowEmbedding(TimeInterval(w_start, w_start + WINDOW_SIZE), vec))
-            w += 1
+        vecs = np.tile(mean, (turn_starts.size, 1))
+        if scale > 0 and scenario.dim > 1:
+            z = rng.standard_normal(vecs.shape)
+            tangent = z - (z[:, None, :] @ mean[:, None])[:, 0] * mean
+            vecs = l2_normalize_rows(mean + scale * tangent)
+        starts.append(turn_starts)
+        vectors.append(vecs)
+    starts = np.concatenate(starts)
+    windows = Windows(starts, starts + WINDOW_SIZE, np.concatenate(vectors))
     reference = Annotation.create(f"synth-{scenario.scenario_kind}-{scenario.seed}", segments)
     return reference, windows, regions
 
@@ -204,26 +205,26 @@ class SpeakerStats:
     spread_deg: float
 
 
-def angular_stats(
-    windows: list[WindowEmbedding], reference: Annotation
-) -> dict[str, SpeakerStats]:
+def angular_stats(windows: Windows, reference: Annotation) -> dict[str, SpeakerStats]:
     """Per-speaker empirical mean direction and mean angular deviation.
 
-    Windows are attributed to the reference segment containing their
+    Windows are attributed to the first reference segment containing their
     center time. Used as a generator self-check: the empirical mean
     should sit within a couple of degrees of the planted direction.
     """
-    groups: dict[str, list[np.ndarray]] = {}
-    for window in windows:
-        center = window.interval.center
-        for seg in reference:
-            if seg.interval.contains(center):
-                groups.setdefault(seg.speaker, []).append(l2_normalize(window.embedding))
-                break
+    centers = 0.5 * (windows.starts + windows.ends)
+    owner = np.full(len(windows), -1)
+    for j, seg in reversed(list(enumerate(reference))):
+        owner[(seg.interval.start <= centers) & (centers < seg.interval.end)] = j
+    attributed = np.flatnonzero(owner >= 0)
+    speakers = np.array([seg.speaker for seg in reference])[owner[attributed]]
+    unit = l2_normalize_rows(windows.vectors[attributed])
+    _, first = np.unique(speakers, return_index=True)
     stats: dict[str, SpeakerStats] = {}
-    for speaker, vecs in groups.items():
+    for speaker in speakers[np.sort(first)].tolist():
+        vecs = unit[speakers == speaker]
         mean = l2_normalize(np.sum(vecs, axis=0))
-        cosines = np.clip(np.stack(vecs) @ mean, -1.0, 1.0)
+        cosines = np.clip(vecs @ mean, -1.0, 1.0)
         spread = float(np.degrees(np.mean(np.arccos(cosines))))
         stats[speaker] = SpeakerStats(
             speaker=speaker, count=len(vecs), mean_direction=mean, spread_deg=spread

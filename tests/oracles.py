@@ -14,7 +14,15 @@ import math
 
 import numpy as np
 
-from diarkit import Annotation, EvalOptions, Segment, TimeInterval
+from diarkit import (
+    Annotation,
+    EvalOptions,
+    InvalidInputError,
+    ParseError,
+    Segment,
+    SegmentEmbedding,
+    TimeInterval,
+)
 
 
 def brute_force_assignment(matrix: np.ndarray, maximize: bool) -> float:
@@ -60,6 +68,79 @@ def direct_blur(m: np.ndarray, sigma: float) -> np.ndarray:
 def sort_threshold(m: np.ndarray, kth: int, soft: float) -> np.ndarray:
     """Threshold every row at its k-th smallest entry, read from a full sort."""
     return np.where(m < np.sort(m, axis=1)[:, [kth]], m * soft, m)
+
+
+def aggregate_oracle(windows, segments) -> list[SegmentEmbedding]:
+    """aggregate one window at a time: a searchsorted per center, each vector
+    over its own np.linalg.norm, and a running sum per segment.
+
+    Only the averaging: segment checks and the drop warning are left out.
+    """
+    starts = np.array([seg.start for seg in segments])
+    sums: list[np.ndarray | None] = [None] * len(segments)
+    counts = [0] * len(segments)
+    for start, end, vector in zip(windows.starts.tolist(), windows.ends.tolist(), windows.vectors):
+        center = TimeInterval(start, end).center
+        idx = int(np.searchsorted(starts, center, side="right")) - 1
+        if idx < 0 or not segments[idx].contains(center):
+            continue
+        vector = np.array(vector)
+        norm = float(np.linalg.norm(vector))
+        if norm < 1e-12:
+            raise InvalidInputError("cannot normalize a zero vector")
+        unit = vector / norm
+        sums[idx] = unit if sums[idx] is None else sums[idx] + unit
+        counts[idx] += 1
+    out = [
+        SegmentEmbedding(seg, total / count)
+        for seg, total, count in zip(segments, sums, counts)
+        if count
+    ]
+    if not out:
+        raise InvalidInputError("every segment was empty: no window centers fell inside")
+    return out
+
+
+def _cell(token: str, what: str, line: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"bad {what}: {token!r}", line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what}: {token!r}", line)
+    return value
+
+
+def embeddings_csv_rows(text: str) -> list[tuple[float, float, list[float]]]:
+    """Embeddings CSV data rows read and checked one line at a time.
+
+    Raises ParseError for the first bad line. The header checks are left to
+    the package reader.
+    """
+    lines = text.splitlines()
+    width = len(lines[0].split(","))
+    rows = []
+    prev_start = -math.inf
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"expected {width} cells, got {len(cells)}", lineno)
+        start = _cell(cells[0], "start", lineno)
+        end = _cell(cells[1], "end", lineno)
+        vector = [_cell(c, "component", lineno) for c in cells[2:]]
+        if start < prev_start:
+            raise ParseError("rows must be sorted by start time", lineno)
+        prev_start = start
+        try:
+            TimeInterval(start, end)
+        except InvalidInputError as exc:
+            raise ParseError(str(exc), lineno) from None
+        rows.append((start, end, vector))
+    if not rows:
+        raise ParseError("no data rows", len(lines))
+    return rows
 
 
 def _boundaries(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> list[float]:

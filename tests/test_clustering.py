@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from diarkit import (
+    DEFAULT_MAX_CLUSTERS,
     ClusteringResult,
     DegenerateAffinityError,
     EigenDecomposition,
@@ -479,7 +480,8 @@ class TestSpectralCluster:
         rng = np.random.default_rng(48)
         x = rng.normal(size=(12, 4))
         result = spectral_cluster(x, SpectralParams(seed=0))
-        assert result.eigenvalues.shape == (12,)
+        # the leading max_clusters + 1 that the eigen-gap rule reads
+        assert result.eigenvalues.shape == (DEFAULT_MAX_CLUSTERS + 1,)
 
     def test_partial_eigensolve_matches_dense(self, monkeypatch):
         rng = np.random.default_rng(50)
@@ -491,9 +493,8 @@ class TestSpectralCluster:
         monkeypatch.setattr(diarkit.numerics, "PARTIAL_EIGH_MIN_N", len(points))
         dense = spectral_cluster(points, params)
         count = params.max_clusters + 1
-        assert partial.eigenvalues.shape == (count,)
-        assert dense.eigenvalues.shape == (len(points),)
-        assert np.max(np.abs(partial.eigenvalues - dense.eigenvalues[:count])) <= 1e-10
+        assert partial.eigenvalues.shape == dense.eigenvalues.shape == (count,)
+        assert np.max(np.abs(partial.eigenvalues - dense.eigenvalues)) <= 1e-10
         assert partial.clustering.k == dense.clustering.k == 4
         assert same_partition(partial.clustering.labels, dense.clustering.labels)
         assert same_partition(partial.clustering.labels, truth)
@@ -514,12 +515,12 @@ class TestSpectralCluster:
         assert result.clustering.k == 4
         assert peak <= 5 * 8 * n * n
 
-    @pytest.mark.parametrize("n, arrays", [(1000, 3.1), (1500, 2.2), (2000, 2.2)])
-    def test_peak_memory_two_matrices_three_when_dense(self, n, arrays):
+    @pytest.mark.parametrize("n, arrays", [(1000, 2.3), (1500, 2.2), (2000, 2.2)])
+    def test_peak_memory_two_matrices(self, n, arrays):
         # every stage holds its input and its output, the threshold and the
         # symmetry check working in row blocks beside them; at or below the
-        # cutoff the dense solve adds its n x n eigenvector matrix and the
-        # reordered copy `eigh` returns, for about 3.0 n^2
+        # cutoff the dense solve's n x n eigenvectors stand beside its input,
+        # and `eigh` keeps only the leading columns, for about 2.15 n^2
         rng = np.random.default_rng(0)
         centers = rng.standard_normal((4, 16))
         x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))

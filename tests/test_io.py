@@ -13,7 +13,7 @@ from diarkit import (
     SpeechRegion,
     SynthScenario,
     TimeInterval,
-    WindowEmbedding,
+    Windows,
     generate,
     parse_rttm,
     parse_uem,
@@ -25,6 +25,7 @@ from diarkit import (
     write_regions_csv,
     write_rttm,
 )
+from oracles import embeddings_csv_rows
 
 
 class TestRttm:
@@ -120,7 +121,7 @@ class TestUem:
 
 class TestEmbeddingsCsv:
     def test_header_and_layout(self):
-        windows = [WindowEmbedding(TimeInterval(0, 0.24), np.array([0.25, -1.5]))]
+        windows = Windows([0], [0.24], [[0.25, -1.5]])
         text = write_embeddings_csv(windows)
         lines = text.strip().split("\n")
         assert lines[0] == "start,end,v0,v1"
@@ -130,10 +131,9 @@ class TestEmbeddingsCsv:
         _, windows, _ = generate(SynthScenario(n_speakers=2, duration=20, seed=1))
         parsed = read_embeddings_csv(write_embeddings_csv(windows))
         assert len(parsed) == len(windows)
-        for a, b in zip(parsed, windows):
-            assert abs(a.interval.start - b.interval.start) < 1e-9
-            assert abs(a.interval.end - b.interval.end) < 1e-9
-            assert np.max(np.abs(a.embedding - b.embedding)) < 1e-9
+        assert np.max(np.abs(parsed.starts - windows.starts)) < 1e-9
+        assert np.max(np.abs(parsed.ends - windows.ends)) < 1e-9
+        assert np.max(np.abs(parsed.vectors - windows.vectors)) < 1e-9
 
     def test_ragged_row_names_line(self):
         text = "start,end,v0,v1\n0.0,0.24,1.0,2.0\n0.12,0.36,1.0\n"
@@ -157,13 +157,32 @@ class TestEmbeddingsCsv:
             read_embeddings_csv(text)
         assert "line 3" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.0,0.24,NaN\n", "line 2: non-finite component: 'NaN'"),
+            ("0.0,1e999,1.0\n", "line 2: non-finite end: '1e999'"),
+            ("x,0.24,1.0\n", "line 2: bad start: 'x'"),
+            ("-1.0,0.24,1.0\n", "line 2: negative interval start -1.0"),
+            ("0.5,0.5,1.0\n", "line 2: interval end must exceed start, got [0.5, 0.5]"),
+            # an earlier bad line is reported before a later one
+            ("0.0,0.24,1.0\n0.3,0.2,1.0\n0.4,0.64,x\n",
+             "line 3: interval end must exceed start, got [0.3, 0.2]"),
+            ("0.0,0.24,1.0\n\n0.3,0.54\n0.2,0.44,1.0\n", "line 4: expected 3 cells, got 2"),
+        ],
+    )
+    def test_error_texts(self, rows, message):
+        with pytest.raises(ParseError) as info:
+            read_embeddings_csv("start,end,v0\n" + rows)
+        assert str(info.value) == message
+
     def test_no_rows_rejected(self):
         with pytest.raises(ParseError):
             read_embeddings_csv("start,end,v0\n")
 
     def test_empty_window_list_rejected(self):
         with pytest.raises(InvalidInputError):
-            write_embeddings_csv([])
+            write_embeddings_csv(Windows([], [], np.empty((0, 2))))
 
 
 class TestRegionsCsv:
@@ -243,14 +262,41 @@ def sorted_windows(draw):
     rows = draw(
         st.lists(st.tuples(interval, st.lists(FLOATS, min_size=dim, max_size=dim)), min_size=1)
     )
-    return [
-        WindowEmbedding(TimeInterval(*span), np.array(vector))
-        for span, vector in sorted(rows, key=lambda row: row[0][0])
-    ]
+    rows.sort(key=lambda row: row[0][0])
+    return Windows(
+        [span[0] for span, _ in rows], [span[1] for span, _ in rows], [v for _, v in rows]
+    )
 
 
-def float_bytes(*values) -> bytes:
-    return np.array(values, dtype=np.float64).tobytes()
+# Cells that break a row: unparsable, non-finite, or out of order once
+# they replace a start or an end; " 2.5" and "1_0" still parse.
+BAD_CELLS = st.sampled_from(["nan", "-inf", "1e999", "abc", "", " 2.5", "1_0", "-1.0", "0.0"])
+
+
+@st.composite
+def mangled_embeddings_csv(draw):
+    """A written embeddings CSV with one to three edits below the header: a
+    cell replaced, dropped or added, two lines swapped, or a blank line put in."""
+    lines = write_embeddings_csv(draw(sorted_windows())).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        cells = lines[i].split(",")
+        edit = draw(st.sampled_from(["replace", "drop", "add", "swap", "blank"]))
+        if edit == "replace":
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(BAD_CELLS)
+        elif edit == "drop":
+            cells.pop()
+        elif edit == "add":
+            cells.append("0.5")
+        elif edit == "swap":
+            j = draw(st.integers(1, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+            continue
+        else:
+            lines.insert(i, " ")
+            continue
+        lines[i] = ",".join(cells)
+    return "".join(line + "\n" for line in lines)
 
 
 class TestRoundTripProperties:
@@ -271,11 +317,26 @@ class TestRoundTripProperties:
     def test_embeddings_csv_exact(self, windows):
         parsed = read_embeddings_csv(write_embeddings_csv(windows))
         assert len(parsed) == len(windows)
-        for a, b in zip(parsed, windows):
-            assert float_bytes(a.interval.start, a.interval.end) == float_bytes(
-                b.interval.start, b.interval.end
-            )
-            assert a.embedding.tobytes() == b.embedding.tobytes()
+        assert parsed.starts.tobytes() == windows.starts.tobytes()
+        assert parsed.ends.tobytes() == windows.ends.tobytes()
+        assert parsed.vectors.tobytes() == windows.vectors.tobytes()
+
+    @settings(deadline=None)
+    @given(mangled_embeddings_csv())
+    def test_embeddings_csv_errors_as_line_by_line(self, text):
+        # the first bad line, its number and its text, as a reader that
+        # checks one line at a time reports them
+        try:
+            expected = embeddings_csv_rows(text)
+        except ParseError as exc:
+            expected = (str(exc), exc.line)
+        try:
+            parsed = read_embeddings_csv(text)
+        except ParseError as exc:
+            assert (str(exc), exc.line) == expected
+        else:
+            rows = zip(parsed.starts.tolist(), parsed.ends.tolist(), parsed.vectors.tolist())
+            assert list(rows) == expected
 
     @settings(deadline=None)
     @given(st.lists(st.floats(min_value=0.0, max_value=1e9), unique=True, max_size=20))

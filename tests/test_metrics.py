@@ -330,6 +330,16 @@ def annotations(prefix: str, min_size: int):
 OPTIONS = st.builds(
     EvalOptions, collar=st.sampled_from([0.0, 0.25, 0.3]), exclude_overlap=st.booleans()
 )
+# as OPTIONS, sometimes restricted to one UEM span on the same grid
+UEM = st.tuples(st.integers(0, 100), st.integers(20, 150)).map(
+    lambda span: [TimeInterval(span[0] / 10, (span[0] + span[1]) / 10)]
+)
+OPTIONS_WITH_UEM = st.builds(
+    EvalOptions,
+    collar=st.sampled_from([0.0, 0.25, 0.3]),
+    exclude_overlap=st.booleans(),
+    uem=st.one_of(st.none(), UEM),
+)
 
 
 def scored(reference, hypothesis, opts):
@@ -367,3 +377,13 @@ class TestDerProperties:
         assert min(report.fa, report.miss, report.confusion) >= 0
         assert report.ref_speech_seconds > 0
         assert report.total == report.fa + report.miss + report.confusion
+
+    @settings(deadline=None)
+    @given(annotations("A", 1), annotations("H", 0), OPTIONS_WITH_UEM)
+    def test_agrees_with_oracle(self, reference, hypothesis, opts):
+        report = scored(reference, hypothesis, opts)
+        expected = der_oracle(reference, hypothesis, opts)
+        assert report.fa_seconds == pytest.approx(expected["fa"], abs=1e-9)
+        assert report.miss_seconds == pytest.approx(expected["miss"], abs=1e-9)
+        assert report.confusion_seconds == pytest.approx(expected["confusion"], abs=1e-9)
+        assert report.ref_speech_seconds == pytest.approx(expected["ref_speech"], abs=1e-9)

@@ -20,7 +20,7 @@ from diarkit import (
     optimal_assignment,
     refine_chain,
 )
-from diarkit.numerics import PARTIAL_EIGH_MIN_N
+from diarkit.numerics import PARTIAL_EIGH_MIN_N, l2_normalize_rows
 from oracles import brute_force_assignment, direct_blur
 
 
@@ -36,6 +36,21 @@ class TestL2Normalize:
     def test_already_unit(self):
         v = l2_normalize([1.0, 0.0])
         assert np.array_equal(v, [1.0, 0.0])
+
+
+class TestL2NormalizeRows:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 17, 64, 256])
+    def test_bit_identical_to_per_vector_norm(self, dim):
+        # each row over np.linalg.norm of that row on its own, bit for bit
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((2000, dim)) * rng.uniform(0.01, 100.0, (2000, 1))
+        expected = np.stack([row / np.linalg.norm(np.array(row)) for row in x])
+        assert l2_normalize_rows(x).tobytes() == expected.tobytes()
+        assert l2_normalize(x[0]).tobytes() == expected[0].tobytes()
+
+    def test_zero_row_rejected(self):
+        with pytest.raises(InvalidInputError):
+            l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestCosineSimilarity:
@@ -265,12 +280,16 @@ def large_refined():
 class TestEighPartial:
     COUNT = 9
 
-    def test_dense_path_returns_all_pairs(self, large_refined):
+    def test_dense_path_returns_count_pairs(self, large_refined):
         m, dense = large_refined
         assert dense.values.shape == (m.shape[0],)
-        # at or below the cutoff, count does not truncate
+        # at or below the cutoff, the dense solve's leading pairs, as they are
         small = m[:PARTIAL_EIGH_MIN_N, :PARTIAL_EIGH_MIN_N]
-        assert eigh(small, count=self.COUNT).values.shape == (PARTIAL_EIGH_MIN_N,)
+        full, top = eigh(small), eigh(small, count=self.COUNT)
+        assert top.values.shape == (self.COUNT,)
+        assert top.vectors.shape == (PARTIAL_EIGH_MIN_N, self.COUNT)
+        assert np.array_equal(top.values, full.values[: self.COUNT])
+        assert np.array_equal(top.vectors, full.vectors[:, : self.COUNT])
 
     def test_residual_and_orthonormality(self, large_refined):
         m, _ = large_refined

@@ -88,9 +88,9 @@ class TestGenerate:
         assert ref_a == ref_b
         assert reg_a == reg_b
         assert len(win_a) == len(win_b)
-        for wa, wb in zip(win_a, win_b):
-            assert wa.interval == wb.interval
-            assert np.array_equal(wa.embedding, wb.embedding)
+        assert np.array_equal(win_a.starts, win_b.starts)
+        assert np.array_equal(win_a.ends, win_b.ends)
+        assert np.array_equal(win_a.vectors, win_b.vectors)
 
     def test_different_seed_differs(self):
         ref_a, _, _ = generate(SynthScenario(n_speakers=3, duration=60, seed=0))
@@ -110,16 +110,17 @@ class TestGenerate:
     def test_window_centers_inside_matching_segments(self):
         reference, windows, _ = generate(SynthScenario(n_speakers=3, duration=60, seed=4))
         assert len(windows) > 100
-        for window in windows:
-            assert window.interval.duration == pytest.approx(WINDOW_SIZE, abs=1e-12)
-            hosts = [s for s in reference if s.interval.contains(window.interval.center)]
+        for start, end in zip(windows.starts.tolist(), windows.ends.tolist()):
+            assert end - start == pytest.approx(WINDOW_SIZE, abs=1e-12)
+            hosts = [s for s in reference if s.interval.contains(0.5 * (start + end))]
             assert len(hosts) == 1
 
     def test_window_step_within_turn(self):
         reference, windows, _ = generate(SynthScenario(n_speakers=1, duration=20, seed=5))
         seg = reference.segments[0]
-        inside = [w for w in windows if seg.interval.contains(w.interval.center)]
-        starts = [w.interval.start for w in inside]
+        centers = 0.5 * (windows.starts + windows.ends)
+        inside = (seg.interval.start <= centers) & (centers < seg.interval.end)
+        starts = windows.starts[inside].tolist()
         assert starts[0] == pytest.approx(seg.interval.start, abs=1e-12)
         for a, b in zip(starts, starts[1:]):
             assert b - a == pytest.approx(WINDOW_STEP, abs=1e-12)
@@ -128,12 +129,12 @@ class TestGenerate:
         scenario = SynthScenario(n_speakers=3, duration=60, within_noise_deg=0, seed=6)
         reference, windows, _ = generate(scenario)
         directions = speaker_directions(scenario)
-        for window in windows:
+        for start, end, vector in zip(windows.starts, windows.ends, windows.vectors):
             host = next(
-                s for s in reference if s.interval.contains(window.interval.center)
+                s for s in reference if s.interval.contains(0.5 * (start + end))
             )
             planted = directions[int(host.speaker[1:])]
-            assert np.array_equal(window.embedding, planted)
+            assert np.array_equal(vector, planted)
 
     def test_labels_and_recording_id(self):
         reference, _, _ = generate(SynthScenario(n_speakers=3, duration=120, seed=7))
