@@ -26,7 +26,9 @@ from .numerics import (
     EigenDecomposition,
     eigh,
     gaussian_blur,
+    gram,
     l2_normalize,
+    l2_normalize_rows,
     nearest_rank_index,
     row_block,
 )
@@ -106,13 +108,6 @@ def _as_matrix(embeddings) -> np.ndarray:
     return np.stack(rows)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms < ZERO_NORM_TOL):
-        raise InvalidInputError("zero-norm embedding has no direction")
-    return x / norms[:, None]
-
-
 def build_affinity(embeddings) -> AffinityMatrix:
     """Pairwise cosine similarities; each diagonal entry takes its row's max.
 
@@ -122,8 +117,7 @@ def build_affinity(embeddings) -> AffinityMatrix:
     x = _as_matrix(embeddings)
     if x.shape[0] < 2:
         raise InvalidInputError("affinity needs at least 2 embeddings")
-    u = _unit_rows(x)
-    a = np.clip(u @ u.T, -1.0, 1.0)
+    a = np.clip(gram(l2_normalize_rows(x)), -1.0, 1.0)
     np.fill_diagonal(a, -np.inf)
     np.fill_diagonal(a, a.max(axis=1))
     return AffinityMatrix(a)
@@ -169,8 +163,7 @@ def refine_symmetrize(m) -> np.ndarray:
 
 def refine_diffuse(m) -> np.ndarray:
     """Y = X Xᵀ (Gram form: always symmetric PSD)."""
-    m = _as_square(m)
-    return m @ m.T
+    return gram(_as_square(m))
 
 
 def refine_row_max_normalize(m) -> np.ndarray:
@@ -360,7 +353,7 @@ def kmeans(embeddings, params: KMeansParams) -> ClusteringResult:
     initializations and keeps the run with the lowest objective
     sum(d(x_i, c_{a(i)})^2), d being the halved cosine distance.
     """
-    u = _unit_rows(_as_matrix(embeddings))
+    u = l2_normalize_rows(_as_matrix(embeddings))
     n = u.shape[0]
     k = params.k
     if k is None:
@@ -383,7 +376,7 @@ def mscd_table(embeddings, max_clusters: int, params: KMeansParams) -> dict[int,
     Every k is clustered with the same seed so the table is reproducible
     and directly comparable across k.
     """
-    u = _unit_rows(_as_matrix(embeddings))
+    u = l2_normalize_rows(_as_matrix(embeddings))
     n = u.shape[0]
     if not (1 <= max_clusters <= n):
         raise InvalidInputError(f"max_clusters must lie in [1, {n}], got {max_clusters}")

@@ -1,7 +1,9 @@
 """Vector and matrix primitives used across the pipeline.
 
-Cosine geometry, 2-D Gaussian blur, nearest-rank percentiles, symmetric
-eigen-decomposition (full, or partial top-k for large matrices) with a
+Cosine geometry, Gram products and the eigensolver's matvec on scipy's BLAS
+(not numpy's: two OpenBLAS thread pools slow each other, see README), 2-D
+Gaussian blur, nearest-rank percentiles, symmetric eigen-decomposition (full,
+or partial top-k when fewer than all pairs are asked for) with a
 deterministic ordering/sign convention, and maximum-weight assignment.
 """
 
@@ -11,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemv, dsyrk
 from scipy.ndimage import gaussian_filter
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .core import InvalidInputError, NumericError, as_float_vector
 
@@ -116,14 +119,6 @@ class EigenDecomposition:
 # Inputs are required to be symmetric up to this absolute tolerance.
 SYMMETRY_TOL = 1e-10
 
-# Matrices with more rows than this get a partial (Lanczos) solve when
-# `eigh` is asked for fewer than all eigenpairs. Measured with two BLAS
-# threads on 2 vCPUs: at n = 700 the partial solve took a third less
-# time than the dense one, yet a p-percentile sweep ran 11 % slower end to
-# end, as every other stage slowed; at n = 1400 a whole `diarize` run took
-# 0.66 of its dense-path time.
-PARTIAL_EIGH_MIN_N = 1000
-
 # Blocked passes over an n x n matrix take this many entries (512 KiB of
 # float64) at a time, so their temporaries stay small beside the matrix.
 # At 2**18 entries `refine_threshold` still peaked at 2.24 n^2 arrays at
@@ -136,31 +131,41 @@ def row_block(width: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, width))
 
 
+def gram(x) -> np.ndarray:
+    """x xᵀ, Fortran-ordered: scipy's BLAS dsyrk (half a dgemm's work) fills the
+    upper triangle from the view xᵀ (no copy of a C-ordered x); blocks copy it down."""
+    g = dsyrk(1.0, np.asarray(x, dtype=np.float64).T, trans=1)
+    step = row_block(g.shape[0])
+    for lo in range(0, g.shape[0], step):
+        block = g[lo : lo + step, lo : lo + step]
+        block += np.triu(block, 1).T
+        g[lo + step :, lo : lo + step] = g[lo : lo + step, lo + step :].T
+    return g
+
+
 def eigh(m, count: int | None = None) -> EigenDecomposition:
     """Eigen-decomposition of a symmetric matrix with deterministic output.
 
     Eigenvalues come back sorted descending (stable on ties) with unit-norm,
     sign-fixed eigenvectors: the `count` largest pairs, or all n for None.
-    Above PARTIAL_EIGH_MIN_N rows (and for count < n) only those are
-    computed, with ARPACK started from a fixed vector so repeated calls
-    agree; else the dense solve's leading `count` are kept. Raises
+    For count < n only those are computed, by ARPACK from a fixed start
+    vector (repeated calls agree) with a scipy BLAS dgemv matvec; else the
+    dense solver runs. The input is solved as given, not re-symmetrized: the
+    dense solver reads its lower triangle, the matvec multiplies by m, or by
+    its F-ordered view mᵀ (no copy) if m is C-ordered. Raises
     InvalidInputError if the input is not symmetric within 1e-10 or count
     lies outside [1, n], NumericError if the solver fails to converge.
-
-    The input is not re-symmetrized: an input that is symmetric only within
-    the tolerance is solved as given (the dense path reads its lower
-    triangle, the partial path multiplies by the whole matrix).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("matrix contains non-finite entries")
     n = m.shape[0]
-    # max |m - mᵀ| one block of rows at a time: no n x n temporary
+    # finiteness and max |m - mᵀ|, one block of rows at a time: no n x n temporary
     asym = 0.0
     step = row_block(n)
     for lo in range(0, n, step):
+        if not np.isfinite(m[lo : lo + step]).all():
+            raise InvalidInputError("matrix contains non-finite entries")
         diff = m[lo : lo + step] - m[:, lo : lo + step].T
         asym = max(asym, float(np.abs(diff, out=diff).max()))
     if asym > SYMMETRY_TOL:
@@ -168,10 +173,12 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
     if count is not None and not (1 <= count <= n):
         raise InvalidInputError(f"count must lie in [1, {n}], got {count}")
     try:
-        if count is None or count == n or n <= PARTIAL_EIGH_MIN_N:
+        if count is None or count == n:
             values, vectors = np.linalg.eigh(m)
         else:
-            values, vectors = eigsh(m, k=count, which="LA", v0=np.ones(n))
+            a = m.T if m.flags.c_contiguous else np.asfortranarray(m)
+            op = LinearOperator((n, n), matvec=lambda v: dgemv(1.0, a, v), dtype=np.float64)
+            values, vectors = eigsh(op, k=count, which="LA", v0=np.ones(n))
     except (np.linalg.LinAlgError, ArpackError) as exc:
         raise NumericError(f"eigen-decomposition failed: {exc}") from exc
     order = np.argsort(-values, kind="stable")[:count]

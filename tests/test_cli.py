@@ -251,8 +251,6 @@ class TestDiarize:
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        # send this small recording down the partial-eigensolve path
-        monkeypatch.setattr(diarkit.numerics, "PARTIAL_EIGH_MIN_N", 1)
         monkeypatch.setattr(diarkit.numerics, "eigsh", no_convergence)
         rc = main(
             [

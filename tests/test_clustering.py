@@ -29,10 +29,9 @@ from diarkit import (
     spectral_cluster,
     spectral_embed,
 )
-import diarkit.numerics
 from diarkit.clustering import _lloyd
 from diarkit.core import AffinityMatrix
-from diarkit.numerics import PARTIAL_EIGH_MIN_N, nearest_rank_index
+from diarkit.numerics import nearest_rank_index
 from oracles import sort_threshold
 
 BLOCK = np.array(
@@ -483,23 +482,31 @@ class TestSpectralCluster:
         # the leading max_clusters + 1 that the eigen-gap rule reads
         assert result.eigenvalues.shape == (DEFAULT_MAX_CLUSTERS + 1,)
 
-    def test_partial_eigensolve_matches_dense(self, monkeypatch):
-        rng = np.random.default_rng(50)
-        q, _ = np.linalg.qr(rng.standard_normal((16, 4)))
-        per_cluster = PARTIAL_EIGH_MIN_N // 4 + 10
-        points, truth = planted_points(rng, q.T, per_cluster=per_cluster, noise_deg=40)
-        params = SpectralParams(seed=0)
-        partial = spectral_cluster(points, params)
-        monkeypatch.setattr(diarkit.numerics, "PARTIAL_EIGH_MIN_N", len(points))
-        dense = spectral_cluster(points, params)
-        count = params.max_clusters + 1
-        assert partial.eigenvalues.shape == dense.eigenvalues.shape == (count,)
-        assert np.max(np.abs(partial.eigenvalues - dense.eigenvalues)) <= 1e-10
-        assert partial.clustering.k == dense.clustering.k == 4
-        assert same_partition(partial.clustering.labels, dense.clustering.labels)
-        assert same_partition(partial.clustering.labels, truth)
+    def test_partial_eigensolve_matches_dense(self):
+        for per_cluster in (175, 275):  # n = 700 and 1100
+            rng = np.random.default_rng(50)
+            q, _ = np.linalg.qr(rng.standard_normal((16, 4)))
+            points, truth = planted_points(rng, q.T, per_cluster=per_cluster, noise_deg=40)
+            params = SpectralParams(seed=0)
+            partial = spectral_cluster(points, params)
+            # the same refined matrix, solved whole by the dense solver
+            refined = refine_chain(build_affinity(points), params)
+            values, vectors = np.linalg.eigh(0.5 * (refined + refined.T))
+            count = params.max_clusters + 1
+            order = np.argsort(-values, kind="stable")[:count]
+            dense = EigenDecomposition(values=values[order], vectors=vectors[:, order])
+            dense_k = estimate_k_eigengap(
+                dense.values, params.min_clusters, params.max_clusters, params.eig_floor
+            )
+            dense_emb = spectral_embed(dense, dense_k)
+            dense_labels = kmeans(dense_emb, KMeansParams(k=dense_k)).labels
+            assert partial.eigenvalues.shape == dense.values.shape == (count,)
+            assert np.max(np.abs(partial.eigenvalues - dense.values)) <= 1e-10
+            assert partial.clustering.k == dense_k == 4
+            assert same_partition(partial.clustering.labels, dense_labels)
+            assert same_partition(partial.clustering.labels, truth)
 
-    @pytest.mark.parametrize("n", [1000, 1500])  # dense and partial eigensolve
+    @pytest.mark.parametrize("n", [1000, 1500])
     def test_peak_memory_at_most_five_matrices(self, n):
         # one stage matrix at a time, the affinity freed after the blur: about
         # 4.1 n^2 float64 arrays at the peak (6.0 while every snapshot was kept)
@@ -518,9 +525,7 @@ class TestSpectralCluster:
     @pytest.mark.parametrize("n, arrays", [(1000, 2.3), (1500, 2.2), (2000, 2.2)])
     def test_peak_memory_two_matrices(self, n, arrays):
         # every stage holds its input and its output, the threshold and the
-        # symmetry check working in row blocks beside them; at or below the
-        # cutoff the dense solve's n x n eigenvectors stand beside its input,
-        # and `eigh` keeps only the leading columns, for about 2.15 n^2
+        # symmetry check working in row blocks beside them
         rng = np.random.default_rng(0)
         centers = rng.standard_normal((4, 16))
         x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))

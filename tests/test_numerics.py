@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import diarkit.numerics
 from diarkit import (
@@ -14,13 +15,14 @@ from diarkit import (
     cosine_distance,
     cosine_similarity,
     eigh,
+    estimate_k_eigengap,
     gaussian_blur,
     l2_normalize,
     nearest_rank_percentile,
     optimal_assignment,
     refine_chain,
 )
-from diarkit.numerics import PARTIAL_EIGH_MIN_N, l2_normalize_rows
+from diarkit.numerics import gram, l2_normalize_rows
 from oracles import brute_force_assignment, direct_blur
 
 
@@ -51,6 +53,27 @@ class TestL2NormalizeRows:
     def test_zero_row_rejected(self):
         with pytest.raises(InvalidInputError):
             l2_normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+class TestGram:
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda x: x,
+            np.asfortranarray,
+            lambda x: np.repeat(np.repeat(x, 2, axis=0), 3, axis=1)[::2, ::3],
+        ],
+        ids=["c_order", "f_order", "strided"],
+    )
+    # 300 rows take more than one block of the triangle copy
+    @pytest.mark.parametrize("shape", [(40, 7), (33, 33), (5, 64), (300, 5)])
+    def test_equals_matmul(self, layout, shape):
+        x = np.random.default_rng(shape[0]).standard_normal(shape) * 3.0
+        expected = x @ x.T
+        g = gram(layout(x.copy()))
+        assert g.shape == expected.shape
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(g - expected)) <= 1e-12 * scale
 
 
 class TestCosineSimilarity:
@@ -264,16 +287,19 @@ class TestEigh:
         eigh(m, count=1)
 
 
-@pytest.fixture(scope="module")
-def large_refined():
-    """A refined 4-cluster affinity just above the partial-solve cutoff,
-    with its full dense decomposition."""
-    rng = np.random.default_rng(21)
-    n = PARTIAL_EIGH_MIN_N + 50
+def refined_affinity(n: int, seed: int) -> np.ndarray:
+    """The symmetrized refined affinity of n points around 4 centers."""
+    rng = np.random.default_rng(seed)
     centers = rng.standard_normal((4, 16))
     x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
     refined = refine_chain(build_affinity(x), SpectralParams())
-    m = 0.5 * (refined + refined.T)
+    return 0.5 * (refined + refined.T)
+
+
+@pytest.fixture(scope="module")
+def large_refined():
+    """A refined 4-cluster affinity with its full dense decomposition."""
+    m = refined_affinity(1050, 21)
     return m, eigh(m)
 
 
@@ -283,13 +309,47 @@ class TestEighPartial:
     def test_dense_path_returns_count_pairs(self, large_refined):
         m, dense = large_refined
         assert dense.values.shape == (m.shape[0],)
-        # at or below the cutoff, the dense solve's leading pairs, as they are
-        small = m[:PARTIAL_EIGH_MIN_N, :PARTIAL_EIGH_MIN_N]
-        full, top = eigh(small), eigh(small, count=self.COUNT)
-        assert top.values.shape == (self.COUNT,)
-        assert top.vectors.shape == (PARTIAL_EIGH_MIN_N, self.COUNT)
-        assert np.array_equal(top.values, full.values[: self.COUNT])
-        assert np.array_equal(top.vectors, full.vectors[:, : self.COUNT])
+        # count = n takes the dense path too: the full solve, as it is
+        n = 60
+        small = m[:n, :n]
+        full, top = eigh(small), eigh(small, count=n)
+        assert top.values.shape == (n,)
+        assert top.vectors.shape == (n, n)
+        assert np.array_equal(top.values, full.values)
+        assert np.array_equal(top.vectors, full.vectors)
+
+    def test_c_and_f_order_agree_without_copy(self):
+        n = 1500
+        c = refined_affinity(n, 22)
+        results = []
+        for m in (c, np.asfortranarray(c)):
+            tracemalloc.start()
+            try:
+                results.append(eigh(m, count=self.COUNT))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the matvec reads the input where it lies: no n x n copy
+            assert peak <= 0.1 * 8 * n * n
+        a, b = results
+        assert np.max(np.abs(a.values - b.values)) <= 1e-10
+        assert np.max(np.abs(a.vectors - b.vectors)) <= 1e-10
+
+    @pytest.mark.parametrize("n", range(COUNT + 1, 61))
+    def test_partial_solve_at_small_n(self, n, monkeypatch):
+        arpack_calls = []
+
+        def counted_eigsh(*args, **kwargs):
+            arpack_calls.append(n)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(diarkit.numerics, "eigsh", counted_eigsh)
+        m = refined_affinity(n, n)
+        d = eigh(m, count=self.COUNT)
+        assert arpack_calls == [n]
+        dense = np.linalg.eigh(m)[0][::-1][: self.COUNT]
+        assert np.max(np.abs(d.values - dense)) <= 1e-10
+        assert estimate_k_eigengap(d.values, 2, 8) == estimate_k_eigengap(dense, 2, 8)
 
     def test_residual_and_orthonormality(self, large_refined):
         m, _ = large_refined
