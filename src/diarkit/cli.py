@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import io as formats
 from .clustering import SpectralParams, build_affinity, refine_stages
 from .core import Annotation, InvalidInputError, NumericError, ParseError
 from .metrics import DerReport, EvalOptions, combine_reports, der
-from .pipeline import ALGORITHMS, DiarizeConfig, diarize, segment_embeddings
+from .pipeline import ALGORITHMS, DiarizeConfig, diarize, diarize_grid, segment_embeddings
 from .synth import SCENARIO_KINDS, SynthScenario, generate
 
 
@@ -72,17 +72,8 @@ def cmd_diarize(args) -> int:
 
 
 def _report_lines(recording_id: str, report: DerReport) -> str:
-    fields = (
-        f"fa_seconds={report.fa_seconds!r}",
-        f"miss_seconds={report.miss_seconds!r}",
-        f"confusion_seconds={report.confusion_seconds!r}",
-        f"ref_speech_seconds={report.ref_speech_seconds!r}",
-        f"fa={report.fa!r}",
-        f"miss={report.miss!r}",
-        f"confusion={report.confusion!r}",
-        f"total={report.total!r}",
-    )
-    return f"recording={recording_id} " + " ".join(fields)
+    values = (f"{f.name}={getattr(report, f.name)!r}" for f in fields(report))
+    return f"recording={recording_id} " + " ".join(values)
 
 
 def cmd_evaluate(args) -> int:
@@ -194,11 +185,11 @@ def cmd_sweep(args) -> int:
         windows = formats.read_embeddings_csv(Path(path).read_text())
         prepared.append((rec, segment_embeddings(windows, None)))
 
-    results: list[tuple[float, float]] = []
-    for value, config in zip(grid, configs):
-        reports = [der(references[rec], diarize(rec, seg_embs, config), EvalOptions())
-                   for rec, seg_embs in prepared]
-        results.append((value, combine_reports(reports).total))
+    reports: list[list[DerReport]] = [[] for _ in configs]
+    for rec, seg_embs in prepared:
+        for row, hypothesis in zip(reports, diarize_grid(rec, seg_embs, configs)):
+            row.append(der(references[rec], hypothesis, EvalOptions()))
+    results = [(value, combine_reports(row).total) for value, row in zip(grid, reports)]
 
     best = min(range(len(results)), key=lambda i: results[i][1])
     print(f"{args.param:>14} {'DER%':>10}")

@@ -1,9 +1,8 @@
 """Clustering algorithms over segment embeddings.
 
-Offline: spherical k-means (with an elbow criterion for the cluster
-count) and spectral clustering on a refined cosine-affinity matrix (with
-an eigen-gap criterion). Online: a naive threshold-based centroid
-clusterer behind a pluggable one-in/one-out interface.
+Offline: spherical k-means (elbow count) and spectral clustering (eigen-gap
+count) on a refined cosine affinity: a sigma-only front half, blurred_affinity,
+then cluster_blurred. Online: a naive threshold clusterer, one in, one out.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class KMeansParams:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
-def _as_matrix(embeddings) -> np.ndarray:
+def embedding_matrix(embeddings) -> np.ndarray:
     """Stack embeddings (raw vectors or objects with .embedding) into (n, d)."""
     if isinstance(embeddings, np.ndarray) and embeddings.ndim == 2:
         x = np.array(embeddings, dtype=np.float64)
@@ -114,7 +113,7 @@ def build_affinity(embeddings) -> AffinityMatrix:
     Raw cosines are kept in [-1, 1] (no shift); thresholding and
     normalization downstream handle the sign.
     """
-    x = _as_matrix(embeddings)
+    x = embedding_matrix(embeddings)
     if x.shape[0] < 2:
         raise InvalidInputError("affinity needs at least 2 embeddings")
     a = np.clip(gram(l2_normalize_rows(x)), -1.0, 1.0)
@@ -178,6 +177,18 @@ def refine_row_max_normalize(m) -> np.ndarray:
     return m / row_max[:, None]
 
 
+def _refine_blurred(m: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
+    """The refine_stages after the blur; m is copied by the threshold, then dropped."""
+    m = refine_threshold(m, params.p_percentile, params.soft_multiplier)
+    yield "threshold", m
+    m = refine_symmetrize(m)
+    yield "symmetrize", m
+    m = refine_diffuse(m)
+    yield "diffuse", m
+    m = refine_row_max_normalize(m)
+    yield "rownorm", m
+
+
 def refine_stages(a: AffinityMatrix, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
     """Blur, threshold, symmetrize, diffuse, row-max-normalize, in that order.
 
@@ -188,14 +199,9 @@ def refine_stages(a: AffinityMatrix, params: SpectralParams) -> Iterator[tuple[s
     m = gaussian_blur(a.entries, params.sigma)
     del a
     yield "blur", m
-    m = refine_threshold(m, params.p_percentile, params.soft_multiplier)
-    yield "threshold", m
-    m = refine_symmetrize(m)
-    yield "symmetrize", m
-    m = refine_diffuse(m)
-    yield "diffuse", m
-    m = refine_row_max_normalize(m)
-    yield "rownorm", m
+    rest = _refine_blurred(m, params)
+    del m
+    yield from rest
 
 
 def refine_chain(a: AffinityMatrix, params: SpectralParams) -> np.ndarray:
@@ -251,12 +257,10 @@ def spectral_embed(decomp: EigenDecomposition, k: int) -> np.ndarray:
     if not (1 <= k <= n):
         raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
     rows = np.array(decomp.vectors[:, :k])
-    norms = np.linalg.norm(rows, axis=1)
-    zero = norms < ZERO_NORM_TOL
+    zero = np.linalg.norm(rows, axis=1) < ZERO_NORM_TOL
     rows[zero] = 0.0
     rows[zero, 0] = 1.0
-    norms[zero] = 1.0
-    return rows / norms[:, None]
+    return l2_normalize_rows(rows)
 
 
 def _cos_dist_sq(u: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -353,7 +357,7 @@ def kmeans(embeddings, params: KMeansParams) -> ClusteringResult:
     initializations and keeps the run with the lowest objective
     sum(d(x_i, c_{a(i)})^2), d being the halved cosine distance.
     """
-    u = l2_normalize_rows(_as_matrix(embeddings))
+    u = l2_normalize_rows(embedding_matrix(embeddings))
     n = u.shape[0]
     k = params.k
     if k is None:
@@ -376,7 +380,7 @@ def mscd_table(embeddings, max_clusters: int, params: KMeansParams) -> dict[int,
     Every k is clustered with the same seed so the table is reproducible
     and directly comparable across k.
     """
-    u = l2_normalize_rows(_as_matrix(embeddings))
+    u = l2_normalize_rows(embedding_matrix(embeddings))
     n = u.shape[0]
     if not (1 <= max_clusters <= n):
         raise InvalidInputError(f"max_clusters must lie in [1, {n}], got {max_clusters}")
@@ -427,22 +431,26 @@ class SpectralResult:
     eigenvalues: np.ndarray
 
 
-def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
-    """Affinity construction, refinement, eigen-gap k, re-embedding, k-means.
-
-    The refined matrix is symmetrized once, as (M + Mᵀ)/2, before
-    eigen-decomposition (row-max normalization breaks symmetry). Cluster
-    bounds are clamped to the segment count; when n is too small to leave
-    an eigen-gap search range, k is forced to the clamped minimum. The
-    refinement keeps only its latest stage matrix.
-    """
-    x = _as_matrix(embeddings)
-    n = x.shape[0]
-    if n < 2:
+def blurred_affinity(embeddings, sigma: float) -> np.ndarray:
+    """spectral_cluster's front half, build_affinity then the blur: p-independent."""
+    x = embedding_matrix(embeddings)
+    if x.shape[0] < 2:
         raise InvalidInputError("spectral clustering needs at least 2 segments")
+    return gaussian_blur(build_affinity(x).entries, sigma)
+
+
+def cluster_blurred(blurred: np.ndarray, params: SpectralParams) -> SpectralResult:
+    """The rest of spectral_cluster, from blurred_affinity's matrix (params.sigma unread):
+    the refine_stages after the blur, (M + Mᵀ)/2, eigen-gap k, re-embedding, k-means.
+    `blurred` is neither written nor held past the threshold's copy, so calls may share
+    it. Cluster bounds are clamped to n; with no eigen-gap range left, k is the minimum."""
+    stages = _refine_blurred(blurred, params)
+    del blurred
+    for _, m in stages:
+        pass
+    n = m.shape[0]
     min_c = min(params.min_clusters, n)
     max_c = min(params.max_clusters, n)
-    m = refine_chain(build_affinity(x), params)
     m = m + m.T
     m *= 0.5
     # the eigen-gap rule reads values[0 .. min(max_c, n - 1)] and the
@@ -455,6 +463,11 @@ def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
     emb = spectral_embed(decomp, k)
     clustering = kmeans(emb, KMeansParams(k=k, seed=params.seed))
     return SpectralResult(clustering=clustering, eigenvalues=decomp.values)
+
+
+def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
+    """Spectral clustering of segment embeddings: cluster_blurred(blurred_affinity)."""
+    return cluster_blurred(blurred_affinity(embeddings, params.sigma), params)
 
 
 class OnlineClusterer(Protocol):

@@ -1,7 +1,8 @@
 """The diarize path, wired once: windows -> segments -> clusters -> hypothesis.
 
 The CLI's diarize and sweep subcommands and library callers go through
-these functions; nothing else chains the stages.
+these functions; nothing else chains the stages. `diarize_grid` runs many
+configs on one recording, building its affinity and blur once per sigma.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from .clustering import (
     KMeansParams,
     NaiveOnlineClusterer,
     SpectralParams,
+    blurred_affinity,
+    cluster_blurred,
+    embedding_matrix,
     estimate_k_elbow,
     kmeans,
     run_online,
@@ -72,3 +76,22 @@ def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig()
     """One recording's segment embeddings (from segment_embeddings) to its hypothesis."""
     labels = cluster(seg_embs, config).labels
     return annotation_from_clusters(recording_id, [se.interval for se in seg_embs], labels)
+
+
+def diarize_grid(recording_id: str, seg_embs, configs) -> list[Annotation]:
+    """`diarize` under each config, in order. The segment matrix is stacked once;
+    spectral configs share one blurred affinity per sigma (their thresholds copy
+    it), and only the current sigma's is held. Other algorithms run as in `diarize`."""
+    labels = {i: cluster(seg_embs, c).labels
+              for i, c in enumerate(configs) if c.algorithm != "spectral"}
+    spectral = [i for i, c in enumerate(configs) if c.algorithm == "spectral"]
+    x = embedding_matrix(seg_embs) if spectral else None
+    for sigma in dict.fromkeys(configs[i].spectral.sigma for i in spectral):
+        blurred = blurred_affinity(x, sigma)
+        for i in spectral:
+            if configs[i].spectral.sigma == sigma:
+                labels[i] = cluster_blurred(blurred, configs[i].spectral).clustering.labels
+        del blurred  # before the next sigma's matrix is built
+    intervals = [se.interval for se in seg_embs]
+    return [annotation_from_clusters(recording_id, intervals, labels[i])
+            for i in range(len(configs))]

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import diarkit.clustering
 import diarkit.numerics
 from diarkit import (
+    EvalOptions,
     SpectralParams,
+    combine_reports,
+    der,
     parse_rttm,
     read_embeddings_csv,
     read_regions_csv,
@@ -461,6 +465,61 @@ class TestSweep:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def make_two_recordings(self, tmp_path):
+        first = run_synth(tmp_path, "dev0")
+        second = run_synth(tmp_path, "dev1", "--speakers", "3", "--seed", "5")
+        listing = tmp_path / "dev.list"
+        listing.write_text(f"{first['emb']}\n{second['emb']}\n")
+        ref = tmp_path / "dev.rttm"
+        ref.write_text(first["ref"].read_text() + second["ref"].read_text())
+        return listing, ref, (first, second)
+
+    @pytest.mark.parametrize("param, grid, values", [
+        ("p-percentile", "86:98:4", [86.0, 90.0, 94.0, 98.0]),
+        ("sigma", "0:1.5:0.5", [0.0, 0.5, 1.0, 1.5]),
+    ])
+    def test_rows_match_diarize_per_config(self, tmp_path, capsys, param, grid, values):
+        listing, ref, recordings = self.make_two_recordings(tmp_path)
+        references = {a.recording_id: a for a in parse_rttm(ref.read_text())}
+        corpus = [
+            (paths["emb"].stem,
+             segment_embeddings(read_embeddings_csv(paths["emb"].read_text()), None))
+            for paths in recordings
+        ]
+        totals = []
+        for value in values:
+            config = DiarizeConfig(spectral=SpectralParams(**{param.replace("-", "_"): value}))
+            reports = [der(references[rec], diarize(rec, segs, config), EvalOptions())
+                       for rec, segs in corpus]
+            totals.append(combine_reports(reports).total)
+        best = totals.index(min(totals))
+        expected = [f"{param:>14} {'DER%':>10}"] + [
+            f"{value:14.6g} {total:10.4f}" + ("  *" if i == best else "")
+            for i, (value, total) in enumerate(zip(values, totals))
+        ]
+        capsys.readouterr()
+        args = ["sweep", "--embeddings-list", str(listing), "--reference", str(ref),
+                "--param", param, "--grid", grid]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_affinity_and_blur_once_per_recording(self, tmp_path, monkeypatch):
+        listing, ref, _ = self.make_two_recordings(tmp_path)
+        calls = {"build_affinity": 0, "gaussian_blur": 0, "refine_threshold": 0}
+        for name in calls:
+            original = getattr(diarkit.clustering, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(diarkit.clustering, name, counted)
+        args = ["sweep", "--embeddings-list", str(listing), "--reference", str(ref),
+                "--param", "p-percentile", "--grid", "90:96:2"]
+        assert main(args) == 0
+        # 2 recordings x 4 grid values
+        assert calls == {"build_affinity": 2, "gaussian_blur": 2, "refine_threshold": 8}
 
     def test_unknown_recording_is_usage_error(self, tmp_path):
         paths = run_synth(tmp_path, "dev0")

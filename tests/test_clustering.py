@@ -29,7 +29,7 @@ from diarkit import (
     spectral_cluster,
     spectral_embed,
 )
-from diarkit.clustering import _lloyd
+from diarkit.clustering import _lloyd, blurred_affinity, cluster_blurred
 from diarkit.core import AffinityMatrix
 from diarkit.numerics import nearest_rank_index
 from oracles import sort_threshold
@@ -541,6 +541,21 @@ class TestSpectralCluster:
     def test_single_segment_rejected(self):
         with pytest.raises(InvalidInputError):
             spectral_cluster(np.array([[1.0, 0.0]]), SpectralParams())
+
+    def test_blurred_matrix_left_unchanged(self):
+        # the matrix a grid of percentiles shares: each threshold copies it
+        rng = np.random.default_rng(51)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        points, _ = planted_points(rng, q.T, per_cluster=40, noise_deg=30)
+        blurred = blurred_affinity(points, 1.0)
+        before = blurred.copy()
+        for p in (50.0, 80.0, 95.0):
+            params = SpectralParams(p_percentile=p, seed=0)
+            result = cluster_blurred(blurred, params)
+            assert np.array_equal(blurred, before)
+            expected = spectral_cluster(points, params)
+            assert np.array_equal(result.clustering.labels, expected.clustering.labels)
+            assert np.array_equal(result.eigenvalues, expected.eigenvalues)
 
     def test_bounds_respected_on_random_inputs(self):
         rng = np.random.default_rng(49)

@@ -1,16 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diarkit import (
     InvalidInputError,
+    SegmentEmbedding,
     SpectralParams,
     SynthScenario,
+    TimeInterval,
     aggregate,
     generate,
     regions_from_windows,
     segmentize,
 )
-from diarkit.pipeline import DiarizeConfig, cluster, segment_embeddings
+from diarkit.pipeline import DiarizeConfig, cluster, diarize, diarize_grid, segment_embeddings
 
 
 class TestDiarizeConfig:
@@ -38,3 +42,41 @@ class TestCluster:
         params = SpectralParams(min_clusters=3, max_clusters=5)
         result = cluster(x, DiarizeConfig("kmeans", spectral=params))
         assert 3 <= result.k <= 5
+
+
+class TestDiarizeGrid:
+    def test_same_hypotheses_as_diarize(self):
+        _, windows, regions = generate(SynthScenario(n_speakers=3, duration=60, seed=4))
+        segs = segment_embeddings(windows, regions)
+        configs = [
+            DiarizeConfig(spectral=SpectralParams(sigma=1.0, p_percentile=90)),
+            DiarizeConfig("naive", threshold=0.3),
+            DiarizeConfig(spectral=SpectralParams(sigma=0.5, p_percentile=95)),
+            DiarizeConfig(spectral=SpectralParams(sigma=1.0, p_percentile=95)),
+            DiarizeConfig("kmeans"),
+        ]
+        got = diarize_grid("rec", segs, configs)
+        assert [list(a) for a in got] == [list(diarize("rec", segs, c)) for c in configs]
+
+    def test_errors_as_in_diarize(self):
+        segs = [SegmentEmbedding(TimeInterval(0.0, 0.4), np.array([1.0, 0.0]))]
+        with pytest.raises(InvalidInputError, match="at least 2 segments"):
+            diarize_grid("rec", segs, [DiarizeConfig()])
+        assert diarize_grid("rec", segs, []) == []
+
+    @pytest.mark.parametrize("n", [1000, 1500])
+    def test_peak_memory_three_matrices(self, n):
+        # the shared blurred matrix beside the two that each stage holds
+        rng = np.random.default_rng(0)
+        centers = rng.standard_normal((4, 16))
+        x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
+        segs = [SegmentEmbedding(TimeInterval(0.4 * i, 0.4 * (i + 1)), v) for i, v in enumerate(x)]
+        configs = [DiarizeConfig(spectral=SpectralParams(p_percentile=p)) for p in (90, 95, 98)]
+        tracemalloc.start()
+        try:
+            hypotheses = diarize_grid("rec", segs, configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(a.labels()) for a in hypotheses] == [4, 4, 4]
+        assert peak <= 3.1 * 8 * n * n
