@@ -27,7 +27,6 @@ from .clustering import (
     estimate_k_elbow,
     kmeans,
     mscd_table,
-    refine_chain,
     refine_diffuse,
     refine_row_max_normalize,
     refine_stages,
@@ -38,7 +37,6 @@ from .clustering import (
     spectral_embed,
 )
 from .core import (
-    AffinityMatrix,
     Annotation,
     ClusteringResult,
     DegenerateAffinityError,

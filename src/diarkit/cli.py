@@ -15,6 +15,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import io as formats
+from .aggregation import DEFAULT_MAX_SEGMENT_LEN
 from .clustering import SpectralParams, build_affinity, refine_stages
 from .core import Annotation, InvalidInputError, NumericError, ParseError
 from .metrics import DerReport, EvalOptions, combine_reports, der
@@ -43,7 +44,7 @@ def _flag_values():
 def _dump_stages(prefix: str, seg_embs, params: SpectralParams) -> None:
     """Rebuild the raw affinity and each refinement stage; write each as a PGM."""
     affinity = build_affinity(seg_embs)
-    formats.write_pgm_heatmap(affinity.entries, f"{prefix}_00_affinity.pgm")
+    formats.write_pgm_heatmap(affinity, f"{prefix}_00_affinity.pgm")
     for i, (name, stage) in enumerate(refine_stages(affinity, params), start=1):
         formats.write_pgm_heatmap(stage, f"{prefix}_{i:02d}_{name}.pgm")
 
@@ -205,20 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Speaker diarization over precomputed window embeddings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config, spectral = DiarizeConfig(), SpectralParams()
 
     d = sub.add_parser("diarize", help="cluster a recording and write hypothesis RTTM")
     d.add_argument("--embeddings", required=True, help="window embeddings CSV")
     d.add_argument("--regions", help="speech regions CSV (default: union of windows)")
-    d.add_argument("--algorithm", choices=ALGORITHMS, default="spectral")
-    d.add_argument("--max-segment-len", type=float, default=0.4)
-    d.add_argument("--sigma", type=float, default=1.0)
-    d.add_argument("--p-percentile", type=float, default=95.0)
-    d.add_argument("--soft-multiplier", type=float, default=0.01)
-    d.add_argument("--threshold", type=float, default=0.5,
+    d.add_argument("--algorithm", choices=ALGORITHMS, default=config.algorithm)
+    d.add_argument("--max-segment-len", type=float, default=DEFAULT_MAX_SEGMENT_LEN)
+    d.add_argument("--sigma", type=float, default=spectral.sigma)
+    d.add_argument("--p-percentile", type=float, default=spectral.p_percentile)
+    d.add_argument("--soft-multiplier", type=float, default=spectral.soft_multiplier)
+    d.add_argument("--threshold", type=float, default=config.threshold,
                    help="naive online similarity threshold")
-    d.add_argument("--min-speakers", type=int, default=2)
-    d.add_argument("--max-speakers", type=int, default=8)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--min-speakers", type=int, default=spectral.min_clusters)
+    d.add_argument("--max-speakers", type=int, default=spectral.max_clusters)
+    d.add_argument("--seed", type=int, default=spectral.seed)
     d.add_argument("--out", required=True, help="hypothesis RTTM path")
     d.add_argument("--dump-stages", metavar="PREFIX",
                    help="write affinity + refinement heatmaps as PREFIX_*.pgm")
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="score hypothesis RTTM against reference RTTM")
     e.add_argument("--reference", required=True)
     e.add_argument("--hypothesis", required=True)
-    e.add_argument("--collar", type=float, default=0.25)
+    e.add_argument("--collar", type=float, default=EvalOptions().collar)
     e.add_argument("--uem", help="restrict scoring to UEM spans")
     e.add_argument("--no-overlap-exclusion", action="store_true",
                    help="score overlapped reference speech too")
@@ -265,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 2
     try:
         return args.func(args)
-    except (UsageError, ParseError, OSError) as exc:
+    except (UsageError, ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvalidInputError, NumericError) as exc:

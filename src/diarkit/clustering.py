@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol, Sequence
+from typing import Iterator, Protocol
 
 import numpy as np
 
 from .core import (
-    AffinityMatrix,
     ClusteringResult,
     DegenerateAffinityError,
     InvalidInputError,
@@ -107,7 +106,7 @@ def embedding_matrix(embeddings) -> np.ndarray:
     return np.stack(rows)
 
 
-def build_affinity(embeddings) -> AffinityMatrix:
+def build_affinity(embeddings) -> np.ndarray:
     """Pairwise cosine similarities; each diagonal entry takes its row's max.
 
     Raw cosines are kept in [-1, 1] (no shift); thresholding and
@@ -119,7 +118,7 @@ def build_affinity(embeddings) -> AffinityMatrix:
     a = np.clip(gram(l2_normalize_rows(x)), -1.0, 1.0)
     np.fill_diagonal(a, -np.inf)
     np.fill_diagonal(a, a.max(axis=1))
-    return AffinityMatrix(a)
+    return a
 
 
 def _as_square(m) -> np.ndarray:
@@ -189,28 +188,19 @@ def _refine_blurred(m: np.ndarray, params: SpectralParams) -> Iterator[tuple[str
     yield "rownorm", m
 
 
-def refine_stages(a: AffinityMatrix, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
+def refine_stages(a: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
     """Blur, threshold, symmetrize, diffuse, row-max-normalize, in that order.
 
     Yields (stage name, matrix) after each stage, for heatmap dumps, and
     holds only the latest matrix; the raw affinity is released once the
     blur has run.
     """
-    m = gaussian_blur(a.entries, params.sigma)
+    m = gaussian_blur(a, params.sigma)
     del a
     yield "blur", m
     rest = _refine_blurred(m, params)
     del m
     yield from rest
-
-
-def refine_chain(a: AffinityMatrix, params: SpectralParams) -> np.ndarray:
-    """The matrix after the last of the refine_stages."""
-    stages = refine_stages(a, params)
-    del a  # lets refine_stages free the affinity once the blur has run
-    for _, m in stages:
-        pass
-    return m
 
 
 def estimate_k_eigengap(
@@ -350,6 +340,18 @@ def _lloyd(
     return labels, centroids, prev_obj, history
 
 
+def _best_run(u: np.ndarray, k: int, params: KMeansParams) -> tuple[np.ndarray, float]:
+    """(labels, objective) of the lowest-objective of `restarts` seeded runs at k.
+
+    Each call seeds its own generator, so a k gives the same run to kmeans
+    and to the elbow search.
+    """
+    rng = np.random.default_rng(params.seed)
+    runs = (_lloyd(u, k, rng, params.max_iters, params.tol) for _ in range(params.restarts))
+    labels, _, obj, _ = min(runs, key=lambda run: run[2])  # the first on a tie
+    return labels, obj
+
+
 def kmeans(embeddings, params: KMeansParams) -> ClusteringResult:
     """Spherical k-means: cosine assignment, normalized-mean centroids.
 
@@ -364,14 +366,17 @@ def kmeans(embeddings, params: KMeansParams) -> ClusteringResult:
         raise InvalidInputError("kmeans needs params.k; estimate_k_elbow can choose it")
     if k > n:
         raise InvalidInputError(f"k={k} exceeds the number of points ({n})")
-    rng = np.random.default_rng(params.seed)
-    best_labels = None
-    best_obj = math.inf
-    for _ in range(params.restarts):
-        labels, _, obj, _ = _lloyd(u, k, rng, params.max_iters, params.tol)
-        if obj < best_obj:
-            best_labels, best_obj = labels, obj
-    return ClusteringResult(labels=best_labels, k=k)
+    return ClusteringResult(labels=_best_run(u, k, params)[0], k=k)
+
+
+def _elbow_runs(embeddings, max_clusters: int, params: KMeansParams) -> list[tuple]:
+    """(labels, MSCD) of kmeans' best run at each k = 1..max_clusters."""
+    u = l2_normalize_rows(embedding_matrix(embeddings))
+    n = u.shape[0]
+    if not (1 <= max_clusters <= n):
+        raise InvalidInputError(f"max_clusters must lie in [1, {n}], got {max_clusters}")
+    runs = (_best_run(u, k, params) for k in range(1, max_clusters + 1))
+    return [(labels, obj / n) for labels, obj in runs]
 
 
 def mscd_table(embeddings, max_clusters: int, params: KMeansParams) -> dict[int, float]:
@@ -380,19 +385,8 @@ def mscd_table(embeddings, max_clusters: int, params: KMeansParams) -> dict[int,
     Every k is clustered with the same seed so the table is reproducible
     and directly comparable across k.
     """
-    u = l2_normalize_rows(embedding_matrix(embeddings))
-    n = u.shape[0]
-    if not (1 <= max_clusters <= n):
-        raise InvalidInputError(f"max_clusters must lie in [1, {n}], got {max_clusters}")
-    table: dict[int, float] = {}
-    for k in range(1, max_clusters + 1):
-        rng = np.random.default_rng(params.seed)
-        best_obj = math.inf
-        for _ in range(params.restarts):
-            _, _, obj, _ = _lloyd(u, k, rng, params.max_iters, params.tol)
-            best_obj = min(best_obj, obj)
-        table[k] = best_obj / n
-    return table
+    runs = _elbow_runs(embeddings, max_clusters, params)
+    return {k: mscd for k, (_, mscd) in enumerate(runs, start=1)}
 
 
 def estimate_k_elbow(
@@ -400,23 +394,20 @@ def estimate_k_elbow(
     max_clusters: int,
     params: KMeansParams,
     min_clusters: int = 1,
-) -> int:
-    """k with the largest drop MSCD(k-1) - MSCD(k), searched from k >= 2.
+) -> ClusteringResult:
+    """The clustering at the k with the largest drop MSCD(k-1) - MSCD(k), k >= 2.
 
     The search range is [max(2, min_clusters), max_clusters]; ties break
-    toward smaller k.
+    toward smaller k. The labels are the search's own best run at that k,
+    the run kmeans makes with that k and the same params.
     """
-    table = mscd_table(embeddings, max_clusters, params)
+    runs = _elbow_runs(embeddings, max_clusters, params)
     lo = max(2, min_clusters)
     if lo > max_clusters:
         raise InvalidInputError(f"empty cluster-count search range [{lo}, {max_clusters}]")
-    best_k = lo
-    best_drop = -math.inf
-    for k in range(lo, max_clusters + 1):
-        drop = table[k - 1] - table[k]
-        if drop > best_drop:
-            best_k, best_drop = k, drop
-    return best_k
+    # runs[k - 1] is k's run; max keeps the first, so the smallest, k of a tie
+    k = max(range(lo, max_clusters + 1), key=lambda k: runs[k - 2][1] - runs[k - 1][1])
+    return ClusteringResult(labels=runs[k - 1][0], k=k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,10 +424,9 @@ class SpectralResult:
 
 def blurred_affinity(embeddings, sigma: float) -> np.ndarray:
     """spectral_cluster's front half, build_affinity then the blur: p-independent."""
-    x = embedding_matrix(embeddings)
-    if x.shape[0] < 2:
+    if len(embeddings) < 2:
         raise InvalidInputError("spectral clustering needs at least 2 segments")
-    return gaussian_blur(build_affinity(x).entries, sigma)
+    return gaussian_blur(build_affinity(embeddings), sigma)
 
 
 def cluster_blurred(blurred: np.ndarray, params: SpectralParams) -> SpectralResult:
@@ -497,7 +487,7 @@ class NaiveOnlineClusterer:
             )
 
     def step(self, embedding) -> int:
-        unit = l2_normalize(as_float_vector(getattr(embedding, "embedding", embedding)))
+        unit = l2_normalize(getattr(embedding, "embedding", embedding))
         best_label = -1
         best_sim = -math.inf
         for label, s in enumerate(self._sums):

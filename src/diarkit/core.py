@@ -166,25 +166,6 @@ class SegmentEmbedding:
 
 
 @dataclass(frozen=True, eq=False)
-class AffinityMatrix:
-    """Square pairwise-similarity matrix over segments."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidInputError(f"affinity matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInputError("affinity matrix contains non-finite entries")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class ClusteringResult:
     """Dense integer cluster id per segment; every id in [0, k) occurs."""
 

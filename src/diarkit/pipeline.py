@@ -56,8 +56,8 @@ def segment_embeddings(windows, regions, max_len: float = DEFAULT_MAX_SEGMENT_LE
 def cluster(seg_embs, config: DiarizeConfig) -> ClusteringResult:
     """Cluster segment embeddings with the configured algorithm.
 
-    k-means takes k = 1 for a single segment, otherwise the elbow k over
-    [min_clusters, min(max_clusters, n)].
+    k-means takes k = 1 for a single segment, otherwise the elbow search's
+    own clustering at its k in [min_clusters, min(max_clusters, n)].
     """
     params = config.spectral
     if config.algorithm == "spectral":
@@ -65,11 +65,10 @@ def cluster(seg_embs, config: DiarizeConfig) -> ClusteringResult:
     if config.algorithm == "naive":
         return run_online(NaiveOnlineClusterer(config.threshold), seg_embs)
     n = len(seg_embs)
-    k = 1 if n == 1 else estimate_k_elbow(
-        seg_embs, min(params.max_clusters, n), KMeansParams(seed=params.seed),
-        min_clusters=params.min_clusters,
-    )
-    return kmeans(seg_embs, KMeansParams(k=k, seed=params.seed))
+    if n == 1:
+        return kmeans(seg_embs, KMeansParams(k=1, seed=params.seed))
+    return estimate_k_elbow(seg_embs, min(params.max_clusters, n), KMeansParams(seed=params.seed),
+                            min_clusters=params.min_clusters)
 
 
 def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig()) -> Annotation:

@@ -23,7 +23,6 @@ from diarkit import (
     eigh,
     estimate_k_eigengap,
     map_speakers,
-    refine_chain,
     refine_diffuse,
     refine_row_max_normalize,
     refine_stages,
@@ -31,7 +30,6 @@ from diarkit import (
     refine_threshold,
     spectral_cluster,
 )
-from diarkit.core import AffinityMatrix
 from helpers import (
     labels_kmeans_elbow,
     labels_naive,
@@ -100,7 +98,7 @@ def test_refinement_chain_suite(capsys):
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     mid = (e1 + e2) / np.linalg.norm(e1 + e2)
     check(
-        build_affinity(np.stack([e1, e2, mid])).entries,
+        build_affinity(np.stack([e1, e2, mid])),
         np.array([[s, 0, s], [0, s, s], [s, s, s]]),
     )
     check(
@@ -128,8 +126,8 @@ def test_refinement_chain_suite(capsys):
         np.array([[0.5, 1.0], [1.0, 0.5]]),
     )
     params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=0.0)
-    check(refine_chain(AffinityMatrix(BLOCK), params), BLOCK)
-    stages = list(refine_stages(AffinityMatrix(BLOCK), params))
+    stages = list(refine_stages(BLOCK, params))
+    check(stages[-1][1], BLOCK)
     stage_count_ok = len(stages) == 5
 
     elapsed = time.perf_counter() - t0

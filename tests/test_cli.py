@@ -14,7 +14,8 @@ from diarkit import (
     read_regions_csv,
     write_rttm,
 )
-from diarkit.cli import main
+from diarkit.aggregation import DEFAULT_MAX_SEGMENT_LEN
+from diarkit.cli import build_parser, main
 from diarkit.pipeline import ALGORITHMS, DiarizeConfig, diarize, segment_embeddings
 
 E1_E1_E2_CSV = (
@@ -560,3 +561,37 @@ class TestEntrypointPlumbing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["diarize", "evaluate", "sweep"])
+    def test_non_utf8_input_is_usage_error(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"start,end,v0\n0.0,0.24,\xff\xfe\n")
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("SPEAKER bad 1 0.000000 1.000000 <NA> <NA> A <NA> <NA>\n")
+        listing = tmp_path / "bad.list"
+        listing.write_text(f"{bad}\n")
+        argv = {
+            "diarize": ["--embeddings", str(bad), "--out", str(tmp_path / "o.rttm")],
+            "evaluate": ["--reference", str(bad), "--hypothesis", str(ref)],
+            "sweep": ["--embeddings-list", str(listing), "--reference", str(ref),
+                      "--param", "sigma", "--grid", "1:1:1"],
+        }[command]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        d = parser.parse_args(["diarize", "--embeddings", "e.csv", "--out", "o.rttm"])
+        config, spectral = DiarizeConfig(), SpectralParams()
+        assert (d.algorithm, d.threshold) == (config.algorithm, config.threshold)
+        assert d.max_segment_len == DEFAULT_MAX_SEGMENT_LEN
+        assert (d.sigma, d.p_percentile, d.soft_multiplier) == (
+            spectral.sigma, spectral.p_percentile, spectral.soft_multiplier
+        )
+        assert (d.min_speakers, d.max_speakers, d.seed) == (
+            spectral.min_clusters, spectral.max_clusters, spectral.seed
+        )
+        e = parser.parse_args(["evaluate", "--reference", "r", "--hypothesis", "h"])
+        assert e.collar == EvalOptions().collar

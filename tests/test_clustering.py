@@ -19,7 +19,6 @@ from diarkit import (
     estimate_k_elbow,
     kmeans,
     mscd_table,
-    refine_chain,
     refine_diffuse,
     refine_row_max_normalize,
     refine_stages,
@@ -30,7 +29,6 @@ from diarkit import (
     spectral_embed,
 )
 from diarkit.clustering import _lloyd, blurred_affinity, cluster_blurred
-from diarkit.core import AffinityMatrix
 from diarkit.numerics import nearest_rank_index
 from oracles import sort_threshold
 
@@ -75,23 +73,23 @@ def planted_points(rng, directions, per_cluster, noise_deg):
 class TestBuildAffinity:
     def test_identical_vectors(self):
         a = build_affinity(np.array([[1.0, 0.0], [2.0, 0.0]]))
-        assert np.allclose(a.entries, np.ones((2, 2)))
+        assert np.allclose(a, np.ones((2, 2)))
 
     def test_orthogonal_pair(self):
         a = build_affinity(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(a.entries, np.zeros((2, 2)))
+        assert np.allclose(a, np.zeros((2, 2)))
 
     def test_three_vector_example(self):
         s = 1 / math.sqrt(2)
         e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         mid = (e1 + e2) / np.linalg.norm(e1 + e2)
-        a = build_affinity(np.stack([e1, e2, mid])).entries
+        a = build_affinity(np.stack([e1, e2, mid]))
         expected = np.array([[s, 0, s], [0, s, s], [s, s, s]])
         assert np.max(np.abs(a - expected)) < 1e-12
 
     def test_diagonal_is_row_max(self):
         rng = np.random.default_rng(30)
-        a = build_affinity(rng.normal(size=(12, 5))).entries
+        a = build_affinity(rng.normal(size=(12, 5)))
         for i in range(12):
             off = np.delete(a[i], i)
             assert a[i, i] == off.max()
@@ -99,8 +97,8 @@ class TestBuildAffinity:
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=(9, 6))
-        a = build_affinity(x).entries
-        b = build_affinity(x * 41.5).entries
+        a = build_affinity(x)
+        b = build_affinity(x * 41.5)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_too_few_embeddings_rejected(self):
@@ -233,10 +231,10 @@ class TestRefineRowMaxNormalize:
 class TestRefineChain:
     def test_block_matrix_fixed_point(self):
         params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=0.0)
-        stages = dict(refine_stages(AffinityMatrix(BLOCK), params))
+        stages = dict(refine_stages(BLOCK, params))
         # blur(0) and threshold leave the blocks; diffusion doubles them;
         # row-max normalization rescales back to the exact block matrix
-        assert np.array_equal(refine_chain(AffinityMatrix(BLOCK), params), BLOCK)
+        assert np.array_equal(stages["rownorm"], BLOCK)
         assert np.array_equal(stages["diffuse"], 2 * BLOCK)
 
     def test_snapshot_count_and_final(self):
@@ -246,14 +244,21 @@ class TestRefineChain:
         assert [name for name, _ in stages] == [
             "blur", "threshold", "symmetrize", "diffuse", "rownorm"
         ]
-        assert np.array_equal(refine_chain(a, SpectralParams()), stages[-1][1])
+        assert np.array_equal(stages[-1][1].max(axis=1), np.ones(10))
+
+    def test_non_square_or_non_finite_rejected(self):
+        bad = np.ones((4, 4))
+        bad[1, 2] = np.inf
+        for m in (np.ones((2, 3)), bad):
+            with pytest.raises(InvalidInputError):
+                list(refine_stages(m, SpectralParams()))
 
     def test_neutral_settings_reduce_to_diffuse_normalize(self):
         rng = np.random.default_rng(37)
         x = rng.normal(size=(6, 3))
         g = x @ x.T  # symmetric PSD
         params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=1.0)
-        final = refine_chain(AffinityMatrix(g), params)
+        final = dict(refine_stages(g, params))["rownorm"]
         expected = refine_row_max_normalize(refine_diffuse(g))
         assert np.max(np.abs(final - expected)) < 1e-12
 
@@ -384,11 +389,11 @@ class TestKMeans:
 class TestEstimateKElbow:
     def test_antipodal_groups(self):
         x = np.array([[1.0, 0.0]] * 10 + [[-1.0, 0.0]] * 10)
-        assert estimate_k_elbow(x, 4, KMeansParams(seed=0)) == 2
+        assert estimate_k_elbow(x, 4, KMeansParams(seed=0)).k == 2
 
     def test_identical_points_tie_break(self):
         x = np.array([[1.0, 0.0]] * 6)
-        assert estimate_k_elbow(x, 4, KMeansParams(seed=0)) == 2
+        assert estimate_k_elbow(x, 4, KMeansParams(seed=0)).k == 2
 
     def test_agrees_with_numeric_mscd_table(self):
         # the chosen k must be the argmax of the backward differences of
@@ -397,7 +402,7 @@ class TestEstimateKElbow:
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         points, _ = planted_points(rng, q.T, per_cluster=15, noise_deg=5)
         params = KMeansParams(seed=3)
-        k = estimate_k_elbow(points, 6, params)
+        k = estimate_k_elbow(points, 6, params).k
         table = mscd_table(points, 6, params)
         drops = {kk: table[kk - 1] - table[kk] for kk in range(2, 7)}
         best = min(kk for kk in drops if drops[kk] == max(drops.values()))
@@ -411,7 +416,7 @@ class TestEstimateKElbow:
 
     def test_min_clusters_respected(self):
         x = np.array([[1.0, 0.0]] * 10 + [[-1.0, 0.0]] * 10)
-        k = estimate_k_elbow(x, 5, KMeansParams(seed=0), min_clusters=3)
+        k = estimate_k_elbow(x, 5, KMeansParams(seed=0), min_clusters=3).k
         assert 3 <= k <= 5
 
     def test_empty_range_rejected(self):
@@ -490,7 +495,7 @@ class TestSpectralCluster:
             params = SpectralParams(seed=0)
             partial = spectral_cluster(points, params)
             # the same refined matrix, solved whole by the dense solver
-            refined = refine_chain(build_affinity(points), params)
+            refined = dict(refine_stages(build_affinity(points), params))["rownorm"]
             values, vectors = np.linalg.eigh(0.5 * (refined + refined.T))
             count = params.max_clusters + 1
             order = np.argsort(-values, kind="stable")[:count]

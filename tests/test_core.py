@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from diarkit import (
-    AffinityMatrix,
     Annotation,
     ClusteringResult,
     InvalidInputError,
@@ -131,21 +130,6 @@ class TestSegmentEmbedding:
     def test_scalar_rejected(self):
         with pytest.raises(InvalidInputError):
             SegmentEmbedding(TimeInterval(0, 1), 3.0)
-
-
-class TestAffinityMatrix:
-    def test_square_required(self):
-        with pytest.raises(InvalidInputError):
-            AffinityMatrix(np.zeros((2, 3)))
-
-    def test_finite_required(self):
-        m = np.zeros((2, 2))
-        m[0, 1] = np.inf
-        with pytest.raises(InvalidInputError):
-            AffinityMatrix(m)
-
-    def test_n(self):
-        assert AffinityMatrix(np.eye(4)).n == 4
 
 
 class TestClusteringResult:

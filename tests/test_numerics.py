@@ -20,7 +20,7 @@ from diarkit import (
     l2_normalize,
     nearest_rank_percentile,
     optimal_assignment,
-    refine_chain,
+    refine_stages,
 )
 from diarkit.numerics import gram, l2_normalize_rows
 from oracles import brute_force_assignment, direct_blur
@@ -292,7 +292,7 @@ def refined_affinity(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((4, 16))
     x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
-    refined = refine_chain(build_affinity(x), SpectralParams())
+    refined = dict(refine_stages(build_affinity(x), SpectralParams()))["rownorm"]
     return 0.5 * (refined + refined.T)
 
 

@@ -3,14 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import diarkit.clustering
 from diarkit import (
     InvalidInputError,
+    KMeansParams,
     SegmentEmbedding,
     SpectralParams,
     SynthScenario,
     TimeInterval,
     aggregate,
     generate,
+    kmeans,
     regions_from_windows,
     segmentize,
 )
@@ -42,6 +45,29 @@ class TestCluster:
         params = SpectralParams(min_clusters=3, max_clusters=5)
         result = cluster(x, DiarizeConfig("kmeans", spectral=params))
         assert 3 <= result.k <= 5
+
+    @pytest.mark.parametrize("kind", ["separated", "imbalanced", "hierarchical"])
+    def test_kmeans_clusters_each_k_once(self, monkeypatch, kind):
+        # the elbow search's own run at its k is the answer: no second kmeans
+        _, windows, regions = generate(
+            SynthScenario(n_speakers=4, duration=30, scenario_kind=kind, seed=11)
+        )
+        segs = segment_embeddings(windows, regions)
+        calls = 0
+        lloyd = diarkit.clustering._lloyd
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return lloyd(*args, **kwargs)
+
+        monkeypatch.setattr(diarkit.clustering, "_lloyd", counted)
+        params = SpectralParams(seed=2)
+        result = cluster(segs, DiarizeConfig("kmeans", spectral=params))
+        assert calls == KMeansParams().restarts * min(params.max_clusters, len(segs))
+        # the two-step path: the elbow's k, then kmeans at that k
+        expected = kmeans(segs, KMeansParams(k=result.k, seed=params.seed))
+        assert np.array_equal(result.labels, expected.labels)
 
 
 class TestDiarizeGrid:
