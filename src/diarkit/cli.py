@@ -41,6 +41,15 @@ def _flag_values():
         raise UsageError(str(exc)) from None
 
 
+def _read(path: str, parse=str):
+    """parse(the text of the file at path, decoded as UTF-8). A decode or parse
+    error becomes a ParseError whose message starts with the path."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, ParseError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _dump_stages(prefix: str, seg_embs, params: SpectralParams) -> None:
     """Rebuild the raw affinity and each refinement stage; write each as a PGM."""
     affinity = build_affinity(seg_embs)
@@ -62,8 +71,8 @@ def cmd_diarize(args) -> int:
         config = DiarizeConfig(algorithm=args.algorithm, spectral=spectral,
                                threshold=args.threshold)
 
-    windows = formats.read_embeddings_csv(Path(args.embeddings).read_text())
-    regions = formats.read_regions_csv(Path(args.regions).read_text()) if args.regions else None
+    windows = _read(args.embeddings, formats.read_embeddings_csv)
+    regions = _read(args.regions, formats.read_regions_csv) if args.regions else None
     seg_embs = segment_embeddings(windows, regions, args.max_segment_len)
     hypothesis = diarize(Path(args.embeddings).stem, seg_embs, config)
     if args.dump_stages:
@@ -80,13 +89,13 @@ def _report_lines(recording_id: str, report: DerReport) -> str:
 def cmd_evaluate(args) -> int:
     with _flag_values():
         opts = EvalOptions(collar=args.collar, exclude_overlap=not args.no_overlap_exclusion)
-    references = formats.parse_rttm(Path(args.reference).read_text())
+    references = _read(args.reference, formats.parse_rttm)
     if not references:
         raise InvalidInputError("reference RTTM contains no SPEAKER lines")
     hypotheses = {
-        a.recording_id: a for a in formats.parse_rttm(Path(args.hypothesis).read_text())
+        a.recording_id: a for a in _read(args.hypothesis, formats.parse_rttm)
     }
-    uem_map = formats.parse_uem(Path(args.uem).read_text()) if args.uem else None
+    uem_map = _read(args.uem, formats.parse_uem) if args.uem else None
 
     rows: list[tuple[str, DerReport]] = []
     for reference in sorted(references, key=lambda a: a.recording_id):
@@ -171,11 +180,11 @@ def cmd_sweep(args) -> int:
             name = args.param.replace("-", "_")  # sigma or p_percentile
             configs = [DiarizeConfig(spectral=SpectralParams(**{name: value})) for value in grid]
 
-    list_text = Path(args.embeddings_list).read_text()
+    list_text = _read(args.embeddings_list)
     embedding_paths = [line.strip() for line in list_text.splitlines() if line.strip()]
     _require(bool(embedding_paths), "embeddings list is empty")
     references = {
-        a.recording_id: a for a in formats.parse_rttm(Path(args.reference).read_text())
+        a.recording_id: a for a in _read(args.reference, formats.parse_rttm)
     }
 
     prepared = []
@@ -183,7 +192,7 @@ def cmd_sweep(args) -> int:
         rec = Path(path).stem
         if rec not in references:
             raise UsageError(f"recording {rec} is missing from the reference RTTM")
-        windows = formats.read_embeddings_csv(Path(path).read_text())
+        windows = _read(path, formats.read_embeddings_csv)
         prepared.append((rec, segment_embeddings(windows, None)))
 
     reports: list[list[DerReport]] = [[] for _ in configs]
@@ -267,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 2
     try:
         return args.func(args)
-    except (UsageError, ParseError, OSError, UnicodeDecodeError) as exc:
+    except (UsageError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvalidInputError, NumericError) as exc:

@@ -29,6 +29,7 @@ from .numerics import (
     l2_normalize_rows,
     nearest_rank_index,
     row_block,
+    upper_tiles,
 )
 
 DEFAULT_MAX_CLUSTERS = 8
@@ -154,9 +155,14 @@ def refine_threshold(m, p: float, soft_multiplier: float) -> np.ndarray:
 
 
 def refine_symmetrize(m) -> np.ndarray:
-    """Elementwise Y_ij = max(X_ij, X_ji)."""
+    """Elementwise Y_ij = max(X_ij, X_ji), a tile and its mirror at a time."""
     m = _as_square(m)
-    return np.maximum(m, m.T)
+    out = np.empty(m.shape)
+    for rows, cols in upper_tiles(m.shape[0]):
+        np.maximum(m[rows, cols], m[cols, rows].T, out=out[rows, cols])
+        if rows != cols:
+            np.maximum(m[cols, rows], m[rows, cols].T, out=out[cols, rows])
+    return out
 
 
 def refine_diffuse(m) -> np.ndarray:
@@ -164,28 +170,51 @@ def refine_diffuse(m) -> np.ndarray:
     return gram(_as_square(m))
 
 
-def refine_row_max_normalize(m) -> np.ndarray:
-    """Divide each row by its own maximum, making every row max exactly 1."""
-    m = _as_square(m)
+def _positive_row_max(m: np.ndarray) -> np.ndarray:
+    """Each row's maximum; DegenerateAffinityError if one is not positive."""
     row_max = m.max(axis=1)
     if np.any(row_max <= 0):
         bad = int(np.argmax(row_max <= 0))
         raise DegenerateAffinityError(
             f"row {bad} has max {row_max[bad]:.3e} <= 0; cannot normalize"
         )
-    return m / row_max[:, None]
+    return row_max
+
+
+def refine_row_max_normalize(m) -> np.ndarray:
+    """Divide each row by its own maximum, making every row max exactly 1."""
+    m = _as_square(m)
+    return m / _positive_row_max(m)[:, None]
+
+
+def _row_max_normalize_symmetrize(y: np.ndarray) -> np.ndarray:
+    """(R + Rᵀ)/2 for R = refine_row_max_normalize(y), in place on y, a block of rows
+    at a time: each entry becomes (y_ij/d_i + y_ij/d_j)·0.5 for row maxima d.
+
+    Bit for bit that result, because y is gram's output: exactly symmetric, so
+    y_ij = y_ji, and F-ordered, so the rows of yᵀ (the same matrix) are contiguous.
+    """
+    rows = _as_square(y).T
+    d = _positive_row_max(rows)
+    step = row_block(d.size)
+    for lo in range(0, d.size, step):
+        block = rows[lo : lo + step]
+        by_row = block / d[lo : lo + step, None]
+        np.divide(block, d, out=block)
+        block += by_row
+        block *= 0.5
+    return rows.T
 
 
 def _refine_blurred(m: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
-    """The refine_stages after the blur; m is copied by the threshold, then dropped."""
+    """The refine_stages after the blur up to the diffusion; m is copied by the
+    threshold, then dropped."""
     m = refine_threshold(m, params.p_percentile, params.soft_multiplier)
     yield "threshold", m
     m = refine_symmetrize(m)
     yield "symmetrize", m
     m = refine_diffuse(m)
     yield "diffuse", m
-    m = refine_row_max_normalize(m)
-    yield "rownorm", m
 
 
 def refine_stages(a: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
@@ -200,7 +229,10 @@ def refine_stages(a: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, 
     yield "blur", m
     rest = _refine_blurred(m, params)
     del m
-    yield from rest
+    for name, m in rest:
+        yield name, m
+    m = refine_row_max_normalize(m)
+    yield "rownorm", m
 
 
 def estimate_k_eigengap(
@@ -431,18 +463,18 @@ def blurred_affinity(embeddings, sigma: float) -> np.ndarray:
 
 def cluster_blurred(blurred: np.ndarray, params: SpectralParams) -> SpectralResult:
     """The rest of spectral_cluster, from blurred_affinity's matrix (params.sigma unread):
-    the refine_stages after the blur, (M + Mᵀ)/2, eigen-gap k, re-embedding, k-means.
-    `blurred` is neither written nor held past the threshold's copy, so calls may share
-    it. Cluster bounds are clamped to n; with no eigen-gap range left, k is the minimum."""
+    the refine_stages after the blur, with the row-max normalization and (M + Mᵀ)/2 in
+    one pass, then eigen-gap k, re-embedding, k-means. `blurred` is neither written nor
+    held past the threshold's copy, so calls may share it. Cluster bounds are clamped
+    to n; with no eigen-gap range left, k is the minimum."""
     stages = _refine_blurred(blurred, params)
     del blurred
     for _, m in stages:
         pass
+    m = _row_max_normalize_symmetrize(m)
     n = m.shape[0]
     min_c = min(params.min_clusters, n)
     max_c = min(params.max_clusters, n)
-    m = m + m.T
-    m *= 0.5
     # the eigen-gap rule reads values[0 .. min(max_c, n - 1)] and the
     # embedding at most the first max_c vectors: nothing past them is needed
     decomp = eigh(m, count=min(max_c, n - 1) + 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg.blas import dgemv, dsyrk
@@ -131,15 +132,37 @@ def row_block(width: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, width))
 
 
+# Passes that read a matrix against its transpose walk square tiles of this
+# side, each beside its mirror: the two (2 x 128 KiB of float64) stay in
+# cache, where the transpose of a row block strides over every row of the
+# matrix. A quarter of _BLOCK_ENTRIES: at n = 2800 on 2 vCPUs, 128 beat 64
+# and 256 on each tiled pass.
+_TILE = math.isqrt(_BLOCK_ENTRIES // 4)
+
+
+def upper_tiles(n: int) -> Iterator[tuple[slice, slice]]:
+    """(rows, cols) of each square tile of an n x n matrix on or above the diagonal.
+
+    With its mirror [cols, rows] (the tile itself when rows == cols), every
+    entry is covered once.
+    """
+    for lo in range(0, n, _TILE):
+        rows = slice(lo, lo + _TILE)
+        for left in range(lo, n, _TILE):
+            yield rows, slice(left, left + _TILE)
+
+
 def gram(x) -> np.ndarray:
-    """x xᵀ, Fortran-ordered: scipy's BLAS dsyrk (half a dgemm's work) fills the
-    upper triangle from the view xᵀ (no copy of a C-ordered x); blocks copy it down."""
+    """x xᵀ, Fortran-ordered and exactly symmetric: scipy's BLAS dsyrk (half a
+    dgemm's work) fills the upper triangle from the view xᵀ (no copy of a
+    C-ordered x); tiles copy it down."""
     g = dsyrk(1.0, np.asarray(x, dtype=np.float64).T, trans=1)
-    step = row_block(g.shape[0])
-    for lo in range(0, g.shape[0], step):
-        block = g[lo : lo + step, lo : lo + step]
-        block += np.triu(block, 1).T
-        g[lo + step :, lo : lo + step] = g[lo : lo + step, lo + step :].T
+    for rows, cols in upper_tiles(g.shape[0]):
+        if rows == cols:
+            tile = g[rows, rows]
+            np.copyto(tile, tile.T, where=np.tri(tile.shape[0], k=-1, dtype=bool))
+        else:
+            g[cols, rows] = g[rows, cols].T
     return g
 
 
@@ -160,13 +183,13 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    # finiteness and max |m - mᵀ|, one block of rows at a time: no n x n temporary
+    # finiteness and max |m - mᵀ|, a tile and its mirror at a time: no n x n temporary
     asym = 0.0
-    step = row_block(n)
-    for lo in range(0, n, step):
-        if not np.isfinite(m[lo : lo + step]).all():
+    for rows, cols in upper_tiles(n):
+        upper, lower = m[rows, cols], m[cols, rows]
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
             raise InvalidInputError("matrix contains non-finite entries")
-        diff = m[lo : lo + step] - m[:, lo : lo + step].T
+        diff = upper - lower.T
         asym = max(asym, float(np.abs(diff, out=diff).max()))
     if asym > SYMMETRY_TOL:
         raise InvalidInputError(f"matrix is asymmetric beyond tolerance ({asym:.3e})")

@@ -13,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from diarkit import (
     Annotation,
@@ -63,6 +64,12 @@ def direct_blur(m: np.ndarray, sigma: float) -> np.ndarray:
             patch = padded[y : y + size, x : x + size]
             out[y, x] = float(np.sum(patch * kernel))
     return out
+
+
+def mirrored_syrk(x: np.ndarray) -> np.ndarray:
+    """x xᵀ as BLAS dsyrk computes its upper triangle, mirrored whole onto the lower."""
+    upper = dsyrk(1.0, np.asarray(x, dtype=np.float64).T, trans=1)
+    return np.where(np.tri(upper.shape[0], k=-1, dtype=bool), upper.T, upper)
 
 
 def sort_threshold(m: np.ndarray, kth: int, soft: float) -> np.ndarray:

@@ -581,6 +581,35 @@ class TestEntrypointPlumbing:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "cell, message",
+        [(b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"), (b"x", "line 2: bad ")],
+        ids=["non_utf8", "bad_cell"],
+    )
+    @pytest.mark.parametrize("command", ["diarize", "evaluate", "sweep"])
+    def test_input_errors_name_their_file(self, tmp_path, capsys, command, cell, message):
+        good = run_synth(tmp_path, "good")
+        bad = tmp_path / "bad.csv"
+        if command == "evaluate":  # the UEM: its second line is at fault
+            bad.write_bytes(b"good 1 0.0 1.0\ngood 1 2.0 " + cell + b"\n")
+        else:
+            bad.write_bytes(b"start,end,v0\n0.0,0.24," + cell + b"\n")
+        ref = tmp_path / "ref.rttm"
+        ref.write_text(good["ref"].read_text()
+                       + "SPEAKER bad 1 0.000000 1.000000 <NA> <NA> A <NA> <NA>\n")
+        listing = tmp_path / "dev.list"
+        listing.write_text(f"{good['emb']}\n{bad}\n")  # the second entry is at fault
+        argv = {
+            "diarize": ["--embeddings", str(bad), "--out", str(tmp_path / "o.rttm")],
+            "evaluate": ["--reference", str(ref), "--hypothesis", str(ref), "--uem", str(bad)],
+            "sweep": ["--embeddings-list", str(listing), "--reference", str(ref),
+                      "--param", "sigma", "--grid", "1:1:1"],
+        }[command]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}")
+        assert err.count("\n") == 1
+
     def test_defaults_are_the_library_defaults(self):
         parser = build_parser()
         d = parser.parse_args(["diarize", "--embeddings", "e.csv", "--out", "o.rttm"])

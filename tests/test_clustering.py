@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import tracemalloc
 
@@ -13,10 +15,13 @@ from diarkit import (
     KMeansParams,
     NaiveOnlineClusterer,
     SpectralParams,
+    SynthScenario,
     build_affinity,
     eigh,
     estimate_k_eigengap,
     estimate_k_elbow,
+    gaussian_blur,
+    generate,
     kmeans,
     mscd_table,
     refine_diffuse,
@@ -28,8 +33,14 @@ from diarkit import (
     spectral_cluster,
     spectral_embed,
 )
-from diarkit.clustering import _lloyd, blurred_affinity, cluster_blurred
-from diarkit.numerics import nearest_rank_index
+from diarkit.clustering import (
+    _lloyd,
+    _row_max_normalize_symmetrize,
+    blurred_affinity,
+    cluster_blurred,
+)
+from diarkit.numerics import _TILE, gram, nearest_rank_index
+from diarkit.pipeline import segment_embeddings
 from oracles import sort_threshold
 
 BLOCK = np.array(
@@ -261,6 +272,76 @@ class TestRefineChain:
         final = dict(refine_stages(g, params))["rownorm"]
         expected = refine_row_max_normalize(refine_diffuse(g))
         assert np.max(np.abs(final - expected)) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def synth_segments():
+    """Segment embeddings of a 2-min 3-speaker synth: 279 rows, past two tiles."""
+    _, windows, regions = generate(SynthScenario(n_speakers=3, duration=120.0, seed=3))
+    with contextlib.redirect_stderr(io.StringIO()):  # aggregate's drop warning
+        segments = segment_embeddings(windows, regions)
+    return np.stack([s.embedding for s in segments])
+
+
+def raised(f, m) -> tuple[type, str]:
+    with pytest.raises(InvalidInputError) as info:
+        f(m)
+    return type(info.value), str(info.value)
+
+
+class TestRowMaxNormalizeSymmetrize:
+    """cluster_blurred's closing pass against refine_row_max_normalize, then (R + Rᵀ)/2."""
+
+    @pytest.mark.parametrize("n", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, None])
+    def test_bit_equal_to_rownorm_then_symmetrize(self, synth_segments, n):
+        stages = dict(refine_stages(build_affinity(synth_segments[:n]), SpectralParams()))
+        y, r = stages["diffuse"], stages["rownorm"]
+        out = _row_max_normalize_symmetrize(y)
+        assert np.shares_memory(out, y)
+        assert out.tobytes() == ((r + r.T) * 0.5).tobytes()
+
+    def test_errors_as_rownorm_and_in_its_order(self):
+        x = np.random.default_rng(52).uniform(0.1, 1.0, size=(_TILE + 1, 4))
+        degenerate = x.copy()
+        degenerate[_TILE] = 0.0  # row and column TILE of its Gram matrix are 0
+        nan, both = gram(x), gram(degenerate)
+        for m in (nan, both):
+            m[_TILE - 1, 2] = m[2, _TILE - 1] = np.nan
+        for bad, error in [
+            (gram(degenerate), DegenerateAffinityError),
+            (nan, InvalidInputError),
+            (both, InvalidInputError),  # non-finite before the row maxima
+        ]:
+            before = bad.copy(order="F")
+            expected = raised(refine_row_max_normalize, bad)
+            assert expected[0] is error
+            assert raised(_row_max_normalize_symmetrize, bad) == expected
+            assert np.array_equal(bad, before, equal_nan=True)
+
+    def test_refine_stages_composes_the_public_stages(self, synth_segments):
+        params = SpectralParams()
+        a = build_affinity(synth_segments)
+        m = gaussian_blur(a, params.sigma)
+        expected = [("blur", m)]
+        for name, stage in [
+            ("threshold", lambda m: refine_threshold(m, params.p_percentile, params.soft_multiplier)),
+            ("symmetrize", refine_symmetrize),
+            ("diffuse", refine_diffuse),
+            ("rownorm", refine_row_max_normalize),
+        ]:
+            m = stage(m)
+            expected.append((name, m))
+        got = list(refine_stages(a, params))
+        assert [name for name, _ in got] == [name for name, _ in expected]
+        assert all(g.tobytes() == e.tobytes() for (_, g), (_, e) in zip(got, expected))
+
+    def test_cluster_blurred_solves_the_symmetrized_rownorm(self, synth_segments):
+        params = SpectralParams()
+        r = dict(refine_stages(build_affinity(synth_segments), params))["rownorm"]
+        expected = eigh((r + r.T) * 0.5, count=params.max_clusters + 1)
+        assert spectral_cluster(synth_segments, params).eigenvalues.tobytes() == (
+            expected.values.tobytes()
+        )
 
 
 class TestEstimateKEigengap:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,9 +22,10 @@ from diarkit import (
     nearest_rank_percentile,
     optimal_assignment,
     refine_stages,
+    refine_symmetrize,
 )
-from diarkit.numerics import gram, l2_normalize_rows
-from oracles import brute_force_assignment, direct_blur
+from diarkit.numerics import _TILE, gram, l2_normalize_rows, upper_tiles
+from oracles import brute_force_assignment, direct_blur, mirrored_syrk
 
 
 class TestL2Normalize:
@@ -269,9 +271,8 @@ class TestEigh:
         m = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
         eigh(m)
 
-    # in blocks of 2**16 entries: two row blocks at n = 257 and nineteen at
-    # n = 1100; (n-1, n-2) lies in the last block only, (0, n-1) off the
-    # diagonal blocks
+    # (n-1, n-2) lies in the last diagonal tile, (0, n-1) in the top right
+    # tile, whose mirror is the bottom left
     @pytest.mark.parametrize("n", [257, 1100])
     @pytest.mark.parametrize("i, j", [(-1, -2), (0, -1)], ids=["last_block", "off_diagonal"])
     def test_asymmetry_found_in_any_row_block(self, n, i, j):
@@ -285,6 +286,57 @@ class TestEigh:
             eigh(bad, count=1)
         m[i, j] += 1e-12
         eigh(m, count=1)
+
+
+# Sizes around the edges of the square tiles that the transposed passes walk.
+TILE_EDGES = [1, 2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, 700]
+
+
+def symmetric(n: int) -> np.ndarray:
+    b = np.random.default_rng(n).standard_normal((n, 3))
+    m = b @ b.T
+    return 0.5 * (m + m.T)
+
+
+class TestTiledPasses:
+    @pytest.mark.parametrize("n", TILE_EDGES)
+    def test_tiles_and_mirrors_cover_each_entry_once(self, n):
+        seen = np.zeros((n, n), dtype=int)
+        for rows, cols in upper_tiles(n):
+            seen[rows, cols] += 1
+            if rows != cols:
+                seen[cols, rows] += 1
+        assert np.all(seen == 1)
+
+    @pytest.mark.parametrize("n", TILE_EDGES)
+    def test_symmetrize_is_elementwise_max(self, n):
+        m = np.random.default_rng(n).standard_normal((n, n))
+        m[::3, ::2] = 0.0  # signed zeros: np.maximum keeps its first argument's
+        m[1::3, ::2] = -0.0
+        assert refine_symmetrize(m).tobytes() == np.maximum(m, m.T).tobytes()
+
+    @pytest.mark.parametrize("n", TILE_EDGES)
+    def test_gram_bitwise_symmetric(self, n):
+        x = np.random.default_rng(n).standard_normal((n, 5))
+        g = gram(x)
+        assert g.flags.f_contiguous
+        assert g.tobytes() == g.T.tobytes()
+        assert g.tobytes() == mirrored_syrk(x).tobytes()
+
+    @pytest.mark.parametrize("n", TILE_EDGES[1:])  # an entry below the diagonal
+    @pytest.mark.parametrize("where", ["corner", "tile_edge"])
+    def test_eigh_check_reads_lower_tiles(self, n, where):
+        # (n-1, 0) lies in the bottom left tile; (TILE, TILE-1) just below the
+        # first diagonal tile; both below the diagonal for n <= TILE
+        i, j = (n - 1, 0) if where == "corner" else (min(_TILE, n - 1), min(_TILE, n - 1) - 1)
+        bad = symmetric(n)
+        bad[i, j] += 1e-6
+        text = f"matrix is asymmetric beyond tolerance ({abs(bad[i, j] - bad[j, i]):.3e})"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(text)}$"):
+            eigh(bad)
+        bad[i, j] = np.nan
+        with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
+            eigh(bad)
 
 
 def refined_affinity(n: int, seed: int) -> np.ndarray:
