@@ -69,18 +69,13 @@ from .metrics import (
 )
 from .numerics import (
     EigenDecomposition,
-    cosine_distance,
-    cosine_similarity,
     eigh,
     gaussian_blur,
     l2_normalize,
-    nearest_rank_percentile,
     optimal_assignment,
 )
 from .synth import (
-    SpeakerStats,
     SynthScenario,
-    angular_stats,
     generate,
     speaker_directions,
 )

@@ -108,8 +108,8 @@ def segmentize(
     0.01 s are merged into the preceding piece, and regions shorter than
     0.01 s are dropped entirely.
     """
-    if not (max_len > 0) or not np.isfinite(max_len):
-        raise InvalidInputError(f"max_len must be positive, got {max_len}")
+    if not (0 < max_len < np.inf):
+        raise InvalidInputError(f"max_len must be finite and positive, got {max_len}")
     _check_disjoint([region.interval for region in regions], "speech regions")
     out: list[TimeInterval] = []
     for region in regions:

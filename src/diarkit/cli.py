@@ -9,6 +9,7 @@ flag, or file-format errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -19,7 +20,8 @@ from .aggregation import DEFAULT_MAX_SEGMENT_LEN
 from .clustering import SpectralParams, build_affinity, refine_stages
 from .core import Annotation, InvalidInputError, NumericError, ParseError
 from .metrics import DerReport, EvalOptions, combine_reports, der
-from .pipeline import ALGORITHMS, DiarizeConfig, diarize, diarize_grid, segment_embeddings
+from .pipeline import (ALGORITHMS, DiarizeConfig, diarize, diarize_grid, segment_embeddings,
+                       stack_segments)
 from .synth import SCENARIO_KINDS, SynthScenario, generate
 
 
@@ -52,14 +54,14 @@ def _read(path: str, parse=str):
 
 def _dump_stages(prefix: str, seg_embs, params: SpectralParams) -> None:
     """Rebuild the raw affinity and each refinement stage; write each as a PGM."""
-    affinity = build_affinity(seg_embs)
+    affinity = build_affinity(stack_segments(seg_embs)[0])
     formats.write_pgm_heatmap(affinity, f"{prefix}_00_affinity.pgm")
     for i, (name, stage) in enumerate(refine_stages(affinity, params), start=1):
         formats.write_pgm_heatmap(stage, f"{prefix}_{i:02d}_{name}.pgm")
 
 
 def cmd_diarize(args) -> int:
-    _require(args.max_segment_len > 0, "--max-segment-len must be positive")
+    _require(0 < args.max_segment_len < math.inf, "--max-segment-len must be finite and positive")
     _require(not (args.dump_stages and args.algorithm != "spectral"),
              "--dump-stages applies only to --algorithm spectral")
     with _flag_values():
@@ -131,7 +133,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _require(args.duration > 0, "--duration must be positive")
+    _require(0 < args.duration < math.inf, "--duration must be finite and positive")
     _require(args.speakers >= 1, "--speakers must be >= 1")
     _require(args.dim >= 1, "--dim must be >= 1")
     _require(0 <= args.noise_deg <= 90, "--noise-deg must lie in [0, 90]")

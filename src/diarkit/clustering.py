@@ -1,4 +1,4 @@
-"""Clustering algorithms over segment embeddings.
+"""Clustering algorithms over segment embeddings, one (n, d) matrix of them.
 
 Offline: spherical k-means (elbow count) and spectral clustering (eigen-gap
 count) on a refined cosine affinity: a sigma-only front half, blurred_affinity,
@@ -13,12 +13,7 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from .core import (
-    ClusteringResult,
-    DegenerateAffinityError,
-    InvalidInputError,
-    as_float_vector,
-)
+from .core import ClusteringResult, DegenerateAffinityError, InvalidInputError
 from .numerics import (
     ZERO_NORM_TOL,
     EigenDecomposition,
@@ -90,21 +85,21 @@ class KMeansParams:
 
 
 def embedding_matrix(embeddings) -> np.ndarray:
-    """Stack embeddings (raw vectors or objects with .embedding) into (n, d)."""
-    if isinstance(embeddings, np.ndarray) and embeddings.ndim == 2:
+    """Any array-like of n rows of d numbers as a checked (n, d) float64 copy."""
+    try:
         x = np.array(embeddings, dtype=np.float64)
-        if x.shape[0] == 0 or x.shape[1] == 0:
-            raise InvalidInputError("empty embedding matrix")
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("embeddings contain non-finite entries")
-        return x
-    rows = [as_float_vector(getattr(e, "embedding", e)) for e in embeddings]
-    if not rows:
-        raise InvalidInputError("no embeddings given")
-    dim = rows[0].size
-    if any(r.size != dim for r in rows):
-        raise InvalidInputError("embeddings must share one dimension")
-    return np.stack(rows)
+    except (TypeError, ValueError) as exc:  # ragged rows, or items that are not numbers
+        raise InvalidInputError(
+            f"embeddings must be rows of numbers that share one dimension: {exc}"
+        ) from None
+    if x.ndim != 2:
+        raise InvalidInputError("no embeddings given" if x.size == 0 else
+                                f"expected an (n, d) embedding matrix, got shape {x.shape}")
+    if x.size == 0:
+        raise InvalidInputError("empty embedding matrix")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("embeddings contain non-finite entries")
+    return x
 
 
 def build_affinity(embeddings) -> np.ndarray:
@@ -269,7 +264,7 @@ def estimate_k_eigengap(
 
 
 def spectral_embed(decomp: EigenDecomposition, k: int) -> np.ndarray:
-    """Rows of the top-k eigenvectors, each row L2-normalized.
+    """Rows of the top-k eigenvectors, not normalized: kmeans normalizes its input.
 
     Row i is the new embedding of segment i. Zero rows (possible when a
     segment has no weight in the top-k subspace) are replaced by the unit
@@ -282,7 +277,7 @@ def spectral_embed(decomp: EigenDecomposition, k: int) -> np.ndarray:
     zero = np.linalg.norm(rows, axis=1) < ZERO_NORM_TOL
     rows[zero] = 0.0
     rows[zero, 0] = 1.0
-    return l2_normalize_rows(rows)
+    return rows
 
 
 def _cos_dist_sq(u: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -519,7 +514,7 @@ class NaiveOnlineClusterer:
             )
 
     def step(self, embedding) -> int:
-        unit = l2_normalize(getattr(embedding, "embedding", embedding))
+        unit = l2_normalize(embedding)
         best_label = -1
         best_sim = -math.inf
         for label, s in enumerate(self._sums):
@@ -535,8 +530,6 @@ class NaiveOnlineClusterer:
 
 
 def run_online(clusterer: OnlineClusterer, embeddings) -> ClusteringResult:
-    """Feed embeddings through an online clusterer in order."""
-    labels = [clusterer.step(e) for e in embeddings]
-    if not labels:
-        raise InvalidInputError("no embeddings given")
+    """Feed the rows of the embedding matrix through an online clusterer in order."""
+    labels = [clusterer.step(e) for e in embedding_matrix(embeddings)]
     return ClusteringResult(labels=np.array(labels), k=max(labels) + 1)

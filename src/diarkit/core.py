@@ -146,7 +146,10 @@ class Annotation:
 
 def as_float_vector(values) -> np.ndarray:
     """Coerce to a finite 1-D float64 vector of dimension >= 1."""
-    v = np.asarray(values, dtype=np.float64)
+    try:
+        v = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged, or items that are not numbers
+        raise InvalidInputError(f"expected a 1-D vector of numbers: {exc}") from None
     if v.ndim != 1 or v.size < 1:
         raise InvalidInputError(f"expected a 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):

@@ -28,6 +28,14 @@ def _parse_float(token: str, what: str, line: int) -> float:
     return value
 
 
+def _interval(start: float, end: float, line: int) -> TimeInterval:
+    """TimeInterval(start, end), its rejection as a ParseError at the line."""
+    try:
+        return TimeInterval(start, end)
+    except InvalidInputError as exc:
+        raise ParseError(str(exc), line) from None
+
+
 def parse_rttm(text: str) -> list[Annotation]:
     """Parse SPEAKER lines into one Annotation per file id.
 
@@ -51,10 +59,7 @@ def parse_rttm(text: str) -> list[Annotation]:
             raise ParseError(f"duration must be positive, got {tdur}", lineno)
         if not name:
             raise ParseError("empty speaker name", lineno)
-        try:
-            interval = TimeInterval(tbeg, tbeg + tdur)
-        except InvalidInputError as exc:
-            raise ParseError(str(exc), lineno) from None
+        interval = _interval(tbeg, tbeg + tdur, lineno)
         segments.setdefault(file_id, []).append(Segment(interval, name))
     return [Annotation.create(file_id, segs) for file_id, segs in segments.items()]
 
@@ -82,8 +87,7 @@ def parse_uem(text: str) -> dict[str, list[TimeInterval]]:
             raise ParseError(f"expected 4 fields, got {len(fields)}", lineno)
         start = _parse_float(fields[2], "start time", lineno)
         end = _parse_float(fields[3], "end time", lineno)
-        if start >= end:
-            raise ParseError(f"start {start} must precede end {end}", lineno)
+        _interval(start, end, lineno)  # each line a valid span, checked as parse_rttm does
         raw.setdefault(fields[0], []).append((start, end))
     return {
         file_id: [TimeInterval(s, e) for s, e in interval_union(spans)]

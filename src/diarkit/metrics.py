@@ -80,8 +80,8 @@ class EvalOptions:
     uem: tuple[TimeInterval, ...] | None = None
 
     def __post_init__(self):
-        if not (self.collar >= 0):
-            raise InvalidInputError(f"collar must be >= 0, got {self.collar}")
+        if not (0 <= self.collar < np.inf):
+            raise InvalidInputError(f"collar must be finite and >= 0, got {self.collar}")
         if self.uem is not None:
             object.__setattr__(self, "uem", tuple(self.uem))
 

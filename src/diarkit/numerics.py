@@ -1,8 +1,8 @@
 """Vector and matrix primitives used across the pipeline.
 
-Cosine geometry, Gram products and the eigensolver's matvec on scipy's BLAS
+Unit rows, Gram products and the eigensolver's matvec on scipy's BLAS
 (not numpy's: two OpenBLAS thread pools slow each other, see README), 2-D
-Gaussian blur, nearest-rank percentiles, symmetric eigen-decomposition (full,
+Gaussian blur, the nearest-rank percentile index, symmetric eigen-decomposition (full,
 or partial top-k when fewer than all pairs are asked for) with a
 deterministic ordering/sign convention, and maximum-weight assignment.
 """
@@ -48,25 +48,6 @@ def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / norms[:, None]
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between a and b, clamped to [-1, 1]."""
-    a = as_float_vector(a)
-    b = as_float_vector(b)
-    if a.shape != b.shape:
-        raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < ZERO_NORM_TOL or nb < ZERO_NORM_TOL:
-        raise InvalidInputError("cosine similarity undefined for zero vectors")
-    cos = float(np.dot(a, b)) / (na * nb)
-    return min(1.0, max(-1.0, cos))
-
-
-def cosine_distance(a, b) -> float:
-    """d(a, b) = (1 - cos(a, b)) / 2, in [0, 1]."""
-    return (1.0 - cosine_similarity(a, b)) / 2.0
-
-
 def gaussian_blur(m, sigma: float) -> np.ndarray:
     """2-D convolution with a truncated, normalized Gaussian kernel.
 
@@ -94,15 +75,6 @@ def nearest_rank_index(p: float, n: int) -> int:
     if n < 1:
         raise InvalidInputError("percentile of an empty collection")
     return min(n - 1, max(0, math.ceil(p / 100.0 * n) - 1))
-
-
-def nearest_rank_percentile(row, p: float) -> float:
-    """Nearest-rank percentile: sorted[ceil(p/100 * n) - 1], no interpolation."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.size == 0:
-        raise InvalidInputError("percentile requires a non-empty 1-D vector")
-    ordered = np.sort(row)
-    return float(ordered[nearest_rank_index(p, row.size)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .aggregation import SpeechRegion, Windows
 from .core import Annotation, InvalidInputError, Segment, TimeInterval
-from .numerics import l2_normalize, l2_normalize_rows
+from .numerics import l2_normalize_rows
 
 WINDOW_SIZE = 0.24
 WINDOW_STEP = 0.12
@@ -51,8 +51,8 @@ class SynthScenario:
     def __post_init__(self):
         if self.n_speakers < 1:
             raise InvalidInputError(f"n_speakers must be >= 1, got {self.n_speakers}")
-        if not (self.duration > 0):
-            raise InvalidInputError(f"duration must be positive, got {self.duration}")
+        if not (0 < self.duration < math.inf):
+            raise InvalidInputError(f"duration must be finite and positive, got {self.duration}")
         if self.dim < 1:
             raise InvalidInputError(f"dim must be >= 1, got {self.dim}")
         if self.scenario_kind not in SCENARIO_KINDS:
@@ -193,40 +193,3 @@ def generate(
     windows = Windows(starts, starts + WINDOW_SIZE, np.concatenate(vectors))
     reference = Annotation.create(f"synth-{scenario.scenario_kind}-{scenario.seed}", segments)
     return reference, windows, regions
-
-
-@dataclass(frozen=True)
-class SpeakerStats:
-    """Empirical direction statistics for one planted speaker."""
-
-    speaker: str
-    count: int
-    mean_direction: np.ndarray
-    spread_deg: float
-
-
-def angular_stats(windows: Windows, reference: Annotation) -> dict[str, SpeakerStats]:
-    """Per-speaker empirical mean direction and mean angular deviation.
-
-    Windows are attributed to the first reference segment containing their
-    center time. Used as a generator self-check: the empirical mean
-    should sit within a couple of degrees of the planted direction.
-    """
-    centers = 0.5 * (windows.starts + windows.ends)
-    owner = np.full(len(windows), -1)
-    for j, seg in reversed(list(enumerate(reference))):
-        owner[(seg.interval.start <= centers) & (centers < seg.interval.end)] = j
-    attributed = np.flatnonzero(owner >= 0)
-    speakers = np.array([seg.speaker for seg in reference])[owner[attributed]]
-    unit = l2_normalize_rows(windows.vectors[attributed])
-    _, first = np.unique(speakers, return_index=True)
-    stats: dict[str, SpeakerStats] = {}
-    for speaker in speakers[np.sort(first)].tolist():
-        vecs = unit[speakers == speaker]
-        mean = l2_normalize(np.sum(vecs, axis=0))
-        cosines = np.clip(vecs @ mean, -1.0, 1.0)
-        spread = float(np.degrees(np.mean(np.arccos(cosines))))
-        stats[speaker] = SpeakerStats(
-            speaker=speaker, count=len(vecs), mean_direction=mean, spread_deg=spread
-        )
-    return stats

@@ -10,7 +10,7 @@ from diarkit import (
     der,
     generate,
 )
-from diarkit.pipeline import DiarizeConfig, cluster, segment_embeddings
+from diarkit.pipeline import DiarizeConfig, cluster, segment_embeddings, stack_segments
 
 # Dev-tuned spectral settings for the synthetic corpus: the affinities are
 # already clean, so the pre-threshold smoothing is disabled; everything
@@ -25,7 +25,7 @@ def prepare(scenario: SynthScenario):
 
 
 def _labels(embeddings, config: DiarizeConfig):
-    result = cluster(embeddings, config)
+    result = cluster(stack_segments(embeddings)[0], config)
     return result.labels, result.k
 
 

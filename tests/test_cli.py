@@ -177,6 +177,17 @@ class TestDiarize:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "0"])
+    def test_bad_max_segment_len_is_usage_error(self, tmp_path, capsys, value):
+        emb = tmp_path / "toy.csv"
+        emb.write_text(E1_E1_E2_CSV)
+        out = tmp_path / "o.rttm"
+        rc = main(["diarize", "--embeddings", str(emb), "--max-segment-len", value,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --max-segment-len must be finite and positive\n"
+        assert not out.exists()
+
     def test_kmeans_single_segment_is_one_speaker(self, tmp_path):
         emb = tmp_path / "single.csv"
         emb.write_text("start,end,v0,v1\n0.0,0.24,1.0,0.0\n")
@@ -339,6 +350,24 @@ class TestEvaluate:
         )
         assert rc == 0
         assert "total=50.0" in capsys.readouterr().out
+
+    def test_infinite_collar_is_usage_error(self, tmp_path, capsys):
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("SPEAKER rec1 1 0.000000 1.000000 <NA> <NA> A <NA> <NA>\n")
+        rc = main(["evaluate", "--reference", str(ref), "--hypothesis", str(ref),
+                   "--collar", "inf"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: collar must be finite and >= 0, got inf\n"
+
+    def test_negative_uem_start_names_file_and_line(self, tmp_path, capsys):
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("SPEAKER r 1 0.000000 1.000000 <NA> <NA> A <NA> <NA>\n")
+        uem = tmp_path / "bad.uem"
+        uem.write_text("r 1 -1.0 40.0\n")
+        rc = main(["evaluate", "--reference", str(ref), "--hypothesis", str(ref),
+                   "--uem", str(uem)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {uem}: line 1: negative interval start -1.0\n"
 
     def test_negative_collar_is_usage_error(self, tmp_path):
         ref = tmp_path / "ref.rttm"

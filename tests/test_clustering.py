@@ -14,8 +14,10 @@ from diarkit import (
     InvalidInputError,
     KMeansParams,
     NaiveOnlineClusterer,
+    SegmentEmbedding,
     SpectralParams,
     SynthScenario,
+    TimeInterval,
     build_affinity,
     eigh,
     estimate_k_eigengap,
@@ -38,8 +40,9 @@ from diarkit.clustering import (
     _row_max_normalize_symmetrize,
     blurred_affinity,
     cluster_blurred,
+    embedding_matrix,
 )
-from diarkit.numerics import _TILE, gram, nearest_rank_index
+from diarkit.numerics import _TILE, gram, l2_normalize_rows, nearest_rank_index
 from diarkit.pipeline import segment_embeddings
 from oracles import sort_threshold
 
@@ -79,6 +82,62 @@ def planted_points(rng, directions, per_cluster, noise_deg):
             points.append(v / np.linalg.norm(v))
             labels.append(idx)
     return np.array(points), np.array(labels)
+
+
+def segment_objects(x) -> list[SegmentEmbedding]:
+    return [SegmentEmbedding(TimeInterval(0.4 * i, 0.4 * (i + 1)), v) for i, v in enumerate(x)]
+
+
+class TestEmbeddingMatrix:
+    def test_any_array_like_of_rows(self):
+        rows = [[1, 0.5], [0.0, 2.0]]
+        for given in (rows, tuple(np.array(r) for r in rows), np.array(rows, dtype=np.float32)):
+            x = embedding_matrix(given)
+            assert x.dtype == np.float64
+            assert np.array_equal(x, rows)
+
+    def test_a_copy(self):
+        given = np.eye(2)
+        x = embedding_matrix(given)
+        x[0, 0] = 5.0
+        assert given[0, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            ([[1.0, 0.0], [1.0]], "share one dimension"),
+            ([], "^no embeddings given$"),
+            (np.zeros((0, 3)), "^empty embedding matrix$"),
+            ([[1.0, np.nan]], "^embeddings contain non-finite entries$"),
+            ([1.0, 2.0], r"^expected an \(n, d\) embedding matrix, got shape \(2,\)$"),
+        ],
+        ids=["ragged", "none", "empty", "non_finite", "one_row_of_scalars"],
+    )
+    def test_rejected(self, given, message):
+        with pytest.raises(InvalidInputError, match=message):
+            embedding_matrix(given)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            embedding_matrix,
+            build_affinity,
+            lambda x: blurred_affinity(x, 1.0),
+            lambda x: spectral_cluster(x, SpectralParams()),
+            lambda x: kmeans(x, KMeansParams(k=2)),
+            lambda x: estimate_k_elbow(x, 3, KMeansParams()),
+            lambda x: mscd_table(x, 3, KMeansParams()),
+            lambda x: run_online(NaiveOnlineClusterer(), x),
+            lambda x: NaiveOnlineClusterer().step(x[0]),
+        ],
+        ids=["embedding_matrix", "build_affinity", "blurred_affinity", "spectral_cluster",
+             "kmeans", "estimate_k_elbow", "mscd_table", "run_online", "step"],
+    )
+    def test_segment_objects_rejected(self, call):
+        # the clusterers take the matrix; pipeline.stack_segments builds it
+        segments = segment_objects(np.eye(3)[[0, 0, 1, 1, 2, 2]])
+        with pytest.raises(InvalidInputError, match="of numbers"):
+            call(segments)
 
 
 class TestBuildAffinity:
@@ -335,6 +394,21 @@ class TestRowMaxNormalizeSymmetrize:
         assert [name for name, _ in got] == [name for name, _ in expected]
         assert all(g.tobytes() == e.tobytes() for (_, g), (_, e) in zip(got, expected))
 
+    @pytest.mark.parametrize("n", [_TILE - 1, _TILE + 1])
+    def test_labels_are_kmeans_of_the_re_embedding(self, synth_segments, n):
+        # normalized once, by kmeans: spectral_embed's rows go in as they are
+        params = SpectralParams()
+        x = synth_segments[:n]
+        r = dict(refine_stages(build_affinity(x), params))["rownorm"]
+        decomp = eigh((r + r.T) * 0.5, count=params.max_clusters + 1)
+        k = estimate_k_eigengap(
+            decomp.values, params.min_clusters, params.max_clusters, params.eig_floor
+        )
+        expected = kmeans(spectral_embed(decomp, k), KMeansParams(k=k, seed=params.seed))
+        got = cluster_blurred(blurred_affinity(x, params.sigma), params).clustering
+        assert got.k == expected.k == k
+        assert np.array_equal(got.labels, expected.labels)
+
     def test_cluster_blurred_solves_the_symmetrized_rownorm(self, synth_segments):
         params = SpectralParams()
         r = dict(refine_stages(build_affinity(synth_segments), params))["rownorm"]
@@ -396,8 +470,9 @@ class TestSpectralEmbed:
         assert abs(rows[0] @ rows[2]) < 1e-10
 
     def test_k1_rows_collapse_to_unit_scalars(self):
+        # kmeans' one normalization of the re-embedding leaves each row +-1
         decomp = eigh(BLOCK)
-        rows = spectral_embed(decomp, 1)
+        rows = l2_normalize_rows(spectral_embed(decomp, 1))
         assert np.allclose(np.abs(rows), 1.0)
 
     def test_zero_row_replaced_by_first_axis(self):

@@ -115,6 +115,11 @@ class TestUem:
             parse_uem("rec1 1 7.0 7.0\n")
         assert "line 1" in str(info.value)
 
+    def test_negative_start_rejected_with_line(self):
+        # checked per line, before spans are merged, as parse_rttm checks its lines
+        with pytest.raises(ParseError, match=r"^line 2: negative interval start -1\.0$"):
+            parse_uem("rec1 1 0.0 5.0\nrec1 1 -1.0 40.0\n")
+
     def test_empty_input(self):
         assert parse_uem("") == {}
 

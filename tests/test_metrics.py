@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -238,6 +239,11 @@ class TestEvalOptions:
     def test_negative_collar_rejected(self):
         with pytest.raises(InvalidInputError):
             EvalOptions(collar=-0.1)
+
+    def test_non_finite_collar_rejected(self):
+        for collar in (math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="collar must be finite and >= 0"):
+                EvalOptions(collar=collar)
 
     def test_uem_stored_as_tuple(self):
         opts = EvalOptions(uem=[TimeInterval(0, 1)])

@@ -13,19 +13,23 @@ from diarkit import (
     NumericError,
     SpectralParams,
     build_affinity,
-    cosine_distance,
-    cosine_similarity,
     eigh,
     estimate_k_eigengap,
     gaussian_blur,
     l2_normalize,
-    nearest_rank_percentile,
     optimal_assignment,
     refine_stages,
     refine_symmetrize,
 )
 from diarkit.numerics import _TILE, gram, l2_normalize_rows, upper_tiles
-from oracles import brute_force_assignment, direct_blur, mirrored_syrk
+from oracles import (
+    brute_force_assignment,
+    cosine_distance,
+    cosine_similarity,
+    direct_blur,
+    mirrored_syrk,
+    nearest_rank_percentile,
+)
 
 
 class TestL2Normalize:

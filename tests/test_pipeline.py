@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import diarkit.clustering
+import diarkit.pipeline
 from diarkit import (
     InvalidInputError,
     KMeansParams,
@@ -17,7 +18,14 @@ from diarkit import (
     regions_from_windows,
     segmentize,
 )
-from diarkit.pipeline import DiarizeConfig, cluster, diarize, diarize_grid, segment_embeddings
+from diarkit.pipeline import (
+    DiarizeConfig,
+    cluster,
+    diarize,
+    diarize_grid,
+    segment_embeddings,
+    stack_segments,
+)
 
 
 class TestDiarizeConfig:
@@ -39,6 +47,19 @@ class TestSegmentEmbeddings:
         assert all(np.array_equal(a.embedding, b.embedding) for a, b in zip(got, expected))
 
 
+class TestStackSegments:
+    def test_matrix_and_intervals_in_order(self):
+        _, windows, regions = generate(SynthScenario(n_speakers=2, duration=20, seed=3))
+        segs = segment_embeddings(windows, regions)
+        x, intervals = stack_segments(segs)
+        assert x.tobytes() == np.stack([se.embedding for se in segs]).tobytes()
+        assert intervals == [se.interval for se in segs]
+
+    def test_no_segments_rejected(self):
+        with pytest.raises(InvalidInputError, match="no embeddings given"):
+            stack_segments([])
+
+
 class TestCluster:
     def test_kmeans_respects_speaker_bounds(self):
         x = np.array([[1.0, 0.0]] * 10 + [[-1.0, 0.0]] * 10)
@@ -52,7 +73,7 @@ class TestCluster:
         _, windows, regions = generate(
             SynthScenario(n_speakers=4, duration=30, scenario_kind=kind, seed=11)
         )
-        segs = segment_embeddings(windows, regions)
+        x, _ = stack_segments(segment_embeddings(windows, regions))
         calls = 0
         lloyd = diarkit.clustering._lloyd
 
@@ -63,10 +84,10 @@ class TestCluster:
 
         monkeypatch.setattr(diarkit.clustering, "_lloyd", counted)
         params = SpectralParams(seed=2)
-        result = cluster(segs, DiarizeConfig("kmeans", spectral=params))
-        assert calls == KMeansParams().restarts * min(params.max_clusters, len(segs))
+        result = cluster(x, DiarizeConfig("kmeans", spectral=params))
+        assert calls == KMeansParams().restarts * min(params.max_clusters, len(x))
         # the two-step path: the elbow's k, then kmeans at that k
-        expected = kmeans(segs, KMeansParams(k=result.k, seed=params.seed))
+        expected = kmeans(x, KMeansParams(k=result.k, seed=params.seed))
         assert np.array_equal(result.labels, expected.labels)
 
 
@@ -83,6 +104,29 @@ class TestDiarizeGrid:
         ]
         got = diarize_grid("rec", segs, configs)
         assert [list(a) for a in got] == [list(diarize("rec", segs, c)) for c in configs]
+
+    def test_segments_stacked_once(self, monkeypatch):
+        _, windows, regions = generate(SynthScenario(n_speakers=3, duration=30, seed=4))
+        segs = segment_embeddings(windows, regions)
+        configs = [
+            DiarizeConfig(spectral=SpectralParams(sigma=1.0)),
+            DiarizeConfig("kmeans"),
+            DiarizeConfig("naive", threshold=0.3),
+            DiarizeConfig(spectral=SpectralParams(sigma=0.5)),
+            DiarizeConfig("kmeans", spectral=SpectralParams(seed=1)),
+        ]
+        expected = [list(diarize("rec", segs, c)) for c in configs]
+        stacked = []
+        stack = diarkit.pipeline.stack_segments
+
+        def counted(seg_embs):
+            stacked.append(len(seg_embs))
+            return stack(seg_embs)
+
+        monkeypatch.setattr(diarkit.pipeline, "stack_segments", counted)
+        got = diarize_grid("rec", segs, configs)
+        assert stacked == [len(segs)]
+        assert [list(a) for a in got] == expected
 
     def test_errors_as_in_diarize(self):
         segs = [SegmentEmbedding(TimeInterval(0.0, 0.4), np.array([1.0, 0.0]))]

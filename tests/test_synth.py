@@ -8,13 +8,13 @@ from diarkit import (
     InvalidInputError,
     SpectralParams,
     SynthScenario,
-    angular_stats,
     der,
     generate,
     speaker_directions,
 )
-from diarkit.pipeline import DiarizeConfig, cluster, diarize, segment_embeddings
+from diarkit.pipeline import DiarizeConfig, cluster, diarize, segment_embeddings, stack_segments
 from diarkit.synth import WINDOW_SIZE, WINDOW_STEP
+from oracles import angular_stats
 
 
 def angle_deg(u, v) -> float:
@@ -33,6 +33,12 @@ class TestScenarioValidation:
             SynthScenario(n_speakers=2, duration=10, within_noise_deg=95)
         with pytest.raises(InvalidInputError):
             SynthScenario(n_speakers=2, duration=10, imbalance_ratio=1.5)
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, duration):
+        # an infinite duration would draw turns without end
+        with pytest.raises(InvalidInputError, match="duration must be finite and positive"):
+            SynthScenario(n_speakers=2, duration=duration)
 
     def test_separated_needs_enough_dimensions(self):
         with pytest.raises(InvalidInputError):
@@ -161,7 +167,8 @@ class TestGenerate:
         reference, windows, regions = generate(scenario)
         assert reference.labels() == ["S0"]
         config = DiarizeConfig(spectral=SpectralParams(min_clusters=1, seed=0))
-        assert cluster(segment_embeddings(windows, regions), config).k == 1
+        x, _ = stack_segments(segment_embeddings(windows, regions))
+        assert cluster(x, config).k == 1
 
     def test_separated_three_speakers_end_to_end(self):
         scenario = SynthScenario(n_speakers=3, duration=120, within_noise_deg=5, seed=0)
