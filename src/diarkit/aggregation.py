@@ -106,10 +106,12 @@ def segmentize(
 
     The final piece of a region is the remainder; remainders shorter than
     0.01 s are merged into the preceding piece, and regions shorter than
-    0.01 s are dropped entirely.
+    0.01 s are dropped entirely. max_len itself must be at least 0.01 s.
     """
     if not (0 < max_len < np.inf):
         raise InvalidInputError(f"max_len must be finite and positive, got {max_len}")
+    if max_len < MIN_PIECE_LEN:  # else the piece count is unbounded
+        raise InvalidInputError(f"max_len must be at least {MIN_PIECE_LEN} s, got {max_len}")
     _check_disjoint([region.interval for region in regions], "speech regions")
     out: list[TimeInterval] = []
     for region in regions:

@@ -16,7 +16,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import io as formats
-from .aggregation import DEFAULT_MAX_SEGMENT_LEN
+from .aggregation import DEFAULT_MAX_SEGMENT_LEN, MIN_PIECE_LEN
 from .clustering import SpectralParams, build_affinity, refine_stages
 from .core import Annotation, InvalidInputError, NumericError, ParseError
 from .metrics import DerReport, EvalOptions, combine_reports, der
@@ -62,6 +62,8 @@ def _dump_stages(prefix: str, seg_embs, params: SpectralParams) -> None:
 
 def cmd_diarize(args) -> int:
     _require(0 < args.max_segment_len < math.inf, "--max-segment-len must be finite and positive")
+    _require(args.max_segment_len >= MIN_PIECE_LEN,
+             f"--max-segment-len must be at least {MIN_PIECE_LEN} s")
     _require(not (args.dump_stages and args.algorithm != "spectral"),
              "--dump-stages applies only to --algorithm spectral")
     with _flag_values():

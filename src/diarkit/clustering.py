@@ -17,6 +17,7 @@ from .core import ClusteringResult, DegenerateAffinityError, InvalidInputError
 from .numerics import (
     ZERO_NORM_TOL,
     EigenDecomposition,
+    all_finite,
     eigh,
     gaussian_blur,
     gram,
@@ -106,12 +107,14 @@ def build_affinity(embeddings) -> np.ndarray:
     """Pairwise cosine similarities; each diagonal entry takes its row's max.
 
     Raw cosines are kept in [-1, 1] (no shift); thresholding and
-    normalization downstream handle the sign.
+    normalization downstream handle the sign. C-ordered: gram's result seen
+    through its transpose, the same matrix, since it is exactly symmetric.
     """
     x = embedding_matrix(embeddings)
     if x.shape[0] < 2:
         raise InvalidInputError("affinity needs at least 2 embeddings")
-    a = np.clip(gram(l2_normalize_rows(x)), -1.0, 1.0)
+    a = gram(l2_normalize_rows(x)).T
+    np.clip(a, -1.0, 1.0, out=a)
     np.fill_diagonal(a, -np.inf)
     np.fill_diagonal(a, a.max(axis=1))
     return a
@@ -121,18 +124,23 @@ def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise InvalidInputError(f"expected a non-empty square matrix, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not all_finite(m):
         raise InvalidInputError("matrix contains non-finite entries")
     return m
 
 
-def refine_threshold(m, p: float, soft_multiplier: float) -> np.ndarray:
+# Each refine stage writes into `out` as numpy's ufuncs do: a new matrix for
+# None, else the given one, which may be the stage's own input.
+
+
+def refine_threshold(m, p: float, soft_multiplier: float, out=None) -> np.ndarray:
     """Per row, scale entries strictly below the row's nearest-rank p-percentile.
 
     soft_multiplier = 0 reproduces hard zeroing; entries at or above the
-    percentile pass through unchanged. Works on one copy of the input, a
-    block of rows at a time: `np.partition` finds the same k-th entry as a
-    full sort, and the in-place product is the same elementwise `m * soft`.
+    percentile pass through unchanged. Works on `out` holding the input (no
+    copy when it is the input), a block of rows at a time: `np.partition`
+    finds the same k-th entry as a full sort, and the in-place product is the
+    same elementwise `m * soft`.
     """
     m = _as_square(m)
     if not (0.0 < p < 100.0):
@@ -140,7 +148,10 @@ def refine_threshold(m, p: float, soft_multiplier: float) -> np.ndarray:
     if not math.isfinite(soft_multiplier):
         raise InvalidInputError("soft_multiplier must be finite")
     kth = nearest_rank_index(p, m.shape[1])
-    out = m.copy()
+    if out is None:
+        out = m.copy()
+    elif out is not m:
+        np.copyto(out, m)
     step = row_block(m.shape[1])
     for lo in range(0, out.shape[0], step):
         rows = out[lo : lo + step]
@@ -149,20 +160,23 @@ def refine_threshold(m, p: float, soft_multiplier: float) -> np.ndarray:
     return out
 
 
-def refine_symmetrize(m) -> np.ndarray:
-    """Elementwise Y_ij = max(X_ij, X_ji), a tile and its mirror at a time."""
+def refine_symmetrize(m, out=None) -> np.ndarray:
+    """Elementwise Y_ij = max(X_ij, X_ji), a tile and its mirror at a time. The
+    tile's maxima wait aside until the mirror's are written, so out may be m."""
     m = _as_square(m)
-    out = np.empty(m.shape)
+    if out is None:
+        out = np.empty(m.shape)
     for rows, cols in upper_tiles(m.shape[0]):
-        np.maximum(m[rows, cols], m[cols, rows].T, out=out[rows, cols])
+        tile = np.maximum(m[rows, cols], m[cols, rows].T)
         if rows != cols:
             np.maximum(m[cols, rows], m[rows, cols].T, out=out[cols, rows])
+        out[rows, cols] = tile
     return out
 
 
-def refine_diffuse(m) -> np.ndarray:
+def refine_diffuse(m, out=None) -> np.ndarray:
     """Y = X Xᵀ (Gram form: always symmetric PSD)."""
-    return gram(_as_square(m))
+    return gram(_as_square(m), out=out)
 
 
 def _positive_row_max(m: np.ndarray) -> np.ndarray:
@@ -186,10 +200,11 @@ def _row_max_normalize_symmetrize(y: np.ndarray) -> np.ndarray:
     """(R + Rᵀ)/2 for R = refine_row_max_normalize(y), in place on y, a block of rows
     at a time: each entry becomes (y_ij/d_i + y_ij/d_j)·0.5 for row maxima d.
 
-    Bit for bit that result, because y is gram's output: exactly symmetric, so
-    y_ij = y_ji, and F-ordered, so the rows of yᵀ (the same matrix) are contiguous.
+    Bit for bit that result, because y is gram's output, exactly symmetric: so
+    y_ij = y_ji, and of y and yᵀ (the same matrix) the C-ordered one is walked.
     """
-    rows = _as_square(y).T
+    y = _as_square(y)
+    rows = y if y.flags.c_contiguous else y.T
     d = _positive_row_max(rows)
     step = row_block(d.size)
     for lo in range(0, d.size, step):
@@ -198,17 +213,19 @@ def _row_max_normalize_symmetrize(y: np.ndarray) -> np.ndarray:
         np.divide(block, d, out=block)
         block += by_row
         block *= 0.5
-    return rows.T
+    return y
 
 
-def _refine_blurred(m: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
-    """The refine_stages after the blur up to the diffusion; m is copied by the
-    threshold, then dropped."""
-    m = refine_threshold(m, params.p_percentile, params.soft_multiplier)
+def _refine_blurred(
+    m: np.ndarray, params: SpectralParams, out: np.ndarray | None = None
+) -> Iterator[tuple[str, np.ndarray]]:
+    """The refine_stages after the blur up to the diffusion: each a new matrix,
+    or all in m when out is m."""
+    m = refine_threshold(m, params.p_percentile, params.soft_multiplier, out=out)
     yield "threshold", m
-    m = refine_symmetrize(m)
+    m = refine_symmetrize(m, out=out)
     yield "symmetrize", m
-    m = refine_diffuse(m)
+    m = refine_diffuse(m, out=out)
     yield "diffuse", m
 
 
@@ -450,21 +467,26 @@ class SpectralResult:
 
 
 def blurred_affinity(embeddings, sigma: float) -> np.ndarray:
-    """spectral_cluster's front half, build_affinity then the blur: p-independent."""
+    """spectral_cluster's front half, build_affinity then the blur in its
+    matrix: p-independent."""
     if len(embeddings) < 2:
         raise InvalidInputError("spectral clustering needs at least 2 segments")
-    return gaussian_blur(build_affinity(embeddings), sigma)
+    a = build_affinity(embeddings)
+    return gaussian_blur(a, sigma, out=a)
 
 
 def cluster_blurred(blurred: np.ndarray, params: SpectralParams) -> SpectralResult:
     """The rest of spectral_cluster, from blurred_affinity's matrix (params.sigma unread):
     the refine_stages after the blur, with the row-max normalization and (M + Mᵀ)/2 in
-    one pass, then eigen-gap k, re-embedding, k-means. `blurred` is neither written nor
-    held past the threshold's copy, so calls may share it. Cluster bounds are clamped
-    to n; with no eigen-gap range left, k is the minimum."""
-    stages = _refine_blurred(blurred, params)
-    del blurred
-    for _, m in stages:
+    one pass, then eigen-gap k, re-embedding, k-means. They run in one copy of
+    `blurred`, which is neither written nor held, so calls may share it. Cluster
+    bounds are clamped to n; with no eigen-gap range left, k is the minimum."""
+    return _cluster_in_place(np.array(blurred, dtype=np.float64, order="C"), params)
+
+
+def _cluster_in_place(m: np.ndarray, params: SpectralParams) -> SpectralResult:
+    """cluster_blurred with every stage written into m, the one n x n matrix held."""
+    for _, m in _refine_blurred(m, params, out=m):
         pass
     m = _row_max_normalize_symmetrize(m)
     n = m.shape[0]
@@ -483,8 +505,9 @@ def cluster_blurred(blurred: np.ndarray, params: SpectralParams) -> SpectralResu
 
 
 def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
-    """Spectral clustering of segment embeddings: cluster_blurred(blurred_affinity)."""
-    return cluster_blurred(blurred_affinity(embeddings, params.sigma), params)
+    """Spectral clustering of segment embeddings: cluster_blurred(blurred_affinity),
+    without the copy, as blurred_affinity's matrix is this call's own."""
+    return _cluster_in_place(blurred_affinity(embeddings, params.sigma), params)
 
 
 class OnlineClusterer(Protocol):

@@ -4,7 +4,9 @@ Unit rows, Gram products and the eigensolver's matvec on scipy's BLAS
 (not numpy's: two OpenBLAS thread pools slow each other, see README), 2-D
 Gaussian blur, the nearest-rank percentile index, symmetric eigen-decomposition (full,
 or partial top-k when fewer than all pairs are asked for) with a
-deterministic ordering/sign convention, and maximum-weight assignment.
+deterministic ordering/sign convention, and maximum-weight assignment. The
+n x n passes work in row blocks or tiles, and the Gram product and the blur
+can write into their own input.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsyrk
-from scipy.ndimage import gaussian_filter
+from scipy.linalg.blas import dgemm, dgemv, dsyrk
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -48,24 +49,83 @@ def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / norms[:, None]
 
 
-def gaussian_blur(m, sigma: float) -> np.ndarray:
-    """2-D convolution with a truncated, normalized Gaussian kernel.
+def gaussian_blur(m, sigma: float, out=None) -> np.ndarray:
+    """2-D convolution with a truncated, normalized Gaussian kernel, into `out`
+    (a new matrix if None; m itself is allowed).
 
     Kernel radius is ceil(3*sigma) in index units; borders are handled by
     reflection (edge value repeated: scipy.ndimage's "reflect" mode, numpy's
-    "symmetric" pad), which keeps constant matrices constant. sigma = 0
-    returns a copy.
+    "symmetric" pad), which keeps constant matrices constant. A sigma of at
+    most 1e-15 (scipy.ndimage's cut-off) copies. Bit for bit
+    scipy.ndimage.gaussian_filter with that mode and radius: down the columns,
+    then along the rows, each entry summed in its order.
+
+    Works a block of rows at a time, each read with `radius` rows above and
+    below; the original rows the next block reads above it are kept aside
+    before a block is written, so m may be out.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise InvalidInputError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not all_finite(m):
         raise InvalidInputError("matrix contains non-finite entries")
     if not math.isfinite(sigma) or sigma < 0:
         raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
-    if sigma == 0:
-        return m.copy()
-    return gaussian_filter(m, sigma, mode="reflect", radius=math.ceil(3 * sigma))
+    if out is None:
+        out = np.empty(m.shape)
+    if sigma <= 1e-15:
+        np.copyto(out, m)
+        return out
+    radius = math.ceil(3 * sigma)
+    offsets = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * offsets**2)
+    weights = (kernel / kernel.sum())[radius:]  # offsets 0..radius; the kernel is symmetric
+    rows, cols = m.shape
+    # at least `radius` rows a block (the last one too): a halo then reaches
+    # only into the block before it
+    starts = _block_starts(rows, max(row_block(cols), radius), radius)
+    across = _reflected(-radius, cols + radius, cols)
+    kept = None  # original rows [lo - radius, lo): out may have overwritten them
+    for lo, hi in zip(starts, starts[1:] + [rows]):
+        if lo == 0:
+            padded = m[_reflected(-radius, hi + radius, rows)]
+        else:
+            padded = np.concatenate((kept, m[_reflected(lo, hi + radius, rows)]))
+        kept = padded[hi - lo : hi - lo + radius].copy()
+        _blur_rows(padded, weights, across, out[lo:hi])
+    return out
+
+
+def _blur_rows(padded: np.ndarray, weights: np.ndarray, across: np.ndarray, out: np.ndarray):
+    """gaussian_blur's output rows from the input rows around them (`padded`):
+    down the columns, then along the rows, reflected by the column indices
+    `across`."""
+    down = _correlate_symmetric(padded, weights, np.empty(out.shape))
+    _correlate_symmetric(down[:, across].T, weights, out.T)
+
+
+def _reflected(lo: int, hi: int, n: int) -> np.ndarray:
+    """Indices lo..hi-1 mapped into [0, n) by reflection, repeated as often as
+    needed (-1 -> 0, n -> n - 1)."""
+    i = np.arange(lo, hi) % (2 * n)
+    return np.where(i < n, i, 2 * n - 1 - i)
+
+
+def _correlate_symmetric(padded: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out_i = w_0 x_i + sum over j of (x_{i-j} + x_{i+j}) w_j down axis 0, where
+    padded holds len(weights) - 1 extra rows at each end. The pairs are added
+    from the farthest in, the sum scipy.ndimage.correlate1d takes for a
+    symmetric kernel."""
+    radius = weights.size - 1
+    size = out.shape[0]
+    np.multiply(padded[radius : radius + size], weights[0], out=out)
+    pair = np.empty_like(out)
+    for j in range(radius, 0, -1):
+        np.add(padded[radius - j : radius - j + size], padded[radius + j : radius + j + size],
+               out=pair)
+        pair *= weights[j]
+        out += pair
+    return out
 
 
 def nearest_rank_index(p: float, n: int) -> int:
@@ -104,6 +164,22 @@ def row_block(width: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, width))
 
 
+def _block_starts(n: int, step: int, least: int) -> list[int]:
+    """First rows of the blocks of `step` rows that cover n rows; a last block
+    of fewer than `least` rows joins the one before it."""
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < least:
+        starts.pop()
+    return starts
+
+
+def all_finite(m: np.ndarray) -> bool:
+    """Whether every entry of a 2-D matrix is finite, read a row block at a
+    time: no boolean mask of m's size."""
+    step = row_block(m.shape[1])
+    return all(np.isfinite(m[lo : lo + step]).all() for lo in range(0, m.shape[0], step))
+
+
 # Passes that read a matrix against its transpose walk square tiles of this
 # side, each beside its mirror: the two (2 x 128 KiB of float64) stay in
 # cache, where the transpose of a row block strides over every row of the
@@ -124,18 +200,51 @@ def upper_tiles(n: int) -> Iterator[tuple[slice, slice]]:
             yield rows, slice(left, left + _TILE)
 
 
-def gram(x) -> np.ndarray:
-    """x xᵀ, Fortran-ordered and exactly symmetric: scipy's BLAS dsyrk (half a
-    dgemm's work) fills the upper triangle from the view xᵀ (no copy of a
-    C-ordered x); tiles copy it down."""
-    g = dsyrk(1.0, np.asarray(x, dtype=np.float64).T, trans=1)
-    for rows, cols in upper_tiles(g.shape[0]):
-        if rows == cols:
-            tile = g[rows, rows]
-            np.copyto(tile, tile.T, where=np.tri(tile.shape[0], k=-1, dtype=bool))
-        else:
-            g[cols, rows] = g[rows, cols].T
+# Rows of x that each step of `gram` multiplies by the rest: two tiles, so
+# the tiled copies meet the block edges, and its BLAS results, up to 256 x n,
+# stay small beside the n x n output. A short last block joins the one before
+# it: a dgemm with only 1-4 columns to its right (n = 257-260, 513-516)
+# moved entries by an ulp or two from one dsyrk's.
+_GRAM_ROWS = 2 * _TILE
+
+
+def gram(x, out=None) -> np.ndarray:
+    """x xᵀ, exactly symmetric, into `out` (which may be x itself when x is
+    square); without `out`, a new F-ordered matrix.
+
+    A block of rows at a time on scipy's BLAS: dsyrk (half a dgemm's work)
+    gives the block's diagonal tile from the view xᵀ (no copy of a C-ordered x),
+    dgemm the part right of it, and the part left of it is copied from the
+    rows already done. Each block is read before its rows are written, and
+    later blocks read only later rows. Bit for bit one dsyrk over all of x,
+    its upper triangle mirrored, while OpenBLAS runs dgemm on 2 or more
+    threads; with one thread (OpenBLAS 0.3.30) an x of more than 384 columns
+    can differ from it by an ulp, as its serial dgemm splits the long inner
+    sum elsewhere. Either way the result is deterministic and exactly symmetric.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    g = np.empty((n, n), order="F") if out is None else out
+    starts = _block_starts(n, _GRAM_ROWS, _GRAM_ROWS)
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        _gram_rows(x, g, lo, hi)
     return g
+
+
+def _gram_rows(x: np.ndarray, g: np.ndarray, lo: int, hi: int) -> None:
+    """Rows lo..hi-1 of g = x xᵀ, given rows 0..lo-1; reads x only from row lo on.
+    Its BLAS results are freed on return, before the next block's are made."""
+    n = g.shape[0]
+    block = x[lo:hi].T
+    upper = dsyrk(1.0, block, trans=1)
+    right = dgemm(1.0, block, x[hi:].T, trans_a=1) if hi < n else None
+    for c in range(0, lo, _TILE):  # tile by tile: the transposed copies stay in cache
+        g[lo:hi, c : c + _TILE] = g[c : c + _TILE, lo:hi].T
+    tile = g[lo:hi, lo:hi]
+    tile[...] = upper
+    np.copyto(tile, upper.T, where=np.tri(hi - lo, k=-1, dtype=bool))
+    for c in range(hi, n, _TILE):
+        g[lo:hi, c : c + _TILE] = right[:, c - hi : c - hi + _TILE]
 
 
 def eigh(m, count: int | None = None) -> EigenDecomposition:

@@ -90,8 +90,9 @@ def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig()
 
 def diarize_grid(recording_id: str, seg_embs, configs) -> list[Annotation]:
     """`diarize` under each config, in order. The segments are stacked once;
-    spectral configs share one blurred affinity per sigma (their thresholds copy
-    it), and only the current sigma's is held. Other algorithms run as in `diarize`."""
+    spectral configs share one blurred affinity per sigma, which cluster_blurred
+    copies for each, and only the current sigma's is held: two n x n matrices
+    at a time. Other algorithms run as in `diarize`."""
     x, intervals = stack_segments(seg_embs)
     labels = {i: cluster(x, c).labels for i, c in enumerate(configs) if c.algorithm != "spectral"}
     spectral = [i for i, c in enumerate(configs) if c.algorithm == "spectral"]

@@ -84,6 +84,13 @@ class TestSegmentize:
         with pytest.raises(InvalidInputError):
             segmentize([region(0, 1)], max_len=0.0)
 
+    def test_max_len_below_the_shortest_piece_rejected(self):
+        # without a floor, 1e-300 cut pieces until memory ran out
+        with pytest.raises(InvalidInputError, match="^max_len must be at least 0.01 s, got 0.001$"):
+            segmentize([region(0, 1)], max_len=0.001)
+        pieces = segmentize([region(0, 1)], max_len=0.01)  # the floor itself is allowed
+        assert (pieces[0].start, pieces[-1].end) == (0.0, 1.0)
+
 
 class TestAggregate:
     def test_single_window(self):

@@ -4,7 +4,13 @@ renaming or deleting one would zero its span silently, so Tier-1 checks them."""
 import importlib
 import importlib.util
 import inspect
+import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from diarkit.clustering import SpectralParams, spectral_cluster
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -39,3 +45,29 @@ def test_counted_arguments_keep_their_names():
         assert span in tracing.COUNTERS
         parameters = list(inspect.signature(resolve(*tracing.SPANS[span])).parameters)
         assert parameters[index] == name
+
+
+def test_spectral_cluster_calls_each_traced_stage_once(monkeypatch):
+    # each stage's span times calls through these names: a chain that ran a
+    # private kernel instead would read 0 there without failing
+    spans = load_tracing().SPANS
+    stages = ["clustering.build_affinity", "numerics.gaussian_blur", "clustering.refine_threshold",
+              "clustering.refine_symmetrize", "clustering.refine_diffuse", "numerics.eigh",
+              "clustering.kmeans"]
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "diarkit"]
+    for span in stages:
+        original = resolve(*spans[span])
+
+        def counted(*args, _span=span, _original=original, **kwargs):
+            calls[_span] += 1
+            return _original(*args, **kwargs)
+
+        # every namespace that binds the function, as the tracer patches them
+        for module in modules:
+            for key in [k for k, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, key, counted)
+    rng = np.random.default_rng(0)
+    x = np.repeat(np.eye(3, 8), 20, axis=0) + 0.1 * rng.standard_normal((60, 8))
+    assert spectral_cluster(x, SpectralParams()).clustering.k == 3
+    assert calls == Counter(stages)

@@ -188,6 +188,16 @@ class TestDiarize:
         assert capsys.readouterr().err == "error: --max-segment-len must be finite and positive\n"
         assert not out.exists()
 
+    def test_max_segment_len_below_the_shortest_piece_is_usage_error(self, tmp_path, capsys):
+        emb = tmp_path / "toy.csv"
+        emb.write_text(E1_E1_E2_CSV)
+        out = tmp_path / "o.rttm"
+        rc = main(["diarize", "--embeddings", str(emb), "--max-segment-len", "0.001",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --max-segment-len must be at least 0.01 s\n"
+        assert not out.exists()
+
     def test_kmeans_single_segment_is_one_speaker(self, tmp_path):
         emb = tmp_path / "single.csv"
         emb.write_text("start,end,v0,v1\n0.0,0.24,1.0,0.0\n")

@@ -298,6 +298,50 @@ class TestRefineRowMaxNormalize:
             refine_row_max_normalize(np.array([[1.0, 0.5], [-0.2, -0.1]]))
 
 
+IN_PLACE_STAGES = {
+    "blur": lambda m, **out: gaussian_blur(m, 1.0, **out),
+    "threshold": lambda m, **out: refine_threshold(m, 95, 0.01, **out),
+    "symmetrize": refine_symmetrize,
+    "diffuse": refine_diffuse,
+}
+
+
+class TestStagesWriteIntoOut:
+    """spectral_cluster runs every stage with out= its input: the same bits."""
+
+    @pytest.mark.parametrize("stage", IN_PLACE_STAGES)
+    @pytest.mark.parametrize("n", [1, _TILE + 1, 2 * _TILE + 1, 600])
+    def test_out_is_the_input_or_another_matrix(self, stage, n):
+        run = IN_PLACE_STAGES[stage]
+        rng = np.random.default_rng(n)
+        m = rng.uniform(-1.0, 1.0, (n, n))
+        m[rng.uniform(size=(n, n)) < 0.1] = -0.0  # signed zeros, which max orders
+        m[rng.uniform(size=(n, n)) < 0.1] = 0.0
+        before = m.tobytes()
+        expected = run(m).tobytes()
+        other = np.empty((n, n))
+        assert run(m, out=other) is other
+        assert other.tobytes() == expected
+        assert m.tobytes() == before
+        assert run(m, out=m) is m
+        assert m.tobytes() == expected
+
+    def test_in_place_stages_make_no_n_by_n_temporary(self):
+        # tracemalloc peaks at n = 2000: blur 0.07 n^2 of float64, threshold
+        # 0.03, symmetrize 0.01 (0.125 more while finiteness was read through
+        # an n x n boolean mask), diffuse 0.13 (gram's block of 256 rows)
+        n = 2000
+        m = np.random.default_rng(2).uniform(0.0, 1.0, (n, n))
+        for stage, run in IN_PLACE_STAGES.items():
+            tracemalloc.start()
+            try:
+                run(m, out=m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (0.15 if stage == "diffuse" else 0.1) * 8 * n * n, stage
+
+
 class TestRefineChain:
     def test_block_matrix_fixed_point(self):
         params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=0.0)
@@ -698,6 +742,23 @@ class TestSpectralCluster:
             tracemalloc.stop()
         assert result.clustering.k == 4
         assert peak <= arrays * 8 * n * n
+
+    @pytest.mark.parametrize("n", [1500, 2000])
+    def test_peak_memory_one_matrix(self, n):
+        # every stage writes into the affinity's own matrix: 1.20 n^2 float64
+        # arrays at n = 1500 and 1.15 at n = 2000, gram's block of 256 rows
+        # beside it (2.06 and 2.03 while each stage made a new matrix)
+        rng = np.random.default_rng(0)
+        centers = rng.standard_normal((4, 16))
+        x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
+        tracemalloc.start()
+        try:
+            result = spectral_cluster(x, SpectralParams(seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.clustering.k == 4
+        assert peak <= 1.3 * 8 * n * n
 
     def test_single_segment_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scipy.ndimage import gaussian_filter
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import diarkit.numerics
@@ -80,6 +81,26 @@ class TestGram:
         assert g.shape == expected.shape
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(g - expected)) <= 1e-12 * scale
+
+
+    # sizes on both sides of gram's 256-row block and of a short last block
+    # joined to the one before (512 + 1..4 rows)
+    @pytest.mark.parametrize("n", [*range(255, 261), *range(511, 517)])
+    def test_in_place_equals_fresh(self, n):
+        x = np.random.default_rng(n).uniform(0.0, 1.0, (n, n))
+        fresh = gram(x)
+        assert fresh.flags.f_contiguous
+        y = x.copy()
+        assert gram(y, out=y) is y
+        assert y.tobytes() == fresh.tobytes()
+        expected = mirrored_syrk(x)
+        assert np.max(np.abs(fresh - expected)) <= 1e-15 * np.max(expected)
+
+    @pytest.mark.parametrize("n", [*range(255, 261), *range(511, 517)])
+    def test_rows_by_dims_bit_equal_to_one_syrk(self, n):
+        # the affinity's shape: n unit rows of d = 64
+        x = l2_normalize_rows(np.random.default_rng(n).standard_normal((n, 64)))
+        assert gram(x).tobytes() == mirrored_syrk(x).tobytes()
 
 
 class TestCosineSimilarity:
@@ -174,6 +195,34 @@ class TestGaussianBlur:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidInputError):
             gaussian_blur(np.eye(3), -1.0)
+
+    # 1000 columns make row blocks of 65 rows: 127-300 rows span several blocks,
+    # and 131 and 197 end in a block of 1-2 rows, shorter than the halo
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 8, 127, 128, 129, 131, 197, 300])
+    @pytest.mark.parametrize("cols", [None, 1000])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bit_equal_to_scipy_gaussian_filter(self, sigma, rows, cols, order):
+        # 3 and 8 rows are the kernel radius ceil(3 sigma) of 1.0 and 2.5
+        shape = (rows, cols or rows)
+        m = np.asarray(np.random.default_rng(rows).uniform(-1.0, 1.0, shape), order=order)
+        expected = gaussian_filter(m, sigma, mode="reflect", radius=math.ceil(3 * sigma)).tobytes()
+        assert gaussian_blur(m, sigma).tobytes() == expected
+        in_place = m.copy(order=order)
+        assert gaussian_blur(in_place, sigma, out=in_place) is in_place
+        assert in_place.tobytes() == expected
+        if cols:  # and the transposed shape, blocks of rows now 1000 long
+            t = np.asarray(m.T, order=order)
+            expected = gaussian_filter(t, sigma, mode="reflect", radius=math.ceil(3 * sigma))
+            assert gaussian_blur(t, sigma).tobytes() == expected.tobytes()
+
+    def test_non_finite_rejected_before_out_is_written(self):
+        m = np.ones((300, 1000))
+        m[250, 7] = np.nan
+        before = m.copy()
+        with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
+            gaussian_blur(m, 1.0, out=m)
+        assert np.array_equal(m, before, equal_nan=True)
 
 
 class TestNearestRankPercentile:
