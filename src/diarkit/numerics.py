@@ -4,9 +4,10 @@ Unit rows, Gram products and the eigensolver's matvec on scipy's BLAS
 (not numpy's: two OpenBLAS thread pools slow each other, see README), 2-D
 Gaussian blur, the nearest-rank percentile index, symmetric eigen-decomposition (full,
 or partial top-k when fewer than all pairs are asked for) with a
-deterministic ordering/sign convention, and maximum-weight assignment. The
-n x n passes work in row blocks or tiles, and the Gram product and the blur
-can write into their own input.
+deterministic ordering/sign convention, and maximum-weight assignment
+(scipy.sparse.csgraph's matching). Both eigensolver paths read the lower
+triangle of their input only. The n x n passes work in row blocks or tiles,
+and the Gram product and the blur can write into their own input.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dgemv, dsyrk
-from scipy.optimize import linear_sum_assignment
+from scipy.linalg.blas import dgemm, dsymv, dsyrk
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .core import InvalidInputError, NumericError, as_float_vector
@@ -253,10 +255,10 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
     Eigenvalues come back sorted descending (stable on ties) with unit-norm,
     sign-fixed eigenvectors: the `count` largest pairs, or all n for None.
     For count < n only those are computed, by ARPACK from a fixed start
-    vector (repeated calls agree) with a scipy BLAS dgemv matvec; else the
-    dense solver runs. The input is solved as given, not re-symmetrized: the
-    dense solver reads its lower triangle, the matvec multiplies by m, or by
-    its F-ordered view mᵀ (no copy) if m is C-ordered. Raises
+    vector (repeated calls agree) with a scipy BLAS dsymv matvec; else the
+    dense solver runs. The input is solved as given, not re-symmetrized: both
+    paths read only the lower triangle of m, the matvec through the
+    F-ordered view mᵀ (no copy; its upper triangle) if m is C-ordered. Raises
     InvalidInputError if the input is not symmetric within 1e-10 or count
     lies outside [1, n], NumericError if the solver fails to converge.
     """
@@ -280,8 +282,14 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
         if count is None or count == n:
             values, vectors = np.linalg.eigh(m)
         else:
-            a = m.T if m.flags.c_contiguous else np.asfortranarray(m)
-            op = LinearOperator((n, n), matvec=lambda v: dgemv(1.0, a, v), dtype=np.float64)
+            # dsymv reads one triangle of the F-ordered a: m's lower one either way
+            if m.flags.c_contiguous:
+                a, lower = m.T, 0
+            else:
+                a, lower = np.asfortranarray(m), 1
+            op = LinearOperator(
+                (n, n), matvec=lambda v: dsymv(1.0, a, v, lower=lower), dtype=np.float64
+            )
             values, vectors = eigsh(op, k=count, which="LA", v0=np.ones(n))
     except (np.linalg.LinAlgError, ArpackError) as exc:
         raise NumericError(f"eigen-decomposition failed: {exc}") from exc
@@ -299,13 +307,24 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
 def optimal_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
     """Optimal one-to-one assignment of size min(r, c) on an r x c matrix.
 
-    Returns (row, col) pairs minimizing total cost, or maximizing total
-    weight when `maximize` is set.
+    Returns (row, col) pairs, rows ascending, minimizing total cost, or
+    maximizing total weight when `maximize` is set.
+
+    Every full matching has min(r, c) edges, so adding one constant to every
+    entry leaves the optimum where it is: the solver gets costs shifted up to
+    [span, 2 span] (span = max - min, or 1 if all are equal), as it takes a
+    zero entry for a missing edge. Integer costs spanning less than 2**52
+    stay exact.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.size == 0:
         raise InvalidInputError(f"expected a non-empty 2-D matrix, got shape {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise InvalidInputError("assignment matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(cost, maximize=maximize)
+    low, high = float(cost.min()), float(cost.max())
+    if not math.isfinite(4 * (high - low)):  # weights reach 2 span; a power of two scales exactly
+        cost, low, high = cost / 8, low / 8, high / 8
+    span = (high - low) or 1.0
+    weights = (high - cost if maximize else cost - low) + span
+    rows, cols = min_weight_full_bipartite_matching(csr_array(weights))
     return list(zip(rows.tolist(), cols.tolist()))

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import diarkit
 from diarkit import (
     EvalOptions,
     SpectralParams,
@@ -16,6 +22,31 @@ from diarkit.pipeline import DiarizeConfig, cluster, segment_embeddings, stack_s
 # already clean, so the pre-threshold smoothing is disabled; everything
 # else stays at its default.
 TUNED_SPECTRAL = {"sigma": 0.0, "p_percentile": 95.0}
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """This process's environment for a fresh interpreter, with PYTHONPATH
+    pinned to the diarkit these tests import (a relative entry no longer
+    resolves from another working directory)."""
+    env = {**os.environ, **overrides}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(diarkit.__file__).resolve().parent.parent)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return env
+
+
+def run_python(code: str, **env_overrides: str) -> str:
+    """stdout of `python -c code` in a fresh interpreter (see child_env)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=child_env(**env_overrides),
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def prepare(scenario: SynthScenario):

@@ -3,8 +3,9 @@
 Everything here is deliberately written with a different strategy from
 the package code: direct 2-D convolution instead of separable passes,
 midpoint slicing in floats instead of integer-tick sweeps, exhaustive
-permutation search instead of the assignment solver, one vector pair at a
-time instead of whole matrices. Slow but obviously correct on small inputs.
+permutation search or scipy.optimize's Hungarian-type solver instead of the
+package's bipartite matching, one vector pair at a time instead of whole
+matrices. Slow but obviously correct on small inputs.
 The synthetic generator's self-check, `angular_stats`, lives here too.
 """
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
+from scipy.optimize import linear_sum_assignment
 
 from diarkit import (
     Annotation,
@@ -74,6 +76,15 @@ def brute_force_assignment(matrix: np.ndarray, maximize: bool) -> float:
             total = sum(m[i, j] for j, i in enumerate(rows))
             best = max(best, total) if maximize else min(best, total)
     return best
+
+
+def scipy_assignment_total(matrix: np.ndarray, maximize: bool) -> float:
+    """Optimal one-to-one assignment total by scipy.optimize.linear_sum_assignment:
+    the package's solver before it moved to scipy.sparse.csgraph, and an
+    oracle at sizes exhaustive search cannot reach."""
+    m = np.asarray(matrix, dtype=np.float64)
+    rows, cols = linear_sum_assignment(m, maximize=maximize)
+    return float(m[rows, cols].sum())
 
 
 def direct_blur(m: np.ndarray, sigma: float) -> np.ndarray:

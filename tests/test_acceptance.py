@@ -2,7 +2,6 @@
 [PASS]/[FAIL] line with its measured numbers and runtime budget."""
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -31,6 +30,7 @@ from diarkit import (
     spectral_cluster,
 )
 from helpers import (
+    child_env,
     labels_kmeans_elbow,
     labels_naive,
     labels_spectral,
@@ -346,14 +346,10 @@ def test_online_vs_offline_hierarchical_ordering(capsys):
 
 
 def test_cli_determinism(capsys, tmp_path):
-    # The subprocesses run from temp directories, where a relative PYTHONPATH
-    # no longer resolves; pin them to the package this process imported.
+    # The subprocesses run from temp directories, pinned to the package this
+    # process imported.
     package = Path(diarkit.__file__).resolve()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(package.parent.parent)]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
+    env = child_env()
 
     def run_python(args, cwd, what):
         proc = subprocess.run(

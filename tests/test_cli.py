@@ -17,6 +17,7 @@ from diarkit import (
 from diarkit.aggregation import DEFAULT_MAX_SEGMENT_LEN
 from diarkit.cli import build_parser, main
 from diarkit.pipeline import ALGORITHMS, DiarizeConfig, diarize, segment_embeddings
+from helpers import run_python
 
 E1_E1_E2_CSV = (
     "start,end,v0,v1\n"
@@ -663,3 +664,10 @@ class TestEntrypointPlumbing:
         )
         e = parser.parse_args(["evaluate", "--reference", "r", "--hypothesis", "h"])
         assert e.collar == EvalOptions().collar
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # scipy.optimize costs every process about 16 MiB of RSS; nothing in the
+    # library needs it (the tests' assignment oracle does)
+    loaded = run_python("import sys, diarkit.cli; print('scipy.optimize' in sys.modules)")
+    assert loaded.strip() == "False"

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 import tracemalloc
 
@@ -44,6 +45,7 @@ from diarkit.clustering import (
 )
 from diarkit.numerics import _TILE, gram, l2_normalize_rows, nearest_rank_index
 from diarkit.pipeline import segment_embeddings
+from helpers import run_python
 from oracles import sort_threshold
 
 BLOCK = np.array(
@@ -879,3 +881,37 @@ class TestNaiveOnline:
 
         result = run_online(Stub(), np.random.default_rng(52).normal(size=(5, 3)))
         assert result.k == 1
+
+
+# One spectral_cluster call on a 5-minute, 4-speaker synth (n = N_THREADED),
+# printed as JSON: floats round-trip exactly.
+SPECTRAL_IN_CHILD = """
+import json
+from diarkit import SpectralParams, SynthScenario, generate, spectral_cluster
+from diarkit.pipeline import segment_embeddings, stack_segments
+_, windows, regions = generate(SynthScenario(n_speakers=4, duration=300.0, seed=11))
+x = stack_segments(segment_embeddings(windows, regions))[0]
+result = spectral_cluster(x, SpectralParams(seed=0))
+print(json.dumps({
+    "n": len(x),
+    "k": result.clustering.k,
+    "labels": result.clustering.labels.tolist(),
+    "eigenvalues": result.eigenvalues.tolist(),
+}))
+"""
+N_THREADED = 692
+
+
+def test_speaker_count_does_not_depend_on_blas_threads():
+    # The Gram products (dgemm) and the eigensolver's matvec (dsymv) may split
+    # their sums by thread count; a process's count is fixed at its start,
+    # so each setting runs in its own interpreter.
+    one, two = (
+        json.loads(run_python(SPECTRAL_IN_CHILD, OPENBLAS_NUM_THREADS=threads))
+        for threads in ("1", "2")
+    )
+    assert one["n"] == two["n"] == N_THREADED
+    assert one["k"] == two["k"]
+    assert one["labels"] == two["labels"]
+    a, b = np.array(one["eigenvalues"]), np.array(two["eigenvalues"])
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))

@@ -30,6 +30,7 @@ from oracles import (
     direct_blur,
     mirrored_syrk,
     nearest_rank_percentile,
+    scipy_assignment_total,
 )
 
 
@@ -440,6 +441,17 @@ class TestEighPartial:
         assert np.max(np.abs(a.values - b.values)) <= 1e-10
         assert np.max(np.abs(a.vectors - b.vectors)) <= 1e-10
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_both_paths_solve_the_lower_triangle(self, order):
+        # an upper triangle off by less than the symmetry tolerance: the
+        # partial and the dense path both solve the matrix its mirror gives
+        m = refined_affinity(300, 26)
+        lower = np.tril(m) + np.tril(m, -1).T
+        skewed = np.array(lower + np.triu(np.full(m.shape, 5e-11), 1), order=order)
+        exact = np.linalg.eigh(lower)[0][::-1][: self.COUNT]
+        for values in (eigh(skewed, count=self.COUNT).values, eigh(skewed).values[: self.COUNT]):
+            assert np.max(np.abs(values - exact)) <= 1e-12 * exact[0]
+
     @pytest.mark.parametrize("n", range(COUNT + 1, 61))
     def test_partial_solve_at_small_n(self, n, monkeypatch):
         arpack_calls = []
@@ -531,3 +543,79 @@ class TestOptimalAssignment:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             optimal_assignment([[np.nan, 1.0], [1.0, 0.0]])
+
+    @staticmethod
+    def assert_optimal(m, maximize):
+        """min(r, c) pairs, rows ascending, columns distinct, and the oracle's
+        total: exactly on integer matrices, on real ones within 1e-9 of the
+        largest total one could reach."""
+        m = np.asarray(m, dtype=np.float64)
+        pairs = optimal_assignment(m, maximize=maximize)
+        rows = [i for i, _ in pairs]
+        cols = [j for _, j in pairs]
+        assert len(pairs) == min(m.shape)
+        assert rows == sorted(set(rows))
+        assert len(set(cols)) == len(cols)
+        assert all(0 <= i < m.shape[0] and 0 <= j < m.shape[1] for i, j in pairs)
+        total = sum(m[i, j] for i, j in pairs)
+        best = scipy_assignment_total(m, maximize)
+        if np.array_equal(m, np.round(m)):
+            assert total == best
+        else:
+            assert abs(total - best) <= 1e-9 * min(m.shape) * np.abs(m).max()
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_random_real_and_integer_matrices_match_oracle(self, maximize):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            shape = tuple(int(s) for s in rng.integers(1, 9, size=2))
+            self.assert_optimal(rng.normal(scale=10.0, size=shape), maximize)
+            # overlaps in 1e-7 s ticks: up to 20 minutes of speech per pair
+            self.assert_optimal(rng.integers(0, 12 * 10**9, size=shape), maximize)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_ties(self, maximize):
+        rng = np.random.default_rng(22)
+        self.assert_optimal(np.zeros((5, 5)), maximize)
+        self.assert_optimal(np.zeros((3, 7)), maximize)
+        base = rng.integers(0, 5, size=(3, 4))
+        self.assert_optimal(base[[0, 0, 1, 1, 2]], maximize)  # duplicate rows
+        self.assert_optimal(base[:, [0, 1, 1, 3, 3, 2]], maximize)  # duplicate columns
+        self.assert_optimal(np.full((4, 6), 7.0), maximize)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (3, 5), (5, 3), (2, 9), (9, 2)])
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_shapes(self, shape, maximize):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        self.assert_optimal(rng.normal(size=shape), maximize)
+        self.assert_optimal(rng.integers(-9, 10, size=shape), maximize)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_negative_costs(self, maximize):
+        rng = np.random.default_rng(23)
+        for shape in [(4, 4), (3, 6), (6, 3)]:
+            self.assert_optimal(-rng.uniform(1.0, 100.0, size=shape), maximize)
+            self.assert_optimal(rng.integers(-50, -1, size=shape), maximize)
+            self.assert_optimal(rng.integers(-50, 50, size=shape), maximize)
+
+    def test_naive_clusterer_overlap_size(self):
+        # a 4-speaker reference against the naive clusterer's ~120 hypothesis
+        # speakers: each reference speaker's ticks spread over 40 of them
+        rng = np.random.default_rng(24)
+        overlap = np.zeros((4, 120))
+        for row in overlap:
+            cols = rng.choice(120, size=40, replace=False)
+            row[cols] = rng.integers(1, 3 * 10**8, size=40)
+        for maximize in (False, True):
+            self.assert_optimal(overlap, maximize)
+            self.assert_optimal(overlap.T, maximize)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_spans_at_the_ends_of_the_float_range(self, maximize):
+        # the solver's weights are the costs shifted by their span: a span
+        # beyond the float range, or far below the costs' magnitude
+        rng = np.random.default_rng(25)
+        for shape in [(2, 2), (2, 5), (5, 2)] * 3:  # two pairs: the totals stay finite
+            self.assert_optimal(rng.uniform(-8e307, 8e307, size=shape), maximize)
+        self.assert_optimal([[0.0, 1e-17], [1e-17, 0.0]], maximize)
+        self.assert_optimal([[1e15, 1e15 + 1], [1e15 + 1, 1e15]], maximize)
