@@ -10,7 +10,7 @@ reports are bit-reproducible and free of float-boundary double counting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .numerics import optimal_assignment
 TICKS_PER_SECOND = 10_000_000
 
 Ticks = list[tuple[int, int]]
+K = TypeVar("K")
 
 
 def _tick(t: float) -> int:
@@ -140,27 +141,35 @@ def _speaker_tick_timelines(annotation: Annotation) -> dict[str, Ticks]:
     return {spk: interval_union(ivs) for spk, ivs in per_speaker.items()}
 
 
+def _slices(timelines: dict[K, Ticks]) -> Iterator[tuple[int, int, list[K]]]:
+    """Constant-speaker-set slices (start, end, active keys) where any key is active.
+
+    Each timeline is sorted and disjoint; the slices come out sorted and
+    disjoint and together cover the union of the timelines.
+    """
+    keys = list(timelines)
+    # at equal ticks ends (-1) sort before starts, so a touching pair hands over
+    events = sorted(
+        (t, delta, i)
+        for i, timeline in enumerate(timelines.values())
+        for s, e in timeline
+        for t, delta in ((s, 1), (e, -1))
+    )
+    active: set[K] = set()
+    prev = 0
+    for t, delta, i in events:
+        if active and t > prev:
+            yield prev, t, list(active)
+        prev = t
+        if delta > 0:
+            active.add(keys[i])
+        else:
+            active.discard(keys[i])
+
+
 def _overlap_regions(timelines: dict[str, Ticks]) -> Ticks:
     """Ticks where at least two distinct speakers are simultaneously active."""
-    events: list[tuple[int, int]] = []
-    for timeline in timelines.values():
-        for s, e in timeline:
-            events.append((s, 1))
-            events.append((e, -1))
-    events.sort()
-    out: list[tuple[int, int]] = []
-    active = 0
-    prev = None
-    i = 0
-    while i < len(events):
-        t = events[i][0]
-        if prev is not None and active >= 2 and t > prev:
-            out.append((prev, t))
-        while i < len(events) and events[i][0] == t:
-            active += events[i][1]
-            i += 1
-        prev = t
-    return interval_union(out)
+    return interval_union((s, e) for s, e, active in _slices(timelines) if len(active) >= 2)
 
 
 def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterval]:
@@ -213,11 +222,14 @@ def map_speakers(
 def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> DerReport:
     """Score a hypothesis against a reference under the given conventions.
 
-    Both annotations are restricted to the scoring region. Speakers are
-    mapped one-to-one to maximize matched time; per constant-speaker-set
-    slice, miss is unmatched reference depth, false alarm is unmatched
-    hypothesis depth, and confusion is co-active time whose mapped labels
-    disagree. The denominator is reference speech inside the region.
+    Both annotations are restricted to the scoring region and swept once
+    over their constant-speaker-set slices: per slice, miss is unmatched
+    reference depth, false alarm is unmatched hypothesis depth, co-active
+    time is the lesser depth, and each active reference/hypothesis pair
+    gains the slice's duration in the overlap matrix. Speakers are mapped
+    one-to-one to maximize matched time; confusion is co-active time minus
+    the time the mapped pairs share. The denominator is reference speech
+    inside the region.
     """
     if reference.recording_id != hypothesis.recording_id:
         raise InvalidInputError(
@@ -244,52 +256,25 @@ def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> Der
 
     ref_labels = sorted(ref_tl)
     hyp_labels = sorted(hyp_tl)
-    overlap = np.zeros((len(ref_labels), len(hyp_labels)))
-    for i, r in enumerate(ref_labels):
-        for j, h in enumerate(hyp_labels):
-            overlap[i, j] = _total(_intersect(ref_tl[r], hyp_tl[h]))
+    timelines = {(0, i): ref_tl[r] for i, r in enumerate(ref_labels)}
+    timelines.update({(1, j): hyp_tl[h] for j, h in enumerate(hyp_labels)})
+    overlap = [[0] * len(hyp_labels) for _ in ref_labels]
+    miss = fa = coactive = ref_ticks = 0
+    for start, end, active in _slices(timelines):
+        dur = end - start
+        rows = [i for side, i in active if side == 0]
+        cols = [j for side, j in active if side == 1]
+        nr, nh = len(rows), len(cols)
+        ref_ticks += nr * dur
+        miss += max(0, nr - nh) * dur
+        fa += max(0, nh - nr) * dur
+        coactive += min(nr, nh) * dur
+        for i in rows:
+            for j in cols:
+                overlap[i][j] += dur
     mapping = map_speakers(ref_labels, hyp_labels, overlap)
-    mapped_pairs = set(mapping.items())
-
-    # sweep over constant-speaker-set slices
-    events: list[tuple[int, int, str, int]] = []
-    for spk, timeline in ref_tl.items():
-        for s, e in timeline:
-            events.append((s, 0, spk, 1))
-            events.append((e, 0, spk, -1))
-    for spk, timeline in hyp_tl.items():
-        for s, e in timeline:
-            events.append((s, 1, spk, 1))
-            events.append((e, 1, spk, -1))
-    events.sort(key=lambda ev: ev[0])
-
-    miss = fa = confusion = ref_ticks = 0
-    active_ref: set[str] = set()
-    active_hyp: set[str] = set()
-    prev = None
-    i = 0
-    while i < len(events):
-        t = events[i][0]
-        if prev is not None and t > prev and (active_ref or active_hyp):
-            dur = t - prev
-            nr, nh = len(active_ref), len(active_hyp)
-            ref_ticks += nr * dur
-            miss += max(0, nr - nh) * dur
-            fa += max(0, nh - nr) * dur
-            ncorrect = sum(
-                1 for r, h in mapped_pairs if r in active_ref and h in active_hyp
-            )
-            confusion += (min(nr, nh) - ncorrect) * dur
-        while i < len(events) and events[i][0] == t:
-            _, side, spk, delta = events[i]
-            group = active_ref if side == 0 else active_hyp
-            if delta > 0:
-                group.add(spk)
-            else:
-                group.discard(spk)
-            i += 1
-        prev = t
-
+    matched = sum(overlap[ref_labels.index(r)][hyp_labels.index(h)] for r, h in mapping.items())
+    confusion = coactive - matched
     return DerReport.from_seconds(
         fa_seconds=_seconds(fa),
         miss_seconds=_seconds(miss),

@@ -326,5 +326,10 @@ def optimal_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
         cost, low, high = cost / 8, low / 8, high / 8
     span = (high - low) or 1.0
     weights = (high - cost if maximize else cost - low) + span
-    rows, cols = min_weight_full_bipartite_matching(csr_array(weights))
+    # every weight is >= span > 0, so the matrix is full: build it row by row
+    r, c = weights.shape
+    indices = np.tile(np.arange(c, dtype=np.int32), r)
+    indptr = np.arange(0, r * c + 1, c, dtype=np.int32)
+    matrix = csr_array((weights.ravel(), indices, indptr), shape=(r, c))
+    rows, cols = min_weight_full_bipartite_matching(matrix)
     return list(zip(rows.tolist(), cols.tolist()))

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from diarkit.clustering import SpectralParams, spectral_cluster
+from diarkit.core import Annotation, Segment, TimeInterval
+from diarkit.metrics import EvalOptions, der
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -47,13 +49,10 @@ def test_counted_arguments_keep_their_names():
         assert parameters[index] == name
 
 
-def test_spectral_cluster_calls_each_traced_stage_once(monkeypatch):
-    # each stage's span times calls through these names: a chain that ran a
-    # private kernel instead would read 0 there without failing
+def count_calls(monkeypatch, stages) -> Counter:
+    """Count calls to each span's function through every namespace that binds it,
+    as the tracer patches them."""
     spans = load_tracing().SPANS
-    stages = ["clustering.build_affinity", "numerics.gaussian_blur", "clustering.refine_threshold",
-              "clustering.refine_symmetrize", "clustering.refine_diffuse", "numerics.eigh",
-              "clustering.kmeans"]
     calls = Counter()
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "diarkit"]
     for span in stages:
@@ -63,11 +62,34 @@ def test_spectral_cluster_calls_each_traced_stage_once(monkeypatch):
             calls[_span] += 1
             return _original(*args, **kwargs)
 
-        # every namespace that binds the function, as the tracer patches them
         for module in modules:
             for key in [k for k, v in vars(module).items() if v is original]:
                 monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_spectral_cluster_calls_each_traced_stage_once(monkeypatch):
+    # each stage's span times calls through these names: a chain that ran a
+    # private kernel instead would read 0 there without failing
+    stages = ["clustering.build_affinity", "numerics.gaussian_blur", "clustering.refine_threshold",
+              "clustering.refine_symmetrize", "clustering.refine_diffuse", "numerics.eigh",
+              "clustering.kmeans"]
+    calls = count_calls(monkeypatch, stages)
     rng = np.random.default_rng(0)
     x = np.repeat(np.eye(3, 8), 20, axis=0) + 0.1 * rng.standard_normal((60, 8))
     assert spectral_cluster(x, SpectralParams()).clustering.k == 3
+    assert calls == Counter(stages)
+
+
+def test_der_calls_each_traced_scoring_stage_once(monkeypatch):
+    # the scoring spans time der's region, mapping and matching through these names
+    stages = ["metrics.scoring_region", "metrics.map_speakers", "numerics.optimal_assignment"]
+    calls = count_calls(monkeypatch, stages)
+
+    def annotation(*segments):
+        return Annotation.create("rec", [Segment(TimeInterval(s, e), spk) for s, e, spk in segments])
+
+    reference = annotation((0.0, 4.0, "A"), (4.0, 8.0, "B"), (6.0, 9.0, "C"))
+    hypothesis = annotation((0.0, 5.0, "x"), (5.0, 9.0, "y"))
+    assert der(reference, hypothesis, EvalOptions()).total > 0
     assert calls == Counter(stages)

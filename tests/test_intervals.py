@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diarkit.core import interval_union
-from diarkit.metrics import _intersect, _subtract
+from diarkit.metrics import _intersect, _slices, _subtract
 
 # (start, start + length); a length <= 0 gives an empty pair, which
 # interval_union must skip. Short lengths on a small range make spans
@@ -16,6 +16,13 @@ from diarkit.metrics import _intersect, _subtract
 SPANS = st.lists(
     st.tuples(st.integers(0, 40), st.integers(-3, 12)).map(lambda p: (p[0], p[0] + p[1])),
     max_size=10,
+)
+
+# sorted, disjoint spans between distinct cut points; kept neighbours touch
+TIMELINE = st.lists(st.integers(0, 40), unique=True, max_size=8).map(sorted).flatmap(
+    lambda cuts: st.lists(
+        st.booleans(), min_size=max(len(cuts) - 1, 0), max_size=max(len(cuts) - 1, 0)
+    ).map(lambda keep: [span for span, k in zip(zip(cuts, cuts[1:]), keep) if k])
 )
 
 
@@ -66,3 +73,16 @@ def test_intersect_matches_set_intersection(a, b):
     assert ticks(out) == ticks(a) & ticks(b)
     assert out == _intersect(b, a)
     assert_sorted_disjoint(out, strict=False)
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.sampled_from("abcd"), TIMELINE, max_size=4))
+@example({"a": [(0, 5), (5, 10)], "b": [(5, 8)]})
+def test_slices_partition_the_union_by_active_set(timelines):
+    slices = list(_slices(timelines))
+    spans = [(s, e) for s, e, _ in slices]
+    assert_sorted_disjoint(spans, strict=False)
+    assert ticks(spans) == set().union(*(ticks(tl) for tl in timelines.values()))
+    for s, e, active in slices:
+        mid = (s + e) / 2
+        assert sorted(active) == sorted(k for k, tl in timelines.items() if any(a <= mid < b for a, b in tl))
