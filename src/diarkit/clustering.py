@@ -298,48 +298,62 @@ def spectral_embed(decomp: EigenDecomposition, k: int) -> np.ndarray:
 
 
 def _cos_dist_sq(u: np.ndarray, center: np.ndarray) -> np.ndarray:
-    d = (1.0 - np.clip(u @ center, -1.0, 1.0)) / 2.0
+    d = (1.0 - (u @ center).clip(-1.0, 1.0)) / 2.0
     return d * d
+
+
+def _draw(rng: np.random.Generator, weights: np.ndarray) -> int:
+    """An index drawn with probability proportional to the non-negative weights,
+    uniformly when they sum to 0.
+
+    rng.choice(n, p=weights / total)'s own algorithm (the normalized cumulative
+    sum searched at one uniform draw) without its per-call checks of p: the
+    same index, and the generator left in the same state.
+    """
+    total = float(weights.sum())
+    if total <= 0:
+        return int(rng.integers(weights.size))
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _kmeans_pp(u: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: sample proportional to squared cosine distance."""
     n = u.shape[0]
     chosen = [int(rng.integers(n))]
-    weights = _cos_dist_sq(u, u[chosen[0]])
-    for _ in range(1, k):
-        total = float(weights.sum())
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=weights / total))
-        chosen.append(idx)
-        weights = np.minimum(weights, _cos_dist_sq(u, u[idx]))
+    weights = np.full(n, np.inf)
+    while len(chosen) < k:
+        weights = np.minimum(weights, _cos_dist_sq(u, u[chosen[-1]]))
+        chosen.append(_draw(rng, weights))
     return u[chosen].copy()
 
 
+def _assigned_cosines(u: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's cosine to its own centroid, clipped to [-1, 1]."""
+    return np.einsum("ij,ij->i", u, centroids.take(labels, axis=0)).clip(-1.0, 1.0)
+
+
 def _objective(u: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    sims = np.einsum("ij,ij->i", u, centroids[labels])
-    d = (1.0 - np.clip(sims, -1.0, 1.0)) / 2.0
+    d = (1.0 - _assigned_cosines(u, centroids, labels)) / 2.0
     return float(np.sum(d * d))
 
 
 def _repair_empty(
-    u: np.ndarray, centroids: np.ndarray, labels: np.ndarray, k: int
+    u: np.ndarray, centroids: np.ndarray, labels: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Move the point farthest from its centroid into each empty cluster."""
-    counts = np.bincount(labels, minlength=k)
-    for c in range(k):
-        while counts[c] == 0:
-            sims = np.einsum("ij,ij->i", u, centroids[labels])
-            dist = (1.0 - np.clip(sims, -1.0, 1.0)) / 2.0
-            # only clusters with >= 2 members may donate a point
-            dist[counts[labels] < 2] = -np.inf
-            i = int(np.argmax(dist))
-            counts[labels[i]] -= 1
-            labels[i] = c
-            counts[c] += 1
-            centroids[c] = u[i]
+    """Move the point farthest from its centroid into each empty cluster, in
+    cluster order; labels, centroids and the cluster sizes `counts` are updated
+    in place. A donor keeps at least one member, so no cluster empties again."""
+    for c in np.flatnonzero(counts == 0):
+        dist = (1.0 - _assigned_cosines(u, centroids, labels)) / 2.0
+        # only clusters with >= 2 members may donate a point
+        dist[counts[labels] < 2] = -np.inf
+        i = int(np.argmax(dist))
+        counts[labels[i]] -= 1
+        labels[i] = c
+        counts[c] += 1
+        centroids[c] = u[i]
     return labels
 
 
@@ -355,31 +369,45 @@ def _lloyd(
     The recorded objective is evaluated after each centroid update; an
     update that would increase it is rejected, so the history is
     non-increasing and the loop always terminates.
+
+    Each cluster's sum of rows comes from one bincount over (label, column)
+    cells, added in row order from 0.0 as u[labels == c].sum(axis=0) adds
+    them; its norm is np.linalg.norm's dot product, in l2_normalize_rows'
+    stacked form. An assignment equal to the accepted one would give the same
+    centroids and objective again (a cluster the repair refills holds one row,
+    whose centroid is that row's as before): the run records that objective
+    once more and stops without recomputing it.
     """
+    d = u.shape[1]
+    cells = np.arange(d)  # a row's column offsets in the flat (k, d) sums
+    flat = u.ravel()
     centroids = _kmeans_pp(u, k, rng)
     labels = None
     prev_obj = math.inf
     history: list[float] = []
     for _ in range(max_iters):
-        sims = u @ centroids.T
-        new_labels = np.argmax(sims, axis=1)
+        new_labels = np.argmax(u @ centroids.T, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
         # repair works on a copy: the accepted state must survive a rejected update
         new_centroids = centroids.copy()
-        new_labels = _repair_empty(u, new_centroids, new_labels, k)
-        for c in range(k):
-            s = u[new_labels == c].sum(axis=0)
-            norm = np.linalg.norm(s)
-            if norm >= ZERO_NORM_TOL:
-                new_centroids[c] = s / norm
+        if not counts.all():
+            new_labels = _repair_empty(u, new_centroids, new_labels, counts)
+        if labels is not None and np.array_equal(labels, new_labels):
+            history.append(prev_obj)  # the accepted partition again: converged
+            break
+        sums = np.bincount((new_labels[:, None] * d + cells).ravel(), weights=flat,
+                           minlength=k * d).reshape(k, d)
+        norms = np.sqrt((sums[:, None, :] @ sums[:, :, None])[:, 0])
+        # a cluster whose sum has no direction keeps its previous centroid
+        np.divide(sums, norms, out=new_centroids, where=norms >= ZERO_NORM_TOL)
         obj = _objective(u, new_centroids, new_labels)
         if obj > prev_obj:
             break
-        unchanged = labels is not None and np.array_equal(labels, new_labels)
         labels, centroids = new_labels, new_centroids
         history.append(obj)
         improved = prev_obj - obj
         prev_obj = obj
-        if unchanged or improved < tol:
+        if improved < tol:
             break
     return labels, centroids, prev_obj, history
 

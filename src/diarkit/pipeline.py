@@ -67,8 +67,9 @@ def stack_segments(seg_embs) -> tuple[np.ndarray, list[TimeInterval]]:
 def cluster(x, config: DiarizeConfig) -> ClusteringResult:
     """Cluster the rows of an (n, d) segment matrix with the configured algorithm.
 
-    k-means takes k = 1 for a single segment, otherwise the elbow search's
-    own clustering at its k in [min_clusters, min(max_clusters, n)].
+    k-means clamps the speaker bounds to n, as spectral clustering does. When
+    that leaves only k = 1 it returns one cluster, otherwise the elbow search's
+    own clustering at its k in [max(2, min_clusters), max_clusters].
     """
     params = config.spectral
     if config.algorithm == "spectral":
@@ -76,10 +77,10 @@ def cluster(x, config: DiarizeConfig) -> ClusteringResult:
     if config.algorithm == "naive":
         return run_online(NaiveOnlineClusterer(config.threshold), x)
     n = len(x)
-    if n == 1:
+    min_c, max_c = min(params.min_clusters, n), min(params.max_clusters, n)
+    if max_c == 1:
         return kmeans(x, KMeansParams(k=1, seed=params.seed))
-    return estimate_k_elbow(x, min(params.max_clusters, n), KMeansParams(seed=params.seed),
-                            min_clusters=params.min_clusters)
+    return estimate_k_elbow(x, max_c, KMeansParams(seed=params.seed), min_clusters=min_c)
 
 
 def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig()) -> Annotation:

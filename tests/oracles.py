@@ -5,7 +5,8 @@ the package code: direct 2-D convolution instead of separable passes,
 midpoint slicing in floats instead of integer-tick sweeps, exhaustive
 permutation search or scipy.optimize's Hungarian-type solver instead of the
 package's bipartite matching, one vector pair at a time instead of whole
-matrices. Slow but obviously correct on small inputs.
+matrices, one cluster at a time in k-means. Slow but obviously correct on
+small inputs.
 The synthetic generator's self-check, `angular_stats`, lives here too.
 """
 
@@ -120,6 +121,92 @@ def mirrored_syrk(x: np.ndarray) -> np.ndarray:
 def sort_threshold(m: np.ndarray, kth: int, soft: float) -> np.ndarray:
     """Threshold every row at its k-th smallest entry, read from a full sort."""
     return np.where(m < np.sort(m, axis=1)[:, [kth]], m * soft, m)
+
+
+def _cos_dist_sq(u: np.ndarray, center: np.ndarray) -> np.ndarray:
+    d = (1.0 - np.clip(u @ center, -1.0, 1.0)) / 2.0
+    return d * d
+
+
+def kmeans_pp_oracle(u: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: sample proportional to squared cosine distance."""
+    n = u.shape[0]
+    chosen = [int(rng.integers(n))]
+    weights = _cos_dist_sq(u, u[chosen[0]])
+    for _ in range(1, k):
+        total = float(weights.sum())
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=weights / total))
+        chosen.append(idx)
+        weights = np.minimum(weights, _cos_dist_sq(u, u[idx]))
+    return u[chosen].copy()
+
+
+def _objective(u: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    sims = np.einsum("ij,ij->i", u, centroids[labels])
+    d = (1.0 - np.clip(sims, -1.0, 1.0)) / 2.0
+    return float(np.sum(d * d))
+
+
+def repair_empty_oracle(
+    u: np.ndarray, centroids: np.ndarray, labels: np.ndarray, k: int
+) -> np.ndarray:
+    """Move the point farthest from its centroid into each empty cluster."""
+    counts = np.bincount(labels, minlength=k)
+    for c in range(k):
+        while counts[c] == 0:
+            sims = np.einsum("ij,ij->i", u, centroids[labels])
+            dist = (1.0 - np.clip(sims, -1.0, 1.0)) / 2.0
+            # only clusters with >= 2 members may donate a point
+            dist[counts[labels] < 2] = -np.inf
+            i = int(np.argmax(dist))
+            counts[labels[i]] -= 1
+            labels[i] = c
+            counts[c] += 1
+            centroids[c] = u[i]
+    return labels
+
+
+def lloyd_oracle(
+    u: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    max_iters: int,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """One seeded k-means run, one cluster at a time: each centroid update
+    sums u[labels == c], and the run stops on an assignment it has already
+    accepted only after recomputing that assignment's centroids and
+    objective. Returns (labels, centroids, objective, history).
+    """
+    centroids = kmeans_pp_oracle(u, k, rng)
+    labels = None
+    prev_obj = math.inf
+    history: list[float] = []
+    for _ in range(max_iters):
+        sims = u @ centroids.T
+        new_labels = np.argmax(sims, axis=1)
+        # repair works on a copy: the accepted state must survive a rejected update
+        new_centroids = centroids.copy()
+        new_labels = repair_empty_oracle(u, new_centroids, new_labels, k)
+        for c in range(k):
+            s = u[new_labels == c].sum(axis=0)
+            norm = np.linalg.norm(s)
+            if norm >= ZERO_NORM_TOL:
+                new_centroids[c] = s / norm
+        obj = _objective(u, new_centroids, new_labels)
+        if obj > prev_obj:
+            break
+        unchanged = labels is not None and np.array_equal(labels, new_labels)
+        labels, centroids = new_labels, new_centroids
+        history.append(obj)
+        improved = prev_obj - obj
+        prev_obj = obj
+        if unchanged or improved < tol:
+            break
+    return labels, centroids, prev_obj, history
 
 
 def aggregate_oracle(windows, segments) -> list[SegmentEmbedding]:

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-from diarkit.clustering import SpectralParams, spectral_cluster
+from diarkit.clustering import SpectralParams, blurred_affinity, cluster_blurred, spectral_cluster
 from diarkit.core import Annotation, Segment, TimeInterval
 from diarkit.metrics import EvalOptions, der
+from diarkit.pipeline import DiarizeConfig, cluster
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -68,6 +69,11 @@ def count_calls(monkeypatch, stages) -> Counter:
     return calls
 
 
+def three_groups() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    return np.repeat(np.eye(3, 8), 20, axis=0) + 0.1 * rng.standard_normal((60, 8))
+
+
 def test_spectral_cluster_calls_each_traced_stage_once(monkeypatch):
     # each stage's span times calls through these names: a chain that ran a
     # private kernel instead would read 0 there without failing
@@ -75,10 +81,22 @@ def test_spectral_cluster_calls_each_traced_stage_once(monkeypatch):
               "clustering.refine_symmetrize", "clustering.refine_diffuse", "numerics.eigh",
               "clustering.kmeans"]
     calls = count_calls(monkeypatch, stages)
-    rng = np.random.default_rng(0)
-    x = np.repeat(np.eye(3, 8), 20, axis=0) + 0.1 * rng.standard_normal((60, 8))
-    assert spectral_cluster(x, SpectralParams()).clustering.k == 3
+    assert spectral_cluster(three_groups(), SpectralParams()).clustering.k == 3
     assert calls == Counter(stages)
+
+
+def test_kmeans_cluster_calls_the_elbow_once(monkeypatch):
+    # the elbow's span times the k-means baseline's whole search
+    calls = count_calls(monkeypatch, ["clustering.estimate_k_elbow"])
+    assert cluster(three_groups(), DiarizeConfig("kmeans")).k >= 2
+    assert calls == Counter(["clustering.estimate_k_elbow"])
+
+
+def test_cluster_blurred_calls_kmeans_once(monkeypatch):
+    # the sweep clusters through cluster_blurred; the kmeans span times its last step
+    calls = count_calls(monkeypatch, ["clustering.kmeans"])
+    assert cluster_blurred(blurred_affinity(three_groups(), 1.0), SpectralParams()).clustering.k == 3
+    assert calls == Counter(["clustering.kmeans"])
 
 
 def test_der_calls_each_traced_scoring_stage_once(monkeypatch):

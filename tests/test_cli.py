@@ -210,6 +210,25 @@ class TestDiarize:
         (hypothesis,) = parse_rttm(out.read_text())
         assert hypothesis.labels() == ["spk0"]
 
+    @pytest.mark.parametrize(
+        "bounds, speakers",
+        [(["--min-speakers", "6"], 5), (["--min-speakers", "1", "--max-speakers", "1"], 1)],
+    )
+    def test_kmeans_clamps_speaker_bounds_to_segments(self, tmp_path, bounds, speakers):
+        # five separate 0.3 s windows are five segments, one direction each; like
+        # spectral clustering, k-means clamps the bounds to them, and a range
+        # that holds only k = 1 is one speaker
+        rows = [f"{i}.0,{i}.3," + ",".join("1.0" if j == i else "0.0" for j in range(5))
+                for i in range(5)]
+        emb = tmp_path / "five.csv"
+        emb.write_text("start,end,v0,v1,v2,v3,v4\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "o.rttm"
+        rc = main(["diarize", "--embeddings", str(emb), "--algorithm", "kmeans", *bounds,
+                   "--out", str(out)])
+        assert rc == 0
+        (hypothesis,) = parse_rttm(out.read_text())
+        assert len(hypothesis.labels()) == speakers
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_pipeline_diarize_matches_cli(self, tmp_path, algorithm):
         paths = run_synth(tmp_path, "conv")

@@ -6,7 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import diarkit.clustering
 from diarkit import (
     DEFAULT_MAX_CLUSTERS,
     ClusteringResult,
@@ -37,6 +40,7 @@ from diarkit import (
     spectral_embed,
 )
 from diarkit.clustering import (
+    _draw,
     _lloyd,
     _row_max_normalize_symmetrize,
     blurred_affinity,
@@ -46,7 +50,7 @@ from diarkit.clustering import (
 from diarkit.numerics import _TILE, gram, l2_normalize_rows, nearest_rank_index
 from diarkit.pipeline import segment_embeddings
 from helpers import run_python
-from oracles import sort_threshold
+from oracles import lloyd_oracle, sort_threshold
 
 BLOCK = np.array(
     [
@@ -69,6 +73,19 @@ def same_partition(a, b) -> bool:
         if forward.setdefault(x, y) != y or backward.setdefault(y, x) != x:
             return False
     return True
+
+
+@st.composite
+def lloyd_inputs(draw) -> tuple[list, int]:
+    """(rows, k) for one k-means run: 1-24 rows drawn from a pool of at most 6
+    made of +-0, +-1, 0.5 and random components, so duplicate rows, antipodes,
+    signed zeros and k = n are common."""
+    d = draw(st.integers(1, 4))
+    component = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]) | st.floats(-1, 1)
+    pool = draw(st.lists(st.tuples(*[component] * d), min_size=1, max_size=6))
+    pool = [p for p in pool if max(map(abs, p)) > 1e-3] or [(1.0,) * d]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    return rows, draw(st.integers(1, len(rows)))
 
 
 def planted_points(rng, directions, per_cluster, noise_deg):
@@ -586,6 +603,65 @@ class TestKMeans:
                 u, 4, np.random.default_rng(seed), max_iters=300, tol=0.0
             )
             assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
+
+    # 4 copies of one row and 1 other at k = 4: the seeding draws a copy twice,
+    # so the first assignment leaves clusters empty and needs the repair
+    REPAIR_ROWS = ((1.0, 0.0),) * 4 + ((0.0, 1.0),)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=lloyd_inputs(), tol=st.sampled_from([0.0, 1e-6]), seed=st.integers(0, 2**32 - 1))
+    @example(case=(REPAIR_ROWS, 4), tol=0.0, seed=0)
+    @example(case=(((-0.0, 1.0), (0.0, -1.0), (1.0, -0.0), (-1.0, 0.0)), 4), tol=1e-6, seed=1)
+    @example(case=(((1.0, 0.0), (-1.0, -0.0)), 1), tol=0.0, seed=2)  # a zero sum
+    def test_lloyd_matches_the_per_cluster_oracle(self, case, tol, seed):
+        # the vectorized step against the one-cluster-at-a-time loop it replaced:
+        # labels, objective, history and generator state bit for bit, centroids
+        # by value (0.0 == -0.0)
+        rows, k = case
+        u = l2_normalize_rows(np.array(rows, dtype=np.float64))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        labels, centroids, obj, history = _lloyd(u, k, got_rng, 300, tol)
+        want = lloyd_oracle(u, k, want_rng, 300, tol)
+        assert labels.dtype == want[0].dtype and np.array_equal(labels, want[0])
+        assert np.array_equal(centroids, want[1])
+        assert [h.hex() for h in [obj, *history]] == [h.hex() for h in [want[2], *want[3]]]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_repair_example_runs_the_repair(self, monkeypatch):
+        calls = 0
+        repair = diarkit.clustering._repair_empty
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return repair(*args)
+
+        monkeypatch.setattr(diarkit.clustering, "_repair_empty", counted)
+        u = np.array(self.REPAIR_ROWS)
+        labels, _, _, _ = _lloyd(u, 4, np.random.default_rng(0), 300, 0.0)
+        assert calls >= 1
+        assert np.bincount(labels, minlength=4).all()
+
+    def test_draw_is_generator_choice(self):
+        # _draw repeats rng.choice(n, p=weights / total)'s algorithm: a numpy
+        # release that changes choice's draw or its use of the generator fails here
+        for seed in range(500):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 40))
+            weights = rng.random(n) ** 3
+            weights[rng.random(n) < 0.4] = 0.0
+            weights[rng.integers(n)] += 0.5  # at least one non-zero weight
+            got, want = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+            for _ in range(3):
+                expected = int(want.choice(n, p=weights / float(weights.sum())))
+                assert _draw(got, weights) == expected
+                assert got.bit_generator.state == want.bit_generator.state
+
+    def test_draw_over_zero_weights_is_uniform_integer(self):
+        for seed in range(50):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _draw(got, np.zeros(7)) == int(want.integers(7))
+            assert got.bit_generator.state == want.bit_generator.state
 
 
 class TestEstimateKElbow:
