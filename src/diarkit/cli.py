@@ -44,12 +44,22 @@ def _flag_values():
 
 
 def _read(path: str, parse=str):
-    """parse(the text of the file at path, decoded as UTF-8). A decode or parse
-    error becomes a ParseError whose message starts with the path."""
+    """parse(the text of the file at path, decoded as UTF-8 without a leading
+    byte-order mark). A decode or parse error becomes a ParseError whose
+    message starts with the path."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
     except (UnicodeDecodeError, ParseError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def _rttm(path: str, annotation: Annotation) -> str:
+    """write_rttm(annotation). A recording id or label that RTTM cannot hold
+    becomes a UsageError whose message starts with the path."""
+    try:
+        return formats.write_rttm(annotation)
+    except InvalidInputError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _dump_stages(prefix: str, seg_embs, params: SpectralParams) -> None:
@@ -79,9 +89,10 @@ def cmd_diarize(args) -> int:
     regions = _read(args.regions, formats.read_regions_csv) if args.regions else None
     seg_embs = segment_embeddings(windows, regions, args.max_segment_len)
     hypothesis = diarize(Path(args.embeddings).stem, seg_embs, config)
+    rttm = _rttm(args.out, hypothesis)  # before any file is written
     if args.dump_stages:
         _dump_stages(args.dump_stages, seg_embs, config.spectral)
-    Path(args.out).write_text(formats.write_rttm(hypothesis))
+    Path(args.out).write_text(rttm)
     return 0
 
 
@@ -100,6 +111,8 @@ def cmd_evaluate(args) -> int:
         a.recording_id: a for a in _read(args.hypothesis, formats.parse_rttm)
     }
     uem_map = _read(args.uem, formats.parse_uem) if args.uem else None
+    for rec in sorted(hypotheses.keys() - {a.recording_id for a in references}):
+        print(f"warning: {rec} is not in the reference; ignored", file=sys.stderr)
 
     rows: list[tuple[str, DerReport]] = []
     for reference in sorted(references, key=lambda a: a.recording_id):
@@ -152,8 +165,9 @@ def cmd_synth(args) -> int:
     # name the recording after the embeddings file so diarize + evaluate line up
     recording_id = Path(args.out_embeddings).stem
     reference = Annotation(recording_id, reference.segments)
+    rttm = _rttm(args.out_reference, reference)  # before any file is written
     Path(args.out_embeddings).write_text(formats.write_embeddings_csv(windows))
-    Path(args.out_reference).write_text(formats.write_rttm(reference))
+    Path(args.out_reference).write_text(rttm)
     Path(args.out_regions).write_text(formats.write_regions_csv(regions))
     return 0
 

@@ -65,7 +65,15 @@ def parse_rttm(text: str) -> list[Annotation]:
 
 
 def write_rttm(annotation: Annotation) -> str:
-    """Serialize an annotation as SPEAKER lines, times with 6 decimal places."""
+    """Serialize an annotation as SPEAKER lines, times with 6 decimal places.
+
+    The recording id and the speaker labels are whitespace-separated fields,
+    so one that holds whitespace, which would not parse back, is rejected.
+    """
+    names = [("recording id", annotation.recording_id)]
+    for what, name in names + [("speaker label", label) for label in annotation.labels()]:
+        if name.split() != [name]:
+            raise InvalidInputError(f"RTTM cannot hold the {what} {name!r}: it contains whitespace")
     lines = []
     for seg in annotation:
         iv = seg.interval

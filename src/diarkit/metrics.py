@@ -31,47 +31,6 @@ def _seconds(ticks: int) -> float:
     return ticks / TICKS_PER_SECOND
 
 
-def _subtract(a: Ticks, b: Ticks) -> Ticks:
-    """a minus b; both sorted and disjoint."""
-    out: Ticks = []
-    j = 0
-    for s, e in a:
-        cur = s
-        while j < len(b) and b[j][1] <= cur:
-            j += 1
-        k = j
-        while k < len(b) and b[k][0] < e:
-            bs, be = b[k]
-            if bs > cur:
-                out.append((cur, bs))
-            cur = max(cur, be)
-            if be >= e:
-                break
-            k += 1
-        if cur < e:
-            out.append((cur, e))
-    return out
-
-
-def _intersect(a: Ticks, b: Ticks) -> Ticks:
-    out: Ticks = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        s = max(a[i][0], b[j][0])
-        e = min(a[i][1], b[j][1])
-        if s < e:
-            out.append((s, e))
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def _total(intervals: Ticks) -> int:
-    return sum(e - s for s, e in intervals)
-
-
 @dataclass(frozen=True)
 class EvalOptions:
     """Scoring conventions: collar seconds, overlap exclusion, optional UEM."""
@@ -167,17 +126,15 @@ def _slices(timelines: dict[K, Ticks]) -> Iterator[tuple[int, int, list[K]]]:
             active.discard(keys[i])
 
 
-def _overlap_regions(timelines: dict[str, Ticks]) -> Ticks:
-    """Ticks where at least two distinct speakers are simultaneously active."""
-    return interval_union((s, e) for s, e, active in _slices(timelines) if len(active) >= 2)
-
-
 def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterval]:
     """Where scoring happens: UEM (or annotation extent) minus collars and overlap.
 
     A collar of +/- opts.collar is cut around every reference segment
     boundary; with exclude_overlap, spans where two or more reference
-    speakers talk at once are cut as well.
+    speakers talk at once are cut as well. One sweep over the base, the
+    collar strips and (with exclude_overlap) each reference speaker keeps
+    the slices where the base is active, no strip is, and at most one
+    speaker is.
     """
     if len(reference) == 0:
         raise InvalidInputError("reference annotation is empty")
@@ -187,16 +144,19 @@ def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterva
         extent = reference.extent()
         base = [(_tick(extent.start), _tick(extent.end))]
     collar = _tick(opts.collar)
-    if collar > 0:
-        cuts = []
-        for seg in reference:
-            for boundary in (seg.interval.start, seg.interval.end):
-                b = _tick(boundary)
-                cuts.append((b - collar, b + collar))
-        base = _subtract(base, interval_union(cuts))
+    boundaries = {_tick(t) for seg in reference for t in (seg.interval.start, seg.interval.end)}
+    # tuple keys, so no speaker label can take the base's or the strips' place
+    timelines = {
+        ("base",): base,
+        ("strip",): interval_union((b - collar, b + collar) for b in boundaries),
+    }
     if opts.exclude_overlap:
-        base = _subtract(base, _overlap_regions(_speaker_tick_timelines(reference)))
-    return [TimeInterval(_seconds(s), _seconds(e)) for s, e in base if e > s]
+        timelines.update(_speaker_tick_timelines(reference))
+    kept = interval_union(
+        (s, e) for s, e, active in _slices(timelines)
+        if ("base",) in active and ("strip",) not in active and len(active) <= 2
+    )
+    return [TimeInterval(_seconds(s), _seconds(e)) for s, e in kept]
 
 
 def map_speakers(
@@ -222,14 +182,16 @@ def map_speakers(
 def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> DerReport:
     """Score a hypothesis against a reference under the given conventions.
 
-    Both annotations are restricted to the scoring region and swept once
-    over their constant-speaker-set slices: per slice, miss is unmatched
-    reference depth, false alarm is unmatched hypothesis depth, co-active
-    time is the lesser depth, and each active reference/hypothesis pair
-    gains the slice's duration in the overlap matrix. Speakers are mapped
-    one-to-one to maximize matched time; confusion is co-active time minus
-    the time the mapped pairs share. The denominator is reference speech
-    inside the region.
+    Both annotations are swept once over their constant-speaker-set
+    slices, with the scoring region as one more timeline; slices outside
+    it are skipped. Per slice, miss is unmatched reference depth, false
+    alarm is unmatched hypothesis depth, co-active time is the lesser
+    depth, and each active reference/hypothesis pair gains the slice's
+    duration in the overlap matrix. Speakers are mapped one-to-one to
+    maximize matched time; a speaker with no time in the region only adds
+    a zero row or column, which leaves that maximum unchanged. Confusion
+    is co-active time minus the time the mapped pairs share. The
+    denominator is reference speech inside the region.
     """
     if reference.recording_id != hypothesis.recording_id:
         raise InvalidInputError(
@@ -239,28 +201,21 @@ def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> Der
     region = [
         (_tick(iv.start), _tick(iv.end)) for iv in scoring_region(reference, opts)
     ]
-    if _total(region) == 0:
+    if not region:
         raise InvalidInputError("scoring region is empty")
-    ref_tl = {
-        spk: _intersect(tl, region)
-        for spk, tl in _speaker_tick_timelines(reference).items()
-    }
-    hyp_tl = {
-        spk: _intersect(tl, region)
-        for spk, tl in _speaker_tick_timelines(hypothesis).items()
-    }
-    ref_tl = {spk: tl for spk, tl in ref_tl.items() if tl}
-    hyp_tl = {spk: tl for spk, tl in hyp_tl.items() if tl}
-    if not ref_tl:
-        raise InvalidInputError("no reference speech inside the scoring region")
-
+    ref_tl = _speaker_tick_timelines(reference)
+    hyp_tl = _speaker_tick_timelines(hypothesis)
     ref_labels = sorted(ref_tl)
     hyp_labels = sorted(hyp_tl)
+    # side 0 keys the reference rows, side 1 the hypothesis columns, side 2 the region
     timelines = {(0, i): ref_tl[r] for i, r in enumerate(ref_labels)}
     timelines.update({(1, j): hyp_tl[h] for j, h in enumerate(hyp_labels)})
+    timelines[2, 0] = region
     overlap = [[0] * len(hyp_labels) for _ in ref_labels]
     miss = fa = coactive = ref_ticks = 0
     for start, end, active in _slices(timelines):
+        if (2, 0) not in active:
+            continue
         dur = end - start
         rows = [i for side, i in active if side == 0]
         cols = [j for side, j in active if side == 1]
@@ -272,6 +227,8 @@ def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> Der
         for i in rows:
             for j in cols:
                 overlap[i][j] += dur
+    if ref_ticks == 0:
+        raise InvalidInputError("no reference speech inside the scoring region")
     mapping = map_speakers(ref_labels, hyp_labels, overlap)
     matched = sum(overlap[ref_labels.index(r)][hyp_labels.index(h)] for r, h in mapping.items())
     confusion = coactive - matched

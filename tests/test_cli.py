@@ -10,12 +10,14 @@ from diarkit import (
     combine_reports,
     der,
     parse_rttm,
+    parse_uem,
     read_embeddings_csv,
     read_regions_csv,
+    write_embeddings_csv,
     write_rttm,
 )
 from diarkit.aggregation import DEFAULT_MAX_SEGMENT_LEN
-from diarkit.cli import build_parser, main
+from diarkit.cli import _read, build_parser, main
 from diarkit.pipeline import ALGORITHMS, DiarizeConfig, diarize, segment_embeddings
 from helpers import run_python
 
@@ -250,6 +252,18 @@ class TestDiarize:
         hypothesis = diarize("conv", segment_embeddings(windows, regions), config)
         assert write_rttm(hypothesis) == out.read_text()
 
+    def test_whitespace_in_recording_id_is_usage_error(self, tmp_path, capsys):
+        emb = tmp_path / "my rec.csv"
+        emb.write_text(E1_E1_E2_CSV)
+        out, prefix = tmp_path / "hyp.rttm", tmp_path / "stage"
+        rc = main(["diarize", "--embeddings", str(emb), "--out", str(out),
+                   "--dump-stages", str(prefix)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}: RTTM cannot hold the recording id 'my rec': it contains whitespace\n"
+        )
+        assert list(tmp_path.iterdir()) == [emb]
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
         emb = tmp_path / "toy.csv"
         emb.write_text(E1_E1_E2_CSV)
@@ -362,6 +376,24 @@ class TestEvaluate:
         assert "recording=b fa_seconds=0.0 miss_seconds=10.0" in captured.out
         assert "recording=ALL" in captured.out
 
+    def test_hypothesis_only_recording_warned_and_ignored(self, tmp_path, capsys):
+        ref = tmp_path / "ref.rttm"
+        hyp = tmp_path / "hyp.rttm"
+        ref.write_text("SPEAKER a 1 0.000000 10.000000 <NA> <NA> A <NA> <NA>\n")
+        hyp.write_text("SPEAKER a 1 0.000000 9.000000 <NA> <NA> X <NA> <NA>\n")
+        argv = ["evaluate", "--reference", str(ref), "--hypothesis", str(hyp)]
+        assert main(argv) == 0
+        alone = capsys.readouterr()
+        assert alone.err == ""
+        with hyp.open("a") as f:
+            f.write("SPEAKER z 1 0.000000 5.000000 <NA> <NA> X <NA> <NA>\n"
+                    "SPEAKER b 1 0.000000 5.000000 <NA> <NA> X <NA> <NA>\n")
+        assert main(argv) == 0
+        extra = capsys.readouterr()
+        assert extra.out == alone.out
+        assert extra.err == ("warning: b is not in the reference; ignored\n"
+                             "warning: z is not in the reference; ignored\n")
+
     def test_uem_restriction(self, tmp_path, capsys):
         ref = tmp_path / "ref.rttm"
         hyp = tmp_path / "hyp.rttm"
@@ -459,6 +491,15 @@ class TestSynth:
         paths = run_synth(tmp_path, "meeting42")
         (annotation,) = parse_rttm(paths["ref"].read_text())
         assert annotation.recording_id == "meeting42"
+
+    def test_whitespace_in_recording_id_is_usage_error(self, tmp_path, capsys):
+        rc = main(["synth", "--speakers", "2", "--duration", "30",
+                   "--out-embeddings", str(tmp_path / "my rec.csv"),
+                   "--out-reference", str(tmp_path / "my rec.rttm"),
+                   "--out-regions", str(tmp_path / "regions.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'my rec.rttm'}: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_flags_are_usage_errors(self, tmp_path):
         args = [
@@ -668,6 +709,25 @@ class TestEntrypointPlumbing:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("parse", [str, parse_rttm, parse_uem, read_embeddings_csv,
+                                       read_regions_csv])
+    def test_byte_order_mark_is_ignored(self, tmp_path, parse):
+        text = {
+            str: "a.csv\nb.csv\n",
+            parse_rttm: "SPEAKER r 1 0.0 1.0 <NA> <NA> A <NA> <NA>\n",
+            parse_uem: "r 1 0.0 1.0\n",
+            read_embeddings_csv: E1_E1_E2_CSV,
+            read_regions_csv: "start,end\n0.0,1.0\n",
+        }[parse]
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        if parse is read_embeddings_csv:  # Windows compares by identity
+            assert write_embeddings_csv(_read(marked, parse)) == text
+        else:
+            assert _read(marked, parse) == _read(plain, parse)
 
     def test_defaults_are_the_library_defaults(self):
         parser = build_parser()

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diarkit.core import interval_union
-from diarkit.metrics import _intersect, _slices, _subtract
+from diarkit.metrics import _slices
 
 # (start, start + length); a length <= 0 gives an empty pair, which
 # interval_union must skip. Short lengths on a small range make spans
@@ -52,27 +52,6 @@ def test_union_is_idempotent_and_order_free(spans):
     merged = interval_union(spans)
     assert interval_union(merged) == merged
     assert interval_union(reversed(spans)) == merged
-
-
-@settings(deadline=None)
-@given(SPANS, SPANS)
-@example([(0, 10)], [(0, 3), (5, 10)])
-def test_subtract_matches_set_difference(a, b):
-    a, b = interval_union(a), interval_union(b)
-    out = _subtract(a, b)
-    assert ticks(out) == ticks(a) - ticks(b)
-    assert_sorted_disjoint(out, strict=False)
-
-
-@settings(deadline=None)
-@given(SPANS, SPANS)
-@example([(0, 5)], [(5, 10)])
-def test_intersect_matches_set_intersection(a, b):
-    a, b = interval_union(a), interval_union(b)
-    out = _intersect(a, b)
-    assert ticks(out) == ticks(a) & ticks(b)
-    assert out == _intersect(b, a)
-    assert_sorted_disjoint(out, strict=False)
 
 
 @settings(deadline=None)

@@ -77,6 +77,13 @@ class TestRttm:
             == "SPEAKER rec1 1 0.000000 0.400000 <NA> <NA> spk0 <NA> <NA>\n"
         )
 
+    @pytest.mark.parametrize("rec_id, label", [("my rec", "A"), ("rec1", "A\tB"), ("rec1", "A\u00a0B")])
+    def test_whitespace_in_a_field_rejected(self, rec_id, label):
+        # the line would not parse back as 10 fields
+        annotation = Annotation.create(rec_id, [Segment(TimeInterval(0, 1), label)])
+        with pytest.raises(InvalidInputError, match="contains whitespace"):
+            write_rttm(annotation)
+
     def test_empty_annotation_writes_empty_text(self):
         assert write_rttm(Annotation("rec1", ())) == ""
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from diarkit import (
@@ -356,6 +356,46 @@ def scored(reference, hypothesis, opts):
         reject()
 
 
+UNIT = 0.05  # seconds: every boundary, collar and UEM end below is a whole number of units
+
+
+def units(t: float) -> int:
+    u = round(t / UNIT)
+    assert abs(t - u * UNIT) < 1e-9
+    return u
+
+
+class TestScoringRegionProperties:
+    @pytest.mark.parametrize("collar", [0.0, 0.25])
+    @pytest.mark.parametrize("exclude_overlap", [True, False])
+    @pytest.mark.parametrize("uem", [False, True], ids=["extent", "uem"])
+    @settings(deadline=None, max_examples=40)
+    @given(reference=annotations("A", 1), uem_span=UEM)
+    def test_matches_the_unit_set_oracle(self, collar, exclude_overlap, uem, reference, uem_span):
+        # the region, as a set of UNIT cells, is the base minus every cell within
+        # the collar of a boundary and, with exclude_overlap, every cell where two
+        # or more speakers talk
+        opts = EvalOptions(collar=collar, exclude_overlap=exclude_overlap,
+                           uem=uem_span if uem else None)
+        segs = [(units(seg.interval.start), units(seg.interval.end), seg.speaker)
+                for seg in reference]
+        if uem:
+            (span,) = uem_span
+            base = set(range(units(span.start), units(span.end)))
+        else:
+            base = set(range(min(s for s, _, _ in segs), max(e for _, e, _ in segs)))
+        c = units(collar)
+        strips = {u for s, e, _ in segs for b in (s, e) for u in range(b - c, b + c)}
+        expected = {
+            u for u in base - strips
+            if not exclude_overlap or len({spk for s, e, spk in segs if s <= u < e}) <= 1
+        }
+        spans = [(units(iv.start), units(iv.end)) for iv in scoring_region(reference, opts)]
+        assert {u for s, e in spans for u in range(s, e)} == expected
+        # sorted, and apart: touching spans come out merged
+        assert all(end < start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
 class TestDerProperties:
     @settings(deadline=None)
     @given(annotations("A", 1), OPTIONS)
@@ -393,3 +433,19 @@ class TestDerProperties:
         assert report.miss_seconds == pytest.approx(expected["miss"], abs=1e-9)
         assert report.confusion_seconds == pytest.approx(expected["confusion"], abs=1e-9)
         assert report.ref_speech_seconds == pytest.approx(expected["ref_speech"], abs=1e-9)
+
+    @settings(deadline=None)
+    @given(annotations("A", 1), annotations("H", 0), OPTIONS_WITH_UEM)
+    def test_speaker_outside_the_region_changes_nothing(self, reference, hypothesis, opts):
+        # one more hypothesis speaker, wholly inside collar strips or outside the UEM
+        spans = [
+            (max(b - opts.collar, 0.0), b + opts.collar)
+            for seg in reference for b in (seg.interval.start, seg.interval.end)
+        ]
+        if opts.uem is not None:
+            (uem,) = opts.uem
+            spans += [(0.0, uem.start), (uem.end, uem.end + 5.0)]
+        outside = [Segment(TimeInterval(s, e), "ghost") for s, e in spans if e > s]
+        assume(outside)
+        padded = Annotation.create("rec", [*hypothesis, *outside])
+        assert scored(reference, padded, opts) == scored(reference, hypothesis, opts)
