@@ -9,7 +9,6 @@ clusterer), and scores hypotheses against references with DER.
 from types import ModuleType as _ModuleType
 
 from .aggregation import (
-    SpeechRegion,
     Windows,
     aggregate,
     regions_from_windows,
@@ -17,7 +16,6 @@ from .aggregation import (
 )
 from .clustering import (
     DEFAULT_MAX_CLUSTERS,
-    KMeansParams,
     NaiveOnlineClusterer,
     OnlineClusterer,
     SpectralParams,

@@ -83,13 +83,6 @@ class Windows:
         return len(self.starts)
 
 
-@dataclass(frozen=True)
-class SpeechRegion:
-    """A maximal span of detected speech."""
-
-    interval: TimeInterval
-
-
 def _check_disjoint(intervals: Sequence[TimeInterval], what: str) -> None:
     prev_end = -float("inf")
     for interval in intervals:
@@ -99,7 +92,7 @@ def _check_disjoint(intervals: Sequence[TimeInterval], what: str) -> None:
 
 
 def segmentize(
-    regions: Sequence[SpeechRegion],
+    regions: Sequence[TimeInterval],
     max_len: float = DEFAULT_MAX_SEGMENT_LEN,
 ) -> list[TimeInterval]:
     """Split speech regions left-to-right into pieces of at most max_len seconds.
@@ -112,10 +105,10 @@ def segmentize(
         raise InvalidInputError(f"max_len must be finite and positive, got {max_len}")
     if max_len < MIN_PIECE_LEN:  # else the piece count is unbounded
         raise InvalidInputError(f"max_len must be at least {MIN_PIECE_LEN} s, got {max_len}")
-    _check_disjoint([region.interval for region in regions], "speech regions")
+    _check_disjoint(regions, "speech regions")
     out: list[TimeInterval] = []
     for region in regions:
-        start, end = region.interval.start, region.interval.end
+        start, end = region.start, region.end
         pieces: list[tuple[float, float]] = []
         t = start
         while end - t > max_len:
@@ -164,7 +157,7 @@ def aggregate(
     return [SegmentEmbedding(segments[i], mean) for i, mean in zip(kept.tolist(), means)]
 
 
-def regions_from_windows(windows: Windows) -> list[SpeechRegion]:
+def regions_from_windows(windows: Windows) -> list[TimeInterval]:
     """Union of window extents as sorted, non-overlapping speech regions."""
     # rows are sorted by start: a region opens at a start past every end so
     # far (touching extents merge) and closes at the last end before the next
@@ -172,4 +165,4 @@ def regions_from_windows(windows: Windows) -> list[SpeechRegion]:
     opens = np.flatnonzero(windows.starts > np.r_[-np.inf, reach[:-1]])
     closes = reach[np.r_[opens[1:], len(windows)] - 1] if len(windows) else reach
     spans = zip(windows.starts[opens].tolist(), closes.tolist())
-    return [SpeechRegion(TimeInterval(s, e)) for s, e in spans]
+    return [TimeInterval(s, e) for s, e in spans]

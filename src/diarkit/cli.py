@@ -84,11 +84,13 @@ def cmd_diarize(args) -> int:
         )
         config = DiarizeConfig(algorithm=args.algorithm, spectral=spectral,
                                threshold=args.threshold)
+    recording_id = Path(args.embeddings).stem
+    _rttm(args.out, Annotation(recording_id, ()))  # a bad id fails before any input is read
 
     windows = _read(args.embeddings, formats.read_embeddings_csv)
     regions = _read(args.regions, formats.read_regions_csv) if args.regions else None
     seg_embs = segment_embeddings(windows, regions, args.max_segment_len)
-    hypothesis = diarize(Path(args.embeddings).stem, seg_embs, config)
+    hypothesis = diarize(recording_id, seg_embs, config)
     rttm = _rttm(args.out, hypothesis)  # before any file is written
     if args.dump_stages:
         _dump_stages(args.dump_stages, seg_embs, config.spectral)
@@ -179,6 +181,7 @@ def _parse_grid(text: str) -> list[float]:
         a, b, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"--grid values must be numeric, got {text!r}") from None
+    _require(all(map(math.isfinite, (a, b, step))), f"--grid values must be finite, got {text!r}")
     _require(step > 0, "--grid step must be positive")
     _require(b >= a, "--grid end must be >= start")
     values = []

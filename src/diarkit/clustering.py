@@ -29,6 +29,19 @@ from .numerics import (
 )
 
 DEFAULT_MAX_CLUSTERS = 8
+# Floor of the eigen-gap ratio's denominator: an eigenvalue at or below zero
+# past the k-th neither divides by zero nor flips the ratio's sign.
+EIG_FLOOR = 1e-10
+# Spherical k-means: seeded k-means++ runs per k, and each run's Lloyd
+# iteration cap and least objective decrease.
+_RESTARTS = 10
+_MAX_ITERS = 300
+_TOL = 1e-6
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -40,7 +53,6 @@ class SpectralParams:
     soft_multiplier: float = 0.01
     min_clusters: int = 2
     max_clusters: int = DEFAULT_MAX_CLUSTERS
-    eig_floor: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -56,33 +68,7 @@ class SpectralParams:
             raise InvalidInputError(f"min_clusters must be >= 1, got {self.min_clusters}")
         if self.max_clusters < self.min_clusters:
             raise InvalidInputError("max_clusters must be >= min_clusters")
-        if not (self.eig_floor > 0):
-            raise InvalidInputError("eig_floor must be positive")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass(frozen=True)
-class KMeansParams:
-    """Spherical k-means settings. `kmeans` needs k; the elbow search ignores it."""
-
-    k: int | None = None
-    max_iters: int = 300
-    tol: float = 1e-6
-    restarts: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {self.k}")
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be >= 1")
-        if not (self.tol >= 0):
-            raise InvalidInputError("tol must be >= 0")
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
 
 
 def embedding_matrix(embeddings) -> np.ndarray:
@@ -247,13 +233,8 @@ def refine_stages(a: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, 
     yield "rownorm", m
 
 
-def estimate_k_eigengap(
-    values,
-    min_clusters: int,
-    max_clusters: int,
-    eig_floor: float = 1e-10,
-) -> int:
-    """k maximizing values[k-1] / max(values[k], eig_floor) over the allowed range.
+def estimate_k_eigengap(values, min_clusters: int, max_clusters: int) -> int:
+    """k maximizing values[k-1] / max(values[k], EIG_FLOOR) over the allowed range.
 
     `values` must be sorted descending. The search range is
     [min_clusters, min(max_clusters, n-1)]; ties break toward smaller k.
@@ -263,8 +244,6 @@ def estimate_k_eigengap(
         raise InvalidInputError("need at least 2 eigenvalues")
     if np.any(np.diff(values) > 1e-10):
         raise InvalidInputError("eigenvalues must be sorted descending")
-    if not (eig_floor > 0):
-        raise InvalidInputError("eig_floor must be positive")
     lo = min_clusters
     hi = min(max_clusters, values.size - 1)
     if lo < 1 or lo > hi:
@@ -274,7 +253,7 @@ def estimate_k_eigengap(
     best_k = lo
     best_ratio = -math.inf
     for k in range(lo, hi + 1):
-        ratio = values[k - 1] / max(values[k], eig_floor)
+        ratio = values[k - 1] / max(values[k], EIG_FLOOR)
         if ratio > best_ratio:
             best_k, best_ratio = k, ratio
     return best_k
@@ -412,68 +391,67 @@ def _lloyd(
     return labels, centroids, prev_obj, history
 
 
-def _best_run(u: np.ndarray, k: int, params: KMeansParams) -> tuple[np.ndarray, float]:
-    """(labels, objective) of the lowest-objective of `restarts` seeded runs at k.
+def _best_run(u: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
+    """(labels, objective) of the lowest-objective of _RESTARTS seeded runs at k.
 
     Each call seeds its own generator, so a k gives the same run to kmeans
     and to the elbow search.
     """
-    rng = np.random.default_rng(params.seed)
-    runs = (_lloyd(u, k, rng, params.max_iters, params.tol) for _ in range(params.restarts))
+    rng = np.random.default_rng(seed)
+    runs = (_lloyd(u, k, rng, _MAX_ITERS, _TOL) for _ in range(_RESTARTS))
     labels, _, obj, _ = min(runs, key=lambda run: run[2])  # the first on a tie
     return labels, obj
 
 
-def kmeans(embeddings, params: KMeansParams) -> ClusteringResult:
+def kmeans(embeddings, k: int, *, seed: int = 0) -> ClusteringResult:
     """Spherical k-means: cosine assignment, normalized-mean centroids.
 
-    Inputs are L2-normalized first. Runs `restarts` seeded k-means++
-    initializations and keeps the run with the lowest objective
+    Inputs are L2-normalized first. Runs _RESTARTS seeded k-means++
+    initializations (each at most _MAX_ITERS Lloyd steps, stopping once the
+    objective falls by less than _TOL) and keeps the run with the lowest objective
     sum(d(x_i, c_{a(i)})^2), d being the halved cosine distance.
     """
+    if k < 1:
+        raise InvalidInputError(f"k must be >= 1, got {k}")
+    _check_seed(seed)
     u = l2_normalize_rows(embedding_matrix(embeddings))
     n = u.shape[0]
-    k = params.k
-    if k is None:
-        raise InvalidInputError("kmeans needs params.k; estimate_k_elbow can choose it")
     if k > n:
         raise InvalidInputError(f"k={k} exceeds the number of points ({n})")
-    return ClusteringResult(labels=_best_run(u, k, params)[0], k=k)
+    return ClusteringResult(labels=_best_run(u, k, seed)[0], k=k)
 
 
-def _elbow_runs(embeddings, max_clusters: int, params: KMeansParams) -> list[tuple]:
+def _elbow_runs(embeddings, max_clusters: int, seed: int) -> list[tuple]:
     """(labels, MSCD) of kmeans' best run at each k = 1..max_clusters."""
+    _check_seed(seed)
     u = l2_normalize_rows(embedding_matrix(embeddings))
     n = u.shape[0]
     if not (1 <= max_clusters <= n):
         raise InvalidInputError(f"max_clusters must lie in [1, {n}], got {max_clusters}")
-    runs = (_best_run(u, k, params) for k in range(1, max_clusters + 1))
+    runs = (_best_run(u, k, seed) for k in range(1, max_clusters + 1))
     return [(labels, obj / n) for labels, obj in runs]
 
 
-def mscd_table(embeddings, max_clusters: int, params: KMeansParams) -> dict[int, float]:
+def mscd_table(embeddings, max_clusters: int, *, seed: int = 0) -> dict[int, float]:
     """Mean squared cosine distance to the assigned centroid, for k = 1..max.
 
     Every k is clustered with the same seed so the table is reproducible
     and directly comparable across k.
     """
-    runs = _elbow_runs(embeddings, max_clusters, params)
+    runs = _elbow_runs(embeddings, max_clusters, seed)
     return {k: mscd for k, (_, mscd) in enumerate(runs, start=1)}
 
 
 def estimate_k_elbow(
-    embeddings,
-    max_clusters: int,
-    params: KMeansParams,
-    min_clusters: int = 1,
+    embeddings, max_clusters: int, *, min_clusters: int = 1, seed: int = 0
 ) -> ClusteringResult:
     """The clustering at the k with the largest drop MSCD(k-1) - MSCD(k), k >= 2.
 
     The search range is [max(2, min_clusters), max_clusters]; ties break
     toward smaller k. The labels are the search's own best run at that k,
-    the run kmeans makes with that k and the same params.
+    the run kmeans makes with that k and the same seed.
     """
-    runs = _elbow_runs(embeddings, max_clusters, params)
+    runs = _elbow_runs(embeddings, max_clusters, seed)
     lo = max(2, min_clusters)
     if lo > max_clusters:
         raise InvalidInputError(f"empty cluster-count search range [{lo}, {max_clusters}]")
@@ -526,9 +504,9 @@ def _cluster_in_place(m: np.ndarray, params: SpectralParams) -> SpectralResult:
     if min_c > min(max_c, n - 1):
         k = min_c
     else:
-        k = estimate_k_eigengap(decomp.values, min_c, max_c, params.eig_floor)
+        k = estimate_k_eigengap(decomp.values, min_c, max_c)
     emb = spectral_embed(decomp, k)
-    clustering = kmeans(emb, KMeansParams(k=k, seed=params.seed))
+    clustering = kmeans(emb, k, seed=params.seed)
     return SpectralResult(clustering=clustering, eigenvalues=decomp.values)
 
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import InvalidWindowError, SpeechRegion, Windows
+from .aggregation import InvalidWindowError, Windows
 from .core import Annotation, InvalidInputError, ParseError, Segment, TimeInterval, interval_union
 
 RTTM_FIELDS = 10
@@ -163,21 +163,20 @@ def read_embeddings_csv(text: str) -> Windows:
         raise ParseError(str(exc), lineno) from None
 
 
-def write_regions_csv(regions: Sequence[SpeechRegion]) -> str:
+def write_regions_csv(regions: Sequence[TimeInterval]) -> str:
     """Header 'start,end' plus one row per speech region."""
     lines = ["start,end"]
-    for region in regions:
-        iv = region.interval
+    for iv in regions:
         lines.append(f"{_format_float(iv.start)},{_format_float(iv.end)}")
     return "".join(line + "\n" for line in lines)
 
 
-def read_regions_csv(text: str) -> list[SpeechRegion]:
+def read_regions_csv(text: str) -> list[TimeInterval]:
     """Inverse of write_regions_csv; regions must be sorted and disjoint."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != "start,end":
         raise ParseError("header must be start,end", 1)
-    regions: list[SpeechRegion] = []
+    regions: list[TimeInterval] = []
     prev_end = -math.inf
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -189,10 +188,7 @@ def read_regions_csv(text: str) -> list[SpeechRegion]:
         end = _parse_float(cells[1], "end", lineno)
         if start < prev_end:
             raise ParseError("regions must be sorted and non-overlapping", lineno)
-        try:
-            regions.append(SpeechRegion(TimeInterval(start, end)))
-        except InvalidInputError as exc:
-            raise ParseError(str(exc), lineno) from None
+        regions.append(_interval(start, end, lineno))
         prev_end = end
     return regions
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .aggregation import DEFAULT_MAX_SEGMENT_LEN, aggregate, regions_from_windows, segmentize
 from .clustering import (
-    KMeansParams,
     NaiveOnlineClusterer,
     SpectralParams,
     blurred_affinity,
@@ -79,8 +78,8 @@ def cluster(x, config: DiarizeConfig) -> ClusteringResult:
     n = len(x)
     min_c, max_c = min(params.min_clusters, n), min(params.max_clusters, n)
     if max_c == 1:
-        return kmeans(x, KMeansParams(k=1, seed=params.seed))
-    return estimate_k_elbow(x, max_c, KMeansParams(seed=params.seed), min_clusters=min_c)
+        return kmeans(x, 1, seed=params.seed)
+    return estimate_k_elbow(x, max_c, min_clusters=min_c, seed=params.seed)
 
 
 def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig()) -> Annotation:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import SpeechRegion, Windows
+from .aggregation import Windows
 from .core import Annotation, InvalidInputError, Segment, TimeInterval
 from .numerics import l2_normalize_rows
 
@@ -32,6 +32,11 @@ _STREAM_NOISE = 2
 # Turns truncated at the conversation end to less than this are dropped.
 _MIN_TURN = 1e-3
 
+TURN_MEAN = 3.0  # seconds; turn lengths are exponential with this mean
+IMBALANCE_RATIO = 0.8  # the dominant speaker's share of turns in "imbalanced"
+GROUP_ANGLE_DEG = 70.0  # between the two group directions in "hierarchical"
+SPEAKER_ANGLE_DEG = 25.0  # each speaker's tilt from its group's direction
+
 
 @dataclass(frozen=True)
 class SynthScenario:
@@ -42,10 +47,6 @@ class SynthScenario:
     dim: int = 16
     scenario_kind: str = "separated"
     within_noise_deg: float = 5.0
-    turn_mean: float = 3.0
-    imbalance_ratio: float = 0.8
-    group_angle_deg: float = 70.0
-    speaker_angle_deg: float = 25.0
     seed: int = 0
 
     def __post_init__(self):
@@ -61,14 +62,6 @@ class SynthScenario:
             )
         if not (0.0 <= self.within_noise_deg <= 90.0):
             raise InvalidInputError("within_noise_deg must lie in [0, 90]")
-        if not (self.turn_mean > 0):
-            raise InvalidInputError("turn_mean must be positive")
-        if not (0.0 < self.imbalance_ratio < 1.0):
-            raise InvalidInputError("imbalance_ratio must lie in (0, 1)")
-        for name in ("group_angle_deg", "speaker_angle_deg"):
-            angle = getattr(self, name)
-            if not (0.0 < angle <= 90.0):
-                raise InvalidInputError(f"{name} must lie in (0, 90], got {angle}")
         if self.scenario_kind == "hierarchical":
             if self.n_speakers + 2 > self.dim:
                 raise InvalidInputError(
@@ -90,8 +83,8 @@ def speaker_directions(scenario: SynthScenario) -> np.ndarray:
     """Planted unit mean direction per speaker, reproducible from the seed alone.
 
     separated/imbalanced: mutually orthogonal random directions.
-    hierarchical: two group directions separated by group_angle_deg;
-    speaker i is tilted speaker_angle_deg away from group i % 2 along its
+    hierarchical: two group directions separated by GROUP_ANGLE_DEG;
+    speaker i is tilted SPEAKER_ANGLE_DEG away from group i % 2 along its
     own orthogonal offset axis.
     """
     rng = np.random.default_rng([scenario.seed, _STREAM_DIRECTIONS])
@@ -99,12 +92,12 @@ def speaker_directions(scenario: SynthScenario) -> np.ndarray:
     if scenario.scenario_kind in ("separated", "imbalanced"):
         return _orthonormal_columns(rng, dim, n).T.copy()
     basis = _orthonormal_columns(rng, dim, n + 2)
-    gamma = math.radians(scenario.group_angle_deg)
+    gamma = math.radians(GROUP_ANGLE_DEG)
     groups = np.stack([
         basis[:, 0],
         math.cos(gamma) * basis[:, 0] + math.sin(gamma) * basis[:, 1],
     ])
-    alpha = math.radians(scenario.speaker_angle_deg)
+    alpha = math.radians(SPEAKER_ANGLE_DEG)
     directions = np.empty((n, dim))
     for s in range(n):
         offset = basis[:, 2 + s]
@@ -127,7 +120,7 @@ def _next_speaker(
         return 0
     if scenario.scenario_kind == "imbalanced":
         # speaker 0 dominates; the rest share the remaining turns uniformly
-        if rng.random() < scenario.imbalance_ratio:
+        if rng.random() < IMBALANCE_RATIO:
             return 0
         return 1 + int(rng.integers(n - 1))
     if prev is None:
@@ -143,7 +136,7 @@ def _draw_turns(scenario: SynthScenario) -> list[tuple[float, float, int]]:
     prev: int | None = None
     while t < scenario.duration:
         speaker = _next_speaker(rng, scenario, prev)
-        length = float(rng.exponential(scenario.turn_mean))
+        length = float(rng.exponential(TURN_MEAN))
         end = min(t + length, scenario.duration)
         if end - t >= _MIN_TURN:
             turns.append((t, end, speaker))
@@ -152,12 +145,10 @@ def _draw_turns(scenario: SynthScenario) -> list[tuple[float, float, int]]:
     return turns
 
 
-def generate(
-    scenario: SynthScenario,
-) -> tuple[Annotation, Windows, list[SpeechRegion]]:
+def generate(scenario: SynthScenario) -> tuple[Annotation, Windows, list[TimeInterval]]:
     """Draw one conversation: reference annotation, window embeddings, regions.
 
-    Turn lengths are exponential with mean turn_mean, separated by
+    Turn lengths are exponential with mean TURN_MEAN, separated by
     uniform silences of up to half a second. Within each turn, windows of
     240 ms advance by 120 ms; each window vector is the speaker direction
     plus isotropic tangent noise scaled so the expected angular deviation
@@ -173,12 +164,12 @@ def generate(
         scale /= _mean_chi(scenario.dim - 1) if scenario.dim > 1 else 1.0
 
     segments: list[Segment] = []
-    regions: list[SpeechRegion] = []
+    regions: list[TimeInterval] = []
     starts, vectors = [np.empty(0)], [np.empty((0, scenario.dim))]
     for start, end, speaker in turns:
         interval = TimeInterval(start, end)
         segments.append(Segment(interval, f"S{speaker}"))
-        regions.append(SpeechRegion(interval))
+        regions.append(interval)
         offsets = np.arange(int((end - start) / WINDOW_STEP) + 2) * WINDOW_STEP
         turn_starts = start + offsets[start + offsets + WINDOW_SIZE <= end + 1e-9]
         mean = directions[speaker]

@@ -250,8 +250,6 @@ def hierarchical_suite():
             duration=120,
             scenario_kind="hierarchical",
             within_noise_deg=8.0,
-            group_angle_deg=70.0,
-            speaker_angle_deg=25.0,
             seed=seed,
         )
         for seed in range(50)
@@ -278,7 +276,6 @@ def test_clustering_ordering(capsys):
                 n_speakers=3,
                 duration=120,
                 scenario_kind="imbalanced",
-                imbalance_ratio=0.8,
                 seed=seed,
             )
             for seed in range(50)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from diarkit import (
     InvalidInputError,
-    SpeechRegion,
     TimeInterval,
     Windows,
     aggregate,
@@ -18,10 +17,6 @@ from diarkit.aggregation import InvalidWindowError
 from oracles import aggregate_oracle
 
 
-def region(start, end):
-    return SpeechRegion(TimeInterval(start, end))
-
-
 def windows(*rows):
     """A Windows batch from (start, end, vector) rows."""
     starts, ends, vectors = zip(*rows)
@@ -30,33 +25,33 @@ def windows(*rows):
 
 class TestSegmentize:
     def test_even_split_with_remainder(self):
-        out = segmentize([region(0.0, 1.0)], max_len=0.4)
+        out = segmentize([TimeInterval(0.0, 1.0)], max_len=0.4)
         assert [(iv.start, iv.end) for iv in out] == [(0.0, 0.4), (0.4, 0.8), (0.8, 1.0)]
 
     def test_exact_fit(self):
-        out = segmentize([region(0.0, 0.4)], max_len=0.4)
+        out = segmentize([TimeInterval(0.0, 0.4)], max_len=0.4)
         assert [(iv.start, iv.end) for iv in out] == [(0.0, 0.4)]
 
     def test_tiny_remainder_merges_into_previous_piece(self):
-        out = segmentize([region(0.0, 0.401)], max_len=0.4)
+        out = segmentize([TimeInterval(0.0, 0.401)], max_len=0.4)
         assert [(iv.start, iv.end) for iv in out] == [(0.0, 0.401)]
 
     def test_region_shorter_than_minimum_dropped(self):
-        assert segmentize([region(0.0, 0.005)], max_len=0.4) == []
+        assert segmentize([TimeInterval(0.0, 0.005)], max_len=0.4) == []
 
     def test_multiple_regions(self):
-        out = segmentize([region(0.0, 0.5), region(1.0, 1.3)], max_len=0.4)
+        out = segmentize([TimeInterval(0.0, 0.5), TimeInterval(1.0, 1.3)], max_len=0.4)
         assert [(iv.start, iv.end) for iv in out] == [(0.0, 0.4), (0.4, 0.5), (1.0, 1.3)]
 
     def test_union_preserved(self):
-        regions = [region(0.0, 1.7), region(2.0, 2.35), region(5.5, 9.01)]
+        regions = [TimeInterval(0.0, 1.7), TimeInterval(2.0, 2.35), TimeInterval(5.5, 9.01)]
         pieces = segmentize(regions, max_len=0.4)
         # pieces tile each region: contiguous within a region, exact outer bounds
         by_region = {}
         for piece in pieces:
             for r in regions:
-                if r.interval.start <= piece.start and piece.end <= r.interval.end + 1e-12:
-                    by_region.setdefault((r.interval.start, r.interval.end), []).append(piece)
+                if r.start <= piece.start and piece.end <= r.end + 1e-12:
+                    by_region.setdefault((r.start, r.end), []).append(piece)
         for (start, end), tiles in by_region.items():
             assert tiles[0].start == start
             assert abs(tiles[-1].end - end) < 1e-12
@@ -71,24 +66,24 @@ class TestSegmentize:
         for _ in range(20):
             start = t + rng.uniform(0.05, 0.5)
             end = start + rng.uniform(0.011, 3.0)
-            regions.append(region(start, end))
+            regions.append(TimeInterval(start, end))
             t = end
         for piece in segmentize(regions, max_len=0.4):
             assert piece.duration <= 0.4 + 0.01 + 1e-9
 
     def test_overlapping_regions_rejected(self):
         with pytest.raises(InvalidInputError):
-            segmentize([region(0, 1), region(0.5, 2)], max_len=0.4)
+            segmentize([TimeInterval(0, 1), TimeInterval(0.5, 2)], max_len=0.4)
 
     def test_nonpositive_max_len_rejected(self):
         with pytest.raises(InvalidInputError):
-            segmentize([region(0, 1)], max_len=0.0)
+            segmentize([TimeInterval(0, 1)], max_len=0.0)
 
     def test_max_len_below_the_shortest_piece_rejected(self):
         # without a floor, 1e-300 cut pieces until memory ran out
         with pytest.raises(InvalidInputError, match="^max_len must be at least 0.01 s, got 0.001$"):
-            segmentize([region(0, 1)], max_len=0.001)
-        pieces = segmentize([region(0, 1)], max_len=0.01)  # the floor itself is allowed
+            segmentize([TimeInterval(0, 1)], max_len=0.001)
+        pieces = segmentize([TimeInterval(0, 1)], max_len=0.01)  # the floor itself is allowed
         assert (pieces[0].start, pieces[-1].end) == (0.0, 1.0)
 
 
@@ -169,7 +164,7 @@ class TestRegionsFromWindows:
         regions = regions_from_windows(
             windows((0.0, 0.24, [1]), (0.12, 0.36, [1]), (1.0, 1.24, [1]))
         )
-        assert [(r.interval.start, r.interval.end) for r in regions] == [
+        assert [(r.start, r.end) for r in regions] == [
             (0.0, 0.36),
             (1.0, 1.24),
         ]

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import diarkit.cli
 import diarkit.clustering
 import diarkit.numerics
 from diarkit import (
@@ -9,6 +12,7 @@ from diarkit import (
     SpectralParams,
     combine_reports,
     der,
+    generate,
     parse_rttm,
     parse_uem,
     read_embeddings_csv,
@@ -253,8 +257,9 @@ class TestDiarize:
         assert write_rttm(hypothesis) == out.read_text()
 
     def test_whitespace_in_recording_id_is_usage_error(self, tmp_path, capsys):
+        # refused before the input is read: its content does not parse
         emb = tmp_path / "my rec.csv"
-        emb.write_text(E1_E1_E2_CSV)
+        emb.write_text("not an embeddings CSV\n")
         out, prefix = tmp_path / "hyp.rttm", tmp_path / "stage"
         rc = main(["diarize", "--embeddings", str(emb), "--out", str(out),
                    "--dump-stages", str(prefix)])
@@ -652,6 +657,16 @@ class TestSweep:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("grid", ["0:1:inf", "0:inf:1", "-inf:0:1",
+                                      "nan:1:1", "0:nan:1", "0:1:nan"])
+    def test_non_finite_grid_is_usage_error(self, tmp_path, capsys, grid):
+        # an infinite end or start made the grid loop until memory ran out
+        rc = main(["sweep", "--embeddings-list", str(tmp_path / "dev.list"),
+                   "--reference", str(tmp_path / "ref.rttm"), "--param", "sigma",
+                   f"--grid={grid}"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --grid values must be finite, got {grid!r}\n"
+
 
 class TestEntrypointPlumbing:
     def test_no_subcommand_is_usage_error(self, capsys):
@@ -743,6 +758,39 @@ class TestEntrypointPlumbing:
         )
         e = parser.parse_args(["evaluate", "--reference", "r", "--hypothesis", "h"])
         assert e.collar == EvalOptions().collar
+
+    def test_every_setting_has_a_flag(self, tmp_path, monkeypatch):
+        # two runs whose flags all differ must differ in every field of the
+        # SpectralParams diarize builds and of the SynthScenario synth builds
+        built = []
+
+        def diarize_spy(recording_id, seg_embs, config):
+            built.append(config.spectral)
+            return diarize(recording_id, seg_embs, config)
+
+        def generate_spy(scenario):
+            built.append(scenario)
+            return generate(scenario)
+
+        monkeypatch.setattr(diarkit.cli, "diarize", diarize_spy)
+        monkeypatch.setattr(diarkit.cli, "generate", generate_spy)
+        emb = tmp_path / "toy.csv"
+        emb.write_text(E1_E1_E2_CSV)
+        outs = [f"--out-{name}={tmp_path / name}" for name in ("embeddings", "reference", "regions")]
+        for flags in (["--sigma", "0.5", "--p-percentile", "90", "--soft-multiplier", "0.02",
+                       "--min-speakers", "1", "--max-speakers", "3", "--seed", "1"],
+                      ["--sigma", "1.5", "--p-percentile", "80", "--soft-multiplier", "0.05",
+                       "--min-speakers", "2", "--max-speakers", "4", "--seed", "2"]):
+            assert main(["diarize", "--embeddings", str(emb), "--algorithm", "naive",
+                         "--out", str(tmp_path / "hyp.rttm"), *flags]) == 0
+        for flags in (["--speakers", "2", "--duration", "5", "--dim", "4",
+                       "--scenario", "separated", "--noise-deg", "5", "--seed", "0"],
+                      ["--speakers", "3", "--duration", "6", "--dim", "8",
+                       "--scenario", "imbalanced", "--noise-deg", "10", "--seed", "1"]):
+            assert main(["synth", *flags, *outs]) == 0
+        spectral_a, spectral_b, scenario_a, scenario_b = built
+        for a, b in ((spectral_a, spectral_b), (scenario_a, scenario_b)):
+            assert [f.name for f in fields(a) if getattr(a, f.name) == getattr(b, f.name)] == []
 
 
 def test_cli_import_leaves_scipy_optimize_out():

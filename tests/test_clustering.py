@@ -16,7 +16,6 @@ from diarkit import (
     DegenerateAffinityError,
     EigenDecomposition,
     InvalidInputError,
-    KMeansParams,
     NaiveOnlineClusterer,
     SegmentEmbedding,
     SpectralParams,
@@ -40,6 +39,7 @@ from diarkit import (
     spectral_embed,
 )
 from diarkit.clustering import (
+    EIG_FLOOR,
     _draw,
     _lloyd,
     _row_max_normalize_symmetrize,
@@ -143,9 +143,9 @@ class TestEmbeddingMatrix:
             build_affinity,
             lambda x: blurred_affinity(x, 1.0),
             lambda x: spectral_cluster(x, SpectralParams()),
-            lambda x: kmeans(x, KMeansParams(k=2)),
-            lambda x: estimate_k_elbow(x, 3, KMeansParams()),
-            lambda x: mscd_table(x, 3, KMeansParams()),
+            lambda x: kmeans(x, 2),
+            lambda x: estimate_k_elbow(x, 3),
+            lambda x: mscd_table(x, 3),
             lambda x: run_online(NaiveOnlineClusterer(), x),
             lambda x: NaiveOnlineClusterer().step(x[0]),
         ],
@@ -464,10 +464,8 @@ class TestRowMaxNormalizeSymmetrize:
         x = synth_segments[:n]
         r = dict(refine_stages(build_affinity(x), params))["rownorm"]
         decomp = eigh((r + r.T) * 0.5, count=params.max_clusters + 1)
-        k = estimate_k_eigengap(
-            decomp.values, params.min_clusters, params.max_clusters, params.eig_floor
-        )
-        expected = kmeans(spectral_embed(decomp, k), KMeansParams(k=k, seed=params.seed))
+        k = estimate_k_eigengap(decomp.values, params.min_clusters, params.max_clusters)
+        expected = kmeans(spectral_embed(decomp, k), k, seed=params.seed)
         got = cluster_blurred(blurred_affinity(x, params.sigma), params).clustering
         assert got.k == expected.k == k
         assert np.array_equal(got.labels, expected.labels)
@@ -483,20 +481,18 @@ class TestRowMaxNormalizeSymmetrize:
 
 class TestEstimateKEigengap:
     def test_two_block_values(self):
-        floor = 1e-10
-        values = [2.0, 2.0, floor, floor]
-        assert estimate_k_eigengap(values, 1, 3, floor) == 2
+        values = [2.0, 2.0, EIG_FLOOR, EIG_FLOOR]
+        assert estimate_k_eigengap(values, 1, 3) == 2
 
     def test_all_equal_tie_breaks_small(self):
         assert estimate_k_eigengap([3.0, 3.0, 3.0, 3.0], 1, 3) == 1
 
     def test_gap_at_three(self):
-        floor = 1e-10
-        assert estimate_k_eigengap([3.0, 1.0, 0.9, floor], 2, 3, floor) == 3
+        assert estimate_k_eigengap([3.0, 1.0, 0.9, EIG_FLOOR], 2, 3) == 3
 
     def test_denominator_clamped_at_floor(self):
         # negative tail would flip the ratio sign without clamping
-        assert estimate_k_eigengap([2.0, 1.0, -0.5], 1, 2, 1e-10) == 2
+        assert estimate_k_eigengap([2.0, 1.0, -0.5], 1, 2) == 2
 
     def test_result_within_range(self):
         rng = np.random.default_rng(38)
@@ -556,12 +552,12 @@ class TestSpectralEmbed:
 class TestKMeans:
     def test_exact_separation(self):
         x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        result = kmeans(x, KMeansParams(k=2, seed=0))
+        result = kmeans(x, 2, seed=0)
         assert result.labels[0] == result.labels[1] != result.labels[2]
 
     def test_k1_single_cluster(self):
         rng = np.random.default_rng(40)
-        result = kmeans(rng.normal(size=(8, 3)), KMeansParams(k=1, seed=0))
+        result = kmeans(rng.normal(size=(8, 3)), 1, seed=0)
         assert result.k == 1
         assert np.array_equal(result.labels, np.zeros(8, dtype=int))
 
@@ -570,27 +566,28 @@ class TestKMeans:
             rng = np.random.default_rng(seed)
             q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
             points, truth = planted_points(rng, q.T, per_cluster=20, noise_deg=10)
-            result = kmeans(points, KMeansParams(k=3, seed=seed))
+            result = kmeans(points, 3, seed=seed)
             assert same_partition(result.labels, truth)
 
     def test_deterministic(self):
         rng = np.random.default_rng(41)
         x = rng.normal(size=(30, 5))
-        a = kmeans(x, KMeansParams(k=4, seed=9))
-        b = kmeans(x, KMeansParams(k=4, seed=9))
+        a = kmeans(x, 4, seed=9)
+        b = kmeans(x, 4, seed=9)
         assert np.array_equal(a.labels, b.labels)
 
     def test_k_exceeding_points_rejected(self):
         with pytest.raises(InvalidInputError):
-            kmeans(np.eye(3), KMeansParams(k=4))
+            kmeans(np.eye(3), 4)
 
     def test_missing_k_rejected(self):
-        with pytest.raises(InvalidInputError):
-            kmeans(np.eye(3), KMeansParams())
+        # k has no default: the elbow search is the way to have it chosen
+        with pytest.raises(TypeError):
+            kmeans(np.eye(3))
 
     def test_duplicate_points_still_fill_k_clusters(self):
         x = np.array([[1.0, 0.0]] * 5 + [[0.0, 1.0]])
-        result = kmeans(x, KMeansParams(k=3, seed=0))
+        result = kmeans(x, 3, seed=0)
         assert result.k == 3
         assert len(np.unique(result.labels)) == 3
 
@@ -667,11 +664,11 @@ class TestKMeans:
 class TestEstimateKElbow:
     def test_antipodal_groups(self):
         x = np.array([[1.0, 0.0]] * 10 + [[-1.0, 0.0]] * 10)
-        assert estimate_k_elbow(x, 4, KMeansParams(seed=0)).k == 2
+        assert estimate_k_elbow(x, 4, seed=0).k == 2
 
     def test_identical_points_tie_break(self):
         x = np.array([[1.0, 0.0]] * 6)
-        assert estimate_k_elbow(x, 4, KMeansParams(seed=0)).k == 2
+        assert estimate_k_elbow(x, 4, seed=0).k == 2
 
     def test_agrees_with_numeric_mscd_table(self):
         # the chosen k must be the argmax of the backward differences of
@@ -679,9 +676,8 @@ class TestEstimateKElbow:
         rng = np.random.default_rng(43)
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         points, _ = planted_points(rng, q.T, per_cluster=15, noise_deg=5)
-        params = KMeansParams(seed=3)
-        k = estimate_k_elbow(points, 6, params).k
-        table = mscd_table(points, 6, params)
+        k = estimate_k_elbow(points, 6, seed=3).k
+        table = mscd_table(points, 6, seed=3)
         drops = {kk: table[kk - 1] - table[kk] for kk in range(2, 7)}
         best = min(kk for kk in drops if drops[kk] == max(drops.values()))
         assert k == best
@@ -689,21 +685,21 @@ class TestEstimateKElbow:
     def test_mscd_k1_closed_form(self):
         # one tight group: MSCD(1) is the squared mean cosine distance to it
         x = np.tile([1.0, 0.0], (12, 1))
-        table = mscd_table(x, 2, KMeansParams(seed=0))
+        table = mscd_table(x, 2, seed=0)
         assert table[1] == 0.0
 
     def test_min_clusters_respected(self):
         x = np.array([[1.0, 0.0]] * 10 + [[-1.0, 0.0]] * 10)
-        k = estimate_k_elbow(x, 5, KMeansParams(seed=0), min_clusters=3).k
+        k = estimate_k_elbow(x, 5, min_clusters=3, seed=0).k
         assert 3 <= k <= 5
 
     def test_empty_range_rejected(self):
         with pytest.raises(InvalidInputError):
-            estimate_k_elbow(np.eye(4), 2, KMeansParams(seed=0), min_clusters=3)
+            estimate_k_elbow(np.eye(4), 2, min_clusters=3, seed=0)
 
     def test_max_clusters_above_n_rejected(self):
         with pytest.raises(InvalidInputError):
-            mscd_table(np.eye(3), 4, KMeansParams(seed=0))
+            mscd_table(np.eye(3), 4, seed=0)
 
 
 class TestSpectralCluster:
@@ -778,11 +774,9 @@ class TestSpectralCluster:
             count = params.max_clusters + 1
             order = np.argsort(-values, kind="stable")[:count]
             dense = EigenDecomposition(values=values[order], vectors=vectors[:, order])
-            dense_k = estimate_k_eigengap(
-                dense.values, params.min_clusters, params.max_clusters, params.eig_floor
-            )
+            dense_k = estimate_k_eigengap(dense.values, params.min_clusters, params.max_clusters)
             dense_emb = spectral_embed(dense, dense_k)
-            dense_labels = kmeans(dense_emb, KMeansParams(k=dense_k)).labels
+            dense_labels = kmeans(dense_emb, dense_k).labels
             assert partial.eigenvalues.shape == dense.values.shape == (count,)
             assert np.max(np.abs(partial.eigenvalues - dense.values)) <= 1e-10
             assert partial.clustering.k == dense_k == 4
@@ -878,19 +872,16 @@ class TestSpectralParams:
         with pytest.raises(InvalidInputError):
             SpectralParams(min_clusters=5, max_clusters=3)
         with pytest.raises(InvalidInputError):
-            SpectralParams(eig_floor=0.0)
-        with pytest.raises(InvalidInputError):
             SpectralParams(seed=-1)
 
     def test_kmeans_params_invalid_rejected(self):
-        with pytest.raises(InvalidInputError):
-            KMeansParams(k=0)
-        with pytest.raises(InvalidInputError):
-            KMeansParams(restarts=0)
-        with pytest.raises(InvalidInputError):
-            KMeansParams(max_iters=0)
-        with pytest.raises(InvalidInputError):
-            KMeansParams(seed=-1)
+        x = np.eye(3)
+        with pytest.raises(InvalidInputError, match="k must be >= 1, got 0"):
+            kmeans(x, 0)
+        for call in (lambda: kmeans(x, 2, seed=-1), lambda: estimate_k_elbow(x, 3, seed=-1),
+                     lambda: mscd_table(x, 3, seed=-1)):
+            with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
+                call()
 
 
 class TestNaiveOnline:

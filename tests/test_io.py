@@ -10,7 +10,6 @@ from diarkit import (
     InvalidInputError,
     ParseError,
     Segment,
-    SpeechRegion,
     SynthScenario,
     TimeInterval,
     Windows,
@@ -199,7 +198,7 @@ class TestEmbeddingsCsv:
 
 class TestRegionsCsv:
     def test_round_trip(self):
-        regions = [SpeechRegion(TimeInterval(0, 2.5)), SpeechRegion(TimeInterval(3, 7))]
+        regions = [TimeInterval(0, 2.5), TimeInterval(3, 7)]
         text = write_regions_csv(regions)
         assert text.splitlines()[0] == "start,end"
         assert read_regions_csv(text) == regions
@@ -355,7 +354,5 @@ class TestRoundTripProperties:
     def test_regions_csv(self, bounds):
         # consecutive pairs of sorted distinct values: sorted, disjoint regions
         ordered = sorted(bounds)
-        regions = [
-            SpeechRegion(TimeInterval(s, e)) for s, e in zip(ordered[::2], ordered[1::2])
-        ]
+        regions = [TimeInterval(s, e) for s, e in zip(ordered[::2], ordered[1::2])]
         assert read_regions_csv(write_regions_csv(regions)) == regions

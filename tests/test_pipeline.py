@@ -7,7 +7,6 @@ import diarkit.clustering
 import diarkit.pipeline
 from diarkit import (
     InvalidInputError,
-    KMeansParams,
     SegmentEmbedding,
     SpectralParams,
     SynthScenario,
@@ -85,9 +84,9 @@ class TestCluster:
         monkeypatch.setattr(diarkit.clustering, "_lloyd", counted)
         params = SpectralParams(seed=2)
         result = cluster(x, DiarizeConfig("kmeans", spectral=params))
-        assert calls == KMeansParams().restarts * min(params.max_clusters, len(x))
+        assert calls == diarkit.clustering._RESTARTS * min(params.max_clusters, len(x))
         # the two-step path: the elbow's k, then kmeans at that k
-        expected = kmeans(x, KMeansParams(k=result.k, seed=params.seed))
+        expected = kmeans(x, result.k, seed=params.seed)
         assert np.array_equal(result.labels, expected.labels)
 
 

@@ -13,7 +13,7 @@ from diarkit import (
     speaker_directions,
 )
 from diarkit.pipeline import DiarizeConfig, cluster, diarize, segment_embeddings, stack_segments
-from diarkit.synth import WINDOW_SIZE, WINDOW_STEP
+from diarkit.synth import GROUP_ANGLE_DEG, SPEAKER_ANGLE_DEG, WINDOW_SIZE, WINDOW_STEP
 from oracles import angular_stats
 
 
@@ -31,8 +31,6 @@ class TestScenarioValidation:
             SynthScenario(n_speakers=2, duration=10, scenario_kind="other")
         with pytest.raises(InvalidInputError):
             SynthScenario(n_speakers=2, duration=10, within_noise_deg=95)
-        with pytest.raises(InvalidInputError):
-            SynthScenario(n_speakers=2, duration=10, imbalance_ratio=1.5)
 
     @pytest.mark.parametrize("duration", [math.inf, math.nan])
     def test_non_finite_duration_rejected(self, duration):
@@ -65,15 +63,12 @@ class TestSpeakerDirections:
             duration=10,
             dim=16,
             scenario_kind="hierarchical",
-            group_angle_deg=70,
-            speaker_angle_deg=25,
             seed=2,
         )
         dirs = speaker_directions(scenario)
-        within = math.degrees(math.acos(math.cos(math.radians(25)) ** 2))
-        across = math.degrees(
-            math.acos(math.cos(math.radians(25)) ** 2 * math.cos(math.radians(70)))
-        )
+        tilt, groups = math.radians(SPEAKER_ANGLE_DEG), math.radians(GROUP_ANGLE_DEG)
+        within = math.degrees(math.acos(math.cos(tilt) ** 2))
+        across = math.degrees(math.acos(math.cos(tilt) ** 2 * math.cos(groups)))
         # speakers 0,2 share a group, as do 1,3
         assert angle_deg(dirs[0], dirs[2]) == pytest.approx(within, abs=1e-8)
         assert angle_deg(dirs[1], dirs[3]) == pytest.approx(within, abs=1e-8)
@@ -108,7 +103,7 @@ class TestGenerate:
         assert len(reference) == len(regions)
         previous_end = -1.0
         for seg, region in zip(reference, regions):
-            assert seg.interval == region.interval
+            assert seg.interval == region
             assert seg.interval.start > previous_end
             previous_end = seg.interval.end
         assert previous_end <= 90 + 1e-9
@@ -152,7 +147,6 @@ class TestGenerate:
             n_speakers=3,
             duration=600,
             scenario_kind="imbalanced",
-            imbalance_ratio=0.8,
             seed=8,
         )
         reference, _, _ = generate(scenario)
