@@ -174,6 +174,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# The most values a sweep grid may hold: each one clusters every recording.
+MAX_GRID_VALUES = 1000
+
+
 def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     _require(len(parts) == 3, "--grid must have the form a:b:step")
@@ -184,6 +188,9 @@ def _parse_grid(text: str) -> list[float]:
     _require(all(map(math.isfinite, (a, b, step))), f"--grid values must be finite, got {text!r}")
     _require(step > 0, "--grid step must be positive")
     _require(b >= a, "--grid end must be >= start")
+    # the loop below makes floor((b + 1e-9 - a) / step) + 1 values: bound them first
+    _require((b + 1e-9 - a) / step < MAX_GRID_VALUES,
+             f"--grid must give at most {MAX_GRID_VALUES} values, got {text!r}")
     values = []
     i = 0
     while (v := a + i * step) <= b + 1e-9:

@@ -18,9 +18,11 @@ from .numerics import (
     ZERO_NORM_TOL,
     EigenDecomposition,
     all_finite,
+    blurred_gram,
     eigh,
     gaussian_blur,
     gram,
+    gram_diagonal_and_row_max,
     l2_normalize,
     l2_normalize_rows,
     nearest_rank_index,
@@ -202,17 +204,28 @@ def _row_max_normalize_symmetrize(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _refine_blurred(
-    m: np.ndarray, params: SpectralParams, out: np.ndarray | None = None
-) -> Iterator[tuple[str, np.ndarray]]:
-    """The refine_stages after the blur up to the diffusion: each a new matrix,
-    or all in m when out is m."""
-    m = refine_threshold(m, params.p_percentile, params.soft_multiplier, out=out)
-    yield "threshold", m
-    m = refine_symmetrize(m, out=out)
-    yield "symmetrize", m
-    m = refine_diffuse(m, out=out)
-    yield "diffuse", m
+def _threshold_symmetrize(m: np.ndarray, p: float, soft_multiplier: float) -> np.ndarray:
+    """refine_symmetrize(refine_threshold(m, p, soft_multiplier)) in place on a
+    C-ordered, exactly symmetric m, a block of rows at a time: no transposed pass.
+
+    With every row's cut c read first, entry ij becomes max(s(m_ij, c_i),
+    s(m_ij, c_j)), s scaling an entry below the cut by soft_multiplier. As
+    m_ji = m_ij, that is max(T_ij, T_ji) for the thresholded T, bit for bit,
+    its own row's value first as refine_symmetrize orders signed zeros.
+    """
+    n = m.shape[0]
+    kth = nearest_rank_index(p, n)
+    step = row_block(n)
+    cut = np.empty(n)
+    for lo in range(0, n, step):
+        cut[lo : lo + step] = np.partition(m[lo : lo + step], kth, axis=1)[:, kth]
+    for lo in range(0, n, step):
+        block = m[lo : lo + step]
+        soft = block * soft_multiplier
+        own = np.where(block < cut[lo : lo + step, None], soft, block)
+        np.copyto(block, soft, where=block < cut)
+        np.maximum(own, block, out=block)
+    return m
 
 
 def refine_stages(a: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
@@ -225,10 +238,12 @@ def refine_stages(a: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, 
     m = gaussian_blur(a, params.sigma)
     del a
     yield "blur", m
-    rest = _refine_blurred(m, params)
-    del m
-    for name, m in rest:
-        yield name, m
+    m = refine_threshold(m, params.p_percentile, params.soft_multiplier)
+    yield "threshold", m
+    m = refine_symmetrize(m)
+    yield "symmetrize", m
+    m = refine_diffuse(m)
+    yield "diffuse", m
     m = refine_row_max_normalize(m)
     yield "rownorm", m
 
@@ -336,6 +351,19 @@ def _repair_empty(
     return labels
 
 
+def _cluster_sums(u: np.ndarray, labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's sum of rows, (k, d), and its norm, (k, 1).
+
+    The sums come from one bincount over (label, column) cells, added in row
+    order from 0.0 as u[labels == c].sum(axis=0) adds them; each norm is
+    np.linalg.norm's dot product, in l2_normalize_rows' stacked form.
+    """
+    d = u.shape[1]
+    cells = (labels[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=u.ravel(), minlength=k * d).reshape(k, d)
+    return sums, np.sqrt((sums[:, None, :] @ sums[:, :, None])[:, 0])
+
+
 def _lloyd(
     u: np.ndarray,
     k: int,
@@ -349,17 +377,11 @@ def _lloyd(
     update that would increase it is rejected, so the history is
     non-increasing and the loop always terminates.
 
-    Each cluster's sum of rows comes from one bincount over (label, column)
-    cells, added in row order from 0.0 as u[labels == c].sum(axis=0) adds
-    them; its norm is np.linalg.norm's dot product, in l2_normalize_rows'
-    stacked form. An assignment equal to the accepted one would give the same
-    centroids and objective again (a cluster the repair refills holds one row,
-    whose centroid is that row's as before): the run records that objective
-    once more and stops without recomputing it.
+    Centroids are the normalized _cluster_sums. An assignment equal to the
+    accepted one would give the same centroids and objective again (a cluster
+    the repair refills holds one row, whose centroid is that row's as before):
+    the run records that objective once more and stops without recomputing it.
     """
-    d = u.shape[1]
-    cells = np.arange(d)  # a row's column offsets in the flat (k, d) sums
-    flat = u.ravel()
     centroids = _kmeans_pp(u, k, rng)
     labels = None
     prev_obj = math.inf
@@ -374,9 +396,7 @@ def _lloyd(
         if labels is not None and np.array_equal(labels, new_labels):
             history.append(prev_obj)  # the accepted partition again: converged
             break
-        sums = np.bincount((new_labels[:, None] * d + cells).ravel(), weights=flat,
-                           minlength=k * d).reshape(k, d)
-        norms = np.sqrt((sums[:, None, :] @ sums[:, :, None])[:, 0])
+        sums, norms = _cluster_sums(u, new_labels, k)
         # a cluster whose sum has no direction keeps its previous centroid
         np.divide(sums, norms, out=new_centroids, where=norms >= ZERO_NORM_TOL)
         obj = _objective(u, new_centroids, new_labels)
@@ -395,10 +415,18 @@ def _best_run(u: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, float]:
     """(labels, objective) of the lowest-objective of _RESTARTS seeded runs at k.
 
     Each call seeds its own generator, so a k gives the same run to kmeans
-    and to the elbow search.
+    and to the elbow search. At k = 1 every run labels each row 0 and moves
+    its centroid to the rows' normalized sum, whatever row seeded it, so
+    one run gives them all, unless that sum has no direction and each run
+    keeps its seed.
     """
     rng = np.random.default_rng(seed)
-    runs = (_lloyd(u, k, rng, _MAX_ITERS, _TOL) for _ in range(_RESTARTS))
+    restarts = _RESTARTS
+    if k == 1:
+        _, norm = _cluster_sums(u, np.zeros(len(u), dtype=np.intp), 1)
+        if norm[0, 0] >= ZERO_NORM_TOL:
+            restarts = 1
+    runs = (_lloyd(u, k, rng, _MAX_ITERS, _TOL) for _ in range(restarts))
     labels, _, obj, _ = min(runs, key=lambda run: run[2])  # the first on a tie
     return labels, obj
 
@@ -473,27 +501,37 @@ class SpectralResult:
 
 
 def blurred_affinity(embeddings, sigma: float) -> np.ndarray:
-    """spectral_cluster's front half, build_affinity then the blur in its
-    matrix: p-independent."""
+    """spectral_cluster's front half, gaussian_blur(build_affinity(embeddings),
+    sigma), p-independent, built from the rank-d factor: C-ordered and exactly
+    symmetric.
+
+    The affinity is U Uᵀ + diag(delta) for the unit rows U, delta_i taking
+    row i's diagonal to its largest off-diagonal cosine (clipped to [-1, 1] as
+    build_affinity clips it), so blurred_gram builds its blur with no n x n
+    affinity. It rounds differently from the dense chain, by a few ulps.
+    """
     if len(embeddings) < 2:
         raise InvalidInputError("spectral clustering needs at least 2 segments")
-    a = build_affinity(embeddings)
-    return gaussian_blur(a, sigma, out=a)
+    u = l2_normalize_rows(embedding_matrix(embeddings))
+    squares, row_max = gram_diagonal_and_row_max(u)
+    return blurred_gram(u, row_max.clip(-1.0, 1.0) - squares, sigma).T
 
 
 def cluster_blurred(blurred: np.ndarray, params: SpectralParams) -> SpectralResult:
     """The rest of spectral_cluster, from blurred_affinity's matrix (params.sigma unread):
-    the refine_stages after the blur, with the row-max normalization and (M + Mᵀ)/2 in
-    one pass, then eigen-gap k, re-embedding, k-means. They run in one copy of
-    `blurred`, which is neither written nor held, so calls may share it. Cluster
-    bounds are clamped to n; with no eigen-gap range left, k is the minimum."""
+    the refine_stages after the blur, with the threshold and symmetrize in one pass
+    (`blurred` must be exactly symmetric, as blurred_affinity's is) and the row-max
+    normalization and (M + Mᵀ)/2 in another, then eigen-gap k, re-embedding, k-means.
+    They run in one copy of `blurred`, which is neither written nor held, so calls
+    may share it. Cluster bounds are clamped to n; with no eigen-gap range left, k
+    is the minimum."""
     return _cluster_in_place(np.array(blurred, dtype=np.float64, order="C"), params)
 
 
 def _cluster_in_place(m: np.ndarray, params: SpectralParams) -> SpectralResult:
     """cluster_blurred with every stage written into m, the one n x n matrix held."""
-    for _, m in _refine_blurred(m, params, out=m):
-        pass
+    m = _threshold_symmetrize(m, params.p_percentile, params.soft_multiplier)
+    m = refine_diffuse(m, out=m)
     m = _row_max_normalize_symmetrize(m)
     n = m.shape[0]
     min_c = min(params.min_clusters, n)

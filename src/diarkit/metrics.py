@@ -143,13 +143,12 @@ def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterva
     else:
         extent = reference.extent()
         base = [(_tick(extent.start), _tick(extent.end))]
-    collar = _tick(opts.collar)
-    boundaries = {_tick(t) for seg in reference for t in (seg.interval.start, seg.interval.end)}
     # tuple keys, so no speaker label can take the base's or the strips' place
-    timelines = {
-        ("base",): base,
-        ("strip",): interval_union((b - collar, b + collar) for b in boundaries),
-    }
+    timelines = {("base",): base}
+    collar = _tick(opts.collar)
+    if collar:  # at collar 0 there are no strips
+        boundaries = {_tick(t) for seg in reference for t in (seg.interval.start, seg.interval.end)}
+        timelines[("strip",)] = interval_union((b - collar, b + collar) for b in boundaries)
     if opts.exclude_overlap:
         timelines.update(_speaker_tick_timelines(reference))
     kept = interval_union(

@@ -2,8 +2,9 @@
 
 Unit rows, Gram products and the eigensolver's matvec on scipy's BLAS
 (not numpy's: two OpenBLAS thread pools slow each other, see README), 2-D
-Gaussian blur, the nearest-rank percentile index, symmetric eigen-decomposition (full,
-or partial top-k when fewer than all pairs are asked for) with a
+Gaussian blur (of a matrix, or of a Gram matrix from its factor), the
+nearest-rank percentile index, symmetric eigen-decomposition (full, or
+partial top-k when fewer than all pairs are asked for) with a
 deterministic ordering/sign convention, and maximum-weight assignment
 (scipy.sparse.csgraph's matching). Both eigensolver paths read the lower
 triangle of their input only. The n x n passes work in row blocks or tiles,
@@ -78,10 +79,8 @@ def gaussian_blur(m, sigma: float, out=None) -> np.ndarray:
     if sigma <= 1e-15:
         np.copyto(out, m)
         return out
-    radius = math.ceil(3 * sigma)
-    offsets = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 / (sigma * sigma) * offsets**2)
-    weights = (kernel / kernel.sum())[radius:]  # offsets 0..radius; the kernel is symmetric
+    weights = _gaussian_weights(sigma)
+    radius = weights.size - 1
     rows, cols = m.shape
     # at least `radius` rows a block (the last one too): a halo then reaches
     # only into the block before it
@@ -96,6 +95,17 @@ def gaussian_blur(m, sigma: float, out=None) -> np.ndarray:
         kept = padded[hi - lo : hi - lo + radius].copy()
         _blur_rows(padded, weights, across, out[lo:hi])
     return out
+
+
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """The truncated, normalized Gaussian kernel at offsets 0..ceil(3*sigma); the
+    kernel is symmetric. At most 1e-15, scipy.ndimage's cut-off, it is [1.0]."""
+    if sigma <= 1e-15:
+        return np.ones(1)
+    radius = math.ceil(3 * sigma)
+    offsets = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * offsets**2)
+    return (kernel / kernel.sum())[radius:]
 
 
 def _blur_rows(padded: np.ndarray, weights: np.ndarray, across: np.ndarray, out: np.ndarray):
@@ -247,6 +257,65 @@ def _gram_rows(x: np.ndarray, g: np.ndarray, lo: int, hi: int) -> None:
     np.copyto(tile, upper.T, where=np.tri(hi - lo, k=-1, dtype=bool))
     for c in range(hi, n, _TILE):
         g[lo:hi, c : c + _TILE] = right[:, c - hi : c - hi + _TILE]
+
+
+# Rows of x xᵀ that each dgemm of gram_diagonal_and_row_max makes: at
+# n = 2800 on 2 vCPUs, 32-128 ran alike and 23 (a row_block) took twice as long.
+_ROW_MAX_ROWS = _TILE // 2
+
+
+def gram_diagonal_and_row_max(x) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of x xᵀ and each row's largest entry off it, for an x of at
+    least 2 rows, from dgemm's blocks of x xᵀ: no n x n matrix. Each block is
+    F-ordered, a column per row of x, so each maximum is read down a column."""
+    xt = np.asarray(x, dtype=np.float64).T  # F-ordered for a C-ordered x: no copy
+    n = xt.shape[1]
+    diagonal, row_max = np.empty(n), np.empty(n)
+    for lo in range(0, n, _ROW_MAX_ROWS):
+        hi = min(lo + _ROW_MAX_ROWS, n)
+        block = dgemm(1.0, xt, xt[:, lo:hi], trans_a=1)  # x x[lo:hi]ᵀ
+        on = (np.arange(lo, hi), np.arange(hi - lo))
+        diagonal[lo:hi] = block[on]
+        block[on] = -np.inf
+        block.max(axis=0, out=row_max[lo:hi])
+    return diagonal, row_max
+
+
+def blurred_gram(x, diagonal, sigma: float) -> np.ndarray:
+    """gaussian_blur(x xᵀ + diag(diagonal), sigma) from the factor x, as a new
+    F-ordered matrix, exactly symmetric.
+
+    The blur is linear, B = G A Gᵀ for G the reflected kernel's n x n band
+    matrix, so B = (G x)(G x)ᵀ + G diag(diagonal) Gᵀ: x is blurred down its n
+    rows (n x d work, not n x n), gram gives the first term, and the second,
+    a band of half-width 2 radius, is added to each entry and its mirror
+    alike. Equal to the dense blur in real arithmetic; in floating point the
+    two round differently, by a few ulps of the entries.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not math.isfinite(sigma) or sigma < 0:
+        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
+    n = x.shape[0]
+    weights = _gaussian_weights(sigma)
+    radius = weights.size - 1
+    g = gram(_correlate_symmetric(x[_reflected(-radius, n + radius, n)], weights,
+                                  np.empty(x.shape)))
+    # taps[i, t] = G[i, i - radius + t]: reflection moves no index farther than its offset
+    width = 2 * radius + 1
+    rows = np.arange(n)
+    taps = np.zeros((n, width))
+    for j in range(-radius, radius + 1):
+        taps[rows, _reflected(j, n + j, n) - rows + radius] += weights[abs(j)]
+    # scaled[i, t] = (G diag(diagonal))[i, i - radius + t]
+    padded = np.zeros(n + 2 * radius)
+    padded[radius : radius + n] = diagonal
+    scaled = taps * padded[rows[:, None] + np.arange(width)]
+    for s in range(min(width, n)):  # the band's s-th diagonal above the main one
+        band = np.einsum("it,it->i", scaled[: n - s, s:], taps[s:, : width - s])
+        g[rows[: n - s], rows[s:]] += band
+        if s:
+            g[rows[s:], rows[: n - s]] += band
+    return g
 
 
 def eigh(m, count: int | None = None) -> EigenDecomposition:

@@ -5,8 +5,8 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import diarkit.cli
-import diarkit.clustering
 import diarkit.numerics
+import diarkit.pipeline
 from diarkit import (
     EvalOptions,
     SpectralParams,
@@ -21,7 +21,7 @@ from diarkit import (
     write_rttm,
 )
 from diarkit.aggregation import DEFAULT_MAX_SEGMENT_LEN
-from diarkit.cli import _read, build_parser, main
+from diarkit.cli import MAX_GRID_VALUES, _parse_grid, _read, build_parser, main
 from diarkit.pipeline import ALGORITHMS, DiarizeConfig, diarize, segment_embeddings
 from helpers import run_python
 
@@ -612,20 +612,20 @@ class TestSweep:
 
     def test_affinity_and_blur_once_per_recording(self, tmp_path, monkeypatch):
         listing, ref, _ = self.make_two_recordings(tmp_path)
-        calls = {"build_affinity": 0, "gaussian_blur": 0, "refine_threshold": 0}
+        calls = {"blurred_affinity": 0, "cluster_blurred": 0}
         for name in calls:
-            original = getattr(diarkit.clustering, name)
+            original = getattr(diarkit.pipeline, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(diarkit.clustering, name, counted)
+            monkeypatch.setattr(diarkit.pipeline, name, counted)
         args = ["sweep", "--embeddings-list", str(listing), "--reference", str(ref),
                 "--param", "p-percentile", "--grid", "90:96:2"]
         assert main(args) == 0
         # 2 recordings x 4 grid values
-        assert calls == {"build_affinity": 2, "gaussian_blur": 2, "refine_threshold": 8}
+        assert calls == {"blurred_affinity": 2, "cluster_blurred": 8}
 
     def test_unknown_recording_is_usage_error(self, tmp_path):
         paths = run_synth(tmp_path, "dev0")
@@ -666,6 +666,27 @@ class TestSweep:
                    f"--grid={grid}"])
         assert rc == 2
         assert capsys.readouterr().err == f"error: --grid values must be finite, got {grid!r}\n"
+
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1e300:1", "0:1000:1"])
+    def test_grid_of_too_many_values_is_usage_error(self, tmp_path, capsys, grid):
+        # counted before any value is made: 1e300 of them ended in a MemoryError
+        rc = main(["sweep", "--embeddings-list", str(tmp_path / "dev.list"),
+                   "--reference", str(tmp_path / "ref.rttm"), "--param", "sigma",
+                   f"--grid={grid}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --grid must give at most {MAX_GRID_VALUES} values, got {grid!r}\n"
+        )
+
+    @pytest.mark.parametrize("grid, count, last", [
+        ("0:999:1", MAX_GRID_VALUES, 999.0), ("80:98:2", 10, 98.0), ("0.2:0.8:0.3", 3, 0.8),
+        ("95:95:1", 1, 95.0),
+    ])
+    def test_grid_values_up_to_the_cap_parse(self, grid, count, last):
+        values = _parse_grid(grid)
+        assert len(values) == count
+        assert values[-1] == pytest.approx(last)
 
 
 class TestEntrypointPlumbing:

@@ -84,7 +84,8 @@ class TestCluster:
         monkeypatch.setattr(diarkit.clustering, "_lloyd", counted)
         params = SpectralParams(seed=2)
         result = cluster(x, DiarizeConfig("kmeans", spectral=params))
-        assert calls == diarkit.clustering._RESTARTS * min(params.max_clusters, len(x))
+        # one run at k = 1, where every restart would land on the rows' normalized sum
+        assert calls == 1 + diarkit.clustering._RESTARTS * (min(params.max_clusters, len(x)) - 1)
         # the two-step path: the elbow's k, then kmeans at that k
         expected = kmeans(x, result.k, seed=params.seed)
         assert np.array_equal(result.labels, expected.labels)
