@@ -17,19 +17,13 @@ from .aggregation import (
 from .clustering import (
     DEFAULT_MAX_CLUSTERS,
     NaiveOnlineClusterer,
-    OnlineClusterer,
     SpectralParams,
     SpectralResult,
-    build_affinity,
     estimate_k_eigengap,
     estimate_k_elbow,
     kmeans,
-    mscd_table,
     refine_diffuse,
-    refine_row_max_normalize,
     refine_stages,
-    refine_symmetrize,
-    refine_threshold,
     run_online,
     spectral_cluster,
     spectral_embed,
@@ -68,7 +62,6 @@ from .metrics import (
 from .numerics import (
     EigenDecomposition,
     eigh,
-    gaussian_blur,
     l2_normalize,
     optimal_assignment,
 )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import io as formats
 from .aggregation import DEFAULT_MAX_SEGMENT_LEN, MIN_PIECE_LEN
-from .clustering import SpectralParams, build_affinity, refine_stages
+from .clustering import SpectralParams, refine_stages
 from .core import Annotation, InvalidInputError, NumericError, ParseError
 from .metrics import DerReport, EvalOptions, combine_reports, der
 from .pipeline import (ALGORITHMS, DiarizeConfig, diarize, diarize_grid, segment_embeddings,
@@ -63,10 +63,10 @@ def _rttm(path: str, annotation: Annotation) -> str:
 
 
 def _dump_stages(prefix: str, seg_embs, params: SpectralParams) -> None:
-    """Rebuild the raw affinity and each refinement stage; write each as a PGM."""
-    affinity = build_affinity(stack_segments(seg_embs)[0])
-    formats.write_pgm_heatmap(affinity, f"{prefix}_00_affinity.pgm")
-    for i, (name, stage) in enumerate(refine_stages(affinity, params), start=1):
+    """Run the refinement chain once more and write each stage as a PGM, before
+    the next stage overwrites it in place."""
+    stages = refine_stages(stack_segments(seg_embs)[0], params)
+    for i, (name, stage) in enumerate(stages, start=1):
         formats.write_pgm_heatmap(stage, f"{prefix}_{i:02d}_{name}.pgm")
 
 
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=spectral.seed)
     d.add_argument("--out", required=True, help="hypothesis RTTM path")
     d.add_argument("--dump-stages", metavar="PREFIX",
-                   help="write affinity + refinement heatmaps as PREFIX_*.pgm")
+                   help="write the refinement stages as heatmaps PREFIX_*.pgm")
     d.set_defaults(func=cmd_diarize)
 
     e = sub.add_parser("evaluate", help="score hypothesis RTTM against reference RTTM")

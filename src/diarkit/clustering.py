@@ -1,15 +1,17 @@
 """Clustering algorithms over segment embeddings, one (n, d) matrix of them.
 
 Offline: spherical k-means (elbow count) and spectral clustering (eigen-gap
-count) on a refined cosine affinity: a sigma-only front half, blurred_affinity,
-then cluster_blurred. Online: a naive threshold clusterer, one in, one out.
+count) on a refined cosine affinity: a sigma-only front half,
+blurred_affinity, then one refinement chain that rewrites that matrix in
+place (refine_stages yields its stages; cluster_blurred runs it on a copy of
+a shared blurred matrix). Online: a naive threshold clusterer, one in, one out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import Iterator
 
 import numpy as np
 
@@ -20,14 +22,12 @@ from .numerics import (
     all_finite,
     blurred_gram,
     eigh,
-    gaussian_blur,
     gram,
     gram_diagonal_and_row_max,
     l2_normalize,
     l2_normalize_rows,
     nearest_rank_index,
     row_block,
-    upper_tiles,
 )
 
 DEFAULT_MAX_CLUSTERS = 8
@@ -91,23 +91,6 @@ def embedding_matrix(embeddings) -> np.ndarray:
     return x
 
 
-def build_affinity(embeddings) -> np.ndarray:
-    """Pairwise cosine similarities; each diagonal entry takes its row's max.
-
-    Raw cosines are kept in [-1, 1] (no shift); thresholding and
-    normalization downstream handle the sign. C-ordered: gram's result seen
-    through its transpose, the same matrix, since it is exactly symmetric.
-    """
-    x = embedding_matrix(embeddings)
-    if x.shape[0] < 2:
-        raise InvalidInputError("affinity needs at least 2 embeddings")
-    a = gram(l2_normalize_rows(x)).T
-    np.clip(a, -1.0, 1.0, out=a)
-    np.fill_diagonal(a, -np.inf)
-    np.fill_diagonal(a, a.max(axis=1))
-    return a
-
-
 def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
@@ -115,51 +98,6 @@ def _as_square(m) -> np.ndarray:
     if not all_finite(m):
         raise InvalidInputError("matrix contains non-finite entries")
     return m
-
-
-# Each refine stage writes into `out` as numpy's ufuncs do: a new matrix for
-# None, else the given one, which may be the stage's own input.
-
-
-def refine_threshold(m, p: float, soft_multiplier: float, out=None) -> np.ndarray:
-    """Per row, scale entries strictly below the row's nearest-rank p-percentile.
-
-    soft_multiplier = 0 reproduces hard zeroing; entries at or above the
-    percentile pass through unchanged. Works on `out` holding the input (no
-    copy when it is the input), a block of rows at a time: `np.partition`
-    finds the same k-th entry as a full sort, and the in-place product is the
-    same elementwise `m * soft`.
-    """
-    m = _as_square(m)
-    if not (0.0 < p < 100.0):
-        raise InvalidInputError(f"p must lie in (0, 100), got {p}")
-    if not math.isfinite(soft_multiplier):
-        raise InvalidInputError("soft_multiplier must be finite")
-    kth = nearest_rank_index(p, m.shape[1])
-    if out is None:
-        out = m.copy()
-    elif out is not m:
-        np.copyto(out, m)
-    step = row_block(m.shape[1])
-    for lo in range(0, out.shape[0], step):
-        rows = out[lo : lo + step]
-        cut = np.partition(rows, kth, axis=1)[:, kth]
-        np.multiply(rows, soft_multiplier, out=rows, where=rows < cut[:, None])
-    return out
-
-
-def refine_symmetrize(m, out=None) -> np.ndarray:
-    """Elementwise Y_ij = max(X_ij, X_ji), a tile and its mirror at a time. The
-    tile's maxima wait aside until the mirror's are written, so out may be m."""
-    m = _as_square(m)
-    if out is None:
-        out = np.empty(m.shape)
-    for rows, cols in upper_tiles(m.shape[0]):
-        tile = np.maximum(m[rows, cols], m[cols, rows].T)
-        if rows != cols:
-            np.maximum(m[cols, rows], m[rows, cols].T, out=out[cols, rows])
-        out[rows, cols] = tile
-    return out
 
 
 def refine_diffuse(m, out=None) -> np.ndarray:
@@ -178,15 +116,9 @@ def _positive_row_max(m: np.ndarray) -> np.ndarray:
     return row_max
 
 
-def refine_row_max_normalize(m) -> np.ndarray:
-    """Divide each row by its own maximum, making every row max exactly 1."""
-    m = _as_square(m)
-    return m / _positive_row_max(m)[:, None]
-
-
 def _row_max_normalize_symmetrize(y: np.ndarray) -> np.ndarray:
-    """(R + Rᵀ)/2 for R = refine_row_max_normalize(y), in place on y, a block of rows
-    at a time: each entry becomes (y_ij/d_i + y_ij/d_j)·0.5 for row maxima d.
+    """(R + Rᵀ)/2 for R = y divided row by row by its row maxima d, in place on
+    y, a block of rows at a time: each entry becomes (y_ij/d_i + y_ij/d_j)·0.5.
 
     Bit for bit that result, because y is gram's output, exactly symmetric: so
     y_ij = y_ji, and of y and yᵀ (the same matrix) the C-ordered one is walked.
@@ -205,13 +137,14 @@ def _row_max_normalize_symmetrize(y: np.ndarray) -> np.ndarray:
 
 
 def _threshold_symmetrize(m: np.ndarray, p: float, soft_multiplier: float) -> np.ndarray:
-    """refine_symmetrize(refine_threshold(m, p, soft_multiplier)) in place on a
-    C-ordered, exactly symmetric m, a block of rows at a time: no transposed pass.
+    """max(T, Tᵀ) for the row threshold T of m, in place on a C-ordered, exactly
+    symmetric m, a block of rows at a time: no transposed pass.
 
-    With every row's cut c read first, entry ij becomes max(s(m_ij, c_i),
-    s(m_ij, c_j)), s scaling an entry below the cut by soft_multiplier. As
-    m_ji = m_ij, that is max(T_ij, T_ji) for the thresholded T, bit for bit,
-    its own row's value first as refine_symmetrize orders signed zeros.
+    T scales each entry strictly below its row's nearest-rank p-percentile c
+    by soft_multiplier (0 zeroes it). With every row's cut read first, entry
+    ij becomes max(s(m_ij, c_i), s(m_ij, c_j)), s applying a cut. As m_ji =
+    m_ij, that is max(T_ij, T_ji), bit for bit, its own row's value first as
+    np.maximum(T, Tᵀ) orders signed zeros.
     """
     n = m.shape[0]
     kth = nearest_rank_index(p, n)
@@ -226,26 +159,6 @@ def _threshold_symmetrize(m: np.ndarray, p: float, soft_multiplier: float) -> np
         np.copyto(block, soft, where=block < cut)
         np.maximum(own, block, out=block)
     return m
-
-
-def refine_stages(a: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
-    """Blur, threshold, symmetrize, diffuse, row-max-normalize, in that order.
-
-    Yields (stage name, matrix) after each stage, for heatmap dumps, and
-    holds only the latest matrix; the raw affinity is released once the
-    blur has run.
-    """
-    m = gaussian_blur(a, params.sigma)
-    del a
-    yield "blur", m
-    m = refine_threshold(m, params.p_percentile, params.soft_multiplier)
-    yield "threshold", m
-    m = refine_symmetrize(m)
-    yield "symmetrize", m
-    m = refine_diffuse(m)
-    yield "diffuse", m
-    m = refine_row_max_normalize(m)
-    yield "rownorm", m
 
 
 def estimate_k_eigengap(values, min_clusters: int, max_clusters: int) -> int:
@@ -460,16 +373,6 @@ def _elbow_runs(embeddings, max_clusters: int, seed: int) -> list[tuple]:
     return [(labels, obj / n) for labels, obj in runs]
 
 
-def mscd_table(embeddings, max_clusters: int, *, seed: int = 0) -> dict[int, float]:
-    """Mean squared cosine distance to the assigned centroid, for k = 1..max.
-
-    Every k is clustered with the same seed so the table is reproducible
-    and directly comparable across k.
-    """
-    runs = _elbow_runs(embeddings, max_clusters, seed)
-    return {k: mscd for k, (_, mscd) in enumerate(runs, start=1)}
-
-
 def estimate_k_elbow(
     embeddings, max_clusters: int, *, min_clusters: int = 1, seed: int = 0
 ) -> ClusteringResult:
@@ -501,14 +404,14 @@ class SpectralResult:
 
 
 def blurred_affinity(embeddings, sigma: float) -> np.ndarray:
-    """spectral_cluster's front half, gaussian_blur(build_affinity(embeddings),
-    sigma), p-independent, built from the rank-d factor: C-ordered and exactly
-    symmetric.
+    """The refinement chain's first matrix, p-independent: the cosine affinity
+    of the embeddings, each diagonal entry taking its row's largest cosine off
+    it, blurred in 2-D by the truncated Gaussian of radius ceil(3 sigma) with
+    reflected borders. C-ordered and exactly symmetric.
 
     The affinity is U Uᵀ + diag(delta) for the unit rows U, delta_i taking
-    row i's diagonal to its largest off-diagonal cosine (clipped to [-1, 1] as
-    build_affinity clips it), so blurred_gram builds its blur with no n x n
-    affinity. It rounds differently from the dense chain, by a few ulps.
+    row i's diagonal to its largest off-diagonal cosine (clipped to [-1, 1]),
+    so blurred_gram builds its blur from the rank-d factor: no n x n affinity.
     """
     if len(embeddings) < 2:
         raise InvalidInputError("spectral clustering needs at least 2 segments")
@@ -517,22 +420,34 @@ def blurred_affinity(embeddings, sigma: float) -> np.ndarray:
     return blurred_gram(u, row_max.clip(-1.0, 1.0) - squares, sigma).T
 
 
-def cluster_blurred(blurred: np.ndarray, params: SpectralParams) -> SpectralResult:
-    """The rest of spectral_cluster, from blurred_affinity's matrix (params.sigma unread):
-    the refine_stages after the blur, with the threshold and symmetrize in one pass
-    (`blurred` must be exactly symmetric, as blurred_affinity's is) and the row-max
-    normalization and (M + Mᵀ)/2 in another, then eigen-gap k, re-embedding, k-means.
-    They run in one copy of `blurred`, which is neither written nor held, so calls
-    may share it. Cluster bounds are clamped to n; with no eigen-gap range left, k
-    is the minimum."""
-    return _cluster_in_place(np.array(blurred, dtype=np.float64, order="C"), params)
+def _refine(m: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
+    """The refinement chain on a blurred affinity m, every stage written into m:
+    yields (stage name, m) as m holds each stage.
+
+    After the blur: the row threshold and symmetrization in one pass,
+    diffusion (the Gram product), then the row-max normalization R and
+    (R + Rᵀ)/2 in another; that last matrix is the one eigh solves.
+    """
+    yield "blur", m
+    yield "symmetrize", _threshold_symmetrize(m, params.p_percentile, params.soft_multiplier)
+    yield "diffuse", refine_diffuse(m, out=m)
+    yield "refined", _row_max_normalize_symmetrize(m)
 
 
-def _cluster_in_place(m: np.ndarray, params: SpectralParams) -> SpectralResult:
-    """cluster_blurred with every stage written into m, the one n x n matrix held."""
-    m = _threshold_symmetrize(m, params.p_percentile, params.soft_multiplier)
-    m = refine_diffuse(m, out=m)
-    m = _row_max_normalize_symmetrize(m)
+def refine_stages(embeddings, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
+    """(stage name, matrix) for each stage of spectral_cluster's refinement
+    chain: blur, symmetrize, diffuse, refined, in that order.
+
+    One n x n matrix is held and each stage rewrites it in place, so a
+    yielded matrix holds its stage only until the next one is asked for.
+    """
+    return _refine(blurred_affinity(embeddings, params.sigma), params)
+
+
+def _cluster_refined(stages: Iterator[tuple[str, np.ndarray]],
+                     params: SpectralParams) -> SpectralResult:
+    """Eigen-gap k, re-embedding and k-means on the last matrix of a refinement chain."""
+    *_, (_, m) = stages
     n = m.shape[0]
     min_c = min(params.min_clusters, n)
     max_c = min(params.max_clusters, n)
@@ -548,16 +463,21 @@ def _cluster_in_place(m: np.ndarray, params: SpectralParams) -> SpectralResult:
     return SpectralResult(clustering=clustering, eigenvalues=decomp.values)
 
 
+def cluster_blurred(blurred: np.ndarray, params: SpectralParams) -> SpectralResult:
+    """spectral_cluster from blurred_affinity's matrix (params.sigma unread): the
+    rest of the refinement chain, then eigen-gap k, re-embedding, k-means.
+    `blurred` must be exactly symmetric, as blurred_affinity's is. The chain
+    runs in one copy of it, so it is neither written nor held and calls may
+    share it. Cluster bounds are clamped to n; with no eigen-gap range left, k
+    is the minimum."""
+    return _cluster_refined(_refine(np.array(blurred, dtype=np.float64, order="C"), params),
+                            params)
+
+
 def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
-    """Spectral clustering of segment embeddings: cluster_blurred(blurred_affinity),
-    without the copy, as blurred_affinity's matrix is this call's own."""
-    return _cluster_in_place(blurred_affinity(embeddings, params.sigma), params)
-
-
-class OnlineClusterer(Protocol):
-    """One embedding in, one cluster label out, no lookahead, no revision."""
-
-    def step(self, embedding) -> int: ...
+    """Spectral clustering of segment embeddings: refine_stages, then eigen-gap
+    k, re-embedding and k-means, as in cluster_blurred without its copy."""
+    return _cluster_refined(refine_stages(embeddings, params), params)
 
 
 @dataclass
@@ -596,7 +516,7 @@ class NaiveOnlineClusterer:
         return best_label
 
 
-def run_online(clusterer: OnlineClusterer, embeddings) -> ClusteringResult:
-    """Feed the rows of the embedding matrix through an online clusterer in order."""
+def run_online(clusterer: NaiveOnlineClusterer, embeddings) -> ClusteringResult:
+    """Feed the rows of the embedding matrix through the online clusterer in order."""
     labels = [clusterer.step(e) for e in embedding_matrix(embeddings)]
     return ClusteringResult(labels=np.array(labels), k=max(labels) + 1)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .aggregation import InvalidWindowError, Windows
 from .core import Annotation, InvalidInputError, ParseError, Segment, TimeInterval, interval_union
+from .numerics import all_finite, row_block
 
 RTTM_FIELDS = 10
 
@@ -193,25 +194,39 @@ def read_regions_csv(text: str) -> list[TimeInterval]:
     return regions
 
 
-def pgm_bytes(matrix) -> bytes:
-    """Binary PGM (P5) of a matrix: affine map [min, max] -> [0, 255].
-
-    A constant matrix maps to a uniform 128.
-    """
+def _pgm(matrix) -> np.ndarray:
+    """pgm_bytes' file as a uint8 array, its pixels written a row block at a
+    time: no float matrix of the input's size."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise InvalidInputError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not all_finite(m):
         raise InvalidInputError("matrix contains non-finite entries")
+    header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii")
+    pgm = np.empty(len(header) + m.size, dtype=np.uint8)
+    pgm[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    pixels = pgm[len(header) :].reshape(m.shape)
     lo, hi = float(m.min()), float(m.max())
     if hi > lo:
-        pixels = np.rint((m - lo) / (hi - lo) * 255.0)
+        step = row_block(m.shape[1])
+        for r in range(0, m.shape[0], step):
+            block = m[r : r + step] - lo
+            block /= hi - lo
+            block *= 255.0
+            pixels[r : r + step] = np.clip(np.rint(block, out=block), 0, 255, out=block)
     else:
-        pixels = np.full(m.shape, 128.0)
-    body = np.clip(pixels, 0, 255).astype(np.uint8).tobytes()
-    header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii")
-    return header + body
+        pixels[...] = 128
+    return pgm
+
+
+def pgm_bytes(matrix) -> bytes:
+    """Binary PGM (P5) of a matrix: affine map [min, max] -> [0, 255], each
+    entry x to rint((x - min) / (max - min) * 255), clipped to [0, 255].
+
+    A constant matrix maps to a uniform 128.
+    """
+    return _pgm(matrix).tobytes()
 
 
 def write_pgm_heatmap(matrix, path) -> None:
-    Path(path).write_bytes(pgm_bytes(matrix))
+    Path(path).write_bytes(_pgm(matrix))  # the array's own buffer: no bytes copy

@@ -1,14 +1,14 @@
 """Vector and matrix primitives used across the pipeline.
 
 Unit rows, Gram products and the eigensolver's matvec on scipy's BLAS
-(not numpy's: two OpenBLAS thread pools slow each other, see README), 2-D
-Gaussian blur (of a matrix, or of a Gram matrix from its factor), the
-nearest-rank percentile index, symmetric eigen-decomposition (full, or
-partial top-k when fewer than all pairs are asked for) with a
-deterministic ordering/sign convention, and maximum-weight assignment
+(not numpy's: two OpenBLAS thread pools slow each other, see README), the
+2-D Gaussian blur of a Gram matrix from its factor, the nearest-rank
+percentile index, symmetric eigen-decomposition (full, or partial top-k
+when fewer than all pairs are asked for) with a deterministic
+ordering/sign convention, and maximum-weight assignment
 (scipy.sparse.csgraph's matching). Both eigensolver paths read the lower
 triangle of their input only. The n x n passes work in row blocks or tiles,
-and the Gram product and the blur can write into their own input.
+and the Gram product can write into its own input.
 """
 
 from __future__ import annotations
@@ -52,51 +52,6 @@ def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / norms[:, None]
 
 
-def gaussian_blur(m, sigma: float, out=None) -> np.ndarray:
-    """2-D convolution with a truncated, normalized Gaussian kernel, into `out`
-    (a new matrix if None; m itself is allowed).
-
-    Kernel radius is ceil(3*sigma) in index units; borders are handled by
-    reflection (edge value repeated: scipy.ndimage's "reflect" mode, numpy's
-    "symmetric" pad), which keeps constant matrices constant. A sigma of at
-    most 1e-15 (scipy.ndimage's cut-off) copies. Bit for bit
-    scipy.ndimage.gaussian_filter with that mode and radius: down the columns,
-    then along the rows, each entry summed in its order.
-
-    Works a block of rows at a time, each read with `radius` rows above and
-    below; the original rows the next block reads above it are kept aside
-    before a block is written, so m may be out.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise InvalidInputError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not all_finite(m):
-        raise InvalidInputError("matrix contains non-finite entries")
-    if not math.isfinite(sigma) or sigma < 0:
-        raise InvalidInputError(f"sigma must be finite and >= 0, got {sigma}")
-    if out is None:
-        out = np.empty(m.shape)
-    if sigma <= 1e-15:
-        np.copyto(out, m)
-        return out
-    weights = _gaussian_weights(sigma)
-    radius = weights.size - 1
-    rows, cols = m.shape
-    # at least `radius` rows a block (the last one too): a halo then reaches
-    # only into the block before it
-    starts = _block_starts(rows, max(row_block(cols), radius), radius)
-    across = _reflected(-radius, cols + radius, cols)
-    kept = None  # original rows [lo - radius, lo): out may have overwritten them
-    for lo, hi in zip(starts, starts[1:] + [rows]):
-        if lo == 0:
-            padded = m[_reflected(-radius, hi + radius, rows)]
-        else:
-            padded = np.concatenate((kept, m[_reflected(lo, hi + radius, rows)]))
-        kept = padded[hi - lo : hi - lo + radius].copy()
-        _blur_rows(padded, weights, across, out[lo:hi])
-    return out
-
-
 def _gaussian_weights(sigma: float) -> np.ndarray:
     """The truncated, normalized Gaussian kernel at offsets 0..ceil(3*sigma); the
     kernel is symmetric. At most 1e-15, scipy.ndimage's cut-off, it is [1.0]."""
@@ -106,14 +61,6 @@ def _gaussian_weights(sigma: float) -> np.ndarray:
     offsets = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 / (sigma * sigma) * offsets**2)
     return (kernel / kernel.sum())[radius:]
-
-
-def _blur_rows(padded: np.ndarray, weights: np.ndarray, across: np.ndarray, out: np.ndarray):
-    """gaussian_blur's output rows from the input rows around them (`padded`):
-    down the columns, then along the rows, reflected by the column indices
-    `across`."""
-    down = _correlate_symmetric(padded, weights, np.empty(out.shape))
-    _correlate_symmetric(down[:, across].T, weights, out.T)
 
 
 def _reflected(lo: int, hi: int, n: int) -> np.ndarray:
@@ -166,23 +113,14 @@ SYMMETRY_TOL = 1e-10
 
 # Blocked passes over an n x n matrix take this many entries (512 KiB of
 # float64) at a time, so their temporaries stay small beside the matrix.
-# At 2**18 entries `refine_threshold` still peaked at 2.24 n^2 arrays at
-# n = 1500; at 2**16 it peaks at 2.07.
+# At 2**18 entries a blocked row threshold still peaked at 2.24 n^2 arrays
+# at n = 1500; at 2**16 it peaked at 2.07.
 _BLOCK_ENTRIES = 1 << 16
 
 
 def row_block(width: int) -> int:
     """How many rows of a `width`-column matrix one block pass takes (>= 1)."""
     return max(1, _BLOCK_ENTRIES // max(1, width))
-
-
-def _block_starts(n: int, step: int, least: int) -> list[int]:
-    """First rows of the blocks of `step` rows that cover n rows; a last block
-    of fewer than `least` rows joins the one before it."""
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] < least:
-        starts.pop()
-    return starts
 
 
 def all_finite(m: np.ndarray) -> bool:
@@ -237,7 +175,9 @@ def gram(x, out=None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     g = np.empty((n, n), order="F") if out is None else out
-    starts = _block_starts(n, _GRAM_ROWS, _GRAM_ROWS)
+    starts = list(range(0, n, _GRAM_ROWS))
+    if len(starts) > 1 and n - starts[-1] < _GRAM_ROWS:
+        starts.pop()
     for lo, hi in zip(starts, starts[1:] + [n]):
         _gram_rows(x, g, lo, hi)
     return g
@@ -282,8 +222,11 @@ def gram_diagonal_and_row_max(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def blurred_gram(x, diagonal, sigma: float) -> np.ndarray:
-    """gaussian_blur(x xᵀ + diag(diagonal), sigma) from the factor x, as a new
-    F-ordered matrix, exactly symmetric.
+    """The 2-D Gaussian blur of x xᵀ + diag(diagonal) from the factor x, as a
+    new F-ordered matrix, exactly symmetric. The kernel is truncated at radius
+    ceil(3 sigma) and normalized, borders reflect (the edge value repeated:
+    scipy.ndimage's "reflect" mode), and a sigma of at most 1e-15 blurs
+    nothing.
 
     The blur is linear, B = G A Gᵀ for G the reflected kernel's n x n band
     matrix, so B = (G x)(G x)ᵀ + G diag(diagonal) Gᵀ: x is blurred down its n

@@ -1,7 +1,9 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately written with a different strategy from
-the package code: direct 2-D convolution instead of separable passes,
+the package code: direct 2-D convolution, or scipy.ndimage's separable
+filter, instead of blurring a Gram matrix's factor, the refinement chain's
+stages as plain dense matrices instead of one matrix rewritten in place,
 midpoint slicing in floats instead of integer-tick sweeps, exhaustive
 permutation search or scipy.optimize's Hungarian-type solver instead of the
 package's bipartite matching, one vector pair at a time instead of whole
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
+from scipy.ndimage import gaussian_filter
 from scipy.optimize import linear_sum_assignment
 
 from diarkit import (
@@ -121,6 +124,42 @@ def mirrored_syrk(x: np.ndarray) -> np.ndarray:
 def sort_threshold(m: np.ndarray, kth: int, soft: float) -> np.ndarray:
     """Threshold every row at its k-th smallest entry, read from a full sort."""
     return np.where(m < np.sort(m, axis=1)[:, [kth]], m * soft, m)
+
+
+def affinity(x) -> np.ndarray:
+    """Pairwise cosines of the rows of x, clipped to [-1, 1], each diagonal
+    entry set to its row's largest cosine off the diagonal."""
+    a = np.clip(mirrored_syrk(l2_normalize_rows(np.asarray(x, dtype=np.float64))), -1.0, 1.0)
+    np.fill_diagonal(a, -np.inf)
+    np.fill_diagonal(a, a.max(axis=1))
+    return a
+
+
+def blur(m: np.ndarray, sigma: float) -> np.ndarray:
+    """2-D Gaussian blur, the kernel truncated at radius ceil(3 sigma), borders
+    reflected (the edge value repeated)."""
+    return gaussian_filter(np.asarray(m, dtype=np.float64), sigma, mode="reflect",
+                           radius=math.ceil(3 * sigma))
+
+
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """Elementwise max(m_ij, m_ji)."""
+    return np.maximum(m, m.T)
+
+
+def row_max_normalize(m: np.ndarray) -> np.ndarray:
+    """Each row divided by its own maximum."""
+    return m / m.max(axis=1)[:, None]
+
+
+def dense_refined(x, sigma: float, p: float, soft: float) -> np.ndarray:
+    """The refined affinity (R + Rᵀ)/2 of the rows of x, each stage of the chain
+    a new dense matrix: affinity, blur, row threshold, symmetrize, diffuse
+    (the Gram product), row-max normalization R."""
+    m = blur(affinity(x), sigma)
+    m = symmetrize(sort_threshold(m, nearest_rank_index(p, m.shape[1]), soft))
+    r = row_max_normalize(mirrored_syrk(m))
+    return (r + r.T) * 0.5
 
 
 def _cos_dist_sq(u: np.ndarray, center: np.ndarray) -> np.ndarray:

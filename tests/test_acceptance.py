@@ -17,16 +17,12 @@ from diarkit import (
     InvalidInputError,
     SpectralParams,
     SynthScenario,
-    build_affinity,
     der,
     eigh,
     estimate_k_eigengap,
     map_speakers,
     refine_diffuse,
-    refine_row_max_normalize,
     refine_stages,
-    refine_symmetrize,
-    refine_threshold,
     spectral_cluster,
 )
 from helpers import (
@@ -37,11 +33,16 @@ from helpers import (
     prepare,
     score_total,
 )
+from diarkit.clustering import _row_max_normalize_symmetrize, blurred_affinity
+from diarkit.numerics import nearest_rank_index
 from oracles import (
     brute_force_assignment,
     der_oracle,
     overlap_milliseconds,
     random_der_case,
+    row_max_normalize,
+    sort_threshold,
+    symmetrize,
 )
 
 BLOCK = np.array(
@@ -94,23 +95,27 @@ def test_refinement_chain_suite(capsys):
         nonlocal worst
         worst = max(worst, float(np.max(np.abs(np.asarray(actual) - expected))))
 
+    # each hand example runs the stage the clusterer runs, or, for a matrix the
+    # clusterer never forms (threshold alone, max(M, Mᵀ) or R of an asymmetric
+    # matrix), its dense reference
     s = 1 / math.sqrt(2)
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     mid = (e1 + e2) / np.linalg.norm(e1 + e2)
     check(
-        build_affinity(np.stack([e1, e2, mid])),
+        blurred_affinity(np.stack([e1, e2, mid]), 0.0),
         np.array([[s, 0, s], [0, s, s], [s, s, s]]),
     )
+    rows = np.array([[0.9, 0.5, 0.1]] * 3)
     check(
-        refine_threshold(np.array([[0.9, 0.5, 0.1]] * 3), 50, 0.01)[0],
+        sort_threshold(rows, nearest_rank_index(50, 3), 0.01)[0],
         np.array([0.9, 0.5, 0.001]),
     )
     check(
-        refine_threshold(np.array([[0.9, 0.5, 0.1]] * 3), 50, 0.0)[0],
+        sort_threshold(rows, nearest_rank_index(50, 3), 0.0)[0],
         np.array([0.9, 0.5, 0.0]),
     )
     check(
-        refine_symmetrize(np.array([[0.0, 1.0], [0.2, 0.0]])),
+        symmetrize(np.array([[0.0, 1.0], [0.2, 0.0]])),
         np.array([[0.0, 1.0], [1.0, 0.0]]),
     )
     check(
@@ -118,17 +123,18 @@ def test_refinement_chain_suite(capsys):
         np.array([[1.25, 1.0], [1.0, 1.25]]),
     )
     check(
-        refine_row_max_normalize(np.array([[1.25, 1.0], [1.0, 1.25]])),
+        _row_max_normalize_symmetrize(np.array([[1.25, 1.0], [1.0, 1.25]])),
         np.array([[1.0, 0.8], [0.8, 1.0]]),
     )
     check(
-        refine_row_max_normalize(np.array([[2.0, 4.0], [0.5, 0.25]])),
+        row_max_normalize(np.array([[2.0, 4.0], [0.5, 0.25]])),
         np.array([[0.5, 1.0], [1.0, 0.5]]),
     )
+    # the affinity of e1, e1, e2, e2 is BLOCK, a fixed point of the chain
     params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=0.0)
-    stages = list(refine_stages(BLOCK, params))
+    stages = list(refine_stages(np.stack([e1, e1, e2, e2]), params))
     check(stages[-1][1], BLOCK)
-    stage_count_ok = len(stages) == 5
+    stage_count_ok = len(stages) == 4
 
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and stage_count_ok and elapsed < 1.0

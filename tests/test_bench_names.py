@@ -18,7 +18,15 @@ from diarkit.pipeline import DiarizeConfig, cluster
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 # spans the tracer still lists for functions the library has since deleted
-DELETED = {"clustering.refine_chain"}
+DELETED = {
+    "clustering.refine_chain",
+    "clustering.build_affinity",
+    "clustering.refine_threshold",
+    "clustering.refine_symmetrize",
+    "clustering.refine_row_max_normalize",
+    "clustering.mscd_table",
+    "numerics.gaussian_blur",
+}
 
 
 def load_tracing():
@@ -77,14 +85,11 @@ def three_groups() -> np.ndarray:
 def test_spectral_cluster_calls_each_traced_stage_once(monkeypatch):
     # each stage's span times calls through these names: a chain that ran a
     # private kernel instead would read 0 there without failing. The blurred
-    # affinity is built from its factor and thresholded and symmetrized in one
-    # pass, so the dense stages' spans read 0 on purpose; their time is
-    # spectral_cluster's own.
+    # affinity, the fused threshold + symmetrize and the closing row-max pass
+    # have no span of their own; their time is spectral_cluster's own.
     called = ["clustering.refine_diffuse", "clustering.estimate_k_eigengap",
               "clustering.spectral_embed", "numerics.eigh", "clustering.kmeans"]
-    skipped = ["clustering.build_affinity", "numerics.gaussian_blur",
-               "clustering.refine_threshold", "clustering.refine_symmetrize"]
-    calls = count_calls(monkeypatch, called + skipped)
+    calls = count_calls(monkeypatch, called)
     assert spectral_cluster(three_groups(), SpectralParams()).clustering.k == 3
     assert calls == Counter(called)
 

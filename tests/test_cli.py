@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import diarkit.cli
+import diarkit.clustering
 import diarkit.numerics
 import diarkit.pipeline
 from diarkit import (
@@ -15,6 +16,7 @@ from diarkit import (
     generate,
     parse_rttm,
     parse_uem,
+    pgm_bytes,
     read_embeddings_csv,
     read_regions_csv,
     write_embeddings_csv,
@@ -93,7 +95,7 @@ class TestDiarize:
         (hypothesis,) = parse_rttm(out.read_text())
         assert hypothesis.labels() == ["spk0", "spk1"]
 
-    def test_dump_stages_writes_six_files(self, tmp_path):
+    def test_dump_stages_writes_four_files(self, tmp_path):
         paths = run_synth(tmp_path, "conv")
         out = tmp_path / "hyp.rttm"
         (tmp_path / "stages").mkdir()
@@ -110,15 +112,34 @@ class TestDiarize:
         assert rc == 0
         dumped = sorted(p.name for p in (tmp_path / "stages").iterdir())
         assert dumped == [
-            "run_00_affinity.pgm",
             "run_01_blur.pgm",
-            "run_02_threshold.pgm",
-            "run_03_symmetrize.pgm",
-            "run_04_diffuse.pgm",
-            "run_05_rownorm.pgm",
+            "run_02_symmetrize.pgm",
+            "run_03_diffuse.pgm",
+            "run_04_refined.pgm",
         ]
         for name in dumped:
             assert (tmp_path / "stages" / name).read_bytes().startswith(b"P5\n")
+
+    def test_dump_stages_shows_the_matrix_eigh_solves(self, tmp_path, monkeypatch):
+        solved = []
+        original = diarkit.clustering.eigh
+
+        def capture(m, *args, **kwargs):
+            solved.append(np.array(m))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(diarkit.clustering, "eigh", capture)
+        paths = run_synth(tmp_path, "conv")
+        prefix = tmp_path / "run"
+        rc = main(["diarize", "--embeddings", str(paths["emb"]), "--regions", str(paths["reg"]),
+                   "--out", str(tmp_path / "hyp.rttm"), "--dump-stages", str(prefix)])
+        assert rc == 0
+        (m,) = solved
+        data = (tmp_path / "run_04_refined.pgm").read_bytes()
+        assert data == pgm_bytes(m)
+        n = len(m)
+        grid = np.frombuffer(data[len(f"P5\n{n} {n}\n255\n"):], dtype=np.uint8).reshape(n, n)
+        assert np.array_equal(grid, grid.T)
 
     def test_rerun_byte_identical(self, tmp_path):
         paths = run_synth(tmp_path, "conv")

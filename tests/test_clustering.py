@@ -21,19 +21,13 @@ from diarkit import (
     SpectralParams,
     SynthScenario,
     TimeInterval,
-    build_affinity,
     eigh,
     estimate_k_eigengap,
     estimate_k_elbow,
-    gaussian_blur,
     generate,
     kmeans,
-    mscd_table,
     refine_diffuse,
-    refine_row_max_normalize,
     refine_stages,
-    refine_symmetrize,
-    refine_threshold,
     run_online,
     spectral_cluster,
     spectral_embed,
@@ -45,6 +39,7 @@ from diarkit.clustering import (
     EIG_FLOOR,
     _best_run,
     _draw,
+    _elbow_runs,
     _lloyd,
     _row_max_normalize_symmetrize,
     _threshold_symmetrize,
@@ -55,7 +50,8 @@ from diarkit.clustering import (
 from diarkit.numerics import _TILE, gram, l2_normalize_rows, nearest_rank_index
 from diarkit.pipeline import segment_embeddings
 from helpers import run_python
-from oracles import lloyd_oracle, sort_threshold
+from oracles import (affinity, blur, dense_refined, lloyd_oracle, mirrored_syrk, row_max_normalize,
+                     sort_threshold, symmetrize)
 
 BLOCK = np.array(
     [
@@ -145,17 +141,16 @@ class TestEmbeddingMatrix:
         "call",
         [
             embedding_matrix,
-            build_affinity,
             lambda x: blurred_affinity(x, 1.0),
+            lambda x: refine_stages(x, SpectralParams()),
             lambda x: spectral_cluster(x, SpectralParams()),
             lambda x: kmeans(x, 2),
             lambda x: estimate_k_elbow(x, 3),
-            lambda x: mscd_table(x, 3),
             lambda x: run_online(NaiveOnlineClusterer(), x),
             lambda x: NaiveOnlineClusterer().step(x[0]),
         ],
-        ids=["embedding_matrix", "build_affinity", "blurred_affinity", "spectral_cluster",
-             "kmeans", "estimate_k_elbow", "mscd_table", "run_online", "step"],
+        ids=["embedding_matrix", "blurred_affinity", "refine_stages", "spectral_cluster",
+             "kmeans", "estimate_k_elbow", "run_online", "step"],
     )
     def test_segment_objects_rejected(self, call):
         # the clusterers take the matrix; pipeline.stack_segments builds it
@@ -164,123 +159,50 @@ class TestEmbeddingMatrix:
             call(segments)
 
 
-class TestBuildAffinity:
+class TestAffinity:
+    """The affinity blurred_affinity blurs, as it is at sigma 0."""
+
+    @staticmethod
+    def affinity(x) -> np.ndarray:
+        return blurred_affinity(x, 0.0)
+
     def test_identical_vectors(self):
-        a = build_affinity(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        a = self.affinity(np.array([[1.0, 0.0], [2.0, 0.0]]))
         assert np.allclose(a, np.ones((2, 2)))
 
     def test_orthogonal_pair(self):
-        a = build_affinity(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        a = self.affinity(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert np.allclose(a, np.zeros((2, 2)))
 
     def test_three_vector_example(self):
         s = 1 / math.sqrt(2)
         e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         mid = (e1 + e2) / np.linalg.norm(e1 + e2)
-        a = build_affinity(np.stack([e1, e2, mid]))
+        a = self.affinity(np.stack([e1, e2, mid]))
         expected = np.array([[s, 0, s], [0, s, s], [s, s, s]])
         assert np.max(np.abs(a - expected)) < 1e-12
 
     def test_diagonal_is_row_max(self):
         rng = np.random.default_rng(30)
-        a = build_affinity(rng.normal(size=(12, 5)))
+        a = self.affinity(rng.normal(size=(12, 5)))
         for i in range(12):
             off = np.delete(a[i], i)
-            assert a[i, i] == off.max()
+            assert abs(a[i, i] - off.max()) <= 1e-15
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=(9, 6))
-        a = build_affinity(x)
-        b = build_affinity(x * 41.5)
+        a = self.affinity(x)
+        b = self.affinity(x * 41.5)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_too_few_embeddings_rejected(self):
-        with pytest.raises(InvalidInputError):
-            build_affinity(np.array([[1.0, 0.0]]))
+        with pytest.raises(InvalidInputError, match="needs at least 2 segments"):
+            self.affinity(np.array([[1.0, 0.0]]))
 
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidInputError):
-            build_affinity(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-
-class TestRefineThreshold:
-    def test_soft_scaling(self):
-        m = np.array(
-            [
-                [0.9, 0.5, 0.1],
-                [0.5, 0.1, 0.9],
-                [0.1, 0.9, 0.5],
-            ]
-        )
-        out = refine_threshold(m, 50, 0.01)
-        # per row: nearest-rank p50 = 0.5; only 0.1 lies strictly below
-        expected = np.array(
-            [
-                [0.9, 0.5, 0.001],
-                [0.5, 0.001, 0.9],
-                [0.001, 0.9, 0.5],
-            ]
-        )
-        assert np.max(np.abs(out - expected)) < 1e-15
-
-    def test_constant_rows_unchanged(self):
-        m = np.full((4, 4), 0.7)
-        for p in (10, 50, 95):
-            assert np.array_equal(refine_threshold(m, p, 0.01), m)
-
-    def test_hard_zeroing(self):
-        m = np.array([[0.9, 0.5, 0.1]] * 3)
-        out = refine_threshold(m, 50, 0.0)
-        assert np.array_equal(out[0], [0.9, 0.5, 0.0])
-
-    def test_rows_independent(self):
-        rng = np.random.default_rng(32)
-        m = rng.uniform(size=(6, 6))
-        out = refine_threshold(m, 80, 0.01)
-        for i in range(6):
-            row_only = refine_threshold(np.tile(m[i], (6, 1)), 80, 0.01)
-            assert np.array_equal(out[i], row_only[0])
-
-    # in blocks of 2**16 entries these are one block, two and nineteen,
-    # the last block of each short
-    @pytest.mark.parametrize("n", [1, 257, 1100])
-    def test_blocks_match_sort_oracle(self, n):
-        rng = np.random.default_rng(n)
-        matrices = [
-            rng.integers(-2, 3, size=(n, n)).astype(np.float64),  # many ties
-            rng.choice([0.0, -0.0, 0.5, -0.5], size=(n, n)),
-            rng.standard_normal((n, n)),
-        ]
-        for m in matrices:
-            before = m.copy()
-            for p, soft in ((0.5, 0.01), (50, 0.0), (95, 0.01), (99.9, -2.0)):
-                expected = sort_threshold(m, nearest_rank_index(p, n), soft)
-                assert refine_threshold(m, p, soft).tobytes() == expected.tobytes()
-            assert m.tobytes() == before.tobytes()
-
-    def test_p_out_of_range_rejected(self):
-        with pytest.raises(InvalidInputError):
-            refine_threshold(np.eye(3), 0, 0.01)
-        with pytest.raises(InvalidInputError):
-            refine_threshold(np.eye(3), 100, 0.01)
-
-
-class TestRefineSymmetrize:
-    def test_symmetric_unchanged(self):
-        m = np.array([[1.0, 0.3], [0.3, 1.0]])
-        assert np.array_equal(refine_symmetrize(m), m)
-
-    def test_elementwise_max(self):
-        out = refine_symmetrize(np.array([[0.0, 1.0], [0.2, 0.0]]))
-        assert np.array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(33)
-        m = rng.normal(size=(7, 7))
-        once = refine_symmetrize(m)
-        assert np.array_equal(refine_symmetrize(once), once)
-        assert np.array_equal(once, once.T)
+            self.affinity(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestThresholdSymmetrize:
@@ -289,9 +211,29 @@ class TestThresholdSymmetrize:
         """m's upper triangle copied below it: exactly symmetric, signed zeros too."""
         return np.where(np.tri(len(m), k=-1, dtype=bool), m.T, m)
 
+    # symmetric, and so is its threshold: per row, nearest-rank p50 = 0.5
+    # and only 0.1 lies strictly below it
+    SOFT_EXAMPLE = np.array([[0.9, 0.5, 0.1], [0.5, 0.1, 0.9], [0.1, 0.9, 0.5]])
+
+    def test_soft_scaling(self):
+        out = _threshold_symmetrize(self.SOFT_EXAMPLE.copy(), 50, 0.01)
+        expected = np.array([[0.9, 0.5, 0.001], [0.5, 0.001, 0.9], [0.001, 0.9, 0.5]])
+        assert np.max(np.abs(out - expected)) < 1e-15
+
+    def test_hard_zeroing(self):
+        out = _threshold_symmetrize(self.SOFT_EXAMPLE.copy(), 50, 0.0)
+        assert np.array_equal(out, [[0.9, 0.5, 0.0], [0.5, 0.0, 0.9], [0.0, 0.9, 0.5]])
+
+    def test_constant_rows_unchanged(self):
+        m = np.full((4, 4), 0.7)
+        for p in (10, 50, 95):
+            assert np.array_equal(_threshold_symmetrize(m.copy(), p, 0.01), m)
+
+    # in blocks of 2**16 entries 300 rows are two blocks and 1100 nineteen,
+    # the last block of each short
     @pytest.mark.parametrize("soft", [0.0, 0.01, -0.5, 2.0])
     @pytest.mark.parametrize("p", [50.0, 95.0])
-    @pytest.mark.parametrize("n", [1, 2, 7, _TILE + 1, 300])
+    @pytest.mark.parametrize("n", [1, 2, 7, _TILE + 1, 300, 1100])
     @pytest.mark.parametrize("repeated", [False, True])
     def test_bit_equal_to_threshold_then_symmetrize(self, soft, p, n, repeated):
         rng = np.random.default_rng(n)
@@ -301,7 +243,7 @@ class TestThresholdSymmetrize:
         if repeated:
             kinds = rng.integers(0, min(3, n), n)
             m = m[np.ix_(kinds, kinds)]
-        expected = refine_symmetrize(refine_threshold(m, p, soft)).tobytes()
+        expected = symmetrize(sort_threshold(m, nearest_rank_index(p, n), soft)).tobytes()
         got = _threshold_symmetrize(m, p, soft)
         assert got is m
         assert got.tobytes() == expected
@@ -310,7 +252,7 @@ class TestThresholdSymmetrize:
     def test_bit_equal_on_a_blurred_affinity(self, soft):
         rng = np.random.default_rng(34)
         b = blurred_affinity(rng.standard_normal((300, 8)), 1.0)
-        expected = refine_symmetrize(refine_threshold(b, 95.0, soft)).tobytes()
+        expected = symmetrize(sort_threshold(b, nearest_rank_index(95.0, 300), soft)).tobytes()
         assert _threshold_symmetrize(b.copy(), 95.0, soft).tobytes() == expected
 
 
@@ -334,7 +276,20 @@ class TestBlurredAffinity:
         b = blurred_affinity(x, sigma)
         assert b.flags.c_contiguous
         assert b.tobytes() == np.ascontiguousarray(b.T).tobytes()
-        assert np.max(np.abs(b - gaussian_blur(build_affinity(x), sigma))) <= 1e-15
+        assert np.max(np.abs(b - blur(affinity(x), sigma))) <= 1e-15
+
+    # the fuzzed rows stop at 40; these straddle the 64-row blocks of the row
+    # maxima and gram's tiles of 128 and blocks of 256 rows
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("n", [63, 64, 65, _TILE - 1, _TILE, _TILE + 1,
+                                   2 * _TILE - 1, 2 * _TILE, 2 * _TILE + 1, 300])
+    def test_the_dense_blur_across_block_edges(self, n, sigma):
+        # at most 3.5e-16 over these cases, at d = 8 and d = 64
+        x = np.random.default_rng(n).standard_normal((n, 64))
+        b = blurred_affinity(x, sigma)
+        assert b.flags.c_contiguous
+        assert b.tobytes() == np.ascontiguousarray(b.T).tobytes()
+        assert np.max(np.abs(b - blur(affinity(x), sigma))) <= 1e-15
 
     def test_bad_sigma_rejected(self):
         for sigma in (-1.0, math.inf, math.nan):
@@ -359,105 +314,76 @@ class TestRefineDiffuse:
             evals = np.linalg.eigvalsh(out)
             assert evals.min() >= -1e-10
 
-
-class TestRefineRowMaxNormalize:
-    def test_hand_example(self):
-        out = refine_row_max_normalize(np.array([[1.25, 1.0], [1.0, 1.25]]))
-        assert np.allclose(out, [[1.0, 0.8], [0.8, 1.0]])
-
-    def test_per_row_division(self):
-        out = refine_row_max_normalize(np.array([[2.0, 4.0], [0.5, 0.25]]))
-        assert np.array_equal(out, [[0.5, 1.0], [1.0, 0.5]])
-
-    def test_idempotent_and_max_exactly_one(self):
-        rng = np.random.default_rng(35)
-        m = rng.uniform(0.1, 2.0, size=(9, 9))
-        out = refine_row_max_normalize(m)
-        assert np.array_equal(out.max(axis=1), np.ones(9))
-        assert np.array_equal(refine_row_max_normalize(out), out)
-
-    def test_nonpositive_row_rejected(self):
-        with pytest.raises(DegenerateAffinityError):
-            refine_row_max_normalize(np.array([[1.0, 0.5], [-0.2, -0.1]]))
-
-
-IN_PLACE_STAGES = {
-    "blur": lambda m, **out: gaussian_blur(m, 1.0, **out),
-    "threshold": lambda m, **out: refine_threshold(m, 95, 0.01, **out),
-    "symmetrize": refine_symmetrize,
-    "diffuse": refine_diffuse,
-}
-
-
-class TestStagesWriteIntoOut:
-    """spectral_cluster runs every stage with out= its input: the same bits."""
-
-    @pytest.mark.parametrize("stage", IN_PLACE_STAGES)
     @pytest.mark.parametrize("n", [1, _TILE + 1, 2 * _TILE + 1, 600])
-    def test_out_is_the_input_or_another_matrix(self, stage, n):
-        run = IN_PLACE_STAGES[stage]
+    def test_out_is_the_input_or_another_matrix(self, n):
+        # the refinement chain diffuses with out= its input: the same bits
         rng = np.random.default_rng(n)
         m = rng.uniform(-1.0, 1.0, (n, n))
-        m[rng.uniform(size=(n, n)) < 0.1] = -0.0  # signed zeros, which max orders
-        m[rng.uniform(size=(n, n)) < 0.1] = 0.0
         before = m.tobytes()
-        expected = run(m).tobytes()
-        other = np.empty((n, n))
-        assert run(m, out=other) is other
+        expected = refine_diffuse(m).tobytes()
+        other = np.empty((n, n), order="F")
+        assert refine_diffuse(m, out=other) is other
         assert other.tobytes() == expected
         assert m.tobytes() == before
-        assert run(m, out=m) is m
-        assert m.tobytes() == expected
+        assert refine_diffuse(m, out=m) is m
+        assert np.asfortranarray(m).tobytes() == expected
 
-    def test_in_place_stages_make_no_n_by_n_temporary(self):
-        # tracemalloc peaks at n = 2000: blur 0.07 n^2 of float64, threshold
-        # 0.03, symmetrize 0.01 (0.125 more while finiteness was read through
-        # an n x n boolean mask), diffuse 0.13 (gram's block of 256 rows)
+    def test_in_place_makes_no_n_by_n_temporary(self):
+        # tracemalloc peak at n = 2000: 0.13 n^2 of float64, gram's block of 256 rows
         n = 2000
         m = np.random.default_rng(2).uniform(0.0, 1.0, (n, n))
-        for stage, run in IN_PLACE_STAGES.items():
-            tracemalloc.start()
-            try:
-                run(m, out=m)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= (0.15 if stage == "diffuse" else 0.1) * 8 * n * n, stage
+        tracemalloc.start()
+        try:
+            refine_diffuse(m, out=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.15 * 8 * n * n
+
+
+def snapshots(stages) -> list[tuple[str, np.ndarray]]:
+    """Each (name, matrix) refine_stages yields, copied before the next stage
+    overwrites it."""
+    return [(name, m.copy()) for name, m in stages]
 
 
 class TestRefineChain:
     def test_block_matrix_fixed_point(self):
+        e1, e2 = [1.0, 0.0], [0.0, 1.0]
         params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=0.0)
-        stages = dict(refine_stages(BLOCK, params))
-        # blur(0) and threshold leave the blocks; diffusion doubles them;
-        # row-max normalization rescales back to the exact block matrix
-        assert np.array_equal(stages["rownorm"], BLOCK)
+        stages = dict(snapshots(refine_stages(np.array([e1, e1, e2, e2]), params)))
+        # the affinity is the block matrix; blur(0) and threshold leave the
+        # blocks; diffusion doubles them; row-max normalization rescales back
+        # to the exact block matrix
+        assert np.array_equal(stages["blur"], BLOCK)
+        assert np.array_equal(stages["symmetrize"], BLOCK)
         assert np.array_equal(stages["diffuse"], 2 * BLOCK)
+        assert np.array_equal(stages["refined"], BLOCK)
 
-    def test_snapshot_count_and_final(self):
+    def test_stage_names_and_one_matrix(self):
         rng = np.random.default_rng(36)
-        a = build_affinity(rng.normal(size=(10, 4)))
-        stages = list(refine_stages(a, SpectralParams()))
-        assert [name for name, _ in stages] == [
-            "blur", "threshold", "symmetrize", "diffuse", "rownorm"
-        ]
-        assert np.array_equal(stages[-1][1].max(axis=1), np.ones(10))
+        stages = list(refine_stages(rng.normal(size=(10, 4)), SpectralParams()))
+        assert [name for name, _ in stages] == ["blur", "symmetrize", "diffuse", "refined"]
+        assert all(m is stages[0][1] for _, m in stages)
+        final = stages[-1][1]
+        assert final.tobytes() == np.ascontiguousarray(final.T).tobytes()
 
-    def test_non_square_or_non_finite_rejected(self):
-        bad = np.ones((4, 4))
+    def test_bad_embeddings_rejected(self):
+        bad = np.ones((4, 3))
         bad[1, 2] = np.inf
-        for m in (np.ones((2, 3)), bad):
-            with pytest.raises(InvalidInputError):
-                list(refine_stages(m, SpectralParams()))
+        for x, message in [(np.ones((1, 3)), "needs at least 2 segments"),
+                           (bad, "non-finite")]:
+            with pytest.raises(InvalidInputError, match=message):
+                refine_stages(x, SpectralParams())
 
     def test_neutral_settings_reduce_to_diffuse_normalize(self):
         rng = np.random.default_rng(37)
         x = rng.normal(size=(6, 3))
-        g = x @ x.T  # symmetric PSD
         params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=1.0)
-        final = dict(refine_stages(g, params))["rownorm"]
-        expected = refine_row_max_normalize(refine_diffuse(g))
-        assert np.max(np.abs(final - expected)) < 1e-12
+        *_, (_, final) = refine_stages(x, params)
+        a = affinity(x)
+        r = row_max_normalize(a @ a)
+        assert np.max(np.abs(final - (r + r.T) * 0.5)) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -476,71 +402,77 @@ def raised(f, m) -> tuple[type, str]:
 
 
 class TestRowMaxNormalizeSymmetrize:
-    """cluster_blurred's closing pass against refine_row_max_normalize, then (R + Rᵀ)/2."""
+    """The refinement chain's closing pass against row_max_normalize, then (R + Rᵀ)/2."""
 
+    def test_hand_example(self):
+        out = _row_max_normalize_symmetrize(np.array([[1.25, 1.0], [1.0, 1.25]]))
+        assert np.allclose(out, [[1.0, 0.8], [0.8, 1.0]])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, None])
-    def test_bit_equal_to_rownorm_then_symmetrize(self, synth_segments, n):
-        stages = dict(refine_stages(build_affinity(synth_segments[:n]), SpectralParams()))
-        y, r = stages["diffuse"], stages["rownorm"]
+    def test_bit_equal_to_rownorm_then_symmetrize(self, synth_segments, n, order):
+        stages = dict(snapshots(refine_stages(synth_segments[:n], SpectralParams())))
+        y = np.array(stages["diffuse"], order=order)
+        r = row_max_normalize(y)
         out = _row_max_normalize_symmetrize(y)
         assert np.shares_memory(out, y)
         assert out.tobytes() == ((r + r.T) * 0.5).tobytes()
 
-    def test_errors_as_rownorm_and_in_its_order(self):
+    def test_errors_and_their_order(self):
         x = np.random.default_rng(52).uniform(0.1, 1.0, size=(_TILE + 1, 4))
         degenerate = x.copy()
         degenerate[_TILE] = 0.0  # row and column TILE of its Gram matrix are 0
         nan, both = gram(x), gram(degenerate)
         for m in (nan, both):
             m[_TILE - 1, 2] = m[2, _TILE - 1] = np.nan
-        for bad, error in [
-            (gram(degenerate), DegenerateAffinityError),
-            (nan, InvalidInputError),
-            (both, InvalidInputError),  # non-finite before the row maxima
+        non_finite = (InvalidInputError, "matrix contains non-finite entries")
+        for bad, expected in [
+            (gram(degenerate),
+             (DegenerateAffinityError, f"row {_TILE} has max 0.000e+00 <= 0; cannot normalize")),
+            (np.array([[1.0, -0.2], [-0.2, -0.1]]),
+             (DegenerateAffinityError, "row 1 has max -1.000e-01 <= 0; cannot normalize")),
+            (nan, non_finite),
+            (both, non_finite),  # non-finite before the row maxima
         ]:
             before = bad.copy(order="F")
-            expected = raised(refine_row_max_normalize, bad)
-            assert expected[0] is error
             assert raised(_row_max_normalize_symmetrize, bad) == expected
             assert np.array_equal(bad, before, equal_nan=True)
 
-    def test_refine_stages_composes_the_public_stages(self, synth_segments):
+    def test_refine_stages_against_the_dense_stages(self, synth_segments):
+        # each stage bit for bit from the one before it by its dense oracle,
+        # the blur from the factor to a tolerance (see TestBlurredAffinity)
         params = SpectralParams()
-        a = build_affinity(synth_segments)
-        m = gaussian_blur(a, params.sigma)
-        expected = [("blur", m)]
-        for name, stage in [
-            ("threshold", lambda m: refine_threshold(m, params.p_percentile, params.soft_multiplier)),
-            ("symmetrize", refine_symmetrize),
-            ("diffuse", refine_diffuse),
-            ("rownorm", refine_row_max_normalize),
-        ]:
-            m = stage(m)
-            expected.append((name, m))
-        got = list(refine_stages(a, params))
-        assert [name for name, _ in got] == [name for name, _ in expected]
-        assert all(g.tobytes() == e.tobytes() for (_, g), (_, e) in zip(got, expected))
+        stages = snapshots(refine_stages(synth_segments, params))
+        assert [name for name, _ in stages] == ["blur", "symmetrize", "diffuse", "refined"]
+        (_, b), (_, s), (_, y), (_, refined) = stages
+        assert np.max(np.abs(b - blur(affinity(synth_segments), params.sigma))) <= 1e-15
+        kth = nearest_rank_index(params.p_percentile, len(b))
+        assert s.tobytes() == symmetrize(sort_threshold(b, kth, params.soft_multiplier)).tobytes()
+        assert np.asfortranarray(y).tobytes() == mirrored_syrk(s).tobytes()
+        r = row_max_normalize(y)
+        assert refined.tobytes() == ((r + r.T) * 0.5).tobytes()
 
     @pytest.mark.parametrize("n", [_TILE - 1, _TILE + 1])
     def test_labels_are_kmeans_of_the_re_embedding(self, synth_segments, n):
         # normalized once, by kmeans: spectral_embed's rows go in as they are
         params = SpectralParams()
         x = synth_segments[:n]
-        r = dict(refine_stages(build_affinity(x), params))["rownorm"]
-        decomp = eigh((r + r.T) * 0.5, count=params.max_clusters + 1)
+        *_, (_, refined) = refine_stages(x, params)
+        decomp = eigh(refined, count=params.max_clusters + 1)
         k = estimate_k_eigengap(decomp.values, params.min_clusters, params.max_clusters)
         expected = kmeans(spectral_embed(decomp, k), k, seed=params.seed)
         got = cluster_blurred(blurred_affinity(x, params.sigma), params).clustering
         assert got.k == expected.k == k
         assert np.array_equal(got.labels, expected.labels)
 
-    def test_cluster_blurred_solves_the_symmetrized_rownorm(self, synth_segments):
+    def test_spectral_cluster_solves_the_dense_chains_matrix(self, synth_segments):
         # the factored blur rounds differently from the dense chain, so the
         # eigenvalues agree to a tolerance, not bit for bit: they differed by at
         # most 2.8e-14 here (values up to 41), 35 times inside the bound
         params = SpectralParams()
-        r = dict(refine_stages(build_affinity(synth_segments), params))["rownorm"]
-        expected = eigh((r + r.T) * 0.5, count=params.max_clusters + 1)
+        dense = dense_refined(synth_segments, params.sigma, params.p_percentile,
+                              params.soft_multiplier)
+        expected = eigh(dense, count=params.max_clusters + 1)
         k = estimate_k_eigengap(expected.values, params.min_clusters, params.max_clusters)
         got = spectral_cluster(synth_segments, params)
         assert np.max(np.abs(got.eigenvalues - expected.values)) <= 1e-12
@@ -768,12 +700,12 @@ class TestEstimateKElbow:
 
     def test_agrees_with_numeric_mscd_table(self):
         # the chosen k must be the argmax of the backward differences of
-        # the independently retrievable MSCD table
+        # the MSCD table of the search's runs
         rng = np.random.default_rng(43)
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         points, _ = planted_points(rng, q.T, per_cluster=15, noise_deg=5)
         k = estimate_k_elbow(points, 6, seed=3).k
-        table = mscd_table(points, 6, seed=3)
+        table = {kk: mscd for kk, (_, mscd) in enumerate(_elbow_runs(points, 6, 3), start=1)}
         drops = {kk: table[kk - 1] - table[kk] for kk in range(2, 7)}
         best = min(kk for kk in drops if drops[kk] == max(drops.values()))
         assert k == best
@@ -781,8 +713,8 @@ class TestEstimateKElbow:
     def test_mscd_k1_closed_form(self):
         # one tight group: MSCD(1) is the squared mean cosine distance to it
         x = np.tile([1.0, 0.0], (12, 1))
-        table = mscd_table(x, 2, seed=0)
-        assert table[1] == 0.0
+        _, mscd = _elbow_runs(x, 2, 0)[0]
+        assert mscd == 0.0
 
     def test_min_clusters_respected(self):
         x = np.array([[1.0, 0.0]] * 10 + [[-1.0, 0.0]] * 10)
@@ -794,8 +726,8 @@ class TestEstimateKElbow:
             estimate_k_elbow(np.eye(4), 2, min_clusters=3, seed=0)
 
     def test_max_clusters_above_n_rejected(self):
-        with pytest.raises(InvalidInputError):
-            mscd_table(np.eye(3), 4, seed=0)
+        with pytest.raises(InvalidInputError, match=r"max_clusters must lie in \[1, 3\], got 4"):
+            estimate_k_elbow(np.eye(3), 4, seed=0)
 
 
 class TestSpectralCluster:
@@ -865,8 +797,8 @@ class TestSpectralCluster:
             params = SpectralParams(seed=0)
             partial = spectral_cluster(points, params)
             # the same refined matrix, solved whole by the dense solver
-            refined = dict(refine_stages(build_affinity(points), params))["rownorm"]
-            values, vectors = np.linalg.eigh(0.5 * (refined + refined.T))
+            *_, (_, refined) = refine_stages(points, params)
+            values, vectors = np.linalg.eigh(refined)
             count = params.max_clusters + 1
             order = np.argsort(-values, kind="stable")[:count]
             dense = EigenDecomposition(values=values[order], vectors=vectors[:, order])
@@ -974,8 +906,7 @@ class TestSpectralParams:
         x = np.eye(3)
         with pytest.raises(InvalidInputError, match="k must be >= 1, got 0"):
             kmeans(x, 0)
-        for call in (lambda: kmeans(x, 2, seed=-1), lambda: estimate_k_elbow(x, 3, seed=-1),
-                     lambda: mscd_table(x, 3, seed=-1)):
+        for call in (lambda: kmeans(x, 2, seed=-1), lambda: estimate_k_elbow(x, 3, seed=-1)):
             with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
                 call()
 
@@ -1037,13 +968,10 @@ class TestNaiveOnline:
         assert isinstance(result, ClusteringResult)
         assert set(result.labels.tolist()) == set(range(result.k))
 
-    def test_constant_stub_satisfies_contract(self):
-        class Stub:
-            def step(self, embedding) -> int:
-                return 0
-
-        result = run_online(Stub(), np.random.default_rng(52).normal(size=(5, 3)))
+    def test_one_cluster_when_every_row_joins_the_first(self):
+        result = run_online(NaiveOnlineClusterer(threshold=0.5), np.tile([1.0, 2.0, 0.5], (5, 1)))
         assert result.k == 1
+        assert result.labels.tolist() == [0] * 5
 
 
 # One spectral_cluster call on a 5-minute, 4-speaker synth (n = N_THREADED),

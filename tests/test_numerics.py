@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scipy.ndimage import gaussian_filter
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 import diarkit.numerics
@@ -13,17 +12,15 @@ from diarkit import (
     InvalidInputError,
     NumericError,
     SpectralParams,
-    build_affinity,
     eigh,
     estimate_k_eigengap,
-    gaussian_blur,
     l2_normalize,
     optimal_assignment,
     refine_stages,
-    refine_symmetrize,
 )
-from diarkit.numerics import _TILE, gram, l2_normalize_rows, upper_tiles
+from diarkit.numerics import _TILE, blurred_gram, gram, l2_normalize_rows, upper_tiles
 from oracles import (
+    blur,
     brute_force_assignment,
     cosine_distance,
     cosine_similarity,
@@ -150,80 +147,58 @@ class TestCosineDistance:
             assert 0.0 <= d <= 1.0
 
 
-class TestGaussianBlur:
-    def test_sigma_zero_is_identity(self):
+class TestBlurredGram:
+    """The 2-D blur of x xᵀ + diag(diagonal), built from the factor x."""
+
+    def test_sigma_zero_is_the_gram_matrix_plus_the_diagonal(self):
         rng = np.random.default_rng(13)
-        m = rng.normal(size=(6, 6))
-        assert np.array_equal(gaussian_blur(m, 0.0), m)
+        x, diagonal = rng.normal(size=(6, 3)), rng.normal(size=6)
+        assert np.array_equal(blurred_gram(x, diagonal, 0.0), mirrored_syrk(x) + np.diag(diagonal))
 
     def test_constant_matrix_preserved(self):
-        m = np.full((5, 5), 3.25)
+        x = np.full((5, 1), math.sqrt(3.25))
         for sigma in (0.5, 1.0, 2.0):
-            assert np.max(np.abs(gaussian_blur(m, sigma) - 3.25)) < 1e-12
+            assert np.max(np.abs(blurred_gram(x, np.zeros(5), sigma) - 3.25)) < 1e-12
 
     def test_center_impulse_value(self):
         # independently convolved by direct_blur: with reflected borders the
         # impulse re-enters the 7x7 support, so the center exceeds the bare
         # kernel center weight (0.15924112569070245)
-        m = np.zeros((3, 3))
-        m[1, 1] = 1.0
-        out = gaussian_blur(m, 1.0)
+        out = blurred_gram(np.zeros((3, 1)), np.array([0.0, 1.0, 0.0]), 1.0)
         assert abs(out[1, 1] - 0.16639576981137386) < 1e-12
 
     def test_matches_direct_convolution(self):
         rng = np.random.default_rng(14)
-        for sigma in (0.4, 1.0, 1.7):
-            m = rng.normal(size=(7, 7))
-            assert np.max(np.abs(gaussian_blur(m, sigma) - direct_blur(m, sigma))) < 1e-10
-        # kernel radius ceil(3 sigma) >= the matrix size: borders reflect repeatedly
-        for size, sigma in ((1, 1.0), (2, 1.0), (3, 2.0), (4, 1.7), (5, 3.0)):
-            m = rng.normal(size=(size, size))
-            assert np.max(np.abs(gaussian_blur(m, sigma) - direct_blur(m, sigma))) < 1e-10
+        # kernel radius ceil(3 sigma) >= the matrix size for the last five:
+        # borders reflect repeatedly
+        for size, sigma in ((7, 0.4), (7, 1.0), (7, 1.7), (1, 1.0), (2, 1.0), (3, 2.0),
+                            (4, 1.7), (5, 3.0)):
+            x, diagonal = rng.normal(size=(size, 3)), rng.normal(size=size)
+            expected = direct_blur(x @ x.T + np.diag(diagonal), sigma)
+            assert np.max(np.abs(blurred_gram(x, diagonal, sigma) - expected)) < 1e-10
 
-    def test_linear(self):
-        rng = np.random.default_rng(15)
-        x = rng.normal(size=(6, 6))
-        y = rng.normal(size=(6, 6))
-        lhs = gaussian_blur(2.5 * x + 0.3 * y, 1.0)
-        rhs = 2.5 * gaussian_blur(x, 1.0) + 0.3 * gaussian_blur(y, 1.0)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_kernel_radius_exceeding_matrix_size(self):
-        # sigma=2 -> radius 6 on a 3x3 input must still work and keep constants
-        m = np.full((3, 3), 1.5)
-        assert np.max(np.abs(gaussian_blur(m, 2.0) - 1.5)) < 1e-12
+    # 3 and 8 rows are the kernel radius ceil(3 sigma) of 1.0 and 2.5; 127-129
+    # rows straddle a tile; 129 and 257 rows leave gram a last block of 1 row,
+    # which joins the one before
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 127, 128, 129, 131, 197, 257, 300])
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_scipy_gaussian_filter(self, sigma, n, d, order):
+        # the dense blur this one replaced was bit for bit scipy's filter; the
+        # two round differently, by at most a few ulps of the largest entry
+        # (5 over these cases). The factor's layout does not change a bit.
+        rng = np.random.default_rng(n)
+        x, diagonal = rng.uniform(-1.0, 1.0, (n, d)), rng.uniform(0.0, 1.0, n)
+        dense = mirrored_syrk(x) + np.diag(diagonal)
+        b = blurred_gram(np.asarray(x, order=order), diagonal, sigma)
+        assert b.tobytes() == b.T.tobytes()
+        assert b.tobytes() == blurred_gram(np.ascontiguousarray(x), diagonal, sigma).tobytes()
+        assert np.max(np.abs(b - blur(dense, sigma))) <= 8 * np.spacing(np.abs(dense).max())
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidInputError):
-            gaussian_blur(np.eye(3), -1.0)
-
-    # 1000 columns make row blocks of 65 rows: 127-300 rows span several blocks,
-    # and 131 and 197 end in a block of 1-2 rows, shorter than the halo
-    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.5])
-    @pytest.mark.parametrize("rows", [1, 2, 3, 8, 127, 128, 129, 131, 197, 300])
-    @pytest.mark.parametrize("cols", [None, 1000])
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_bit_equal_to_scipy_gaussian_filter(self, sigma, rows, cols, order):
-        # 3 and 8 rows are the kernel radius ceil(3 sigma) of 1.0 and 2.5
-        shape = (rows, cols or rows)
-        m = np.asarray(np.random.default_rng(rows).uniform(-1.0, 1.0, shape), order=order)
-        expected = gaussian_filter(m, sigma, mode="reflect", radius=math.ceil(3 * sigma)).tobytes()
-        assert gaussian_blur(m, sigma).tobytes() == expected
-        in_place = m.copy(order=order)
-        assert gaussian_blur(in_place, sigma, out=in_place) is in_place
-        assert in_place.tobytes() == expected
-        if cols:  # and the transposed shape, blocks of rows now 1000 long
-            t = np.asarray(m.T, order=order)
-            expected = gaussian_filter(t, sigma, mode="reflect", radius=math.ceil(3 * sigma))
-            assert gaussian_blur(t, sigma).tobytes() == expected.tobytes()
-
-    def test_non_finite_rejected_before_out_is_written(self):
-        m = np.ones((300, 1000))
-        m[250, 7] = np.nan
-        before = m.copy()
-        with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
-            gaussian_blur(m, 1.0, out=m)
-        assert np.array_equal(m, before, equal_nan=True)
+            blurred_gram(np.eye(3), np.zeros(3), -1.0)
 
 
 class TestNearestRankPercentile:
@@ -363,13 +338,6 @@ class TestTiledPasses:
         assert np.all(seen == 1)
 
     @pytest.mark.parametrize("n", TILE_EDGES)
-    def test_symmetrize_is_elementwise_max(self, n):
-        m = np.random.default_rng(n).standard_normal((n, n))
-        m[::3, ::2] = 0.0  # signed zeros: np.maximum keeps its first argument's
-        m[1::3, ::2] = -0.0
-        assert refine_symmetrize(m).tobytes() == np.maximum(m, m.T).tobytes()
-
-    @pytest.mark.parametrize("n", TILE_EDGES)
     def test_gram_bitwise_symmetric(self, n):
         x = np.random.default_rng(n).standard_normal((n, 5))
         g = gram(x)
@@ -394,12 +362,12 @@ class TestTiledPasses:
 
 
 def refined_affinity(n: int, seed: int) -> np.ndarray:
-    """The symmetrized refined affinity of n points around 4 centers."""
+    """The refined affinity of n points around 4 centers, as spectral_cluster solves it."""
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((4, 16))
     x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
-    refined = dict(refine_stages(build_affinity(x), SpectralParams()))["rownorm"]
-    return 0.5 * (refined + refined.T)
+    *_, (_, refined) = refine_stages(x, SpectralParams())
+    return refined
 
 
 @pytest.fixture(scope="module")
