@@ -17,11 +17,11 @@ from pathlib import Path
 
 from . import io as formats
 from .aggregation import DEFAULT_MAX_SEGMENT_LEN, MIN_PIECE_LEN
-from .clustering import SpectralParams, refine_stages
+from .clustering import SpectralParams
 from .core import Annotation, InvalidInputError, NumericError, ParseError
 from .metrics import DerReport, EvalOptions, combine_reports, der
-from .pipeline import (ALGORITHMS, DiarizeConfig, diarize, diarize_grid, segment_embeddings,
-                       stack_segments)
+from .pipeline import (ALGORITHMS, TWO_STAGE_CAP, DiarizeConfig, diarize, diarize_grid,
+                       segment_embeddings, spectral_stages, stack_segments)
 from .synth import SCENARIO_KINDS, SynthScenario, generate
 
 
@@ -63,9 +63,10 @@ def _rttm(path: str, annotation: Annotation) -> str:
 
 
 def _dump_stages(prefix: str, seg_embs, params: SpectralParams) -> None:
-    """Run the refinement chain once more and write each stage as a PGM, before
-    the next stage overwrites it in place."""
-    stages = refine_stages(stack_segments(seg_embs)[0], params)
+    """Run the refinement chain of the matrix spectral clustering solves once
+    more and write each stage as a PGM, before the next stage overwrites it in
+    place."""
+    stages = spectral_stages(stack_segments(seg_embs)[0], params)
     for i, (name, stage) in enumerate(stages, start=1):
         formats.write_pgm_heatmap(stage, f"{prefix}_{i:02d}_{name}.pgm")
 
@@ -250,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--regions", help="speech regions CSV (default: union of windows)")
     d.add_argument("--algorithm", choices=ALGORITHMS, default=config.algorithm)
     d.add_argument("--max-segment-len", type=float, default=DEFAULT_MAX_SEGMENT_LEN)
-    d.add_argument("--sigma", type=float, default=spectral.sigma)
+    d.add_argument("--sigma", type=float, default=spectral.sigma,
+                   help="blur radius in segments; no effect above "
+                        f"{TWO_STAGE_CAP} segments, which cluster in two stages")
     d.add_argument("--p-percentile", type=float, default=spectral.p_percentile)
     d.add_argument("--soft-multiplier", type=float, default=spectral.soft_multiplier)
     d.add_argument("--threshold", type=float, default=config.threshold,
@@ -260,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--seed", type=int, default=spectral.seed)
     d.add_argument("--out", required=True, help="hypothesis RTTM path")
     d.add_argument("--dump-stages", metavar="PREFIX",
-                   help="write the refinement stages as heatmaps PREFIX_*.pgm")
+                   help="write the refinement stages as heatmaps PREFIX_*.pgm; above "
+                        f"{TWO_STAGE_CAP} segments, those of the two-stage path's centroids")
     d.set_defaults(func=cmd_diarize)
 
     e = sub.add_parser("evaluate", help="score hypothesis RTTM against reference RTTM")

@@ -39,6 +39,14 @@ EIG_FLOOR = 1e-10
 _RESTARTS = 10
 _MAX_ITERS = 300
 _TOL = 1e-6
+# Two-stage clustering's fixed policy. Pre-clustering: the centroids it
+# reduces the rows to, and its Lloyd step cap. The resegmentation pass: its
+# charge per change of speaker, in nats (about -ln(0.4 s / 3 s), one change
+# per mean 3-s turn at 0.4-s segments), and its most rounds.
+PRECLUSTER_COUNT = 250
+PRECLUSTER_ITERS = 20
+RESEGMENT_PENALTY = 2.0
+RESEGMENT_ROUNDS = 3
 
 
 def _check_seed(seed: int) -> None:
@@ -360,6 +368,80 @@ def kmeans(embeddings, k: int, *, seed: int = 0) -> ClusteringResult:
     if k > n:
         raise InvalidInputError(f"k={k} exceeds the number of points ({n})")
     return ClusteringResult(labels=_best_run(u, k, seed)[0], k=k)
+
+
+def precluster(embeddings, *, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, centroids) of one seeded spherical k-means run with
+    PRECLUSTER_COUNT clusters and at most PRECLUSTER_ITERS Lloyd steps: each
+    row's centroid, and the (PRECLUSTER_COUNT, d) unit centroids, every one of
+    which some row takes."""
+    _check_seed(seed)
+    u = l2_normalize_rows(embedding_matrix(embeddings))
+    if len(u) < PRECLUSTER_COUNT:
+        raise InvalidInputError(f"{len(u)} rows for {PRECLUSTER_COUNT} pre-cluster centroids")
+    labels, centroids, _, _ = _lloyd(u, PRECLUSTER_COUNT, np.random.default_rng(seed),
+                                     PRECLUSTER_ITERS, _TOL)
+    return labels, centroids
+
+
+def _viterbi(scores: np.ndarray, penalty: float, last: int) -> np.ndarray:
+    """The label path z maximizing sum(scores[i, z_i]) - penalty * (changes of
+    label), staying put on a tie.
+
+    A segment keeps the next one's label wherever changing it gains no more,
+    the last segment keeps label `last` if that ties for the best, and among
+    tied other labels the lowest wins. Each step is scalar Python: with a
+    handful of labels that is faster than numpy's per-call cost.
+    """
+    rows = scores.tolist()
+    total = rows[0]
+    stay, best = [], []
+    for row in rows[1:]:
+        top = max(total)
+        switch = top - penalty
+        best.append(total.index(top))
+        stay.append([t >= switch for t in total])
+        total = [s + (t if t >= switch else switch) for s, t in zip(row, total)]
+    top = max(total)
+    z = [last if total[last] == top else total.index(top)]
+    for keep, other in zip(reversed(stay), reversed(best)):
+        z.append(z[-1] if keep[z[-1]] else other)
+    return np.array(z[::-1], dtype=np.intp)
+
+
+def resegment(embeddings, clustering: ClusteringResult, *, min_clusters: int = 1) -> ClusteringResult:
+    """A von Mises-Fisher HMM pass over segments in time order: each segment's
+    label again, by its rows' fit and its neighbours'.
+
+    Each round takes every cluster's centroid c_j as the normalized sum of its
+    unit rows u_i, R as the mean of u_i . c_{z_i}, and the concentration
+    kappa = R (d - R^2) / (1 - R^2) (Banerjee et al., JMLR 2005), then relabels
+    by _viterbi on kappa u_i . c_j less RESEGMENT_PENALTY per change. A
+    cluster the round empties goes, and the rest are renumbered in order. At
+    most RESEGMENT_ROUNDS rounds, while labels change. Labels stay as they
+    are when R is not below 1 (every row on its centroid: kappa has no finite
+    value) or not above 0 (no cluster's sum has a direction), and a round that
+    would leave fewer than min(min_clusters, the input's k) clusters is not
+    taken: the pass keeps the speaker bounds its input meets.
+    """
+    u = l2_normalize_rows(embedding_matrix(embeddings))
+    z = clustering.labels
+    if len(z) != len(u):
+        raise InvalidInputError(f"{len(z)} labels for {len(u)} segments")
+    floor = min(min_clusters, int(z.max()) + 1)
+    for _ in range(RESEGMENT_ROUNDS):
+        sums, norms = _cluster_sums(u, z, int(z.max()) + 1)
+        centroids = np.divide(sums, norms, out=np.zeros_like(sums), where=norms >= ZERO_NORM_TOL)
+        r = float(np.mean(_assigned_cosines(u, centroids, z)))
+        if not 0.0 < r < 1.0:
+            break
+        kappa = r * (u.shape[1] - r * r) / (1.0 - r * r)
+        path = _viterbi(kappa * (u @ centroids.T), RESEGMENT_PENALTY, int(z[-1]))
+        kept, new = np.unique(path, return_inverse=True)
+        if len(kept) < floor or np.array_equal(new, z):
+            break
+        z = new
+    return ClusteringResult(labels=z, k=int(z.max()) + 1)
 
 
 def _elbow_runs(embeddings, max_clusters: int, seed: int) -> list[tuple]:

@@ -4,12 +4,14 @@ The CLI's diarize and sweep subcommands and library callers go through
 these functions; nothing else chains the stages. `stack_segments` is the one
 place segments become the matrix the clusterers take and their intervals.
 `diarize_grid` runs many configs on one recording, building its affinity and
-blur once per sigma.
+blur once per sigma below the cap. This module alone decides when spectral
+clustering runs in two stages (more than TWO_STAGE_CAP segments; see
+`cluster`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +24,9 @@ from .clustering import (
     embedding_matrix,
     estimate_k_elbow,
     kmeans,
+    precluster,
+    refine_stages,
+    resegment,
     run_online,
     spectral_cluster,
 )
@@ -29,6 +34,11 @@ from .core import (Annotation, ClusteringResult, InvalidInputError, TimeInterval
                    annotation_from_clusters)
 
 ALGORITHMS = ("spectral", "kmeans", "naive")
+# Spectral clustering of more segments than this runs in two stages: the
+# smallest n of a 1000-2500 grid at which two stages were faster on every
+# held-out recording of all three scenario kinds (README, "Spectral clustering").
+# It exceeds clustering.PRECLUSTER_COUNT, the rows stage 2 clusters.
+TWO_STAGE_CAP = 1250
 
 
 @dataclass(frozen=True)
@@ -63,8 +73,32 @@ def stack_segments(seg_embs) -> tuple[np.ndarray, list[TimeInterval]]:
     return embedding_matrix([se.embedding for se in seg_embs]), [se.interval for se in seg_embs]
 
 
+def _spectral_problem(x, params: SpectralParams):
+    """(rows, params, assignment): what spectral clustering solves for the
+    segment matrix x. Up to TWO_STAGE_CAP segments that is x itself, params
+    and None; above it, `precluster`'s centroids, params at sigma 0 (centroids
+    have no time order) and each segment's centroid."""
+    if len(x) <= TWO_STAGE_CAP:
+        return x, params, None
+    assignment, centroids = precluster(x, seed=params.seed)
+    return centroids, replace(params, sigma=0.0), assignment
+
+
+def spectral_stages(x, params: SpectralParams):
+    """`refine_stages` of the matrix `cluster` solves for the segment matrix x:
+    x's own chain up to TWO_STAGE_CAP segments, stage 2's (L x L) above it."""
+    rows, params, _ = _spectral_problem(x, params)
+    return refine_stages(rows, params)
+
+
 def cluster(x, config: DiarizeConfig) -> ClusteringResult:
     """Cluster the rows of an (n, d) segment matrix with the configured algorithm.
+
+    Spectral clustering of more than TWO_STAGE_CAP rows runs in two stages:
+    `precluster` reduces the rows to a few hundred centroids, spectral
+    clustering at sigma 0 clusters those, each row takes its centroid's
+    label, and `resegment` revisits the rows in time order without taking k
+    below min_clusters. Up to the cap it is `spectral_cluster` alone.
 
     k-means clamps the speaker bounds to n, as spectral clustering does. When
     that leaves only k = 1 it returns one cluster, otherwise the elbow search's
@@ -72,7 +106,12 @@ def cluster(x, config: DiarizeConfig) -> ClusteringResult:
     """
     params = config.spectral
     if config.algorithm == "spectral":
-        return spectral_cluster(x, params).clustering
+        rows, stage2, assignment = _spectral_problem(x, params)
+        result = spectral_cluster(rows, stage2).clustering
+        if assignment is None:
+            return result
+        return resegment(x, ClusteringResult(result.labels[assignment], result.k),
+                         min_clusters=params.min_clusters)
     if config.algorithm == "naive":
         return run_online(NaiveOnlineClusterer(config.threshold), x)
     n = len(x)
@@ -90,12 +129,14 @@ def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig()
 
 def diarize_grid(recording_id: str, seg_embs, configs) -> list[Annotation]:
     """`diarize` under each config, in order. The segments are stacked once;
-    spectral configs share one blurred affinity per sigma, which cluster_blurred
-    copies for each, and only the current sigma's is held: two n x n matrices
-    at a time. Other algorithms run as in `diarize`."""
+    up to TWO_STAGE_CAP segments, spectral configs share one blurred affinity
+    per sigma, which cluster_blurred copies for each, and only the current
+    sigma's is held: two n x n matrices at a time. Above the cap, and for
+    other algorithms, each config runs as in `diarize`."""
     x, intervals = stack_segments(seg_embs)
-    labels = {i: cluster(x, c).labels for i, c in enumerate(configs) if c.algorithm != "spectral"}
-    spectral = [i for i, c in enumerate(configs) if c.algorithm == "spectral"]
+    labels = {i: cluster(x, c).labels for i, c in enumerate(configs)
+              if c.algorithm != "spectral" or len(x) > TWO_STAGE_CAP}
+    spectral = [i for i in range(len(configs)) if i not in labels]
     for sigma in dict.fromkeys(configs[i].spectral.sigma for i in spectral):
         blurred = blurred_affinity(x, sigma)
         for i in spectral:

@@ -7,8 +7,8 @@ stages as plain dense matrices instead of one matrix rewritten in place,
 midpoint slicing in floats instead of integer-tick sweeps, exhaustive
 permutation search or scipy.optimize's Hungarian-type solver instead of the
 package's bipartite matching, one vector pair at a time instead of whole
-matrices, one cluster at a time in k-means. Slow but obviously correct on
-small inputs.
+matrices, one cluster at a time in k-means, every label path instead of the
+Viterbi recursion. Slow but obviously correct on small inputs.
 The synthetic generator's self-check, `angular_stats`, lives here too.
 """
 
@@ -246,6 +246,61 @@ def lloyd_oracle(
         if unchanged or improved < tol:
             break
     return labels, centroids, prev_obj, history
+
+
+def best_path_oracle(scores: np.ndarray, penalty: float, last: int) -> list[int]:
+    """The label path z maximizing sum(scores[i, z_i]) - penalty * (changes of
+    label), from every one of the k^n paths.
+
+    Each path's total is summed from its first segment on, the penalty taken
+    off before each segment's score is added, as the Viterbi recursion adds
+    them. Among paths of the highest total, read from the last segment back,
+    the last keeps label `last` and each other segment the next one's label
+    where one can, and the lowest label wins otherwise: staying put on a tie.
+    """
+    n, k = scores.shape
+
+    def total(path) -> float:
+        t = float(scores[0, path[0]])
+        for i in range(1, n):
+            t = float(scores[i, path[i]]) + (t - penalty * (path[i] != path[i - 1]))
+        return t
+
+    def preference(path) -> list[int]:
+        nexts = [last] + list(path[:0:-1])  # what each segment, last first, would keep
+        return [0 if label == keep else 1 + label for label, keep in zip(path[::-1], nexts)]
+
+    paths = itertools.product(range(k), repeat=n)
+    return list(min(paths, key=lambda path: (-total(path), preference(path))))
+
+
+def resegment_oracle(x: np.ndarray, labels, penalty: float, rounds: int) -> list[int]:
+    """The resegmentation pass with one cluster and one row at a time and
+    best_path_oracle for the Viterbi step: centroids are each cluster's
+    normalized row sum, R the mean clipped cosine of each row to its own,
+    kappa = R (d - R^2) / (1 - R^2); labels are kept when R is not in (0, 1),
+    and an emptied cluster is dropped, the rest renumbered in order."""
+    u = np.array([l2_normalize(row) for row in x])
+    z = [int(v) for v in labels]
+    for _ in range(rounds):
+        k = max(z) + 1
+        centroids = np.zeros((k, u.shape[1]))
+        for c in range(k):
+            s = u[np.array(z) == c].sum(axis=0)
+            if np.linalg.norm(s) >= ZERO_NORM_TOL:
+                centroids[c] = s / np.linalg.norm(s)
+        r = sum(min(1.0, max(-1.0, float(u[i] @ centroids[z[i]]))) for i in range(len(z))) / len(z)
+        if not 0.0 < r < 1.0:
+            break
+        kappa = r * (u.shape[1] - r * r) / (1.0 - r * r)
+        scores = np.array([[kappa * float(row @ c) for c in centroids] for row in u])
+        path = best_path_oracle(scores, penalty, z[-1])
+        kept = sorted(set(path))
+        new = [kept.index(label) for label in path]
+        if new == z:
+            break
+        z = new
+    return z
 
 
 def aggregate_oracle(windows, segments) -> list[SegmentEmbedding]:

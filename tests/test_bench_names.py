@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+import diarkit.pipeline
 from diarkit.clustering import SpectralParams, blurred_affinity, cluster_blurred, spectral_cluster
 from diarkit.core import Annotation, Segment, TimeInterval
 from diarkit.metrics import EvalOptions, der
@@ -99,6 +100,17 @@ def test_kmeans_cluster_calls_the_elbow_once(monkeypatch):
     calls = count_calls(monkeypatch, ["clustering.estimate_k_elbow"])
     assert cluster(three_groups(), DiarizeConfig("kmeans")).k >= 2
     assert calls == Counter(["clustering.estimate_k_elbow"])
+
+
+def test_two_stage_cluster_calls_spectral_cluster_and_kmeans_once(monkeypatch):
+    # above the cap, the spectral_cluster span and its n and k counters time
+    # stage 2, and the kmeans span its last step: stage 1 runs no kmeans call
+    monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", 50)
+    monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 20)
+    stages = ["clustering.spectral_cluster", "clustering.kmeans"]
+    calls = count_calls(monkeypatch, stages)
+    assert len(cluster(three_groups(), DiarizeConfig()).labels) == 60
+    assert calls == Counter(stages)
 
 
 def test_cluster_blurred_calls_kmeans_once(monkeypatch):

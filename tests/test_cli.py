@@ -141,6 +141,30 @@ class TestDiarize:
         grid = np.frombuffer(data[len(f"P5\n{n} {n}\n255\n"):], dtype=np.uint8).reshape(n, n)
         assert np.array_equal(grid, grid.T)
 
+    def test_dump_stages_above_the_cap_shows_stage_two(self, tmp_path, monkeypatch):
+        # the matrix eigh solves is the centroids': no segment x segment stage is written
+        monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", 50)
+        monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 30)
+        solved = []
+        original = diarkit.clustering.eigh
+
+        def capture(m, *args, **kwargs):
+            solved.append(np.array(m))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(diarkit.clustering, "eigh", capture)
+        paths = run_synth(tmp_path, "conv")
+        prefix = tmp_path / "run"
+        rc = main(["diarize", "--embeddings", str(paths["emb"]), "--regions", str(paths["reg"]),
+                   "--out", str(tmp_path / "hyp.rttm"), "--dump-stages", str(prefix)])
+        assert rc == 0
+        (m,) = solved
+        assert m.shape == (30, 30)
+        for name in ("blur", "symmetrize", "diffuse", "refined"):
+            data = next(tmp_path.glob(f"run_*_{name}.pgm")).read_bytes()
+            assert data.startswith(b"P5\n30 30\n255\n")
+        assert (tmp_path / "run_04_refined.pgm").read_bytes() == pgm_bytes(m)
+
     def test_rerun_byte_identical(self, tmp_path):
         paths = run_synth(tmp_path, "conv")
         outputs = []

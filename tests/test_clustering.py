@@ -37,21 +37,27 @@ from diarkit.clustering import (
     _RESTARTS,
     _TOL,
     EIG_FLOOR,
+    PRECLUSTER_ITERS,
+    RESEGMENT_PENALTY,
+    RESEGMENT_ROUNDS,
     _best_run,
     _draw,
     _elbow_runs,
     _lloyd,
     _row_max_normalize_symmetrize,
     _threshold_symmetrize,
+    _viterbi,
     blurred_affinity,
     cluster_blurred,
     embedding_matrix,
+    precluster,
+    resegment,
 )
 from diarkit.numerics import _TILE, gram, l2_normalize_rows, nearest_rank_index
 from diarkit.pipeline import segment_embeddings
 from helpers import run_python
-from oracles import (affinity, blur, dense_refined, lloyd_oracle, mirrored_syrk, row_max_normalize,
-                     sort_threshold, symmetrize)
+from oracles import (affinity, best_path_oracle, blur, dense_refined, lloyd_oracle, mirrored_syrk,
+                     resegment_oracle, row_max_normalize, sort_threshold, symmetrize)
 
 BLOCK = np.array(
     [
@@ -887,6 +893,109 @@ class TestSpectralCluster:
             params = SpectralParams(min_clusters=2, max_clusters=5, seed=0)
             result = spectral_cluster(x, params)
             assert min(2, n) <= result.clustering.k <= min(5, n)
+
+
+class TestPrecluster:
+    def test_one_seeded_lloyd_run(self, monkeypatch):
+        monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 30)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((200, 6))
+        labels, centroids = precluster(x, seed=5)
+        u = l2_normalize_rows(x)
+        want_labels, want_centroids, _, _ = _lloyd(u, 30, np.random.default_rng(5),
+                                                   PRECLUSTER_ITERS, _TOL)
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(centroids, want_centroids)
+        assert set(labels.tolist()) == set(range(30))
+        assert np.allclose(np.linalg.norm(centroids, axis=1), 1.0, atol=1e-15)
+
+    def test_bad_arguments_rejected(self, monkeypatch):
+        monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 5)
+        with pytest.raises(InvalidInputError, match="4 rows for 5 pre-cluster centroids"):
+            precluster(np.eye(4), seed=0)
+        with pytest.raises(InvalidInputError, match="seed"):
+            precluster(np.eye(5), seed=-1)
+
+
+class TestResegment:
+    @pytest.mark.parametrize("case", range(150))
+    def test_matches_every_path_oracle(self, case):
+        rng = np.random.default_rng(2000 + case)
+        n, k, d = int(rng.integers(2, 8)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        k = min(k, n)
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(labels)
+        x = rng.standard_normal((n, d)) + 2.0 * rng.standard_normal((k, d))[labels]
+        got = resegment(x, ClusteringResult(labels, k))
+        want = resegment_oracle(x, labels, RESEGMENT_PENALTY, RESEGMENT_ROUNDS)
+        assert got.labels.tolist() == want
+        assert got.k == max(want) + 1
+
+    @pytest.mark.parametrize("case", range(200))
+    def test_viterbi_stays_put_on_a_tie(self, case):
+        # small integer scores: many paths tie exactly, and every total is exact
+        rng = np.random.default_rng(case)
+        n, k = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        scores = rng.integers(0, 4, (n, k)).astype(np.float64)
+        last = int(rng.integers(k))
+        got = _viterbi(scores, RESEGMENT_PENALTY, last)
+        assert got.tolist() == best_path_oracle(scores, RESEGMENT_PENALTY, last)
+
+    def test_viterbi_hand_ties(self):
+        # [0, 0], [0, 1] and [1, 1] all total 2: the last segment keeps its
+        # label, and the first stays with it rather than change
+        tied = np.array([[2.0, 0.0], [0.0, 2.0]])
+        assert _viterbi(tied, 2.0, 0).tolist() == [0, 0]
+        assert _viterbi(tied, 2.0, 1).tolist() == [1, 1]
+        # gaining more than the penalty changes label
+        assert _viterbi(np.array([[0.0, 0.0], [0.0, 2.5]]), 2.0, 0).tolist() == [1, 1]
+        assert _viterbi(np.array([[3.0, 0.0], [0.0, 2.5]]), 2.0, 0).tolist() == [0, 1]
+
+    def test_every_row_on_its_centroid_leaves_labels(self):
+        # R = 1 exactly: kappa has no finite value, so the labels stay as they are,
+        # though a change of speaker at every segment costs the most
+        x = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]] * 4)
+        labels = np.array([0, 1] * 4)
+        got = resegment(x, ClusteringResult(labels, 2))
+        assert got.labels.tolist() == labels.tolist()
+        assert got.k == 2
+
+    def test_no_cluster_with_a_direction_leaves_labels(self):
+        # each cluster's rows cancel: R = 0 and kappa = 0 would score every label
+        # alike, and the path would take the last segment's label throughout
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        labels = np.array([0, 1, 0, 1])
+        got = resegment(x, ClusteringResult(labels, 2))
+        assert got.labels.tolist() == labels.tolist()
+
+    def test_one_cluster(self):
+        x = np.random.default_rng(4).standard_normal((30, 5))
+        got = resegment(x, ClusteringResult(np.zeros(30, dtype=int), 1))
+        assert got.k == 1
+        assert got.labels.tolist() == [0] * 30
+
+    def test_an_emptied_cluster_goes_and_the_rest_are_renumbered(self):
+        # segment 5, drawn around cluster 0's direction, alone is cluster 1: two
+        # changes of speaker cost more than its better fit, so cluster 1 empties
+        # and cluster 2 becomes 1
+        rng = np.random.default_rng(0)
+        a = np.array([1.0, 0.0, 0.0]) + 0.2 * rng.standard_normal((10, 3))
+        b = np.array([0.0, 0.0, 1.0]) + 0.2 * rng.standard_normal((6, 3))
+        x = np.vstack([a, b])
+        labels = np.array([0] * 5 + [1] + [0] * 4 + [2] * 6)
+        got = resegment(x, ClusteringResult(labels, 3))
+        assert got.labels.tolist() == [0] * 10 + [1] * 6
+        assert got.k == 2
+        # unless that takes k below min_clusters: then the round is not taken
+        kept = resegment(x, ClusteringResult(labels, 3), min_clusters=3)
+        assert kept.labels.tolist() == labels.tolist()
+        assert kept.k == 3
+        # a bound the input does not meet lets no round lower k further
+        assert resegment(x, ClusteringResult(labels, 3), min_clusters=4).k == 3
+
+    def test_label_count_checked(self):
+        with pytest.raises(InvalidInputError, match="3 labels for 4 segments"):
+            resegment(np.eye(4), ClusteringResult(np.array([0, 1, 0]), 2))
 
 
 class TestSpectralParams:

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import diarkit.clustering
 import diarkit.pipeline
 from diarkit import (
+    ClusteringResult,
     InvalidInputError,
     SegmentEmbedding,
     SpectralParams,
@@ -16,15 +19,19 @@ from diarkit import (
     kmeans,
     regions_from_windows,
     segmentize,
+    spectral_cluster,
 )
+from diarkit.clustering import precluster, resegment
 from diarkit.pipeline import (
     DiarizeConfig,
     cluster,
     diarize,
     diarize_grid,
     segment_embeddings,
+    spectral_stages,
     stack_segments,
 )
+from helpers import run_python
 
 
 class TestDiarizeConfig:
@@ -135,8 +142,10 @@ class TestDiarizeGrid:
         assert diarize_grid("rec", segs, []) == []
 
     @pytest.mark.parametrize("n", [1000, 1500])
-    def test_peak_memory_three_matrices(self, n):
-        # the shared blurred matrix beside the two that each stage holds
+    def test_peak_memory_three_matrices(self, monkeypatch, n):
+        # the shared blurred matrix beside the two that each stage holds, in
+        # the one-stage grid
+        monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", n)
         rng = np.random.default_rng(0)
         centers = rng.standard_normal((4, 16))
         x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
@@ -150,3 +159,138 @@ class TestDiarizeGrid:
             tracemalloc.stop()
         assert [len(a.labels()) for a in hypotheses] == [4, 4, 4]
         assert peak <= 3.1 * 8 * n * n
+
+
+def three_speakers(seed: int = 4):
+    _, windows, regions = generate(SynthScenario(n_speakers=3, duration=120, seed=seed))
+    return segment_embeddings(windows, regions)
+
+
+@pytest.fixture
+def two_stage(monkeypatch):
+    """Two stages from 100 segments on, through 40 centroids: the path long
+    recordings take, at a cost the tests can pay."""
+    monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", 99)
+    monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 40)
+
+
+def _stage_two_labels(x, params):
+    """(labels, k): each segment its centroid's stage-2 label, before the pass."""
+    assignment, centroids = precluster(x, seed=params.seed)
+    stage2 = spectral_cluster(centroids, replace(params, sigma=0.0)).clustering
+    return stage2.labels[assignment], stage2.k
+
+
+class TestTwoStage:
+    def test_up_to_the_cap_cluster_is_spectral_cluster(self, monkeypatch):
+        x, _ = stack_segments(three_speakers())
+        monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", len(x))
+        params = SpectralParams(seed=2)
+        got = cluster(x, DiarizeConfig(spectral=params))
+        want = spectral_cluster(x, params).clustering
+        assert got.k == want.k
+        assert np.array_equal(got.labels, want.labels)
+
+    @pytest.mark.usefixtures("two_stage")
+    def test_above_the_cap_the_stages_compose(self):
+        x, _ = stack_segments(three_speakers())
+        params = SpectralParams(sigma=2.0, seed=3)
+        got = cluster(x, DiarizeConfig(spectral=params))
+        assignment, centroids = precluster(x, seed=3)
+        assert len(centroids) == 40
+        stage2 = spectral_cluster(centroids, SpectralParams(sigma=0.0, seed=3)).clustering
+        want = resegment(x, ClusteringResult(stage2.labels[assignment], stage2.k), min_clusters=2)
+        assert got.k == want.k == 3
+        assert np.array_equal(got.labels, want.labels)
+
+    @pytest.mark.usefixtures("two_stage")
+    def test_above_the_cap_the_speaker_bounds_hold(self):
+        # stage 2 is forced to one cluster more than the three speakers, one of
+        # them short; the pass would empty one of the four, and must not take k
+        # below the bound
+        _, windows, regions = generate(SynthScenario(n_speakers=3, duration=120,
+                                                     scenario_kind="imbalanced", seed=5))
+        x, _ = stack_segments(segment_embeddings(windows, regions))
+        params = SpectralParams(min_clusters=4, max_clusters=4)
+        unbounded = resegment(x, ClusteringResult(*_stage_two_labels(x, params)))
+        assert unbounded.k < 4
+        assert cluster(x, DiarizeConfig(spectral=params)).k == 4
+
+    @pytest.mark.usefixtures("two_stage")
+    def test_grid_is_diarize_per_config(self):
+        segs = three_speakers()
+        sigmas = [0.0, 0.5, 1.0, 2.0]
+        configs = [DiarizeConfig(spectral=SpectralParams(sigma=s)) for s in sigmas] + [
+            DiarizeConfig(spectral=SpectralParams(p_percentile=90)),
+            DiarizeConfig("naive", threshold=0.3),
+            DiarizeConfig(spectral=SpectralParams(sigma=1.0, seed=5)),
+            DiarizeConfig("kmeans"),
+        ]
+        got = [list(a) for a in diarize_grid("rec", segs, configs)]
+        assert got == [list(diarize("rec", segs, c)) for c in configs]
+        # sigma has no effect above the cap
+        assert all(row == got[0] for row in got[: len(sigmas)])
+
+    def test_stages_are_those_of_the_matrix_cluster_solves(self, monkeypatch):
+        x, _ = stack_segments(three_speakers())
+        monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", len(x))
+        names = [name for name, _ in spectral_stages(x, SpectralParams())]
+        assert names == ["blur", "symmetrize", "diffuse", "refined"]
+        assert {m.shape for _, m in spectral_stages(x, SpectralParams())} == {(len(x), len(x))}
+        monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", len(x) - 1)
+        monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 40)
+        solved = []
+        eigh = diarkit.clustering.eigh
+
+        def capture(m, *args, **kwargs):
+            solved.append(np.array(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(diarkit.clustering, "eigh", capture)
+        cluster(x, DiarizeConfig(spectral=SpectralParams(sigma=1.0)))
+        *_, (name, m) = spectral_stages(x, SpectralParams(sigma=1.0))
+        assert name == "refined"
+        (want,) = solved
+        assert m.shape == (40, 40)
+        assert np.array_equal(m, want)
+
+    def test_no_n_by_n_matrix_above_the_cap(self):
+        # 3000 segments: one n x n float64 matrix would be 72 MB
+        n = 3000
+        rng = np.random.default_rng(1)
+        centers = rng.standard_normal((4, 16))
+        x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
+        assert n > diarkit.pipeline.TWO_STAGE_CAP
+        tracemalloc.start()
+        try:
+            result = cluster(x, DiarizeConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.k == 4
+        assert peak <= 0.1 * 8 * n * n
+
+
+# Two-stage labels of a 5-minute, 4-speaker synth (n = 692) with the cap
+# below n, printed as JSON.
+TWO_STAGE_IN_CHILD = """
+import json
+import diarkit.pipeline as pipeline
+from diarkit import SynthScenario, generate
+_, windows, regions = generate(SynthScenario(n_speakers=4, duration=300.0, seed=11))
+x = pipeline.stack_segments(pipeline.segment_embeddings(windows, regions))[0]
+pipeline.TWO_STAGE_CAP = 600
+result = pipeline.cluster(x, pipeline.DiarizeConfig())
+print(json.dumps({"n": len(x), "k": result.k, "labels": result.labels.tolist()}))
+"""
+
+
+def test_two_stage_labels_do_not_depend_on_blas_threads():
+    # as test_speaker_count_does_not_depend_on_blas_threads below the cap
+    one, two = (
+        json.loads(run_python(TWO_STAGE_IN_CHILD, OPENBLAS_NUM_THREADS=threads))
+        for threads in ("1", "2")
+    )
+    assert one["n"] == two["n"] == 692
+    assert one["k"] == two["k"] == 4
+    assert one["labels"] == two["labels"]
