@@ -23,7 +23,6 @@ from .clustering import (
     estimate_k_elbow,
     kmeans,
     refine_diffuse,
-    refine_stages,
     run_online,
     spectral_cluster,
     spectral_embed,

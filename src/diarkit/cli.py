@@ -9,6 +9,7 @@ flag, or file-format errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from contextlib import contextmanager
@@ -21,7 +22,7 @@ from .clustering import SpectralParams
 from .core import Annotation, InvalidInputError, NumericError, ParseError
 from .metrics import DerReport, EvalOptions, combine_reports, der
 from .pipeline import (ALGORITHMS, TWO_STAGE_CAP, DiarizeConfig, diarize, diarize_grid,
-                       segment_embeddings, spectral_stages, stack_segments)
+                       segment_embeddings)
 from .synth import SCENARIO_KINDS, SynthScenario, generate
 
 
@@ -62,20 +63,24 @@ def _rttm(path: str, annotation: Annotation) -> str:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _dump_stages(prefix: str, seg_embs, params: SpectralParams) -> None:
-    """Run the refinement chain of the matrix spectral clustering solves once
-    more and write each stage as a PGM, before the next stage overwrites it in
-    place."""
-    stages = spectral_stages(stack_segments(seg_embs)[0], params)
-    for i, (name, stage) in enumerate(stages, start=1):
-        formats.write_pgm_heatmap(stage, f"{prefix}_{i:02d}_{name}.pgm")
+def _stage_writer(prefix: str):
+    """An observer for `diarize` that writes each refinement stage, as it is
+    formed, as the heatmap PREFIX_NN_name.pgm, before the next stage
+    overwrites it in place."""
+    numbers = itertools.count(1)
+
+    def write(name: str, stage) -> None:
+        formats.write_pgm_heatmap(stage, f"{prefix}_{next(numbers):02d}_{name}.pgm")
+
+    return write
 
 
 def cmd_diarize(args) -> int:
     _require(0 < args.max_segment_len < math.inf, "--max-segment-len must be finite and positive")
     _require(args.max_segment_len >= MIN_PIECE_LEN,
              f"--max-segment-len must be at least {MIN_PIECE_LEN} s")
-    _require(not (args.dump_stages and args.algorithm != "spectral"),
+    _require(args.dump_stages != "", "--dump-stages PREFIX must not be empty")
+    _require(args.dump_stages is None or args.algorithm == "spectral",
              "--dump-stages applies only to --algorithm spectral")
     with _flag_values():
         spectral = SpectralParams(
@@ -91,10 +96,10 @@ def cmd_diarize(args) -> int:
     windows = _read(args.embeddings, formats.read_embeddings_csv)
     regions = _read(args.regions, formats.read_regions_csv) if args.regions else None
     seg_embs = segment_embeddings(windows, regions, args.max_segment_len)
-    hypothesis = diarize(recording_id, seg_embs, config)
-    rttm = _rttm(args.out, hypothesis)  # before any file is written
-    if args.dump_stages:
-        _dump_stages(args.dump_stages, seg_embs, config.spectral)
+    observe = None if args.dump_stages is None else _stage_writer(args.dump_stages)
+    # the stage heatmaps are written as the clusterer forms them, the RTTM
+    # only once clustering succeeds
+    rttm = _rttm(args.out, diarize(recording_id, seg_embs, config, observe))
     Path(args.out).write_text(rttm)
     return 0
 

@@ -3,15 +3,15 @@
 Offline: spherical k-means (elbow count) and spectral clustering (eigen-gap
 count) on a refined cosine affinity: a sigma-only front half,
 blurred_affinity, then one refinement chain that rewrites that matrix in
-place (refine_stages yields its stages; cluster_blurred runs it on a copy of
-a shared blurred matrix). Online: a naive threshold clusterer, one in, one out.
+place (spectral_cluster shows each stage to an optional observer;
+cluster_blurred runs the chain on a copy of a shared blurred matrix). Online:
+a naive threshold clusterer, one in, one out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -502,34 +502,23 @@ def blurred_affinity(embeddings, sigma: float) -> np.ndarray:
     return blurred_gram(u, row_max.clip(-1.0, 1.0) - squares, sigma).T
 
 
-def _refine(m: np.ndarray, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
-    """The refinement chain on a blurred affinity m, every stage written into m:
-    yields (stage name, m) as m holds each stage.
+def _unobserved(name: str, m: np.ndarray) -> None:
+    pass
+
+
+def _solve(m: np.ndarray, params: SpectralParams, observe) -> SpectralResult:
+    """The refinement chain on a blurred affinity m, each stage written into m
+    and shown to observe(stage name, m), then eigen-gap k, re-embedding and
+    k-means on its last matrix.
 
     After the blur: the row threshold and symmetrization in one pass,
     diffusion (the Gram product), then the row-max normalization R and
     (R + Rᵀ)/2 in another; that last matrix is the one eigh solves.
     """
-    yield "blur", m
-    yield "symmetrize", _threshold_symmetrize(m, params.p_percentile, params.soft_multiplier)
-    yield "diffuse", refine_diffuse(m, out=m)
-    yield "refined", _row_max_normalize_symmetrize(m)
-
-
-def refine_stages(embeddings, params: SpectralParams) -> Iterator[tuple[str, np.ndarray]]:
-    """(stage name, matrix) for each stage of spectral_cluster's refinement
-    chain: blur, symmetrize, diffuse, refined, in that order.
-
-    One n x n matrix is held and each stage rewrites it in place, so a
-    yielded matrix holds its stage only until the next one is asked for.
-    """
-    return _refine(blurred_affinity(embeddings, params.sigma), params)
-
-
-def _cluster_refined(stages: Iterator[tuple[str, np.ndarray]],
-                     params: SpectralParams) -> SpectralResult:
-    """Eigen-gap k, re-embedding and k-means on the last matrix of a refinement chain."""
-    *_, (_, m) = stages
+    observe("blur", m)
+    observe("symmetrize", _threshold_symmetrize(m, params.p_percentile, params.soft_multiplier))
+    observe("diffuse", refine_diffuse(m, out=m))
+    observe("refined", _row_max_normalize_symmetrize(m))
     n = m.shape[0]
     min_c = min(params.min_clusters, n)
     max_c = min(params.max_clusters, n)
@@ -552,14 +541,16 @@ def cluster_blurred(blurred: np.ndarray, params: SpectralParams) -> SpectralResu
     runs in one copy of it, so it is neither written nor held and calls may
     share it. Cluster bounds are clamped to n; with no eigen-gap range left, k
     is the minimum."""
-    return _cluster_refined(_refine(np.array(blurred, dtype=np.float64, order="C"), params),
-                            params)
+    return _solve(np.array(blurred, dtype=np.float64, order="C"), params, _unobserved)
 
 
-def spectral_cluster(embeddings, params: SpectralParams) -> SpectralResult:
-    """Spectral clustering of segment embeddings: refine_stages, then eigen-gap
-    k, re-embedding and k-means, as in cluster_blurred without its copy."""
-    return _cluster_refined(refine_stages(embeddings, params), params)
+def spectral_cluster(embeddings, params: SpectralParams, observe=None) -> SpectralResult:
+    """Spectral clustering of segment embeddings: blurred_affinity, then the
+    rest as in cluster_blurred, without its copy. observe(stage name, matrix),
+    if given, is called after each stage (blur, symmetrize, diffuse, refined)
+    with the one n x n matrix the chain rewrites in place, so it holds the
+    stage only until observe returns; the last is the matrix eigh solves."""
+    return _solve(blurred_affinity(embeddings, params.sigma), params, observe or _unobserved)
 
 
 @dataclass

@@ -25,7 +25,6 @@ from .clustering import (
     estimate_k_elbow,
     kmeans,
     precluster,
-    refine_stages,
     resegment,
     run_online,
     spectral_cluster,
@@ -73,25 +72,7 @@ def stack_segments(seg_embs) -> tuple[np.ndarray, list[TimeInterval]]:
     return embedding_matrix([se.embedding for se in seg_embs]), [se.interval for se in seg_embs]
 
 
-def _spectral_problem(x, params: SpectralParams):
-    """(rows, params, assignment): what spectral clustering solves for the
-    segment matrix x. Up to TWO_STAGE_CAP segments that is x itself, params
-    and None; above it, `precluster`'s centroids, params at sigma 0 (centroids
-    have no time order) and each segment's centroid."""
-    if len(x) <= TWO_STAGE_CAP:
-        return x, params, None
-    assignment, centroids = precluster(x, seed=params.seed)
-    return centroids, replace(params, sigma=0.0), assignment
-
-
-def spectral_stages(x, params: SpectralParams):
-    """`refine_stages` of the matrix `cluster` solves for the segment matrix x:
-    x's own chain up to TWO_STAGE_CAP segments, stage 2's (L x L) above it."""
-    rows, params, _ = _spectral_problem(x, params)
-    return refine_stages(rows, params)
-
-
-def cluster(x, config: DiarizeConfig) -> ClusteringResult:
+def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
     """Cluster the rows of an (n, d) segment matrix with the configured algorithm.
 
     Spectral clustering of more than TWO_STAGE_CAP rows runs in two stages:
@@ -99,6 +80,8 @@ def cluster(x, config: DiarizeConfig) -> ClusteringResult:
     clustering at sigma 0 clusters those, each row takes its centroid's
     label, and `resegment` revisits the rows in time order without taking k
     below min_clusters. Up to the cap it is `spectral_cluster` alone.
+    `observe` goes to that one `spectral_cluster` call, so above the cap it
+    sees stage 2's chain; the other algorithms never call it.
 
     k-means clamps the speaker bounds to n, as spectral clustering does. When
     that leaves only k = 1 it returns one cluster, otherwise the elbow search's
@@ -106,10 +89,11 @@ def cluster(x, config: DiarizeConfig) -> ClusteringResult:
     """
     params = config.spectral
     if config.algorithm == "spectral":
-        rows, stage2, assignment = _spectral_problem(x, params)
-        result = spectral_cluster(rows, stage2).clustering
-        if assignment is None:
-            return result
+        if len(x) <= TWO_STAGE_CAP:
+            return spectral_cluster(x, params, observe).clustering
+        assignment, centroids = precluster(x, seed=params.seed)
+        # centroids have no time order: no blur
+        result = spectral_cluster(centroids, replace(params, sigma=0.0), observe).clustering
         return resegment(x, ClusteringResult(result.labels[assignment], result.k),
                          min_clusters=params.min_clusters)
     if config.algorithm == "naive":
@@ -121,10 +105,12 @@ def cluster(x, config: DiarizeConfig) -> ClusteringResult:
     return estimate_k_elbow(x, max_c, min_clusters=min_c, seed=params.seed)
 
 
-def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig()) -> Annotation:
-    """One recording's segment embeddings (from segment_embeddings) to its hypothesis."""
+def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig(),
+            observe=None) -> Annotation:
+    """One recording's segment embeddings (from segment_embeddings) to its
+    hypothesis; `observe` sees the refinement stages, as in `cluster`."""
     x, intervals = stack_segments(seg_embs)
-    return annotation_from_clusters(recording_id, intervals, cluster(x, config).labels)
+    return annotation_from_clusters(recording_id, intervals, cluster(x, config, observe).labels)
 
 
 def diarize_grid(recording_id: str, seg_embs, configs) -> list[Annotation]:

@@ -15,6 +15,7 @@ from diarkit import (
     annotation_from_clusters,
     der,
     generate,
+    spectral_cluster,
 )
 from diarkit.pipeline import DiarizeConfig, cluster, segment_embeddings, stack_segments
 
@@ -47,6 +48,15 @@ def run_python(code: str, **env_overrides: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def refinement_stages(embeddings, params: SpectralParams) -> list:
+    """(stage name, matrix) for each stage spectral_cluster forms on the
+    embeddings, in order, each matrix copied before the next stage
+    overwrites it."""
+    stages = []
+    spectral_cluster(embeddings, params, observe=lambda name, m: stages.append((name, m.copy())))
+    return stages
 
 
 def prepare(scenario: SynthScenario):

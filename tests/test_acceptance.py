@@ -22,7 +22,6 @@ from diarkit import (
     estimate_k_eigengap,
     map_speakers,
     refine_diffuse,
-    refine_stages,
     spectral_cluster,
 )
 from helpers import (
@@ -31,6 +30,7 @@ from helpers import (
     labels_naive,
     labels_spectral,
     prepare,
+    refinement_stages,
     score_total,
 )
 from diarkit.clustering import _row_max_normalize_symmetrize, blurred_affinity
@@ -132,7 +132,7 @@ def test_refinement_chain_suite(capsys):
     )
     # the affinity of e1, e1, e2, e2 is BLOCK, a fixed point of the chain
     params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=0.0)
-    stages = list(refine_stages(np.stack([e1, e1, e2, e2]), params))
+    stages = refinement_stages(np.stack([e1, e1, e2, e2]), params)
     check(stages[-1][1], BLOCK)
     stage_count_ok = len(stages) == 4
 

@@ -57,6 +57,16 @@ def run_synth(tmp_path, name, *extra):
     return paths
 
 
+@pytest.fixture
+def arpack_fails(monkeypatch):
+    """numerics.eigh's ARPACK solve raising non-convergence."""
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(diarkit.numerics, "eigsh", no_convergence)
+
+
 class TestDiarize:
     def test_spectral_on_synth_two_speakers(self, tmp_path):
         paths = run_synth(tmp_path, "conv")
@@ -164,6 +174,48 @@ class TestDiarize:
             data = next(tmp_path.glob(f"run_*_{name}.pgm")).read_bytes()
             assert data.startswith(b"P5\n30 30\n255\n")
         assert (tmp_path / "run_04_refined.pgm").read_bytes() == pgm_bytes(m)
+
+    @pytest.mark.parametrize("cap, counted", [(None, "blurred_affinity"), (50, "precluster")])
+    def test_dump_stages_runs_the_chain_once(self, tmp_path, monkeypatch, cap, counted):
+        # the stages are written from the clustering run itself: no second
+        # affinity below the cap, no second pre-clustering above it
+        if cap is not None:
+            monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", cap)
+            monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 30)
+        module = diarkit.pipeline if counted == "precluster" else diarkit.clustering
+        original, calls = getattr(module, counted), []
+
+        def count(*args, **kwargs):
+            calls.append(counted)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, counted, count)
+        paths = run_synth(tmp_path, "conv")
+        rc = main(["diarize", "--embeddings", str(paths["emb"]), "--regions", str(paths["reg"]),
+                   "--out", str(tmp_path / "hyp.rttm"), "--dump-stages", str(tmp_path / "run")])
+        assert rc == 0
+        assert calls == [counted]
+        assert len(list(tmp_path.glob("run_*.pgm"))) == 4
+
+    @pytest.mark.parametrize("algorithm", ["spectral", "kmeans"])
+    def test_empty_dump_stages_prefix_is_usage_error(self, tmp_path, capsys, algorithm):
+        emb = tmp_path / "toy.csv"
+        emb.write_text(E1_E1_E2_CSV)
+        rc = main(["diarize", "--embeddings", str(emb), "--algorithm", algorithm,
+                   "--out", str(tmp_path / "o.rttm"), "--dump-stages", ""])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --dump-stages PREFIX must not be empty\n"
+        assert list(tmp_path.iterdir()) == [emb]
+
+    def test_dump_stages_into_a_missing_directory(self, tmp_path, capsys):
+        paths = run_synth(tmp_path, "conv")
+        out = tmp_path / "hyp.rttm"
+        rc = main(["diarize", "--embeddings", str(paths["emb"]), "--out", str(out),
+                   "--dump-stages", str(tmp_path / "missing" / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert not (tmp_path / "missing").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         paths = run_synth(tmp_path, "conv")
@@ -355,13 +407,8 @@ class TestDiarize:
         )
         assert rc == 1
 
-    def test_eigensolver_non_convergence_exits_one(self, tmp_path, monkeypatch, capsys):
+    def test_eigensolver_non_convergence_exits_one(self, tmp_path, arpack_fails, capsys):
         paths = run_synth(tmp_path, "conv")
-
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr(diarkit.numerics, "eigsh", no_convergence)
         rc = main(
             [
                 "diarize",
@@ -373,6 +420,21 @@ class TestDiarize:
         )
         assert rc == 1
         assert "eigen-decomposition failed" in capsys.readouterr().err
+
+    def test_eigensolver_non_convergence_keeps_the_stages_formed(self, tmp_path, arpack_fails,
+                                                                 capsys):
+        # every stage is written as it is formed, before the solve that fails;
+        # the RTTM is written only once clustering succeeds
+        paths = run_synth(tmp_path, "conv")
+        out = tmp_path / "o.rttm"
+        rc = main(["diarize", "--embeddings", str(paths["emb"]), "--regions", str(paths["reg"]),
+                   "--out", str(out), "--dump-stages", str(tmp_path / "run")])
+        assert rc == 1
+        assert "eigen-decomposition failed" in capsys.readouterr().err
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.glob("run_*.pgm")) == [
+            "run_01_blur.pgm", "run_02_symmetrize.pgm", "run_03_diffuse.pgm", "run_04_refined.pgm",
+        ]
 
 
 class TestEvaluate:
@@ -830,9 +892,9 @@ class TestEntrypointPlumbing:
         # SpectralParams diarize builds and of the SynthScenario synth builds
         built = []
 
-        def diarize_spy(recording_id, seg_embs, config):
+        def diarize_spy(recording_id, seg_embs, config, observe):
             built.append(config.spectral)
-            return diarize(recording_id, seg_embs, config)
+            return diarize(recording_id, seg_embs, config, observe)
 
         def generate_spy(scenario):
             built.append(scenario)

@@ -27,7 +27,6 @@ from diarkit import (
     generate,
     kmeans,
     refine_diffuse,
-    refine_stages,
     run_online,
     spectral_cluster,
     spectral_embed,
@@ -55,7 +54,7 @@ from diarkit.clustering import (
 )
 from diarkit.numerics import _TILE, gram, l2_normalize_rows, nearest_rank_index
 from diarkit.pipeline import segment_embeddings
-from helpers import run_python
+from helpers import refinement_stages, run_python
 from oracles import (affinity, best_path_oracle, blur, dense_refined, lloyd_oracle, mirrored_syrk,
                      resegment_oracle, row_max_normalize, sort_threshold, symmetrize)
 
@@ -148,14 +147,14 @@ class TestEmbeddingMatrix:
         [
             embedding_matrix,
             lambda x: blurred_affinity(x, 1.0),
-            lambda x: refine_stages(x, SpectralParams()),
+            lambda x: refinement_stages(x, SpectralParams()),
             lambda x: spectral_cluster(x, SpectralParams()),
             lambda x: kmeans(x, 2),
             lambda x: estimate_k_elbow(x, 3),
             lambda x: run_online(NaiveOnlineClusterer(), x),
             lambda x: NaiveOnlineClusterer().step(x[0]),
         ],
-        ids=["embedding_matrix", "blurred_affinity", "refine_stages", "spectral_cluster",
+        ids=["embedding_matrix", "blurred_affinity", "refinement_stages", "spectral_cluster",
              "kmeans", "estimate_k_elbow", "run_online", "step"],
     )
     def test_segment_objects_rejected(self, call):
@@ -347,17 +346,11 @@ class TestRefineDiffuse:
         assert peak <= 0.15 * 8 * n * n
 
 
-def snapshots(stages) -> list[tuple[str, np.ndarray]]:
-    """Each (name, matrix) refine_stages yields, copied before the next stage
-    overwrites it."""
-    return [(name, m.copy()) for name, m in stages]
-
-
 class TestRefineChain:
     def test_block_matrix_fixed_point(self):
         e1, e2 = [1.0, 0.0], [0.0, 1.0]
         params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=0.0)
-        stages = dict(snapshots(refine_stages(np.array([e1, e1, e2, e2]), params)))
+        stages = dict(refinement_stages(np.array([e1, e1, e2, e2]), params))
         # the affinity is the block matrix; blur(0) and threshold leave the
         # blocks; diffusion doubles them; row-max normalization rescales back
         # to the exact block matrix
@@ -366,12 +359,27 @@ class TestRefineChain:
         assert np.array_equal(stages["diffuse"], 2 * BLOCK)
         assert np.array_equal(stages["refined"], BLOCK)
 
-    def test_stage_names_and_one_matrix(self):
-        rng = np.random.default_rng(36)
-        stages = list(refine_stages(rng.normal(size=(10, 4)), SpectralParams()))
+    def test_stage_names_and_one_matrix(self, monkeypatch):
+        # the observer is a side channel: called once per stage, in order,
+        # always with the one matrix, the last time with the one eigh solves
+        x, params = np.random.default_rng(36).normal(size=(10, 4)), SpectralParams()
+        plain = spectral_cluster(x, params)
+        solved, stages = [], []
+        original = diarkit.clustering.eigh
+
+        def capture(m, *args, **kwargs):
+            solved.append(m)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(diarkit.clustering, "eigh", capture)
+        observed = spectral_cluster(x, params, observe=lambda name, m: stages.append((name, m)))
+        assert observed.clustering.labels.tobytes() == plain.clustering.labels.tobytes()
+        assert observed.clustering.k == plain.clustering.k
+        assert observed.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
         assert [name for name, _ in stages] == ["blur", "symmetrize", "diffuse", "refined"]
         assert all(m is stages[0][1] for _, m in stages)
         final = stages[-1][1]
+        assert solved == [final] and solved[0] is final
         assert final.tobytes() == np.ascontiguousarray(final.T).tobytes()
 
     def test_bad_embeddings_rejected(self):
@@ -380,13 +388,13 @@ class TestRefineChain:
         for x, message in [(np.ones((1, 3)), "needs at least 2 segments"),
                            (bad, "non-finite")]:
             with pytest.raises(InvalidInputError, match=message):
-                refine_stages(x, SpectralParams())
+                refinement_stages(x, SpectralParams())
 
     def test_neutral_settings_reduce_to_diffuse_normalize(self):
         rng = np.random.default_rng(37)
         x = rng.normal(size=(6, 3))
         params = SpectralParams(sigma=0.0, p_percentile=50, soft_multiplier=1.0)
-        *_, (_, final) = refine_stages(x, params)
+        *_, (_, final) = refinement_stages(x, params)
         a = affinity(x)
         r = row_max_normalize(a @ a)
         assert np.max(np.abs(final - (r + r.T) * 0.5)) < 1e-12
@@ -417,7 +425,7 @@ class TestRowMaxNormalizeSymmetrize:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("n", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, None])
     def test_bit_equal_to_rownorm_then_symmetrize(self, synth_segments, n, order):
-        stages = dict(snapshots(refine_stages(synth_segments[:n], SpectralParams())))
+        stages = dict(refinement_stages(synth_segments[:n], SpectralParams()))
         y = np.array(stages["diffuse"], order=order)
         r = row_max_normalize(y)
         out = _row_max_normalize_symmetrize(y)
@@ -444,11 +452,11 @@ class TestRowMaxNormalizeSymmetrize:
             assert raised(_row_max_normalize_symmetrize, bad) == expected
             assert np.array_equal(bad, before, equal_nan=True)
 
-    def test_refine_stages_against_the_dense_stages(self, synth_segments):
+    def test_stages_against_the_dense_stages(self, synth_segments):
         # each stage bit for bit from the one before it by its dense oracle,
         # the blur from the factor to a tolerance (see TestBlurredAffinity)
         params = SpectralParams()
-        stages = snapshots(refine_stages(synth_segments, params))
+        stages = refinement_stages(synth_segments, params)
         assert [name for name, _ in stages] == ["blur", "symmetrize", "diffuse", "refined"]
         (_, b), (_, s), (_, y), (_, refined) = stages
         assert np.max(np.abs(b - blur(affinity(synth_segments), params.sigma))) <= 1e-15
@@ -463,7 +471,7 @@ class TestRowMaxNormalizeSymmetrize:
         # normalized once, by kmeans: spectral_embed's rows go in as they are
         params = SpectralParams()
         x = synth_segments[:n]
-        *_, (_, refined) = refine_stages(x, params)
+        *_, (_, refined) = refinement_stages(x, params)
         decomp = eigh(refined, count=params.max_clusters + 1)
         k = estimate_k_eigengap(decomp.values, params.min_clusters, params.max_clusters)
         expected = kmeans(spectral_embed(decomp, k), k, seed=params.seed)
@@ -803,7 +811,7 @@ class TestSpectralCluster:
             params = SpectralParams(seed=0)
             partial = spectral_cluster(points, params)
             # the same refined matrix, solved whole by the dense solver
-            *_, (_, refined) = refine_stages(points, params)
+            *_, (_, refined) = refinement_stages(points, params)
             values, vectors = np.linalg.eigh(refined)
             count = params.max_clusters + 1
             order = np.argsort(-values, kind="stable")[:count]

@@ -28,7 +28,6 @@ from diarkit.pipeline import (
     diarize,
     diarize_grid,
     segment_embeddings,
-    spectral_stages,
     stack_segments,
 )
 from helpers import run_python
@@ -233,10 +232,16 @@ class TestTwoStage:
 
     def test_stages_are_those_of_the_matrix_cluster_solves(self, monkeypatch):
         x, _ = stack_segments(three_speakers())
+
+        def observed(config):
+            stages = []
+            cluster(x, config, lambda name, m: stages.append((name, m.copy())))
+            return stages
+
         monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", len(x))
-        names = [name for name, _ in spectral_stages(x, SpectralParams())]
-        assert names == ["blur", "symmetrize", "diffuse", "refined"]
-        assert {m.shape for _, m in spectral_stages(x, SpectralParams())} == {(len(x), len(x))}
+        stages = observed(DiarizeConfig())
+        assert [name for name, _ in stages] == ["blur", "symmetrize", "diffuse", "refined"]
+        assert {m.shape for _, m in stages} == {(len(x), len(x))}
         monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", len(x) - 1)
         monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 40)
         solved = []
@@ -247,12 +252,18 @@ class TestTwoStage:
             return eigh(m, *args, **kwargs)
 
         monkeypatch.setattr(diarkit.clustering, "eigh", capture)
-        cluster(x, DiarizeConfig(spectral=SpectralParams(sigma=1.0)))
-        *_, (name, m) = spectral_stages(x, SpectralParams(sigma=1.0))
+        *_, (name, m) = observed(DiarizeConfig(spectral=SpectralParams(sigma=1.0)))
         assert name == "refined"
         (want,) = solved
         assert m.shape == (40, 40)
         assert np.array_equal(m, want)
+
+    def test_only_spectral_clustering_calls_the_observer(self):
+        x, _ = stack_segments(three_speakers())
+        calls = []
+        for config in (DiarizeConfig("kmeans"), DiarizeConfig("naive", threshold=0.3)):
+            cluster(x, config, lambda name, m: calls.append(name))
+        assert calls == []
 
     def test_no_n_by_n_matrix_above_the_cap(self):
         # 3000 segments: one n x n float64 matrix would be 72 MB
