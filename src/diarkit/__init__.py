@@ -22,10 +22,10 @@ from .clustering import (
     estimate_k_eigengap,
     estimate_k_elbow,
     kmeans,
-    refine_diffuse,
     run_online,
     spectral_cluster,
     spectral_embed,
+    spectral_grid,
 )
 from .core import (
     Annotation,

@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="blur radius in segments; no effect above "
                         f"{TWO_STAGE_CAP} segments, which cluster in two stages")
     d.add_argument("--p-percentile", type=float, default=spectral.p_percentile)
-    d.add_argument("--soft-multiplier", type=float, default=spectral.soft_multiplier)
+    d.add_argument("--soft-multiplier", type=float, default=spectral.soft_multiplier,
+                   help="factor of the affinity entries below each row's percentile, in [0, 1]")
     d.add_argument("--threshold", type=float, default=config.threshold,
                    help="naive online similarity threshold")
     d.add_argument("--min-speakers", type=int, default=spectral.min_clusters)

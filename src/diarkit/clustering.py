@@ -4,8 +4,14 @@ Offline: spherical k-means (elbow count) and spectral clustering (eigen-gap
 count) on a refined cosine affinity: a sigma-only front half,
 blurred_affinity, then one refinement chain that rewrites that matrix in
 place (spectral_cluster shows each stage to an optional observer;
-cluster_blurred runs the chain on a copy of a shared blurred matrix). Online:
-a naive threshold clusterer, one in, one out.
+spectral_grid runs a grid of configs, each chain in a copy of the blurred
+matrix its sigma shares). Online: a naive threshold clusterer, one in, one
+out.
+
+The chain's input is checked where it enters: embedding_matrix checks the
+embeddings and SpectralParams the knobs. From there every matrix of the
+chain is finite and exactly symmetric by construction, and its private
+kernels check nothing again.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from .core import ClusteringResult, DegenerateAffinityError, InvalidInputError
 from .numerics import (
     ZERO_NORM_TOL,
     EigenDecomposition,
-    all_finite,
     blurred_gram,
     eigh,
     gram,
@@ -72,8 +77,12 @@ class SpectralParams:
             raise InvalidInputError(
                 f"p_percentile must lie in (0, 100), got {self.p_percentile}"
             )
-        if not math.isfinite(self.soft_multiplier):
-            raise InvalidInputError("soft_multiplier must be finite")
+        # in [0, 1] every thresholded entry stays in [-1, 1] (the blurred
+        # affinity's range), so each diffusion entry is at most n in magnitude
+        if not 0.0 <= self.soft_multiplier <= 1.0:
+            raise InvalidInputError(
+                f"soft_multiplier must lie in [0, 1], got {self.soft_multiplier}"
+            )
         if self.min_clusters < 1:
             raise InvalidInputError(f"min_clusters must be >= 1, got {self.min_clusters}")
         if self.max_clusters < self.min_clusters:
@@ -99,20 +108,6 @@ def embedding_matrix(embeddings) -> np.ndarray:
     return x
 
 
-def _as_square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise InvalidInputError(f"expected a non-empty square matrix, got {m.shape}")
-    if not all_finite(m):
-        raise InvalidInputError("matrix contains non-finite entries")
-    return m
-
-
-def refine_diffuse(m, out=None) -> np.ndarray:
-    """Y = X Xᵀ (Gram form: always symmetric PSD)."""
-    return gram(_as_square(m), out=out)
-
-
 def _positive_row_max(m: np.ndarray) -> np.ndarray:
     """Each row's maximum; DegenerateAffinityError if one is not positive."""
     row_max = m.max(axis=1)
@@ -128,15 +123,13 @@ def _row_max_normalize_symmetrize(y: np.ndarray) -> np.ndarray:
     """(R + Rᵀ)/2 for R = y divided row by row by its row maxima d, in place on
     y, a block of rows at a time: each entry becomes (y_ij/d_i + y_ij/d_j)·0.5.
 
-    Bit for bit that result, because y is gram's output, exactly symmetric: so
-    y_ij = y_ji, and of y and yᵀ (the same matrix) the C-ordered one is walked.
+    Bit for bit that result, because y is gram's output, exactly symmetric:
+    y_ij = y_ji. The chain's y is C-ordered, so each block is contiguous rows.
     """
-    y = _as_square(y)
-    rows = y if y.flags.c_contiguous else y.T
-    d = _positive_row_max(rows)
+    d = _positive_row_max(y)
     step = row_block(d.size)
     for lo in range(0, d.size, step):
-        block = rows[lo : lo + step]
+        block = y[lo : lo + step]
         by_row = block / d[lo : lo + step, None]
         np.divide(block, d, out=block)
         block += by_row
@@ -507,8 +500,9 @@ def _unobserved(name: str, m: np.ndarray) -> None:
 
 
 def _solve(m: np.ndarray, params: SpectralParams, observe) -> SpectralResult:
-    """The refinement chain on a blurred affinity m, each stage written into m
-    and shown to observe(stage name, m), then eigen-gap k, re-embedding and
+    """The refinement chain on a blurred affinity m (C-ordered and exactly
+    symmetric, as blurred_affinity makes it), each stage written into m and
+    shown to observe(stage name, m), then eigen-gap k, re-embedding and
     k-means on its last matrix.
 
     After the blur: the row threshold and symmetrization in one pass,
@@ -517,7 +511,7 @@ def _solve(m: np.ndarray, params: SpectralParams, observe) -> SpectralResult:
     """
     observe("blur", m)
     observe("symmetrize", _threshold_symmetrize(m, params.p_percentile, params.soft_multiplier))
-    observe("diffuse", refine_diffuse(m, out=m))
+    observe("diffuse", gram(m, out=m))
     observe("refined", _row_max_normalize_symmetrize(m))
     n = m.shape[0]
     min_c = min(params.min_clusters, n)
@@ -534,23 +528,30 @@ def _solve(m: np.ndarray, params: SpectralParams, observe) -> SpectralResult:
     return SpectralResult(clustering=clustering, eigenvalues=decomp.values)
 
 
-def cluster_blurred(blurred: np.ndarray, params: SpectralParams) -> SpectralResult:
-    """spectral_cluster from blurred_affinity's matrix (params.sigma unread): the
-    rest of the refinement chain, then eigen-gap k, re-embedding, k-means.
-    `blurred` must be exactly symmetric, as blurred_affinity's is. The chain
-    runs in one copy of it, so it is neither written nor held and calls may
-    share it. Cluster bounds are clamped to n; with no eigen-gap range left, k
-    is the minimum."""
-    return _solve(np.array(blurred, dtype=np.float64, order="C"), params, _unobserved)
-
-
 def spectral_cluster(embeddings, params: SpectralParams, observe=None) -> SpectralResult:
     """Spectral clustering of segment embeddings: blurred_affinity, then the
-    rest as in cluster_blurred, without its copy. observe(stage name, matrix),
-    if given, is called after each stage (blur, symmetrize, diffuse, refined)
-    with the one n x n matrix the chain rewrites in place, so it holds the
-    stage only until observe returns; the last is the matrix eigh solves."""
+    refinement chain in that matrix, eigen-gap k, re-embedding and k-means.
+    Cluster bounds are clamped to n; with no eigen-gap range left, k is the
+    minimum. observe(stage name, matrix), if given, is called after each
+    stage (blur, symmetrize, diffuse, refined) with the one n x n matrix the
+    chain rewrites in place, so it holds the stage only until observe
+    returns; the last is the matrix eigh solves."""
     return _solve(blurred_affinity(embeddings, params.sigma), params, observe or _unobserved)
+
+
+def spectral_grid(embeddings, grid) -> list[SpectralResult]:
+    """spectral_cluster under each SpectralParams of the sequence grid, in
+    order, bit for bit. The blurred affinity is built once per distinct
+    sigma, and each config's chain runs in a copy of it; only the current
+    sigma's matrix is held, so at most two n x n matrices at a time."""
+    results = {}
+    for sigma in dict.fromkeys(params.sigma for params in grid):
+        blurred = blurred_affinity(embeddings, sigma)
+        for i, params in enumerate(grid):
+            if params.sigma == sigma:
+                results[i] = _solve(blurred.copy(), params, _unobserved)
+        del blurred  # before the next sigma's matrix is built
+    return [results[i] for i in range(len(grid))]
 
 
 @dataclass

@@ -83,14 +83,14 @@ def interval_union(spans: Iterable[tuple[float, float]]) -> list[tuple[float, fl
 
 @dataclass(frozen=True)
 class Segment:
-    """A time interval, optionally carrying a speaker label."""
+    """A time interval and the speaker label it carries."""
 
     interval: TimeInterval
-    speaker: str | None = None
+    speaker: str
 
     def __post_init__(self):
-        if self.speaker is not None and not self.speaker:
-            raise InvalidInputError("speaker label, when present, must be non-empty")
+        if not self.speaker:
+            raise InvalidInputError("speaker label must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,6 @@ class Annotation:
         object.__setattr__(self, "segments", tuple(self.segments))
         prev = -math.inf
         for seg in self.segments:
-            if seg.speaker is None:
-                raise InvalidInputError("annotation segments must all carry a speaker")
             if seg.interval.start < prev:
                 raise InvalidInputError("annotation segments must be sorted by start")
             prev = seg.interval.start

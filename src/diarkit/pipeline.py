@@ -4,9 +4,9 @@ The CLI's diarize and sweep subcommands and library callers go through
 these functions; nothing else chains the stages. `stack_segments` is the one
 place segments become the matrix the clusterers take and their intervals.
 `diarize_grid` runs many configs on one recording, building its affinity and
-blur once per sigma below the cap. This module alone decides when spectral
-clustering runs in two stages (more than TWO_STAGE_CAP segments; see
-`cluster`).
+blur once per sigma below the cap (through `spectral_grid`). This module
+alone decides when spectral clustering runs in two stages (more than
+TWO_STAGE_CAP segments; see `cluster`).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .aggregation import DEFAULT_MAX_SEGMENT_LEN, aggregate, regions_from_window
 from .clustering import (
     NaiveOnlineClusterer,
     SpectralParams,
-    blurred_affinity,
-    cluster_blurred,
     embedding_matrix,
     estimate_k_elbow,
     kmeans,
@@ -28,6 +26,7 @@ from .clustering import (
     resegment,
     run_online,
     spectral_cluster,
+    spectral_grid,
 )
 from .core import (Annotation, ClusteringResult, InvalidInputError, TimeInterval,
                    annotation_from_clusters)
@@ -115,19 +114,14 @@ def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig()
 
 def diarize_grid(recording_id: str, seg_embs, configs) -> list[Annotation]:
     """`diarize` under each config, in order. The segments are stacked once;
-    up to TWO_STAGE_CAP segments, spectral configs share one blurred affinity
-    per sigma, which cluster_blurred copies for each, and only the current
-    sigma's is held: two n x n matrices at a time. Above the cap, and for
-    other algorithms, each config runs as in `diarize`."""
+    up to TWO_STAGE_CAP segments, the spectral configs go to one
+    `spectral_grid` call, which builds one blurred affinity per sigma. Above
+    the cap, and for other algorithms, each config runs as in `diarize`."""
     x, intervals = stack_segments(seg_embs)
-    labels = {i: cluster(x, c).labels for i, c in enumerate(configs)
-              if c.algorithm != "spectral" or len(x) > TWO_STAGE_CAP}
-    spectral = [i for i in range(len(configs)) if i not in labels]
-    for sigma in dict.fromkeys(configs[i].spectral.sigma for i in spectral):
-        blurred = blurred_affinity(x, sigma)
-        for i in spectral:
-            if configs[i].spectral.sigma == sigma:
-                labels[i] = cluster_blurred(blurred, configs[i].spectral).clustering.labels
-        del blurred  # before the next sigma's matrix is built
-    return [annotation_from_clusters(recording_id, intervals, labels[i])
-            for i in range(len(configs))]
+    shared = [i for i, c in enumerate(configs)
+              if c.algorithm == "spectral" and len(x) <= TWO_STAGE_CAP]
+    results = spectral_grid(x, [configs[i].spectral for i in shared])
+    labels = {i: result.clustering.labels for i, result in zip(shared, results)}
+    return [annotation_from_clusters(recording_id, intervals,
+                                     labels[i] if i in labels else cluster(x, c).labels)
+            for i, c in enumerate(configs)]

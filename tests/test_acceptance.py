@@ -21,7 +21,6 @@ from diarkit import (
     eigh,
     estimate_k_eigengap,
     map_speakers,
-    refine_diffuse,
     spectral_cluster,
 )
 from helpers import (
@@ -34,7 +33,7 @@ from helpers import (
     score_total,
 )
 from diarkit.clustering import _row_max_normalize_symmetrize, blurred_affinity
-from diarkit.numerics import nearest_rank_index
+from diarkit.numerics import gram, nearest_rank_index
 from oracles import (
     brute_force_assignment,
     der_oracle,
@@ -119,7 +118,7 @@ def test_refinement_chain_suite(capsys):
         np.array([[0.0, 1.0], [1.0, 0.0]]),
     )
     check(
-        refine_diffuse(np.array([[1.0, 0.5], [0.5, 1.0]])),
+        gram(np.array([[1.0, 0.5], [0.5, 1.0]])),
         np.array([[1.25, 1.0], [1.0, 1.25]]),
     )
     check(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import diarkit.pipeline
-from diarkit.clustering import SpectralParams, blurred_affinity, cluster_blurred, spectral_cluster
+from diarkit.clustering import SpectralParams, spectral_cluster, spectral_grid
 from diarkit.core import Annotation, Segment, TimeInterval
 from diarkit.metrics import EvalOptions, der
 from diarkit.pipeline import DiarizeConfig, cluster
@@ -24,6 +24,7 @@ DELETED = {
     "clustering.build_affinity",
     "clustering.refine_threshold",
     "clustering.refine_symmetrize",
+    "clustering.refine_diffuse",
     "clustering.refine_row_max_normalize",
     "clustering.mscd_table",
     "numerics.gaussian_blur",
@@ -86,10 +87,11 @@ def three_groups() -> np.ndarray:
 def test_spectral_cluster_calls_each_traced_stage_once(monkeypatch):
     # each stage's span times calls through these names: a chain that ran a
     # private kernel instead would read 0 there without failing. The blurred
-    # affinity, the fused threshold + symmetrize and the closing row-max pass
-    # have no span of their own; their time is spectral_cluster's own.
-    called = ["clustering.refine_diffuse", "clustering.estimate_k_eigengap",
-              "clustering.spectral_embed", "numerics.eigh", "clustering.kmeans"]
+    # affinity and the three stages of the chain (threshold + symmetrize,
+    # diffusion, the closing row-max pass) have no span of their own; their
+    # time is spectral_cluster's own.
+    called = ["clustering.estimate_k_eigengap", "clustering.spectral_embed", "numerics.eigh",
+              "clustering.kmeans"]
     calls = count_calls(monkeypatch, called)
     assert spectral_cluster(three_groups(), SpectralParams()).clustering.k == 3
     assert calls == Counter(called)
@@ -113,11 +115,12 @@ def test_two_stage_cluster_calls_spectral_cluster_and_kmeans_once(monkeypatch):
     assert calls == Counter(stages)
 
 
-def test_cluster_blurred_calls_kmeans_once(monkeypatch):
-    # the sweep clusters through cluster_blurred; the kmeans span times its last step
+def test_spectral_grid_calls_kmeans_once_per_config(monkeypatch):
+    # the sweep clusters through spectral_grid; the kmeans span times each config's last step
     calls = count_calls(monkeypatch, ["clustering.kmeans"])
-    assert cluster_blurred(blurred_affinity(three_groups(), 1.0), SpectralParams()).clustering.k == 3
-    assert calls == Counter(["clustering.kmeans"])
+    grid = [SpectralParams(), SpectralParams(sigma=0.5), SpectralParams(p_percentile=90.0)]
+    assert [r.clustering.k for r in spectral_grid(three_groups(), grid)] == [3, 3, 3]
+    assert calls == Counter({"clustering.kmeans": 3})
 
 
 def test_der_calls_each_traced_scoring_stage_once(monkeypatch):

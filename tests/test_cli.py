@@ -281,6 +281,19 @@ class TestDiarize:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["2", "-0.01"])
+    def test_soft_multiplier_outside_the_unit_interval_is_usage_error(self, tmp_path, capsys,
+                                                                       value):
+        emb = tmp_path / "toy.csv"
+        emb.write_text(E1_E1_E2_CSV)
+        out = tmp_path / "o.rttm"
+        rc = main(["diarize", "--embeddings", str(emb), "--soft-multiplier", value,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: soft_multiplier must lie in [0, 1], got {float(value)}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "0"])
     def test_bad_max_segment_len_is_usage_error(self, tmp_path, capsys, value):
         emb = tmp_path / "toy.csv"
@@ -719,20 +732,25 @@ class TestSweep:
 
     def test_affinity_and_blur_once_per_recording(self, tmp_path, monkeypatch):
         listing, ref, _ = self.make_two_recordings(tmp_path)
-        calls = {"blurred_affinity": 0, "cluster_blurred": 0}
-        for name in calls:
-            original = getattr(diarkit.pipeline, name)
+        calls = {"blurred_affinity": 0, "results": 0}
+        build, grid = diarkit.clustering.blurred_affinity, diarkit.pipeline.spectral_grid
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counted_build(*args, **kwargs):
+            calls["blurred_affinity"] += 1
+            return build(*args, **kwargs)
 
-            monkeypatch.setattr(diarkit.pipeline, name, counted)
+        def counted_grid(*args, **kwargs):
+            results = grid(*args, **kwargs)
+            calls["results"] += len(results)
+            return results
+
+        monkeypatch.setattr(diarkit.clustering, "blurred_affinity", counted_build)
+        monkeypatch.setattr(diarkit.pipeline, "spectral_grid", counted_grid)
         args = ["sweep", "--embeddings-list", str(listing), "--reference", str(ref),
                 "--param", "p-percentile", "--grid", "90:96:2"]
         assert main(args) == 0
         # 2 recordings x 4 grid values
-        assert calls == {"blurred_affinity": 2, "cluster_blurred": 8}
+        assert calls == {"blurred_affinity": 2, "results": 8}
 
     def test_unknown_recording_is_usage_error(self, tmp_path):
         paths = run_synth(tmp_path, "dev0")

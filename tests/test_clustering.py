@@ -26,10 +26,10 @@ from diarkit import (
     estimate_k_elbow,
     generate,
     kmeans,
-    refine_diffuse,
     run_online,
     spectral_cluster,
     spectral_embed,
+    spectral_grid,
 )
 from diarkit.clustering import (
     _MAX_ITERS,
@@ -47,7 +47,6 @@ from diarkit.clustering import (
     _threshold_symmetrize,
     _viterbi,
     blurred_affinity,
-    cluster_blurred,
     embedding_matrix,
     precluster,
     resegment,
@@ -149,13 +148,14 @@ class TestEmbeddingMatrix:
             lambda x: blurred_affinity(x, 1.0),
             lambda x: refinement_stages(x, SpectralParams()),
             lambda x: spectral_cluster(x, SpectralParams()),
+            lambda x: spectral_grid(x, [SpectralParams()]),
             lambda x: kmeans(x, 2),
             lambda x: estimate_k_elbow(x, 3),
             lambda x: run_online(NaiveOnlineClusterer(), x),
             lambda x: NaiveOnlineClusterer().step(x[0]),
         ],
         ids=["embedding_matrix", "blurred_affinity", "refinement_stages", "spectral_cluster",
-             "kmeans", "estimate_k_elbow", "run_online", "step"],
+             "spectral_grid", "kmeans", "estimate_k_elbow", "run_online", "step"],
     )
     def test_segment_objects_rejected(self, call):
         # the clusterers take the matrix; pipeline.stack_segments builds it
@@ -302,50 +302,6 @@ class TestBlurredAffinity:
                 blurred_affinity(np.eye(3), sigma)
 
 
-class TestRefineDiffuse:
-    def test_identity(self):
-        assert np.array_equal(refine_diffuse(np.eye(3)), np.eye(3))
-
-    def test_hand_example(self):
-        out = refine_diffuse(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        assert np.allclose(out, [[1.25, 1.0], [1.0, 1.25]])
-
-    def test_output_symmetric_psd(self):
-        rng = np.random.default_rng(34)
-        for _ in range(20):
-            m = rng.normal(size=(8, 8))
-            out = refine_diffuse(m)
-            assert np.max(np.abs(out - out.T)) < 1e-10
-            evals = np.linalg.eigvalsh(out)
-            assert evals.min() >= -1e-10
-
-    @pytest.mark.parametrize("n", [1, _TILE + 1, 2 * _TILE + 1, 600])
-    def test_out_is_the_input_or_another_matrix(self, n):
-        # the refinement chain diffuses with out= its input: the same bits
-        rng = np.random.default_rng(n)
-        m = rng.uniform(-1.0, 1.0, (n, n))
-        before = m.tobytes()
-        expected = refine_diffuse(m).tobytes()
-        other = np.empty((n, n), order="F")
-        assert refine_diffuse(m, out=other) is other
-        assert other.tobytes() == expected
-        assert m.tobytes() == before
-        assert refine_diffuse(m, out=m) is m
-        assert np.asfortranarray(m).tobytes() == expected
-
-    def test_in_place_makes_no_n_by_n_temporary(self):
-        # tracemalloc peak at n = 2000: 0.13 n^2 of float64, gram's block of 256 rows
-        n = 2000
-        m = np.random.default_rng(2).uniform(0.0, 1.0, (n, n))
-        tracemalloc.start()
-        try:
-            refine_diffuse(m, out=m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.15 * 8 * n * n
-
-
 class TestRefineChain:
     def test_block_matrix_fixed_point(self):
         e1, e2 = [1.0, 0.0], [0.0, 1.0]
@@ -433,24 +389,22 @@ class TestRowMaxNormalizeSymmetrize:
         assert out.tobytes() == ((r + r.T) * 0.5).tobytes()
 
     def test_errors_and_their_order(self):
+        # the first row whose maximum is not positive is named, and y is left
+        # as it was; the chain's matrices are finite by construction, so no
+        # finiteness check runs here (non-finite embeddings are refused where
+        # they enter: TestRefineChain::test_bad_embeddings_rejected)
         x = np.random.default_rng(52).uniform(0.1, 1.0, size=(_TILE + 1, 4))
         degenerate = x.copy()
         degenerate[_TILE] = 0.0  # row and column TILE of its Gram matrix are 0
-        nan, both = gram(x), gram(degenerate)
-        for m in (nan, both):
-            m[_TILE - 1, 2] = m[2, _TILE - 1] = np.nan
-        non_finite = (InvalidInputError, "matrix contains non-finite entries")
         for bad, expected in [
             (gram(degenerate),
              (DegenerateAffinityError, f"row {_TILE} has max 0.000e+00 <= 0; cannot normalize")),
             (np.array([[1.0, -0.2], [-0.2, -0.1]]),
              (DegenerateAffinityError, "row 1 has max -1.000e-01 <= 0; cannot normalize")),
-            (nan, non_finite),
-            (both, non_finite),  # non-finite before the row maxima
         ]:
             before = bad.copy(order="F")
             assert raised(_row_max_normalize_symmetrize, bad) == expected
-            assert np.array_equal(bad, before, equal_nan=True)
+            assert np.array_equal(bad, before)
 
     def test_stages_against_the_dense_stages(self, synth_segments):
         # each stage bit for bit from the one before it by its dense oracle,
@@ -475,7 +429,7 @@ class TestRowMaxNormalizeSymmetrize:
         decomp = eigh(refined, count=params.max_clusters + 1)
         k = estimate_k_eigengap(decomp.values, params.min_clusters, params.max_clusters)
         expected = kmeans(spectral_embed(decomp, k), k, seed=params.seed)
-        got = cluster_blurred(blurred_affinity(x, params.sigma), params).clustering
+        got = spectral_cluster(x, params).clustering
         assert got.k == expected.k == k
         assert np.array_equal(got.labels, expected.labels)
 
@@ -878,20 +832,36 @@ class TestSpectralCluster:
         with pytest.raises(InvalidInputError):
             spectral_cluster(np.array([[1.0, 0.0]]), SpectralParams())
 
-    def test_blurred_matrix_left_unchanged(self):
-        # the matrix a grid of percentiles shares: each threshold copies it
+    def test_grid_is_spectral_cluster_per_config(self, monkeypatch):
+        # two sigmas and three percentiles, interleaved: one blurred matrix
+        # per sigma, built in first-seen order, each config solved in a copy
         rng = np.random.default_rng(51)
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         points, _ = planted_points(rng, q.T, per_cluster=40, noise_deg=30)
-        blurred = blurred_affinity(points, 1.0)
-        before = blurred.copy()
-        for p in (50.0, 80.0, 95.0):
-            params = SpectralParams(p_percentile=p, seed=0)
-            result = cluster_blurred(blurred, params)
-            assert np.array_equal(blurred, before)
+        grid = [SpectralParams(sigma=sigma, p_percentile=p, seed=0)
+                for p in (50.0, 80.0, 95.0) for sigma in (1.0, 0.5)]
+        built = []
+        build = diarkit.clustering.blurred_affinity
+
+        def counted(embeddings, sigma):
+            built.append(sigma)
+            return build(embeddings, sigma)
+
+        monkeypatch.setattr(diarkit.clustering, "blurred_affinity", counted)
+        results = spectral_grid(points, grid)
+        monkeypatch.undo()
+        assert built == [1.0, 0.5]
+        assert len(results) == len(grid)
+        for result, params in zip(results, grid):
             expected = spectral_cluster(points, params)
-            assert np.array_equal(result.clustering.labels, expected.clustering.labels)
-            assert np.array_equal(result.eigenvalues, expected.eigenvalues)
+            assert result.clustering.k == expected.clustering.k
+            assert result.clustering.labels.tobytes() == expected.clustering.labels.tobytes()
+            assert result.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+
+    def test_grid_edges(self):
+        assert spectral_grid(np.eye(3), []) == []
+        with pytest.raises(InvalidInputError, match="needs at least 2 segments"):
+            spectral_grid(np.array([[1.0, 0.0]]), [SpectralParams()])
 
     def test_bounds_respected_on_random_inputs(self):
         rng = np.random.default_rng(49)
@@ -1018,6 +988,16 @@ class TestSpectralParams:
             SpectralParams(min_clusters=5, max_clusters=3)
         with pytest.raises(InvalidInputError):
             SpectralParams(seed=-1)
+
+    # the paper's multiplier is 0.01; above 1 (1e160 at n = 60) the diffusion
+    # could overflow, so the range is checked here, where the chain's knobs enter
+    @pytest.mark.parametrize("soft", [-0.01, 1.5, 1e160, math.inf, math.nan])
+    def test_soft_multiplier_outside_the_unit_interval_rejected(self, soft):
+        with pytest.raises(InvalidInputError, match=r"^soft_multiplier must lie in \[0, 1\], got "):
+            SpectralParams(soft_multiplier=soft)
+
+    def test_soft_multiplier_ends_accepted(self):
+        assert [SpectralParams(soft_multiplier=v).soft_multiplier for v in (0, 1)] == [0, 1]
 
     def test_kmeans_params_invalid_rejected(self):
         x = np.eye(3)

@@ -52,8 +52,11 @@ class TestSegment:
         with pytest.raises(InvalidInputError):
             Segment(TimeInterval(0, 1), speaker="")
 
-    def test_unlabeled_allowed(self):
-        assert Segment(TimeInterval(0, 1)).speaker is None
+    def test_speaker_required(self):
+        with pytest.raises(TypeError):
+            Segment(TimeInterval(0, 1))
+        with pytest.raises(InvalidInputError, match="^speaker label must be non-empty$"):
+            Segment(TimeInterval(0, 1), None)
 
 
 class TestAnnotation:
@@ -77,9 +80,10 @@ class TestAnnotation:
                 ),
             )
 
-    def test_all_segments_must_be_labeled(self):
-        with pytest.raises(InvalidInputError):
-            Annotation("rec", (Segment(TimeInterval(0, 1)),))
+    def test_all_segments_are_labeled(self):
+        # a Segment carries a non-empty label by construction
+        ann = Annotation.create("rec", [Segment(TimeInterval(1, 2), "b"), Segment(TimeInterval(0, 1), "a")])
+        assert [seg.speaker for seg in ann] == ["a", "b"]
 
     def test_empty_recording_id_rejected(self):
         with pytest.raises(InvalidInputError):
