@@ -16,7 +16,6 @@ from .aggregation import (
 )
 from .clustering import (
     DEFAULT_MAX_CLUSTERS,
-    NaiveOnlineClusterer,
     SpectralParams,
     SpectralResult,
     estimate_k_eigengap,
@@ -42,7 +41,6 @@ from .core import (
 from .io import (
     parse_rttm,
     parse_uem,
-    pgm_bytes,
     read_embeddings_csv,
     read_regions_csv,
     write_embeddings_csv,
@@ -61,7 +59,6 @@ from .metrics import (
 from .numerics import (
     EigenDecomposition,
     eigh,
-    l2_normalize,
     optimal_assignment,
 )
 from .synth import (

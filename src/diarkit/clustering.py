@@ -5,8 +5,8 @@ count) on a refined cosine affinity: a sigma-only front half,
 blurred_affinity, then one refinement chain that rewrites that matrix in
 place (spectral_cluster shows each stage to an optional observer;
 spectral_grid runs a grid of configs, each chain in a copy of the blurred
-matrix its sigma shares). Online: a naive threshold clusterer, one in, one
-out.
+matrix its sigma shares). Online: a naive threshold clusterer over the rows
+in order.
 
 The chain's input is checked where it enters: embedding_matrix checks the
 embeddings and SpectralParams the knobs. From there every matrix of the
@@ -17,7 +17,7 @@ kernels check nothing again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .numerics import (
     eigh,
     gram,
     gram_diagonal_and_row_max,
-    l2_normalize,
     l2_normalize_rows,
     nearest_rank_index,
     row_block,
@@ -554,43 +553,36 @@ def spectral_grid(embeddings, grid) -> list[SpectralResult]:
     return [results[i] for i in range(len(grid))]
 
 
-@dataclass
-class NaiveOnlineClusterer:
-    """Threshold-based streaming clusterer over running centroid sums.
+def check_threshold(threshold: float) -> None:
+    """The naive online clusterer's cosine threshold must lie in (-1, 1)."""
+    if not (-1.0 < threshold < 1.0):
+        raise InvalidInputError(f"threshold must lie in (-1, 1), got {threshold}")
 
-    Each cluster keeps the sum of its L2-normalized members; cosine to the
-    sum equals cosine to the mean, so the centroid never needs explicit
-    renormalization. A new embedding joins the most similar cluster if
-    that similarity reaches the threshold, otherwise it founds a new
-    cluster. Labels are final the moment they are emitted.
+
+def run_online(embeddings, threshold: float) -> ClusteringResult:
+    """Naive online clustering of the rows of the embedding matrix, in order.
+
+    Each cluster keeps the running sum of its unit rows; cosine to the sum
+    equals cosine to the mean, so the centroid is never renormalized. A row
+    joins the most similar cluster (the lowest label on a tie) if that
+    similarity reaches the threshold, and founds a new cluster otherwise.
+    A row's label depends only on the rows before it.
     """
-
-    threshold: float = 0.5
-    _sums: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
-
-    def __post_init__(self):
-        if not (-1.0 < self.threshold < 1.0):
-            raise InvalidInputError(
-                f"threshold must lie in (-1, 1), got {self.threshold}"
-            )
-
-    def step(self, embedding) -> int:
-        unit = l2_normalize(embedding)
+    check_threshold(threshold)
+    sums: list[np.ndarray] = []
+    labels = []
+    for unit in l2_normalize_rows(embedding_matrix(embeddings)):
         best_label = -1
         best_sim = -math.inf
-        for label, s in enumerate(self._sums):
+        for label, s in enumerate(sums):
             norm = float(np.linalg.norm(s))
             sim = float(unit @ s) / norm if norm >= ZERO_NORM_TOL else -1.0
             if sim > best_sim:
                 best_label, best_sim = label, sim
-        if best_label < 0 or best_sim < self.threshold:
-            self._sums.append(unit.copy())
-            return len(self._sums) - 1
-        self._sums[best_label] = self._sums[best_label] + unit
-        return best_label
-
-
-def run_online(clusterer: NaiveOnlineClusterer, embeddings) -> ClusteringResult:
-    """Feed the rows of the embedding matrix through the online clusterer in order."""
-    labels = [clusterer.step(e) for e in embedding_matrix(embeddings)]
-    return ClusteringResult(labels=np.array(labels), k=max(labels) + 1)
+        if best_label < 0 or best_sim < threshold:
+            best_label = len(sums)
+            sums.append(unit.copy())
+        else:
+            sums[best_label] = sums[best_label] + unit
+        labels.append(best_label)
+    return ClusteringResult(labels=np.array(labels), k=len(sums))

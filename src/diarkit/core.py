@@ -57,17 +57,6 @@ class TimeInterval:
     def duration(self) -> float:
         return self.end - self.start
 
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.start + self.end)
-
-    def contains(self, t: float) -> bool:
-        """Membership under the half-open convention: start <= t < end."""
-        return self.start <= t < self.end
-
-    def overlaps(self, other: "TimeInterval") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 def interval_union(spans: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
     """Union of (start, end) pairs as sorted, disjoint pairs: empty pairs
@@ -142,28 +131,13 @@ class Annotation:
         return TimeInterval(start, end)
 
 
-def as_float_vector(values) -> np.ndarray:
-    """Coerce to a finite 1-D float64 vector of dimension >= 1."""
-    try:
-        v = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged, or items that are not numbers
-        raise InvalidInputError(f"expected a 1-D vector of numbers: {exc}") from None
-    if v.ndim != 1 or v.size < 1:
-        raise InvalidInputError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("vector contains non-finite entries")
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class SegmentEmbedding:
-    """One speech segment and its fixed-dimension embedding vector."""
+    """One speech segment and its embedding vector, as given: the vectors are
+    checked where they enter clustering (pipeline.stack_segments)."""
 
     interval: TimeInterval
     embedding: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "embedding", as_float_vector(self.embedding))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,5 +186,6 @@ def annotation_from_clusters(
             merged[-1] = (merged[-1][0], interval.end, name)
         else:
             merged.append((interval.start, interval.end, name))
-    segments = [Segment(TimeInterval(s, e), name) for s, e, name in merged]
-    return Annotation.create(recording_id, segments)
+    # merged in start order, which the constructor checks: no sort again
+    segments = tuple(Segment(TimeInterval(s, e), name) for s, e, name in merged)
+    return Annotation(recording_id, segments)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .aggregation import InvalidWindowError, Windows
 from .core import Annotation, InvalidInputError, ParseError, Segment, TimeInterval, interval_union
-from .numerics import all_finite, row_block
+from .numerics import row_block
 
 RTTM_FIELDS = 10
 
@@ -194,19 +194,25 @@ def read_regions_csv(text: str) -> list[TimeInterval]:
     return regions
 
 
-def _pgm(matrix) -> np.ndarray:
-    """pgm_bytes' file as a uint8 array, its pixels written a row block at a
-    time: no float matrix of the input's size."""
+def write_pgm_heatmap(matrix, path) -> None:
+    """Write a matrix as a binary PGM (P5): affine map [min, max] -> [0, 255],
+    each entry x to rint((x - min) / (max - min) * 255), clipped to [0, 255].
+
+    A constant matrix maps to a uniform 128. The pixels are written a row
+    block at a time into the file's own buffer: no float matrix of the
+    input's size, and no bytes copy.
+    """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise InvalidInputError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-    if not all_finite(m):
+    lo, hi = float(m.min()), float(m.max())
+    # a NaN entry makes both NaN, an infinite one min or max infinite
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError("matrix contains non-finite entries")
     header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii")
     pgm = np.empty(len(header) + m.size, dtype=np.uint8)
     pgm[: len(header)] = np.frombuffer(header, dtype=np.uint8)
     pixels = pgm[len(header) :].reshape(m.shape)
-    lo, hi = float(m.min()), float(m.max())
     if hi > lo:
         step = row_block(m.shape[1])
         for r in range(0, m.shape[0], step):
@@ -216,17 +222,4 @@ def _pgm(matrix) -> np.ndarray:
             pixels[r : r + step] = np.clip(np.rint(block, out=block), 0, 255, out=block)
     else:
         pixels[...] = 128
-    return pgm
-
-
-def pgm_bytes(matrix) -> bytes:
-    """Binary PGM (P5) of a matrix: affine map [min, max] -> [0, 255], each
-    entry x to rint((x - min) / (max - min) * 255), clipped to [0, 255].
-
-    A constant matrix maps to a uniform 128.
-    """
-    return _pgm(matrix).tobytes()
-
-
-def write_pgm_heatmap(matrix, path) -> None:
-    Path(path).write_bytes(_pgm(matrix))  # the array's own buffer: no bytes copy
+    Path(path).write_bytes(pgm)

@@ -174,7 +174,7 @@ def map_speakers(
         return {}
     if np.any(overlap < 0):
         raise InvalidInputError("overlap durations must be >= 0")
-    pairs = optimal_assignment(overlap, maximize=True)
+    pairs = optimal_assignment(overlap)
     return {ref_labels[i]: hyp_labels[j] for i, j in pairs}
 
 

@@ -23,25 +23,17 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .core import InvalidInputError, NumericError, as_float_vector
+from .core import InvalidInputError, NumericError
 
 # Norms below this are treated as zero vectors (no meaningful direction).
 ZERO_NORM_TOL = 1e-12
 
 
-def l2_normalize(v) -> np.ndarray:
-    """Return v / ||v||_2. Raises InvalidInputError for (near-)zero vectors."""
-    v = as_float_vector(v)
-    norm = float(np.linalg.norm(v))
-    if norm < ZERO_NORM_TOL:
-        raise InvalidInputError("cannot normalize a zero vector")
-    return v / norm
-
-
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
-    """l2_normalize of each row of a finite (m, d) matrix, in one pass.
+    """Each row of a finite (m, d) matrix divided by its L2 norm, in one pass.
+    Raises InvalidInputError if a row's norm is below ZERO_NORM_TOL.
 
-    Bit for bit the same as l2_normalize row by row: the stacked product
+    Bit for bit row / np.linalg.norm(row), row by row: the stacked product
     takes each row's squared norm with the dot product np.linalg.norm uses
     on one vector (np.linalg.norm(x, axis=1) sums in another order, and its
     last bits differ).
@@ -121,13 +113,6 @@ _BLOCK_ENTRIES = 1 << 16
 def row_block(width: int) -> int:
     """How many rows of a `width`-column matrix one block pass takes (>= 1)."""
     return max(1, _BLOCK_ENTRIES // max(1, width))
-
-
-def all_finite(m: np.ndarray) -> bool:
-    """Whether every entry of a 2-D matrix is finite, read a row block at a
-    time: no boolean mask of m's size."""
-    step = row_block(m.shape[1])
-    return all(np.isfinite(m[lo : lo + step]).all() for lo in range(0, m.shape[0], step))
 
 
 # Passes that read a matrix against its transpose walk square tiles of this
@@ -316,32 +301,32 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def optimal_assignment(cost, maximize: bool = False) -> list[tuple[int, int]]:
-    """Optimal one-to-one assignment of size min(r, c) on an r x c matrix.
+def optimal_assignment(weights) -> list[tuple[int, int]]:
+    """Maximum-weight one-to-one assignment of size min(r, c) on an r x c matrix.
 
-    Returns (row, col) pairs, rows ascending, minimizing total cost, or
-    maximizing total weight when `maximize` is set.
+    Returns (row, col) pairs, rows ascending, maximizing the total weight.
 
+    The solver minimizes, so it gets each entry's distance below the maximum.
     Every full matching has min(r, c) edges, so adding one constant to every
-    entry leaves the optimum where it is: the solver gets costs shifted up to
-    [span, 2 span] (span = max - min, or 1 if all are equal), as it takes a
-    zero entry for a missing edge. Integer costs spanning less than 2**52
-    stay exact.
+    entry leaves the optimum where it is: those costs are shifted up to
+    [span, 2 span] (span = max - min, or 1 if all are equal), as the solver
+    takes a zero entry for a missing edge. Integer weights spanning less than
+    2**52 stay exact.
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.size == 0:
-        raise InvalidInputError(f"expected a non-empty 2-D matrix, got shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2 or weights.size == 0:
+        raise InvalidInputError(f"expected a non-empty 2-D matrix, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
         raise InvalidInputError("assignment matrix contains non-finite entries")
-    low, high = float(cost.min()), float(cost.max())
-    if not math.isfinite(4 * (high - low)):  # weights reach 2 span; a power of two scales exactly
-        cost, low, high = cost / 8, low / 8, high / 8
+    low, high = float(weights.min()), float(weights.max())
+    if not math.isfinite(4 * (high - low)):  # costs reach 2 span; a power of two scales exactly
+        weights, low, high = weights / 8, low / 8, high / 8
     span = (high - low) or 1.0
-    weights = (high - cost if maximize else cost - low) + span
-    # every weight is >= span > 0, so the matrix is full: build it row by row
-    r, c = weights.shape
+    costs = (high - weights) + span
+    # every cost is >= span > 0, so the matrix is full: build it row by row
+    r, c = costs.shape
     indices = np.tile(np.arange(c, dtype=np.int32), r)
     indptr = np.arange(0, r * c + 1, c, dtype=np.int32)
-    matrix = csr_array((weights.ravel(), indices, indptr), shape=(r, c))
+    matrix = csr_array((costs.ravel(), indices, indptr), shape=(r, c))
     rows, cols = min_weight_full_bipartite_matching(matrix)
     return list(zip(rows.tolist(), cols.tolist()))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .aggregation import DEFAULT_MAX_SEGMENT_LEN, aggregate, regions_from_windows, segmentize
 from .clustering import (
-    NaiveOnlineClusterer,
     SpectralParams,
+    check_threshold,
     embedding_matrix,
     estimate_k_elbow,
     kmeans,
@@ -54,7 +54,7 @@ class DiarizeConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise InvalidInputError(f"unknown algorithm {self.algorithm!r}")
-        NaiveOnlineClusterer(self.threshold)  # validates the threshold
+        check_threshold(self.threshold)
 
 
 def segment_embeddings(windows, regions, max_len: float = DEFAULT_MAX_SEGMENT_LEN):
@@ -67,7 +67,8 @@ def segment_embeddings(windows, regions, max_len: float = DEFAULT_MAX_SEGMENT_LE
 
 def stack_segments(seg_embs) -> tuple[np.ndarray, list[TimeInterval]]:
     """segment_embeddings' output as the (n, d) matrix the clusterers take and
-    the n intervals their labels belong to."""
+    the n intervals their labels belong to. The vectors are checked here,
+    by embedding_matrix: ragged, non-numeric or non-finite ones are refused."""
     return embedding_matrix([se.embedding for se in seg_embs]), [se.interval for se in seg_embs]
 
 
@@ -96,7 +97,7 @@ def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
         return resegment(x, ClusteringResult(result.labels[assignment], result.k),
                          min_clusters=params.min_clusters)
     if config.algorithm == "naive":
-        return run_online(NaiveOnlineClusterer(config.threshold), x)
+        return run_online(x, config.threshold)
     n = len(x)
     min_c, max_c = min(params.min_clusters, n), min(params.max_clusters, n)
     if max_c == 1:

@@ -32,16 +32,36 @@ from diarkit import (
     SegmentEmbedding,
     TimeInterval,
     Windows,
-    l2_normalize,
 )
-from diarkit.core import as_float_vector
 from diarkit.numerics import ZERO_NORM_TOL, l2_normalize_rows, nearest_rank_index
+
+
+def float_vector(values) -> np.ndarray:
+    """values as a finite 1-D float64 vector of dimension >= 1."""
+    try:
+        v = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"expected a 1-D vector of numbers: {exc}") from None
+    if v.ndim != 1 or v.size < 1:
+        raise InvalidInputError(f"expected a 1-D vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError("vector contains non-finite entries")
+    return v
+
+
+def unit_vector(values) -> np.ndarray:
+    """One vector over its own np.linalg.norm; InvalidInputError if that is zero."""
+    v = float_vector(values)
+    norm = float(np.linalg.norm(v))
+    if norm < ZERO_NORM_TOL:
+        raise InvalidInputError("cannot normalize a zero vector")
+    return v / norm
 
 
 def cosine_similarity(a, b) -> float:
     """Cosine of the angle between a and b, clamped to [-1, 1]."""
-    a = as_float_vector(a)
-    b = as_float_vector(b)
+    a = float_vector(a)
+    b = float_vector(b)
     if a.shape != b.shape:
         raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
     na = float(np.linalg.norm(a))
@@ -66,28 +86,26 @@ def nearest_rank_percentile(row, p: float) -> float:
     return float(ordered[nearest_rank_index(p, row.size)])
 
 
-def brute_force_assignment(matrix: np.ndarray, maximize: bool) -> float:
-    """Best achievable total over all one-to-one assignments of size min(r, c)."""
+def brute_force_assignment(matrix: np.ndarray) -> float:
+    """Largest total over all one-to-one assignments of size min(r, c)."""
     m = np.asarray(matrix, dtype=np.float64)
     r, c = m.shape
-    best = -math.inf if maximize else math.inf
+    best = -math.inf
     if r <= c:
         for cols in itertools.permutations(range(c), r):
-            total = sum(m[i, j] for i, j in enumerate(cols))
-            best = max(best, total) if maximize else min(best, total)
+            best = max(best, sum(m[i, j] for i, j in enumerate(cols)))
     else:
         for rows in itertools.permutations(range(r), c):
-            total = sum(m[i, j] for j, i in enumerate(rows))
-            best = max(best, total) if maximize else min(best, total)
+            best = max(best, sum(m[i, j] for j, i in enumerate(rows)))
     return best
 
 
-def scipy_assignment_total(matrix: np.ndarray, maximize: bool) -> float:
-    """Optimal one-to-one assignment total by scipy.optimize.linear_sum_assignment:
+def scipy_assignment_total(matrix: np.ndarray) -> float:
+    """Maximum one-to-one assignment total by scipy.optimize.linear_sum_assignment:
     the package's solver before it moved to scipy.sparse.csgraph, and an
     oracle at sizes exhaustive search cannot reach."""
     m = np.asarray(matrix, dtype=np.float64)
-    rows, cols = linear_sum_assignment(m, maximize=maximize)
+    rows, cols = linear_sum_assignment(m, maximize=True)
     return float(m[rows, cols].sum())
 
 
@@ -280,7 +298,7 @@ def resegment_oracle(x: np.ndarray, labels, penalty: float, rounds: int) -> list
     normalized row sum, R the mean clipped cosine of each row to its own,
     kappa = R (d - R^2) / (1 - R^2); labels are kept when R is not in (0, 1),
     and an emptied cluster is dropped, the rest renumbered in order."""
-    u = np.array([l2_normalize(row) for row in x])
+    u = np.array([unit_vector(row) for row in x])
     z = [int(v) for v in labels]
     for _ in range(rounds):
         k = max(z) + 1
@@ -313,9 +331,9 @@ def aggregate_oracle(windows, segments) -> list[SegmentEmbedding]:
     sums: list[np.ndarray | None] = [None] * len(segments)
     counts = [0] * len(segments)
     for start, end, vector in zip(windows.starts.tolist(), windows.ends.tolist(), windows.vectors):
-        center = TimeInterval(start, end).center
+        center = 0.5 * (start + end)
         idx = int(np.searchsorted(starts, center, side="right")) - 1
-        if idx < 0 or not segments[idx].contains(center):
+        if idx < 0 or not segments[idx].start <= center < segments[idx].end:
             continue
         vector = np.array(vector)
         norm = float(np.linalg.norm(vector))
@@ -427,10 +445,12 @@ def der_oracle(
             for b in (seg.interval.start, seg.interval.end)
         ):
             continue
-        active_ref = {seg.speaker for seg in reference if seg.interval.contains(mid)}
+        active_ref = {seg.speaker for seg in reference
+                      if seg.interval.start <= mid < seg.interval.end}
         if opts.exclude_overlap and len(active_ref) >= 2:
             continue
-        active_hyp = {seg.speaker for seg in hypothesis if seg.interval.contains(mid)}
+        active_hyp = {seg.speaker for seg in hypothesis
+                      if seg.interval.start <= mid < seg.interval.end}
         slices.append((right - left, active_ref, active_hyp))
 
     def matched_total(mapping: dict[str, str]) -> float:
@@ -485,12 +505,13 @@ def overlap_milliseconds(
         mid = (left + right) / 2.0
         for i, r in enumerate(ref_labels):
             if not any(
-                seg.interval.contains(mid) for seg in reference if seg.speaker == r
+                seg.interval.start <= mid < seg.interval.end
+                for seg in reference if seg.speaker == r
             ):
                 continue
             for j, h in enumerate(hyp_labels):
                 if any(
-                    seg.interval.contains(mid)
+                    seg.interval.start <= mid < seg.interval.end
                     for seg in hypothesis
                     if seg.speaker == h
                 ):
@@ -574,7 +595,7 @@ def angular_stats(windows: Windows, reference: Annotation) -> dict[str, SpeakerS
     stats: dict[str, SpeakerStats] = {}
     for speaker in speakers[np.sort(first)].tolist():
         vecs = unit[speakers == speaker]
-        mean = l2_normalize(np.sum(vecs, axis=0))
+        mean = unit_vector(np.sum(vecs, axis=0))
         cosines = np.clip(vecs @ mean, -1.0, 1.0)
         spread = float(np.degrees(np.mean(np.arccos(cosines))))
         stats[speaker] = SpeakerStats(

@@ -210,7 +210,7 @@ def test_der_oracle_equivalence(capsys):
                 matrix[ref_labels.index(r), hyp_labels.index(h)]
                 for r, h in mapping.items()
             )
-            if total != brute_force_assignment(matrix, maximize=True):
+            if total != brute_force_assignment(matrix):
                 mapping_mismatches += 1
         checked += 1
 

@@ -16,7 +16,6 @@ from diarkit import (
     generate,
     parse_rttm,
     parse_uem,
-    pgm_bytes,
     read_embeddings_csv,
     read_regions_csv,
     write_embeddings_csv,
@@ -26,6 +25,7 @@ from diarkit.aggregation import DEFAULT_MAX_SEGMENT_LEN
 from diarkit.cli import MAX_GRID_VALUES, _parse_grid, _read, build_parser, main
 from diarkit.pipeline import ALGORITHMS, DiarizeConfig, diarize, segment_embeddings
 from helpers import run_python
+import test_io
 
 E1_E1_E2_CSV = (
     "start,end,v0,v1\n"
@@ -146,7 +146,7 @@ class TestDiarize:
         assert rc == 0
         (m,) = solved
         data = (tmp_path / "run_04_refined.pgm").read_bytes()
-        assert data == pgm_bytes(m)
+        assert data == test_io.TestPgm.whole_matrix_pgm(m)
         n = len(m)
         grid = np.frombuffer(data[len(f"P5\n{n} {n}\n255\n"):], dtype=np.uint8).reshape(n, n)
         assert np.array_equal(grid, grid.T)
@@ -173,7 +173,8 @@ class TestDiarize:
         for name in ("blur", "symmetrize", "diffuse", "refined"):
             data = next(tmp_path.glob(f"run_*_{name}.pgm")).read_bytes()
             assert data.startswith(b"P5\n30 30\n255\n")
-        assert (tmp_path / "run_04_refined.pgm").read_bytes() == pgm_bytes(m)
+        expected = test_io.TestPgm.whole_matrix_pgm(m)
+        assert (tmp_path / "run_04_refined.pgm").read_bytes() == expected
 
     @pytest.mark.parametrize("cap, counted", [(None, "blurred_affinity"), (50, "precluster")])
     def test_dump_stages_runs_the_chain_once(self, tmp_path, monkeypatch, cap, counted):

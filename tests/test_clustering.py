@@ -16,7 +16,6 @@ from diarkit import (
     DegenerateAffinityError,
     EigenDecomposition,
     InvalidInputError,
-    NaiveOnlineClusterer,
     SegmentEmbedding,
     SpectralParams,
     SynthScenario,
@@ -151,11 +150,10 @@ class TestEmbeddingMatrix:
             lambda x: spectral_grid(x, [SpectralParams()]),
             lambda x: kmeans(x, 2),
             lambda x: estimate_k_elbow(x, 3),
-            lambda x: run_online(NaiveOnlineClusterer(), x),
-            lambda x: NaiveOnlineClusterer().step(x[0]),
+            lambda x: run_online(x, 0.5),
         ],
         ids=["embedding_matrix", "blurred_affinity", "refinement_stages", "spectral_cluster",
-             "spectral_grid", "kmeans", "estimate_k_elbow", "run_online", "step"],
+             "spectral_grid", "kmeans", "estimate_k_elbow", "run_online"],
     )
     def test_segment_objects_rejected(self, call):
         # the clusterers take the matrix; pipeline.stack_segments builds it
@@ -1009,64 +1007,56 @@ class TestSpectralParams:
 
 
 class TestNaiveOnline:
+    @staticmethod
+    def labels(rows, threshold: float) -> list[int]:
+        return run_online(np.array(rows, dtype=np.float64), threshold).labels.tolist()
+
     def test_first_embedding_creates_cluster_zero(self):
-        clusterer = NaiveOnlineClusterer(threshold=0.5)
-        assert clusterer.step([1.0, 0.0]) == 0
+        assert self.labels([[1.0, 0.0]], 0.5) == [0]
 
     def test_orthogonal_splits(self):
-        clusterer = NaiveOnlineClusterer(threshold=0.5)
         e1, e2 = [1.0, 0.0], [0.0, 1.0]
-        assert [clusterer.step(v) for v in (e1, e1, e2)] == [0, 0, 1]
+        assert self.labels([e1, e1, e2], 0.5) == [0, 0, 1]
 
     def test_join_updates_centroid(self):
-        clusterer = NaiveOnlineClusterer(threshold=0.5)
-        s = 1 / math.sqrt(2)
-        assert clusterer.step([1.0, 0.0]) == 0
-        assert clusterer.step([1.0, 1.0]) == 0  # cos = 0.7071 >= 0.5
-        centroid = clusterer._sums[0] / 2  # mean of the two members
-        assert np.allclose(centroid, [(1 + s) / 2, s / 2])
+        # [1, 1] joins e1 (cos 0.7071 >= 0.5) and turns the centroid to 22.5
+        # degrees, so the row at 80.5 degrees joins it too (cos 0.530); to e1
+        # alone its cosine, 0.165, would found a second cluster
+        late = [math.cos(math.radians(80.5)), math.sin(math.radians(80.5))]
+        assert self.labels([[1.0, 0.0], late], 0.5) == [0, 1]
+        assert self.labels([[1.0, 0.0], [1.0, 1.0], late], 0.5) == [0, 0, 0]
 
     def test_below_threshold_founds_new_cluster(self):
-        clusterer = NaiveOnlineClusterer(threshold=0.9)
-        assert clusterer.step([1.0, 0.0]) == 0
-        assert clusterer.step([1.0, 1.0]) == 1  # cos = 0.7071 < 0.9
+        assert self.labels([[1.0, 0.0], [1.0, 1.0]], 0.9) == [0, 1]  # cos = 0.7071 < 0.9
 
     def test_ties_go_to_lowest_label(self):
-        clusterer = NaiveOnlineClusterer(threshold=0.1)
-        clusterer.step([1.0, 0.0])
-        clusterer.step([0.0, 1.0])  # cos 0 < 0.1: new cluster
-        # equidistant from both centroids: joins cluster 0
-        assert clusterer.step([1.0, 1.0]) == 0
+        # [1, 1] is equidistant from both centroids (cos 0 < 0.1 split them): it joins 0
+        assert self.labels([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 0.1) == [0, 1, 0]
 
     def test_prefix_property(self):
         rng = np.random.default_rng(50)
         stream = rng.normal(size=(40, 5))
-        full = NaiveOnlineClusterer(threshold=0.3)
-        full_labels = [full.step(v) for v in stream]
+        full_labels = self.labels(stream, 0.3)
         for cut in (1, 7, 23, 40):
-            fresh = NaiveOnlineClusterer(threshold=0.3)
-            prefix_labels = [fresh.step(v) for v in stream[:cut]]
-            assert prefix_labels == full_labels[:cut]
+            assert self.labels(stream[:cut], 0.3) == full_labels[:cut]
 
     def test_zero_vector_rejected(self):
-        clusterer = NaiveOnlineClusterer(threshold=0.5)
-        with pytest.raises(InvalidInputError):
-            clusterer.step([0.0, 0.0])
+        with pytest.raises(InvalidInputError, match="^cannot normalize a zero vector$"):
+            run_online(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.5)
 
-    def test_threshold_validated(self):
-        with pytest.raises(InvalidInputError):
-            NaiveOnlineClusterer(threshold=1.0)
-        with pytest.raises(InvalidInputError):
-            NaiveOnlineClusterer(threshold=-1.0)
+    @pytest.mark.parametrize("threshold", [1.0, -1.0, math.nan])
+    def test_threshold_validated(self, threshold):
+        with pytest.raises(InvalidInputError, match=r"^threshold must lie in \(-1, 1\), got "):
+            run_online(np.eye(2), threshold)
 
     def test_run_online_dense_result(self):
         rng = np.random.default_rng(51)
-        result = run_online(NaiveOnlineClusterer(threshold=0.4), rng.normal(size=(20, 4)))
+        result = run_online(rng.normal(size=(20, 4)), 0.4)
         assert isinstance(result, ClusteringResult)
         assert set(result.labels.tolist()) == set(range(result.k))
 
     def test_one_cluster_when_every_row_joins_the_first(self):
-        result = run_online(NaiveOnlineClusterer(threshold=0.5), np.tile([1.0, 2.0, 0.5], (5, 1)))
+        result = run_online(np.tile([1.0, 2.0, 0.5], (5, 1)), 0.5)
         assert result.k == 1
         assert result.labels.tolist() == [0] * 5
 

@@ -6,24 +6,14 @@ from diarkit import (
     ClusteringResult,
     InvalidInputError,
     Segment,
-    SegmentEmbedding,
     TimeInterval,
     annotation_from_clusters,
 )
 
 
 class TestTimeInterval:
-    def test_duration_and_center(self):
-        iv = TimeInterval(1.0, 3.0)
-        assert iv.duration == 2.0
-        assert iv.center == 2.0
-
-    def test_contains_is_half_open(self):
-        iv = TimeInterval(1.0, 3.0)
-        assert iv.contains(1.0)
-        assert iv.contains(2.999)
-        assert not iv.contains(3.0)
-        assert not iv.contains(0.999)
+    def test_duration(self):
+        assert TimeInterval(1.0, 3.0).duration == 2.0
 
     def test_end_must_exceed_start(self):
         with pytest.raises(InvalidInputError):
@@ -40,11 +30,6 @@ class TestTimeInterval:
             TimeInterval(0.0, float("nan"))
         with pytest.raises(InvalidInputError):
             TimeInterval(0.0, float("inf"))
-
-    def test_overlaps(self):
-        a = TimeInterval(0.0, 2.0)
-        assert a.overlaps(TimeInterval(1.0, 3.0))
-        assert not a.overlaps(TimeInterval(2.0, 3.0))  # touching is not overlap
 
 
 class TestSegment:
@@ -120,20 +105,6 @@ class TestAnnotation:
             ],
         )
         assert len(ann) == 2
-
-
-class TestSegmentEmbedding:
-    def test_vector_coerced_to_float(self):
-        se = SegmentEmbedding(TimeInterval(0, 1), [1, 2, 3])
-        assert se.embedding.dtype == np.float64
-
-    def test_non_finite_vector_rejected(self):
-        with pytest.raises(InvalidInputError):
-            SegmentEmbedding(TimeInterval(0, 1), [1.0, float("nan")])
-
-    def test_scalar_rejected(self):
-        with pytest.raises(InvalidInputError):
-            SegmentEmbedding(TimeInterval(0, 1), 3.0)
 
 
 class TestClusteringResult:

@@ -17,7 +17,6 @@ from diarkit import (
     generate,
     parse_rttm,
     parse_uem,
-    pgm_bytes,
     read_embeddings_csv,
     read_regions_csv,
     write_embeddings_csv,
@@ -215,33 +214,37 @@ class TestRegionsCsv:
 
 
 class TestPgm:
-    def test_header_and_scaling(self):
-        data = pgm_bytes(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    @staticmethod
+    def pgm(tmp_path, m) -> bytes:
+        path = tmp_path / "heatmap.pgm"
+        write_pgm_heatmap(m, path)
+        return path.read_bytes()
+
+    def test_header_and_scaling(self, tmp_path):
+        data = self.pgm(tmp_path, np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert data.startswith(b"P5\n2 2\n255\n")
         assert data[len(b"P5\n2 2\n255\n") :] == bytes([0, 255, 255, 0])
 
-    def test_constant_matrix_is_mid_gray(self):
-        data = pgm_bytes(np.full((3, 3), 0.7))
+    def test_constant_matrix_is_mid_gray(self, tmp_path):
+        data = self.pgm(tmp_path, np.full((3, 3), 0.7))
         assert data[-9:] == bytes([128] * 9)
 
-    def test_identity_matrix(self):
-        data = pgm_bytes(np.eye(3))
+    def test_identity_matrix(self, tmp_path):
+        data = self.pgm(tmp_path, np.eye(3))
         pixels = data[len(b"P5\n3 3\n255\n") :]
         expected = bytes([255, 0, 0, 0, 255, 0, 0, 0, 255])
         assert pixels == expected
 
-    def test_affine_rounding(self):
-        data = pgm_bytes(np.array([[0.0, 0.5, 1.0]]))
+    def test_affine_rounding(self, tmp_path):
+        data = self.pgm(tmp_path, np.array([[0.0, 0.5, 1.0]]))
         assert data[-3:] == bytes([0, 128, 255])
 
-    def test_write_to_disk(self, tmp_path):
-        path = tmp_path / "affinity.pgm"
-        write_pgm_heatmap(np.array([[0.0, 1.0]]), path)
-        assert path.read_bytes() == pgm_bytes(np.array([[0.0, 1.0]]))
-
-    def test_non_finite_rejected(self):
+    # min and max are NaN or infinite exactly when an entry is not finite
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, bad):
         with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
-            pgm_bytes(np.array([[np.nan, 1.0]]))
+            write_pgm_heatmap(np.array([[0.5, 1.0], [bad, 0.0]]), tmp_path / "bad.pgm")
+        assert not (tmp_path / "bad.pgm").exists()
 
     @staticmethod
     def whole_matrix_pgm(m: np.ndarray) -> bytes:
@@ -251,22 +254,22 @@ class TestPgm:
         body = np.clip(pixels, 0, 255).astype(np.uint8).tobytes()
         return f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii") + body
 
-    def test_row_blocks_give_the_whole_matrix_formula(self):
+    def test_row_blocks_give_the_whole_matrix_formula(self, tmp_path):
         # 700 columns make row blocks of 93 rows: 400 rows are five blocks,
         # the last one short; the transposed view is an F-ordered matrix
         rng = np.random.default_rng(53)
         m = rng.standard_normal((400, 700))
         for given in (m, m.T, np.full((300, 700), -2.5)):
-            assert pgm_bytes(given) == self.whole_matrix_pgm(given)
+            assert self.pgm(tmp_path, given) == self.whole_matrix_pgm(given)
 
-    def test_no_float_matrix_of_the_input_size(self):
-        # the body is 1/8 of the matrix and its bytes copy another 1/8: about
-        # 0.28 n^2 float64 at the peak, where whole-matrix temporaries took 2.1
+    def test_no_float_matrix_of_the_input_size(self, tmp_path):
+        # the file's buffer is 1/8 of the matrix and is written as it is:
+        # about 0.18 n^2 float64 at the peak, where whole-matrix temporaries took 2.1
         n = 1500
         m = np.random.default_rng(54).uniform(-1.0, 1.0, (n, n))
         tracemalloc.start()
         try:
-            pgm_bytes(m)
+            write_pgm_heatmap(m, tmp_path / "heatmap.pgm")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

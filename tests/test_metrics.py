@@ -318,7 +318,7 @@ class TestInvariants:
             )
             from oracles import brute_force_assignment
 
-            assert total == brute_force_assignment(matrix, maximize=True)
+            assert total == brute_force_assignment(matrix)
             checked += 1
 
 

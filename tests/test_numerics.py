@@ -14,7 +14,6 @@ from diarkit import (
     SpectralParams,
     eigh,
     estimate_k_eigengap,
-    l2_normalize,
     optimal_assignment,
 )
 from diarkit.numerics import _TILE, blurred_gram, gram, l2_normalize_rows, upper_tiles
@@ -31,21 +30,12 @@ from oracles import (
 )
 
 
-class TestL2Normalize:
-    def test_unit_output(self):
-        v = l2_normalize([3.0, 4.0])
-        assert np.allclose(v, [0.6, 0.8])
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(InvalidInputError):
-            l2_normalize([0.0, 0.0])
-
-    def test_already_unit(self):
-        v = l2_normalize([1.0, 0.0])
-        assert np.array_equal(v, [1.0, 0.0])
-
-
 class TestL2NormalizeRows:
+    def test_unit_output(self):
+        u = l2_normalize_rows(np.array([[3.0, 4.0], [1.0, 0.0]]))
+        assert np.allclose(u[0], [0.6, 0.8])
+        assert np.array_equal(u[1], [1.0, 0.0])  # an already unit row stays as it is
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 17, 64, 256])
     def test_bit_identical_to_per_vector_norm(self, dim):
         # each row over np.linalg.norm of that row on its own, bit for bit
@@ -53,7 +43,6 @@ class TestL2NormalizeRows:
         x = rng.standard_normal((2000, dim)) * rng.uniform(0.01, 100.0, (2000, 1))
         expected = np.stack([row / np.linalg.norm(np.array(row)) for row in x])
         assert l2_normalize_rows(x).tobytes() == expected.tobytes()
-        assert l2_normalize(x[0]).tobytes() == expected[0].tobytes()
 
     def test_zero_row_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -515,15 +504,15 @@ class TestEighPartial:
 
 class TestOptimalAssignment:
     def test_maximize_example(self):
-        pairs = optimal_assignment([[5, 1], [2, 4]], maximize=True)
+        pairs = optimal_assignment([[5, 1], [2, 4]])
         assert set(pairs) == {(0, 0), (1, 1)}
 
     def test_identity_weights(self):
-        pairs = optimal_assignment(np.eye(4), maximize=True)
+        pairs = optimal_assignment(np.eye(4))
         assert set(pairs) == {(i, i) for i in range(4)}
 
     def test_antidiagonal(self):
-        pairs = optimal_assignment([[0, 9], [9, 0]], maximize=True)
+        pairs = optimal_assignment([[0, 9], [9, 0]])
         assert set(pairs) == {(0, 1), (1, 0)}
 
     def test_matches_brute_force_on_random_matrices(self):
@@ -532,24 +521,22 @@ class TestOptimalAssignment:
             r = int(rng.integers(1, 7))
             c = int(rng.integers(1, 7))
             m = rng.normal(size=(r, c))
-            for maximize in (False, True):
-                pairs = optimal_assignment(m, maximize=maximize)
-                assert len(pairs) == min(r, c)
-                total = sum(m[i, j] for i, j in pairs)
-                best = brute_force_assignment(m, maximize)
-                assert abs(total - best) < 1e-9
+            pairs = optimal_assignment(m)
+            assert len(pairs) == min(r, c)
+            total = sum(m[i, j] for i, j in pairs)
+            assert abs(total - brute_force_assignment(m)) < 1e-9
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             optimal_assignment([[np.nan, 1.0], [1.0, 0.0]])
 
     @staticmethod
-    def assert_optimal(m, maximize):
+    def assert_optimal(m):
         """min(r, c) pairs, rows ascending, columns distinct, and the oracle's
         total: exactly on integer matrices, on real ones within 1e-9 of the
         largest total one could reach."""
         m = np.asarray(m, dtype=np.float64)
-        pairs = optimal_assignment(m, maximize=maximize)
+        pairs = optimal_assignment(m)
         rows = [i for i, _ in pairs]
         cols = [j for _, j in pairs]
         assert len(pairs) == min(m.shape)
@@ -557,45 +544,41 @@ class TestOptimalAssignment:
         assert len(set(cols)) == len(cols)
         assert all(0 <= i < m.shape[0] and 0 <= j < m.shape[1] for i, j in pairs)
         total = sum(m[i, j] for i, j in pairs)
-        best = scipy_assignment_total(m, maximize)
+        best = scipy_assignment_total(m)
         if np.array_equal(m, np.round(m)):
             assert total == best
         else:
             assert abs(total - best) <= 1e-9 * min(m.shape) * np.abs(m).max()
 
-    @pytest.mark.parametrize("maximize", [False, True])
-    def test_random_real_and_integer_matrices_match_oracle(self, maximize):
+    def test_random_real_and_integer_matrices_match_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             shape = tuple(int(s) for s in rng.integers(1, 9, size=2))
-            self.assert_optimal(rng.normal(scale=10.0, size=shape), maximize)
+            self.assert_optimal(rng.normal(scale=10.0, size=shape))
             # overlaps in 1e-7 s ticks: up to 20 minutes of speech per pair
-            self.assert_optimal(rng.integers(0, 12 * 10**9, size=shape), maximize)
+            self.assert_optimal(rng.integers(0, 12 * 10**9, size=shape))
 
-    @pytest.mark.parametrize("maximize", [False, True])
-    def test_ties(self, maximize):
+    def test_ties(self):
         rng = np.random.default_rng(22)
-        self.assert_optimal(np.zeros((5, 5)), maximize)
-        self.assert_optimal(np.zeros((3, 7)), maximize)
+        self.assert_optimal(np.zeros((5, 5)))
+        self.assert_optimal(np.zeros((3, 7)))
         base = rng.integers(0, 5, size=(3, 4))
-        self.assert_optimal(base[[0, 0, 1, 1, 2]], maximize)  # duplicate rows
-        self.assert_optimal(base[:, [0, 1, 1, 3, 3, 2]], maximize)  # duplicate columns
-        self.assert_optimal(np.full((4, 6), 7.0), maximize)
+        self.assert_optimal(base[[0, 0, 1, 1, 2]])  # duplicate rows
+        self.assert_optimal(base[:, [0, 1, 1, 3, 3, 2]])  # duplicate columns
+        self.assert_optimal(np.full((4, 6), 7.0))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (3, 5), (5, 3), (2, 9), (9, 2)])
-    @pytest.mark.parametrize("maximize", [False, True])
-    def test_shapes(self, shape, maximize):
+    def test_shapes(self, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
-        self.assert_optimal(rng.normal(size=shape), maximize)
-        self.assert_optimal(rng.integers(-9, 10, size=shape), maximize)
+        self.assert_optimal(rng.normal(size=shape))
+        self.assert_optimal(rng.integers(-9, 10, size=shape))
 
-    @pytest.mark.parametrize("maximize", [False, True])
-    def test_negative_costs(self, maximize):
+    def test_negative_costs(self):
         rng = np.random.default_rng(23)
         for shape in [(4, 4), (3, 6), (6, 3)]:
-            self.assert_optimal(-rng.uniform(1.0, 100.0, size=shape), maximize)
-            self.assert_optimal(rng.integers(-50, -1, size=shape), maximize)
-            self.assert_optimal(rng.integers(-50, 50, size=shape), maximize)
+            self.assert_optimal(-rng.uniform(1.0, 100.0, size=shape))
+            self.assert_optimal(rng.integers(-50, -1, size=shape))
+            self.assert_optimal(rng.integers(-50, 50, size=shape))
 
     def test_naive_clusterer_overlap_size(self):
         # a 4-speaker reference against the naive clusterer's ~120 hypothesis
@@ -605,16 +588,15 @@ class TestOptimalAssignment:
         for row in overlap:
             cols = rng.choice(120, size=40, replace=False)
             row[cols] = rng.integers(1, 3 * 10**8, size=40)
-        for maximize in (False, True):
-            self.assert_optimal(overlap, maximize)
-            self.assert_optimal(overlap.T, maximize)
+        self.assert_optimal(overlap)
+        self.assert_optimal(overlap.T)
 
-    @pytest.mark.parametrize("maximize", [False, True])
-    def test_spans_at_the_ends_of_the_float_range(self, maximize):
-        # the solver's weights are the costs shifted by their span: a span
-        # beyond the float range, or far below the costs' magnitude
+    def test_spans_at_the_ends_of_the_float_range(self):
+        # the solver's costs are the weights' distances below their maximum,
+        # shifted by their span: a span beyond the float range, or far below
+        # the weights' magnitude
         rng = np.random.default_rng(25)
         for shape in [(2, 2), (2, 5), (5, 2)] * 3:  # two pairs: the totals stay finite
-            self.assert_optimal(rng.uniform(-8e307, 8e307, size=shape), maximize)
-        self.assert_optimal([[0.0, 1e-17], [1e-17, 0.0]], maximize)
-        self.assert_optimal([[1e15, 1e15 + 1], [1e15 + 1, 1e15]], maximize)
+            self.assert_optimal(rng.uniform(-8e307, 8e307, size=shape))
+        self.assert_optimal([[0.0, 1e-17], [1e-17, 0.0]])
+        self.assert_optimal([[1e15, 1e15 + 1], [1e15 + 1, 1e15]])

@@ -64,6 +64,33 @@ class TestStackSegments:
         with pytest.raises(InvalidInputError, match="no embeddings given"):
             stack_segments([])
 
+    # a SegmentEmbedding holds its vector as given: stacking is where it is checked
+    @staticmethod
+    def stacked(*vectors):
+        return stack_segments([SegmentEmbedding(TimeInterval(i, i + 1.0), v)
+                               for i, v in enumerate(vectors)])[0]
+
+    def test_int_vectors_coerced_to_float(self):
+        x = self.stacked([1, 2, 3], (4, 5, 6))
+        assert x.dtype == np.float64
+        assert x.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            (([1.0, 0.0], [1.0, float("nan")]), "^embeddings contain non-finite entries$"),
+            (([1.0, 0.0], [float("inf"), 0.0]), "^embeddings contain non-finite entries$"),
+            ((3.0,), r"^expected an \(n, d\) embedding matrix, got shape \(1,\)$"),
+            (([1.0, 0.0], 3.0), "share one dimension"),
+            (([1.0, 0.0], [1.0]), "share one dimension"),
+            (([1.0, 0.0], ["a", 0.0]), "of numbers"),
+        ],
+        ids=["nan", "inf", "scalar", "scalar_among_vectors", "ragged", "not_a_number"],
+    )
+    def test_bad_vectors_rejected(self, vectors, message):
+        with pytest.raises(InvalidInputError, match=message):
+            self.stacked(*vectors)
+
 
 class TestCluster:
     def test_kmeans_respects_speaker_bounds(self):

@@ -113,7 +113,8 @@ class TestGenerate:
         assert len(windows) > 100
         for start, end in zip(windows.starts.tolist(), windows.ends.tolist()):
             assert end - start == pytest.approx(WINDOW_SIZE, abs=1e-12)
-            hosts = [s for s in reference if s.interval.contains(0.5 * (start + end))]
+            center = 0.5 * (start + end)
+            hosts = [s for s in reference if s.interval.start <= center < s.interval.end]
             assert len(hosts) == 1
 
     def test_window_step_within_turn(self):
@@ -131,9 +132,8 @@ class TestGenerate:
         reference, windows, _ = generate(scenario)
         directions = speaker_directions(scenario)
         for start, end, vector in zip(windows.starts, windows.ends, windows.vectors):
-            host = next(
-                s for s in reference if s.interval.contains(0.5 * (start + end))
-            )
+            center = 0.5 * (start + end)
+            host = next(s for s in reference if s.interval.start <= center < s.interval.end)
             planted = directions[int(host.speaker[1:])]
             assert np.array_equal(vector, planted)
 
