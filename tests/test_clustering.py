@@ -1040,6 +1040,13 @@ class TestNaiveOnline:
         for cut in (1, 7, 23, 40):
             assert self.labels(stream[:cut], 0.3) == full_labels[:cut]
 
+    def test_row_scale_does_not_change_labels(self):
+        # rows are normalized once: only their directions count
+        rng = np.random.default_rng(52)
+        stream = rng.normal(size=(30, 4))
+        scaled = stream * rng.uniform(1e-3, 1e3, size=(30, 1))
+        assert self.labels(scaled, 0.3) == self.labels(stream, 0.3)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidInputError, match="^cannot normalize a zero vector$"):
             run_online(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.5)

@@ -6,6 +6,7 @@ from diarkit import (
     ClusteringResult,
     InvalidInputError,
     Segment,
+    SegmentEmbedding,
     TimeInterval,
     annotation_from_clusters,
 )
@@ -105,6 +106,15 @@ class TestAnnotation:
             ],
         )
         assert len(ann) == 2
+
+
+class TestSegmentEmbedding:
+    def test_vector_kept_as_given(self):
+        # checking and float coercion happen once, in pipeline.stack_segments
+        vector = [1, 2, 3]
+        se = SegmentEmbedding(TimeInterval(0, 1), vector)
+        assert se.embedding is vector
+        assert se.interval == TimeInterval(0, 1)
 
 
 class TestClusteringResult:

@@ -239,6 +239,13 @@ class TestPgm:
         data = self.pgm(tmp_path, np.array([[0.0, 0.5, 1.0]]))
         assert data[-3:] == bytes([0, 128, 255])
 
+    def test_write_to_disk(self, tmp_path):
+        # a longer file already at the path is replaced, not overwritten in part
+        path = tmp_path / "affinity.pgm"
+        path.write_bytes(b"x" * 100)
+        write_pgm_heatmap(np.array([[0.0, 1.0]]), path)
+        assert path.read_bytes() == b"P5\n2 1\n255\n" + bytes([0, 255])
+
     # min and max are NaN or infinite exactly when an entry is not finite
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, tmp_path, bad):

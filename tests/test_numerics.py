@@ -34,7 +34,11 @@ class TestL2NormalizeRows:
     def test_unit_output(self):
         u = l2_normalize_rows(np.array([[3.0, 4.0], [1.0, 0.0]]))
         assert np.allclose(u[0], [0.6, 0.8])
-        assert np.array_equal(u[1], [1.0, 0.0])  # an already unit row stays as it is
+        assert np.allclose(np.linalg.norm(u, axis=1), 1.0)
+
+    def test_already_unit(self):
+        rows = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
+        assert np.array_equal(l2_normalize_rows(rows), rows)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 17, 64, 256])
     def test_bit_identical_to_per_vector_norm(self, dim):
@@ -529,6 +533,32 @@ class TestOptimalAssignment:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             optimal_assignment([[np.nan, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], np.zeros((0, 3)), np.ones((2, 2, 2))],
+                             ids=["1d", "empty", "3d"])
+    def test_malformed_shapes_rejected(self, weights):
+        with pytest.raises(InvalidInputError, match="^expected a non-empty 2-D matrix"):
+            optimal_assignment(weights)
+
+    def test_shift_and_power_of_two_scale_keep_the_pairs(self):
+        # every full matching has min(r, c) edges: one constant added to every
+        # weight, or an exact rescaling, cannot move the optimum
+        rng = np.random.default_rng(26)
+        for shape in [(4, 4), (3, 6), (6, 3)]:
+            m = rng.integers(-1000, 1000, size=shape).astype(np.float64)
+            pairs = optimal_assignment(m)
+            assert optimal_assignment(m + 2.0**40) == pairs
+            assert optimal_assignment(m - 7.0) == pairs
+            assert optimal_assignment(m * 2.0**-30) == pairs
+
+    def test_transpose_swaps_the_pairs(self):
+        # real weights: the optimum is unique, so the transposed matrix's
+        # pairs are the same edges read from the other side
+        rng = np.random.default_rng(27)
+        for shape in [(5, 5), (2, 7), (7, 2)]:
+            m = rng.normal(size=shape)
+            swapped = sorted((j, i) for i, j in optimal_assignment(m))
+            assert optimal_assignment(m.T) == swapped
 
     @staticmethod
     def assert_optimal(m):

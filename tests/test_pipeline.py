@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -41,6 +42,16 @@ class TestDiarizeConfig:
     def test_threshold_checked_for_every_algorithm(self):
         with pytest.raises(InvalidInputError):
             DiarizeConfig(algorithm="spectral", threshold=1.5)
+
+    # the open interval (-1, 1) that run_online checks, at the config too
+    @pytest.mark.parametrize("threshold", [1.0, -1.0, math.nan])
+    def test_naive_threshold_out_of_range_rejected(self, threshold):
+        with pytest.raises(InvalidInputError, match=r"^threshold must lie in \(-1, 1\), got "):
+            DiarizeConfig("naive", threshold=threshold)
+
+    def test_naive_threshold_inside_range_accepted(self):
+        for threshold in (-0.999, 0.0, 0.999):
+            assert DiarizeConfig("naive", threshold=threshold).threshold == threshold
 
 
 class TestSegmentEmbeddings:
