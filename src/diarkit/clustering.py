@@ -570,19 +570,21 @@ def run_online(embeddings, threshold: float) -> ClusteringResult:
     """
     check_threshold(threshold)
     sums: list[np.ndarray] = []
+    norms: list[float] = []  # each sum's norm, recomputed only when a row joins it
     labels = []
     for unit in l2_normalize_rows(embedding_matrix(embeddings)):
         best_label = -1
         best_sim = -math.inf
-        for label, s in enumerate(sums):
-            norm = float(np.linalg.norm(s))
+        for label, (s, norm) in enumerate(zip(sums, norms)):
             sim = float(unit @ s) / norm if norm >= ZERO_NORM_TOL else -1.0
             if sim > best_sim:
                 best_label, best_sim = label, sim
         if best_label < 0 or best_sim < threshold:
             best_label = len(sums)
             sums.append(unit.copy())
+            norms.append(float(np.linalg.norm(unit)))
         else:
             sums[best_label] = sums[best_label] + unit
+            norms[best_label] = float(np.linalg.norm(sums[best_label]))
         labels.append(best_label)
     return ClusteringResult(labels=np.array(labels), k=len(sums))

@@ -209,6 +209,8 @@ def write_pgm_heatmap(matrix, path) -> None:
     # a NaN entry makes both NaN, an infinite one min or max infinite
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInputError("matrix contains non-finite entries")
+    if math.isinf(hi - lo):  # a range past float64's largest: map the halved matrix
+        m, lo, hi = m * 0.5, lo * 0.5, hi * 0.5
     header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii")
     pgm = np.empty(len(header) + m.size, dtype=np.uint8)
     pgm[: len(header)] = np.frombuffer(header, dtype=np.uint8)

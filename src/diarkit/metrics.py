@@ -5,26 +5,23 @@ exclusion of overlapped reference speech, optional UEM restriction, and
 an optimal one-to-one reference/hypothesis speaker mapping. All timeline
 arithmetic happens on an integer grid of 0.1 microsecond ticks so that
 reports are bit-reproducible and free of float-boundary double counting.
+Both the scoring region and the scores are read from one kind of table
+(`_coverage`): which timelines cover each slice between consecutive span
+ends. Ticks are int64, and input that would leave that range is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
-from .core import Annotation, InvalidInputError, TimeInterval, interval_union
+from .core import Annotation, InvalidInputError, TimeInterval
 from .numerics import optimal_assignment
 
 TICKS_PER_SECOND = 10_000_000
-
-Ticks = list[tuple[int, int]]
-K = TypeVar("K")
-
-
-def _tick(t: float) -> int:
-    return int(round(t * TICKS_PER_SECOND))
+_INT64_MAX = 2**63 - 1
 
 
 def _seconds(ticks: int) -> float:
@@ -91,39 +88,40 @@ class DerReport:
         )
 
 
-def _speaker_tick_timelines(annotation: Annotation) -> dict[str, Ticks]:
-    per_speaker: dict[str, list[tuple[int, int]]] = {}
-    for seg in annotation:
-        per_speaker.setdefault(seg.speaker, []).append(
-            (_tick(seg.interval.start), _tick(seg.interval.end))
-        )
-    return {spk: interval_union(ivs) for spk, ivs in per_speaker.items()}
+def _tick_spans(intervals: Sequence[TimeInterval], limit: int = _INT64_MAX) -> np.ndarray:
+    """(start, end) ticks per interval as an m x 2 int64 array, each rounded half
+    to even; InvalidInputError past limit, which each caller sets so that its
+    own arithmetic stays inside int64."""
+    seconds = np.array([(iv.start, iv.end) for iv in intervals], dtype=np.float64).reshape(-1, 2)
+    ticks = np.rint(seconds * TICKS_PER_SECOND)
+    if ticks.size and int(ticks.max()) > limit:
+        raise InvalidInputError(f"cannot score times past {limit / TICKS_PER_SECOND:.6g} s: "
+                                "they leave the int64 tick range")
+    return ticks.astype(np.int64)
 
 
-def _slices(timelines: dict[K, Ticks]) -> Iterator[tuple[int, int, list[K]]]:
-    """Constant-speaker-set slices (start, end, active keys) where any key is active.
+def _coverage(rows, spans: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slices cut by the spans' distinct ticks, and which rows cover each.
 
-    Each timeline is sorted and disjoint; the slices come out sorted and
-    disjoint and together cover the union of the timelines.
+    spans[i] is the (start, end) of a span in row rows[i]. Returns the sorted
+    distinct ticks `bounds` and an n_rows x (len(bounds) - 1) bool table whose
+    entry [r, k] says whether row r covers [bounds[k], bounds[k + 1]). Each
+    span adds +1 at its start and -1 at its end, and a row's running sum
+    counts its spans over each slice, so spans of one row may overlap or touch.
     """
-    keys = list(timelines)
-    # at equal ticks ends (-1) sort before starts, so a touching pair hands over
-    events = sorted(
-        (t, delta, i)
-        for i, timeline in enumerate(timelines.values())
-        for s, e in timeline
-        for t, delta in ((s, 1), (e, -1))
-    )
-    active: set[K] = set()
-    prev = 0
-    for t, delta, i in events:
-        if active and t > prev:
-            yield prev, t, list(active)
-        prev = t
-        if delta > 0:
-            active.add(keys[i])
-        else:
-            active.discard(keys[i])
+    bounds, at = np.unique(spans.ravel(), return_inverse=True)
+    at = at.reshape(-1, 2)
+    steps = np.zeros((n_rows, bounds.size), dtype=np.int32)  # a row has under 2**31 spans
+    np.add.at(steps, (rows, at[:, 0]), 1)
+    np.add.at(steps, (rows, at[:, 1]), -1)
+    return bounds, np.cumsum(steps[:, :-1], axis=1, dtype=np.int32) > 0
+
+
+def _rows(annotation: Annotation, first: int = 0) -> tuple[list[str], list[int]]:
+    """The sorted speaker labels, and each segment's row: first + its label's index."""
+    labels = sorted({seg.speaker for seg in annotation})
+    index = {label: first + i for i, label in enumerate(labels)}
+    return labels, [index[seg.speaker] for seg in annotation]
 
 
 def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterval]:
@@ -131,31 +129,34 @@ def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterva
 
     A collar of +/- opts.collar is cut around every reference segment
     boundary; with exclude_overlap, spans where two or more reference
-    speakers talk at once are cut as well. One sweep over the base, the
-    collar strips and (with exclude_overlap) each reference speaker keeps
-    the slices where the base is active, no strip is, and at most one
-    speaker is.
+    speakers talk at once are cut as well. A coverage table of the base
+    (row 0), the collar strips (row 1) and, with exclude_overlap, each
+    reference speaker keeps the slices where the base is covered, no strip
+    is and at most one speaker is; each run of kept slices is one interval.
+    InvalidInputError if a time plus the collar leaves int64 ticks.
     """
     if len(reference) == 0:
         raise InvalidInputError("reference annotation is empty")
+    collar = round(opts.collar * TICKS_PER_SECOND)
+    segments = _tick_spans([seg.interval for seg in reference], _INT64_MAX - collar)
     if opts.uem is not None:
-        base = interval_union((_tick(iv.start), _tick(iv.end)) for iv in opts.uem)
+        spans = [_tick_spans(opts.uem)]
     else:
-        extent = reference.extent()
-        base = [(_tick(extent.start), _tick(extent.end))]
-    # tuple keys, so no speaker label can take the base's or the strips' place
-    timelines = {("base",): base}
-    collar = _tick(opts.collar)
+        spans = [np.array([[segments.min(), segments.max()]])]
+    rows = [0] * len(spans[0])
     if collar:  # at collar 0 there are no strips
-        boundaries = {_tick(t) for seg in reference for t in (seg.interval.start, seg.interval.end)}
-        timelines[("strip",)] = interval_union((b - collar, b + collar) for b in boundaries)
+        spans.append(segments.reshape(-1, 1) + [-collar, collar])
+        rows += [1] * segments.size
+    labels: list[str] = []
     if opts.exclude_overlap:
-        timelines.update(_speaker_tick_timelines(reference))
-    kept = interval_union(
-        (s, e) for s, e, active in _slices(timelines)
-        if ("base",) in active and ("strip",) not in active and len(active) <= 2
-    )
-    return [TimeInterval(_seconds(s), _seconds(e)) for s, e in kept]
+        labels, speaker_rows = _rows(reference, first=2)
+        spans.append(segments)
+        rows += speaker_rows
+    bounds, covered = _coverage(rows, np.vstack(spans), 2 + len(labels))
+    kept = covered[0] & ~covered[1] & (covered[2:].sum(axis=0) <= 1)
+    runs = np.flatnonzero(np.diff(kept, prepend=False, append=False)).reshape(-1, 2)
+    ticks = bounds.tolist()
+    return [TimeInterval(_seconds(ticks[s]), _seconds(ticks[e])) for s, e in runs.tolist()]
 
 
 def map_speakers(
@@ -181,60 +182,51 @@ def map_speakers(
 def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> DerReport:
     """Score a hypothesis against a reference under the given conventions.
 
-    Both annotations are swept once over their constant-speaker-set
-    slices, with the scoring region as one more timeline; slices outside
-    it are skipped. Per slice, miss is unmatched reference depth, false
-    alarm is unmatched hypothesis depth, co-active time is the lesser
-    depth, and each active reference/hypothesis pair gains the slice's
-    duration in the overlap matrix. Speakers are mapped one-to-one to
-    maximize matched time; a speaker with no time in the region only adds
-    a zero row or column, which leaves that maximum unchanged. Confusion
-    is co-active time minus the time the mapped pairs share. The
-    denominator is reference speech inside the region.
+    One coverage table holds the reference speakers, the hypothesis
+    speakers and the scoring region, and only slices inside the region are
+    read. With nr reference and nh hypothesis speakers covering a slice,
+    co-active time gains min(nr, nh) times its duration; miss is reference
+    time minus co-active time, false alarm hypothesis time minus it. The
+    overlap matrix sums the time each reference/hypothesis pair shares.
+    Speakers are mapped one-to-one to maximize matched time; a speaker with
+    no time in the region only adds a zero row or column, which leaves that
+    maximum unchanged. Confusion is co-active time minus the time the
+    mapped pairs share; the denominator is reference speech inside the
+    region. InvalidInputError if the speakers on one side times the largest
+    time leave int64 ticks, where a duration total could wrap.
     """
     if reference.recording_id != hypothesis.recording_id:
         raise InvalidInputError(
             f"recording ids differ: {reference.recording_id!r} "
             f"vs {hypothesis.recording_id!r}"
         )
-    region = [
-        (_tick(iv.start), _tick(iv.end)) for iv in scoring_region(reference, opts)
-    ]
+    region = scoring_region(reference, opts)
     if not region:
         raise InvalidInputError("scoring region is empty")
-    ref_tl = _speaker_tick_timelines(reference)
-    hyp_tl = _speaker_tick_timelines(hypothesis)
-    ref_labels = sorted(ref_tl)
-    hyp_labels = sorted(hyp_tl)
-    # side 0 keys the reference rows, side 1 the hypothesis columns, side 2 the region
-    timelines = {(0, i): ref_tl[r] for i, r in enumerate(ref_labels)}
-    timelines.update({(1, j): hyp_tl[h] for j, h in enumerate(hyp_labels)})
-    timelines[2, 0] = region
-    overlap = [[0] * len(hyp_labels) for _ in ref_labels]
-    miss = fa = coactive = ref_ticks = 0
-    for start, end, active in _slices(timelines):
-        if (2, 0) not in active:
-            continue
-        dur = end - start
-        rows = [i for side, i in active if side == 0]
-        cols = [j for side, j in active if side == 1]
-        nr, nh = len(rows), len(cols)
-        ref_ticks += nr * dur
-        miss += max(0, nr - nh) * dur
-        fa += max(0, nh - nr) * dur
-        coactive += min(nr, nh) * dur
-        for i in rows:
-            for j in cols:
-                overlap[i][j] += dur
+    ref_labels, ref_rows = _rows(reference)
+    hyp_labels, hyp_rows = _rows(hypothesis, first=len(ref_labels))
+    n_ref, last = len(ref_labels), len(ref_labels) + len(hyp_labels)  # the region's row
+    spans = _tick_spans(
+        [*(seg.interval for seg in reference), *(seg.interval for seg in hypothesis), *region],
+        _INT64_MAX // max(n_ref, len(hyp_labels)),
+    )
+    bounds, covered = _coverage(ref_rows + hyp_rows + [last] * len(region), spans, last + 1)
+    inside = covered[last]
+    dur = np.diff(bounds)[inside]
+    ref, hyp = covered[:n_ref, inside], covered[n_ref:last, inside]
+    nr, nh = ref.sum(axis=0), hyp.sum(axis=0)
+    ref_ticks = int(nr @ dur)
     if ref_ticks == 0:
         raise InvalidInputError("no reference speech inside the scoring region")
+    coactive = int(np.minimum(nr, nh) @ dur)
+    overlap = (ref * dur) @ hyp.T
     mapping = map_speakers(ref_labels, hyp_labels, overlap)
-    matched = sum(overlap[ref_labels.index(r)][hyp_labels.index(h)] for r, h in mapping.items())
-    confusion = coactive - matched
+    matched = sum(int(overlap[ref_labels.index(r), hyp_labels.index(h)])
+                  for r, h in mapping.items())
     return DerReport.from_seconds(
-        fa_seconds=_seconds(fa),
-        miss_seconds=_seconds(miss),
-        confusion_seconds=_seconds(confusion),
+        fa_seconds=_seconds(int(nh @ dur) - coactive),
+        miss_seconds=_seconds(ref_ticks - coactive),
+        confusion_seconds=_seconds(coactive - matched),
         ref_speech_seconds=_seconds(ref_ticks),
     )
 

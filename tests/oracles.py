@@ -4,11 +4,12 @@ Everything here is deliberately written with a different strategy from
 the package code: direct 2-D convolution, or scipy.ndimage's separable
 filter, instead of blurring a Gram matrix's factor, the refinement chain's
 stages as plain dense matrices instead of one matrix rewritten in place,
-midpoint slicing in floats instead of integer-tick sweeps, exhaustive
+midpoint slicing in floats instead of integer-tick coverage tables, exhaustive
 permutation search or scipy.optimize's Hungarian-type solver instead of the
 package's bipartite matching, one vector pair at a time instead of whole
 matrices, one cluster at a time in k-means, every label path instead of the
-Viterbi recursion. Slow but obviously correct on small inputs.
+Viterbi recursion, every cluster norm recomputed for every row in online
+clustering. Slow but obviously correct on small inputs.
 The synthetic generator's self-check, `angular_stats`, lives here too.
 """
 
@@ -319,6 +320,29 @@ def resegment_oracle(x: np.ndarray, labels, penalty: float, rounds: int) -> list
             break
         z = new
     return z
+
+
+def online_oracle(x: np.ndarray, threshold: float) -> list[int]:
+    """run_online's labels with every cluster sum's norm recomputed for every
+    row: each row joins the cluster whose sum it has the highest cosine to
+    (the lowest label on a tie) if that cosine reaches the threshold, and
+    founds a new cluster otherwise."""
+    sums: list[np.ndarray] = []
+    labels = []
+    for unit in l2_normalize_rows(np.asarray(x, dtype=np.float64)):
+        best_label, best_sim = -1, -math.inf
+        for label, s in enumerate(sums):
+            norm = float(np.linalg.norm(s))
+            sim = float(unit @ s) / norm if norm >= ZERO_NORM_TOL else -1.0
+            if sim > best_sim:
+                best_label, best_sim = label, sim
+        if best_label < 0 or best_sim < threshold:
+            best_label = len(sums)
+            sums.append(unit.copy())
+        else:
+            sums[best_label] = sums[best_label] + unit
+        labels.append(best_label)
+    return labels
 
 
 def aggregate_oracle(windows, segments) -> list[SegmentEmbedding]:

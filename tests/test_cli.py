@@ -547,6 +547,14 @@ class TestEvaluate:
         assert rc == 2
         assert capsys.readouterr().err == "error: collar must be finite and >= 0, got inf\n"
 
+    def test_time_past_the_int64_tick_range_is_an_error(self, tmp_path, capsys):
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("SPEAKER rec1 1 1000000000000 1 <NA> <NA> A <NA> <NA>\n")
+        rc = main(["evaluate", "--reference", str(ref), "--hypothesis", str(ref)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot score times past 9.22337e+11 s")
+
     def test_negative_uem_start_names_file_and_line(self, tmp_path, capsys):
         ref = tmp_path / "ref.rttm"
         ref.write_text("SPEAKER r 1 0.000000 1.000000 <NA> <NA> A <NA> <NA>\n")

@@ -54,7 +54,8 @@ from diarkit.numerics import _TILE, gram, l2_normalize_rows, nearest_rank_index
 from diarkit.pipeline import segment_embeddings
 from helpers import refinement_stages, run_python
 from oracles import (affinity, best_path_oracle, blur, dense_refined, lloyd_oracle, mirrored_syrk,
-                     resegment_oracle, row_max_normalize, sort_threshold, symmetrize)
+                     online_oracle, resegment_oracle, row_max_normalize, sort_threshold,
+                     symmetrize)
 
 BLOCK = np.array(
     [
@@ -1066,6 +1067,16 @@ class TestNaiveOnline:
         result = run_online(np.tile([1.0, 2.0, 0.5], (5, 1)), 0.5)
         assert result.k == 1
         assert result.labels.tolist() == [0] * 5
+
+    @pytest.mark.parametrize("threshold", [-0.5, 0.0, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cached_norms_give_the_oracle_labels(self, threshold, seed):
+        # each cluster sum's norm is kept and recomputed only when a row joins it
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 9))
+        centers = rng.normal(size=(6, d))
+        x = centers[rng.integers(6, size=300)] + rng.normal(scale=0.6, size=(300, d))
+        assert self.labels(x, threshold) == online_oracle(x, threshold)
 
 
 # One spectral_cluster call on a 5-minute, 4-speaker synth (n = N_THREADED),

@@ -4,11 +4,12 @@ Spans are half-open [start, end) over integer ticks, so the set of ticks a
 list of spans covers is an exact model of what the list means.
 """
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diarkit.core import interval_union
-from diarkit.metrics import _slices
+from diarkit.metrics import _coverage
 
 # (start, start + length); a length <= 0 gives an empty pair, which
 # interval_union must skip. Short lengths on a small range make spans
@@ -18,23 +19,16 @@ SPANS = st.lists(
     max_size=10,
 )
 
-# sorted, disjoint spans between distinct cut points; kept neighbours touch
-TIMELINE = st.lists(st.integers(0, 40), unique=True, max_size=8).map(sorted).flatmap(
-    lambda cuts: st.lists(
-        st.booleans(), min_size=max(len(cuts) - 1, 0), max_size=max(len(cuts) - 1, 0)
-    ).map(lambda keep: [span for span, k in zip(zip(cuts, cuts[1:]), keep) if k])
-)
-
 
 def ticks(spans) -> set[int]:
     return {t for s, e in spans for t in range(s, e)}
 
 
-def assert_sorted_disjoint(spans, strict: bool) -> None:
-    """Non-empty, sorted, non-overlapping; strict also forbids touching."""
+def assert_sorted_apart(spans) -> None:
+    """Non-empty, sorted, and neither overlapping nor touching."""
     assert all(s < e for s, e in spans)
     for (_, prev_end), (start, _) in zip(spans, spans[1:]):
-        assert prev_end < start if strict else prev_end <= start
+        assert prev_end < start
 
 
 @settings(deadline=None)
@@ -43,7 +37,7 @@ def assert_sorted_disjoint(spans, strict: bool) -> None:
 def test_union_covers_exactly_the_input_ticks(spans):
     merged = interval_union(spans)
     assert ticks(merged) == ticks(spans)
-    assert_sorted_disjoint(merged, strict=True)
+    assert_sorted_apart(merged)
 
 
 @settings(deadline=None)
@@ -54,14 +48,31 @@ def test_union_is_idempotent_and_order_free(spans):
     assert interval_union(reversed(spans)) == merged
 
 
+# each row's spans, which may overlap, touch or be empty (start == end)
+ROWS = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 12)).map(lambda p: (p[0], p[0] + p[1])),
+        max_size=6,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
 @settings(deadline=None)
-@given(st.dictionaries(st.sampled_from("abcd"), TIMELINE, max_size=4))
-@example({"a": [(0, 5), (5, 10)], "b": [(5, 8)]})
-def test_slices_partition_the_union_by_active_set(timelines):
-    slices = list(_slices(timelines))
-    spans = [(s, e) for s, e, _ in slices]
-    assert_sorted_disjoint(spans, strict=False)
-    assert ticks(spans) == set().union(*(ticks(tl) for tl in timelines.values()))
-    for s, e, active in slices:
-        mid = (s + e) / 2
-        assert sorted(active) == sorted(k for k, tl in timelines.items() if any(a <= mid < b for a, b in tl))
+@given(ROWS)
+@example([[(0, 5), (5, 10)], [(5, 8)]])
+@example([[(0, 6), (2, 4), (4, 9), (9, 9)], [], [(3, 7), (3, 7)]])
+def test_coverage_partitions_the_union_by_covering_rows(timelines):
+    rows = [r for r, spans in enumerate(timelines) for _ in spans]
+    spans = np.array([span for spans in timelines for span in spans], dtype=np.int64)
+    bounds, covered = _coverage(rows, spans.reshape(-1, 2), len(timelines))
+    assert bounds.tolist() == sorted({t for tl in timelines for span in tl for t in span})
+    slices = list(zip(bounds.tolist(), bounds[1:].tolist()))
+    assert covered.shape == (len(timelines), len(slices))
+    union = set().union(*(ticks(tl) for tl in timelines))
+    assert ticks(s for s, active in zip(slices, covered.any(axis=0)) if active) == union
+    # each row covers every tick of a slice or none of them
+    for (s, e), column in zip(slices, covered.T):
+        for tl, active in zip(timelines, column):
+            assert set(range(s, e)) & ticks(tl) == (set(range(s, e)) if active else set())

@@ -239,6 +239,12 @@ class TestPgm:
         data = self.pgm(tmp_path, np.array([[0.0, 0.5, 1.0]]))
         assert data[-3:] == bytes([0, 128, 255])
 
+    def test_range_past_the_float64_max(self, tmp_path):
+        # max - min overflows to inf, so the halved matrix is mapped; a
+        # RuntimeWarning would fail the test (pyproject's filterwarnings)
+        data = self.pgm(tmp_path, np.array([[-1e308, 1e308], [0.0, 1.0]]))
+        assert data[-4:] == bytes([0, 255, 128, 128])
+
     def test_write_to_disk(self, tmp_path):
         # a longer file already at the path is replaced, not overwritten in part
         path = tmp_path / "affinity.pgm"

@@ -18,6 +18,8 @@ from diarkit import (
     map_speakers,
     scoring_region,
 )
+from diarkit.core import interval_union
+from diarkit.metrics import TICKS_PER_SECOND
 from oracles import der_oracle, overlap_milliseconds, random_der_case
 
 
@@ -64,6 +66,13 @@ class TestScoringRegion:
             TimeInterval(4.5, 5.5),
             TimeInterval(6.5, 9.5),
         ]
+
+    @pytest.mark.parametrize("collar", [0.0, 0.25])
+    @pytest.mark.parametrize("exclude_overlap", [True, False])
+    def test_empty_uem_leaves_nothing(self, collar, exclude_overlap):
+        # at collar 0 with overlap kept, the coverage table gets no span at all
+        opts = EvalOptions(collar=collar, exclude_overlap=exclude_overlap, uem=[])
+        assert scoring_region(ann("r", (0, 10, "A")), opts) == []
 
     def test_empty_reference_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -154,6 +163,63 @@ class TestDerHandCases:
                 ann("r", (2, 3, "X")),
                 EvalOptions(collar=0.0, uem=[TimeInterval(1.5, 4)]),
             )
+
+
+class TestTickRange:
+    # 922337203685.4774 s is 2**63 - 2048 ticks, the last float time below the
+    # end of int64; the next float, 922337203685.4775 s, is 2**63 ticks
+    LAST, PAST = 922337203685.4774, 922337203685.4775
+    WHOLE = EvalOptions(collar=0.0, exclude_overlap=False)
+
+    def test_the_last_time_below_int64_scores_exactly(self):
+        report = der(ann("r", (0, self.LAST, "A")), ann("r", (0, self.LAST, "X")), self.WHOLE)
+        assert report.ref_speech_seconds == (2**63 - 2048) / TICKS_PER_SECOND
+        assert report.total == 0.0
+
+    @pytest.mark.parametrize("score", [scoring_region, lambda r, opts: der(r, r, opts)],
+                             ids=["scoring_region", "der"])
+    def test_a_time_past_int64_is_refused(self, score):
+        with pytest.raises(InvalidInputError, match="leave the int64 tick range"):
+            score(ann("r", (0, self.PAST, "A")), self.WHOLE)
+
+    @pytest.mark.parametrize("collar, fits", [(0.0, True), (1e-4, True), (1e-3, False)])
+    def test_the_collar_strips_must_fit(self, collar, fits):
+        # a strip ends at the last boundary plus the collar: 1e-4 s is 1000 ticks
+        # and fits in the last 2047, 1e-3 s is 10000 and does not
+        reference = ann("r", (0, self.LAST, "A"))
+        opts = EvalOptions(collar=collar)
+        if not fits:
+            with pytest.raises(InvalidInputError, match="leave the int64 tick range"):
+                scoring_region(reference, opts)
+            return
+        c = round(collar * TICKS_PER_SECOND)
+        assert scoring_region(reference, opts) == [
+            TimeInterval(c / TICKS_PER_SECOND, (2**63 - 2048 - c) / TICKS_PER_SECOND)
+        ]
+
+    # 461168601842.7387 s is 2**62 - 1024 ticks, 461168601842.7388 s is 2**62:
+    # two speakers' time in one total fits for the first and not the second
+    @pytest.mark.parametrize("end, ref_speakers, hyp_speakers, fits", [
+        (461168601842.7387, 1, 2, True),
+        (461168601842.7387, 2, 1, True),
+        (461168601842.7388, 1, 2, False),
+        (461168601842.7388, 2, 1, False),
+        (461168601842.7388, 1, 1, True),
+    ])
+    def test_speakers_per_side_times_the_span_must_fit(self, end, ref_speakers, hyp_speakers,
+                                                       fits):
+        reference = ann("r", *[(0, end, f"A{i}") for i in range(ref_speakers)])
+        hypothesis = ann("r", *[(0, end, f"X{i}") for i in range(hyp_speakers)])
+        if not fits:
+            with pytest.raises(InvalidInputError, match="leave the int64 tick range"):
+                der(reference, hypothesis, self.WHOLE)
+            return
+        ticks = round(end * TICKS_PER_SECOND)
+        report = der(reference, hypothesis, self.WHOLE)
+        assert report.ref_speech_seconds == ref_speakers * ticks / TICKS_PER_SECOND
+        assert report.fa_seconds == (hyp_speakers - 1) * ticks / TICKS_PER_SECOND
+        assert report.miss_seconds == (ref_speakers - 1) * ticks / TICKS_PER_SECOND
+        assert report.confusion_seconds == 0.0
 
 
 class TestMapSpeakers:
@@ -336,9 +402,10 @@ def annotations(prefix: str, min_size: int):
 OPTIONS = st.builds(
     EvalOptions, collar=st.sampled_from([0.0, 0.25, 0.3]), exclude_overlap=st.booleans()
 )
-# as OPTIONS, sometimes restricted to one UEM span on the same grid
-UEM = st.tuples(st.integers(0, 100), st.integers(20, 150)).map(
-    lambda span: [TimeInterval(span[0] / 10, (span[0] + span[1]) / 10)]
+# as OPTIONS, sometimes restricted to a UEM of 1-3 spans on the same grid,
+# which may overlap or touch
+UEM = st.lists(st.tuples(st.integers(0, 100), st.integers(5, 150)), min_size=1, max_size=3).map(
+    lambda spans: [TimeInterval(s / 10, (s + d) / 10) for s, d in spans]
 )
 OPTIONS_WITH_UEM = st.builds(
     EvalOptions,
@@ -380,8 +447,7 @@ class TestScoringRegionProperties:
         segs = [(units(seg.interval.start), units(seg.interval.end), seg.speaker)
                 for seg in reference]
         if uem:
-            (span,) = uem_span
-            base = set(range(units(span.start), units(span.end)))
+            base = {u for span in uem_span for u in range(units(span.start), units(span.end))}
         else:
             base = set(range(min(s for s, _, _ in segs), max(e for _, e, _ in segs)))
         c = units(collar)
@@ -442,9 +508,10 @@ class TestDerProperties:
             (max(b - opts.collar, 0.0), b + opts.collar)
             for seg in reference for b in (seg.interval.start, seg.interval.end)
         ]
-        if opts.uem is not None:
-            (uem,) = opts.uem
-            spans += [(0.0, uem.start), (uem.end, uem.end + 5.0)]
+        if opts.uem is not None:  # every gap of the UEM, and 5 s past its end
+            ends = [t for span in interval_union((iv.start, iv.end) for iv in opts.uem)
+                    for t in span]
+            spans += list(zip([0.0, *ends[1::2]], [*ends[::2], ends[-1] + 5.0]))
         outside = [Segment(TimeInterval(s, e), "ghost") for s, e in spans if e > s]
         assume(outside)
         padded = Annotation.create("rec", [*hypothesis, *outside])
