@@ -122,6 +122,14 @@ class Annotation:
             seen.setdefault(seg.speaker, None)
         return list(seen)
 
+    def extent(self) -> TimeInterval:
+        """Span from the first segment start to the last segment end."""
+        if not self.segments:
+            raise InvalidInputError("empty annotation has no extent")
+        start = self.segments[0].interval.start
+        end = max(seg.interval.end for seg in self.segments)
+        return TimeInterval(start, end)
+
 
 @dataclass(frozen=True, eq=False)
 class SegmentEmbedding:

@@ -5,9 +5,9 @@ exclusion of overlapped reference speech, optional UEM restriction, and
 an optimal one-to-one reference/hypothesis speaker mapping. All timeline
 arithmetic happens on an integer grid of 0.1 microsecond ticks so that
 reports are bit-reproducible and free of float-boundary double counting.
-Both the scoring region and the scores are read from one kind of table
-(`_coverage`): which timelines cover each slice between consecutive span
-ends. Ticks are int64, and input that would leave that range is refused.
+Both the scoring region and the scores count, over the slices between
+consecutive span ends, the timelines that cover each (`_pieces`, `_depth`).
+Ticks are int64, and input that would leave that range is refused.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ class EvalOptions:
     def __post_init__(self):
         if not (0 <= self.collar < np.inf):
             raise InvalidInputError(f"collar must be finite and >= 0, got {self.collar}")
+        if self.collar * TICKS_PER_SECOND >= 2**63:
+            raise InvalidInputError(f"collar {self.collar} s leaves the int64 tick range")
         if self.uem is not None:
             object.__setattr__(self, "uem", tuple(self.uem))
 
@@ -100,21 +102,28 @@ def _tick_spans(intervals: Sequence[TimeInterval], limit: int = _INT64_MAX) -> n
     return ticks.astype(np.int64)
 
 
-def _coverage(rows, spans: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The slices cut by the spans' distinct ticks, and which rows cover each.
+def _pieces(rows, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ticks of the spans, sorted, and each row's union as pieces.
 
-    spans[i] is the (start, end) of a span in row rows[i]. Returns the sorted
-    distinct ticks `bounds` and an n_rows x (len(bounds) - 1) bool table whose
-    entry [r, k] says whether row r covers [bounds[k], bounds[k + 1]). Each
-    span adds +1 at its start and -1 at its end, and a row's running sum
-    counts its spans over each slice, so spans of one row may overlap or touch.
+    spans[i] is the (start, end) of a span in row rows[i]; spans of one row
+    may overlap or touch. Returns `bounds`, each piece's row, and the indices
+    in bounds of each piece's start and end as a 2 x pieces array; a row's
+    pieces are disjoint. Sorted by row, then tick, a running sum of +1 per
+    start and -1 per end counts the row's open spans (each row's sum is 0).
     """
     bounds, at = np.unique(spans.ravel(), return_inverse=True)
-    at = at.reshape(-1, 2)
-    steps = np.zeros((n_rows, bounds.size), dtype=np.int32)  # a row has under 2**31 spans
-    np.add.at(steps, (rows, at[:, 0]), 1)
-    np.add.at(steps, (rows, at[:, 1]), -1)
-    return bounds, np.cumsum(steps[:, :-1], axis=1, dtype=np.int32) > 0
+    rows = np.repeat(np.asarray(rows, dtype=np.intp), 2)
+    order = np.lexsort((at, rows))
+    rows, at = rows[order], at[order]
+    opens = np.cumsum(np.tile([1, -1], len(spans))[order])[:-1] > 0
+    opens &= at[:-1] < at[1:]
+    return bounds, rows[:-1][opens], np.stack([at[:-1][opens], at[1:][opens]])
+
+
+def _depth(bounds: np.ndarray, at: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """How many of the pieces at[:, which] cover each slice between bounds."""
+    starts, ends = (np.bincount(i, minlength=bounds.size) for i in at[:, which])
+    return np.cumsum(starts - ends)[:-1]
 
 
 def _rows(annotation: Annotation, first: int = 0) -> tuple[list[str], list[int]]:
@@ -129,31 +138,28 @@ def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterva
 
     A collar of +/- opts.collar is cut around every reference segment
     boundary; with exclude_overlap, spans where two or more reference
-    speakers talk at once are cut as well. A coverage table of the base
+    speakers talk at once are cut as well. Of the slices cut by the base
     (row 0), the collar strips (row 1) and, with exclude_overlap, each
-    reference speaker keeps the slices where the base is covered, no strip
-    is and at most one speaker is; each run of kept slices is one interval.
+    reference speaker, those the base covers, no strip does and at most one
+    speaker does are kept; each run of kept slices is one interval.
     InvalidInputError if a time plus the collar leaves int64 ticks.
     """
     if len(reference) == 0:
         raise InvalidInputError("reference annotation is empty")
     collar = round(opts.collar * TICKS_PER_SECOND)
     segments = _tick_spans([seg.interval for seg in reference], _INT64_MAX - collar)
-    if opts.uem is not None:
-        spans = [_tick_spans(opts.uem)]
-    else:
-        spans = [np.array([[segments.min(), segments.max()]])]
+    extent = np.array([[segments.min(), segments.max()]])
+    spans = [extent if opts.uem is None else _tick_spans(opts.uem)]
     rows = [0] * len(spans[0])
     if collar:  # at collar 0 there are no strips
         spans.append(segments.reshape(-1, 1) + [-collar, collar])
         rows += [1] * segments.size
-    labels: list[str] = []
     if opts.exclude_overlap:
-        labels, speaker_rows = _rows(reference, first=2)
         spans.append(segments)
-        rows += speaker_rows
-    bounds, covered = _coverage(rows, np.vstack(spans), 2 + len(labels))
-    kept = covered[0] & ~covered[1] & (covered[2:].sum(axis=0) <= 1)
+        rows += _rows(reference, first=2)[1]
+    bounds, row, at = _pieces(rows, np.vstack(spans))
+    kept = ((_depth(bounds, at, row == 0) > 0) & (_depth(bounds, at, row == 1) == 0)
+            & (_depth(bounds, at, row >= 2) <= 1))
     runs = np.flatnonzero(np.diff(kept, prepend=False, append=False)).reshape(-1, 2)
     ticks = bounds.tolist()
     return [TimeInterval(_seconds(ticks[s]), _seconds(ticks[e])) for s, e in runs.tolist()]
@@ -182,12 +188,13 @@ def map_speakers(
 def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> DerReport:
     """Score a hypothesis against a reference under the given conventions.
 
-    One coverage table holds the reference speakers, the hypothesis
-    speakers and the scoring region, and only slices inside the region are
-    read. With nr reference and nh hypothesis speakers covering a slice,
-    co-active time gains min(nr, nh) times its duration; miss is reference
-    time minus co-active time, false alarm hypothesis time minus it. The
-    overlap matrix sums the time each reference/hypothesis pair shares.
+    Slices are cut at every reference, hypothesis and region tick, and one
+    outside the region counts as lasting 0. With nr reference and nh
+    hypothesis speakers covering a slice, co-active time gains min(nr, nh)
+    times its duration; miss is reference time minus co-active time, false
+    alarm hypothesis time minus it. A pair's overlap is the reference
+    speaker's running region time differenced over the hypothesis speaker's
+    pieces, so memory grows with segments, not hypothesis speakers x slices.
     Speakers are mapped one-to-one to maximize matched time; a speaker with
     no time in the region only adds a zero row or column, which leaves that
     maximum unchanged. Confusion is co-active time minus the time the
@@ -204,22 +211,25 @@ def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> Der
     if not region:
         raise InvalidInputError("scoring region is empty")
     ref_labels, ref_rows = _rows(reference)
-    hyp_labels, hyp_rows = _rows(hypothesis, first=len(ref_labels))
-    n_ref, last = len(ref_labels), len(ref_labels) + len(hyp_labels)  # the region's row
+    n_ref = len(ref_labels)  # the region's row; the hypothesis speakers' rows follow
+    hyp_labels, hyp_rows = _rows(hypothesis, first=n_ref + 1)
     spans = _tick_spans(
-        [*(seg.interval for seg in reference), *(seg.interval for seg in hypothesis), *region],
+        [*(seg.interval for seg in reference), *region, *(seg.interval for seg in hypothesis)],
         _INT64_MAX // max(n_ref, len(hyp_labels)),
     )
-    bounds, covered = _coverage(ref_rows + hyp_rows + [last] * len(region), spans, last + 1)
-    inside = covered[last]
-    dur = np.diff(bounds)[inside]
-    ref, hyp = covered[:n_ref, inside], covered[n_ref:last, inside]
-    nr, nh = ref.sum(axis=0), hyp.sum(axis=0)
+    bounds, row, at = _pieces(ref_rows + [n_ref] * len(region) + hyp_rows, spans)
+    hyp = row > n_ref
+    dur = np.diff(bounds) * _depth(bounds, at, row == n_ref)  # 0 outside the region
+    nr, nh = _depth(bounds, at, row < n_ref), _depth(bounds, at, hyp)
     ref_ticks = int(nr @ dur)
     if ref_ticks == 0:
         raise InvalidInputError("no reference speech inside the scoring region")
     coactive = int(np.minimum(nr, nh) @ dur)
-    overlap = (ref * dur) @ hyp.T
+    before = np.zeros((n_ref, bounds.size), dtype=np.int64)  # region time before each bound
+    for r in range(n_ref):
+        np.cumsum(_depth(bounds, at, row == r) * dur, out=before[r, 1:])
+    overlap = np.zeros((n_ref, len(hyp_labels)), dtype=np.int64)
+    np.add.at(overlap.T, row[hyp] - n_ref - 1, (before[:, at[1, hyp]] - before[:, at[0, hyp]]).T)
     mapping = map_speakers(ref_labels, hyp_labels, overlap)
     matched = sum(int(overlap[ref_labels.index(r), hyp_labels.index(h)])
                   for r, h in mapping.items())

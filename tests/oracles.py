@@ -4,7 +4,7 @@ Everything here is deliberately written with a different strategy from
 the package code: direct 2-D convolution, or scipy.ndimage's separable
 filter, instead of blurring a Gram matrix's factor, the refinement chain's
 stages as plain dense matrices instead of one matrix rewritten in place,
-midpoint slicing in floats instead of integer-tick coverage tables, exhaustive
+midpoint slicing in floats instead of integer-tick coverage counts, exhaustive
 permutation search or scipy.optimize's Hungarian-type solver instead of the
 package's bipartite matching, one vector pair at a time instead of whole
 matrices, one cluster at a time in k-means, every label path instead of the

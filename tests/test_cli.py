@@ -547,6 +547,15 @@ class TestEvaluate:
         assert rc == 2
         assert capsys.readouterr().err == "error: collar must be finite and >= 0, got inf\n"
 
+    def test_collar_past_the_int64_tick_range_is_usage_error(self, tmp_path, capsys):
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("SPEAKER rec1 1 0.000000 1.000000 <NA> <NA> A <NA> <NA>\n")
+        rc = main(["evaluate", "--reference", str(ref), "--hypothesis", str(ref),
+                   "--collar", "1e12"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: collar 1000000000000.0 s leaves the int64 tick range\n"
+
     def test_time_past_the_int64_tick_range_is_an_error(self, tmp_path, capsys):
         ref = tmp_path / "ref.rttm"
         ref.write_text("SPEAKER rec1 1 1000000000000 1 <NA> <NA> A <NA> <NA>\n")

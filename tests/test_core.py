@@ -86,6 +86,17 @@ class TestAnnotation:
         )
         assert ann.labels() == ["b", "a"]
 
+    def test_extent_spans_first_start_to_last_end(self):
+        ann = Annotation.create(
+            "rec",
+            [
+                Segment(TimeInterval(1, 9), "a"),
+                Segment(TimeInterval(2, 3), "b"),
+            ],
+        )
+        extent = ann.extent()
+        assert extent.start == 1 and extent.end == 9
+
     def test_overlapping_reference_segments_allowed(self):
         ann = Annotation.create(
             "rec",

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diarkit.core import interval_union
-from diarkit.metrics import _coverage
+from diarkit.metrics import _depth, _pieces
 
 # (start, start + length); a length <= 0 gives an empty pair, which
 # interval_union must skip. Short lengths on a small range make spans
@@ -59,20 +59,41 @@ ROWS = st.lists(
 )
 
 
+def pieces(timelines):
+    rows = [r for r, spans in enumerate(timelines) for _ in spans]
+    spans = np.array([span for spans in timelines for span in spans], dtype=np.int64)
+    return _pieces(rows, spans.reshape(-1, 2))
+
+
 @settings(deadline=None)
 @given(ROWS)
 @example([[(0, 5), (5, 10)], [(5, 8)]])
 @example([[(0, 6), (2, 4), (4, 9), (9, 9)], [], [(3, 7), (3, 7)]])
-def test_coverage_partitions_the_union_by_covering_rows(timelines):
-    rows = [r for r, spans in enumerate(timelines) for _ in spans]
-    spans = np.array([span for spans in timelines for span in spans], dtype=np.int64)
-    bounds, covered = _coverage(rows, spans.reshape(-1, 2), len(timelines))
+def test_pieces_tile_each_rows_union(timelines):
+    bounds, row, at = pieces(timelines)
     assert bounds.tolist() == sorted({t for tl in timelines for span in tl for t in span})
+    starts, ends = bounds[at].reshape(2, -1).tolist()
+    for r, tl in enumerate(timelines):
+        mine = [(s, e) for q, s, e in zip(row.tolist(), starts, ends) if q == r]
+        assert all(s < e for s, e in mine)
+        # sorted and disjoint: consecutive pieces of a row may touch but not overlap
+        assert all(prev_end <= start for (_, prev_end), (start, _) in zip(mine, mine[1:]))
+        assert ticks(mine) == ticks(tl)
+
+
+@settings(deadline=None)
+@given(ROWS)
+@example([[(0, 5), (5, 10)], [(5, 8)]])
+@example([[(0, 6), (2, 4), (4, 9), (9, 9)], [], [(3, 7), (3, 7)]])
+def test_depth_partitions_the_union_by_covering_rows(timelines):
+    bounds, row, at = pieces(timelines)
     slices = list(zip(bounds.tolist(), bounds[1:].tolist()))
-    assert covered.shape == (len(timelines), len(slices))
-    union = set().union(*(ticks(tl) for tl in timelines))
-    assert ticks(s for s, active in zip(slices, covered.any(axis=0)) if active) == union
-    # each row covers every tick of a slice or none of them
-    for (s, e), column in zip(slices, covered.T):
-        for tl, active in zip(timelines, column):
-            assert set(range(s, e)) & ticks(tl) == (set(range(s, e)) if active else set())
+    each = [_depth(bounds, at, row == r).tolist() for r in range(len(timelines))]
+    total = _depth(bounds, at, row >= 0).tolist()
+    assert len(total) == len(slices)
+    for k, (s, e) in enumerate(slices):
+        # each row covers every tick of a slice or none of them, and counts 1 or 0
+        for tl, depth in zip(timelines, each):
+            assert set(range(s, e)) & ticks(tl) == (set(range(s, e)) if depth[k] else set())
+            assert depth[k] in (0, 1)
+        assert total[k] == sum(depth[k] for depth in each)

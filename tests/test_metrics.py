@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from diarkit import (
     Annotation,
@@ -70,7 +72,7 @@ class TestScoringRegion:
     @pytest.mark.parametrize("collar", [0.0, 0.25])
     @pytest.mark.parametrize("exclude_overlap", [True, False])
     def test_empty_uem_leaves_nothing(self, collar, exclude_overlap):
-        # at collar 0 with overlap kept, the coverage table gets no span at all
+        # at collar 0 with overlap kept, the region is cut from no span at all
         opts = EvalOptions(collar=collar, exclude_overlap=exclude_overlap, uem=[])
         assert scoring_region(ann("r", (0, 10, "A")), opts) == []
 
@@ -182,16 +184,24 @@ class TestTickRange:
         with pytest.raises(InvalidInputError, match="leave the int64 tick range"):
             score(ann("r", (0, self.PAST, "A")), self.WHOLE)
 
-    @pytest.mark.parametrize("collar, fits", [(0.0, True), (1e-4, True), (1e-3, False)])
-    def test_the_collar_strips_must_fit(self, collar, fits):
+    @pytest.mark.parametrize("collar, refusal", [
+        (0.0, None),
+        (1e-4, None),
+        (1e-3, "cannot score times past 9.22337e\\+11 s"),
+        (LAST, "cannot score times past 0.0002047 s"),
+        (PAST, "collar 922337203685.4775 s leaves the int64 tick range"),
+        (1e300, "collar 1e\\+300 s leaves the int64 tick range"),
+    ])
+    def test_the_collar_strips_must_fit(self, collar, refusal):
         # a strip ends at the last boundary plus the collar: 1e-4 s is 1000 ticks
-        # and fits in the last 2047, 1e-3 s is 10000 and does not
+        # and fits in the last 2047, 1e-3 s is 10000 and does not; a collar that
+        # is itself past int64 is refused as the options are made
         reference = ann("r", (0, self.LAST, "A"))
-        opts = EvalOptions(collar=collar)
-        if not fits:
-            with pytest.raises(InvalidInputError, match="leave the int64 tick range"):
-                scoring_region(reference, opts)
+        if refusal is not None:
+            with pytest.raises(InvalidInputError, match=refusal):
+                scoring_region(reference, EvalOptions(collar=collar))
             return
+        opts = EvalOptions(collar=collar)
         c = round(collar * TICKS_PER_SECOND)
         assert scoring_region(reference, opts) == [
             TimeInterval(c / TICKS_PER_SECOND, (2**63 - 2048 - c) / TICKS_PER_SECOND)
@@ -220,6 +230,51 @@ class TestTickRange:
         assert report.fa_seconds == (hyp_speakers - 1) * ticks / TICKS_PER_SECOND
         assert report.miss_seconds == (ref_speakers - 1) * ticks / TICKS_PER_SECOND
         assert report.confusion_seconds == 0.0
+
+
+class TestManyHypothesisSpeakers:
+    # 120 reference turns of 9.6 s (speakers A0-A3 in turn) and 2880 0.4-s
+    # hypothesis segments tiling them, each turn's 24 spread over 1000
+    # speakers, as naive clustering at a high threshold makes; every 10th
+    # segment is repeated inside itself, which leaves its speaker's union
+    TURNS, PIECES, SPEAKERS = 120, 24, 1000
+    PIECE_TICKS = 4_000_000
+
+    def case(self):
+        reference = ann("r", *[(10 * i, 10 * i + 9.6, f"A{i % 4}") for i in range(self.TURNS)])
+        spans, overlap = [], np.zeros((4, self.SPEAKERS), dtype=np.int64)
+        for p in range(self.TURNS * self.PIECES):
+            i, j, k = p // self.PIECES, p % self.PIECES, p % self.SPEAKERS
+            start = round(10 * i + 0.4 * j, 1)
+            spans.append((start, round(start + 0.4, 1), f"X{k:03d}"))
+            if p % 10 == 0:
+                spans.append((round(start + 0.1, 1), round(start + 0.3, 1), f"X{k:03d}"))
+            overlap[i % 4, k] += self.PIECE_TICKS
+        return reference, ann("r", *spans), overlap
+
+    def test_scores_exactly(self):
+        reference, hypothesis, overlap = self.case()
+        rows, cols = linear_sum_assignment(overlap, maximize=True)
+        matched = int(overlap[rows, cols].sum())
+        ref_ticks = self.TURNS * self.PIECES * self.PIECE_TICKS
+        report = der(reference, hypothesis, EvalOptions(collar=0.0))
+        assert report.ref_speech_seconds == ref_ticks / TICKS_PER_SECOND
+        assert report.fa_seconds == report.miss_seconds == 0.0
+        assert report.confusion_seconds == (ref_ticks - matched) / TICKS_PER_SECOND
+
+    @pytest.mark.parametrize("collar", [0.0, 0.25])
+    def test_memory_follows_segments_not_speakers_times_slices(self, collar):
+        # about 0.9 MiB; a speakers x slices table of the hypothesis would
+        # hold 1000 x 3575 entries, 3.4 MiB even as bools
+        reference, hypothesis, _ = self.case()
+        opts = EvalOptions(collar=collar)
+        tracemalloc.start()
+        try:
+            der(reference, hypothesis, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
 
 class TestMapSpeakers:
