@@ -13,7 +13,7 @@ import itertools
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import io as formats
@@ -104,8 +104,13 @@ def cmd_diarize(args) -> int:
     return 0
 
 
+# the name=value pairs of an `evaluate` score line, in the order scripts parse them
+_REPORT_VALUES = ("fa_seconds", "miss_seconds", "confusion_seconds", "ref_speech_seconds",
+                  "fa", "miss", "confusion", "total")
+
+
 def _report_lines(recording_id: str, report: DerReport) -> str:
-    values = (f"{f.name}={getattr(report, f.name)!r}" for f in fields(report))
+    values = (f"{name}={getattr(report, name)!r}" for name in _REPORT_VALUES)
     return f"recording={recording_id} " + " ".join(values)
 
 

@@ -359,7 +359,7 @@ def kmeans(embeddings, k: int, *, seed: int = 0) -> ClusteringResult:
     n = u.shape[0]
     if k > n:
         raise InvalidInputError(f"k={k} exceeds the number of points ({n})")
-    return ClusteringResult(labels=_best_run(u, k, seed)[0], k=k)
+    return ClusteringResult(_best_run(u, k, seed)[0])
 
 
 def precluster(embeddings, *, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -433,7 +433,7 @@ def resegment(embeddings, clustering: ClusteringResult, *, min_clusters: int = 1
         if len(kept) < floor or np.array_equal(new, z):
             break
         z = new
-    return ClusteringResult(labels=z, k=int(z.max()) + 1)
+    return ClusteringResult(z)
 
 
 def _elbow_runs(embeddings, max_clusters: int, seed: int) -> list[tuple]:
@@ -462,7 +462,7 @@ def estimate_k_elbow(
         raise InvalidInputError(f"empty cluster-count search range [{lo}, {max_clusters}]")
     # runs[k - 1] is k's run; max keeps the first, so the smallest, k of a tie
     k = max(range(lo, max_clusters + 1), key=lambda k: runs[k - 2][1] - runs[k - 1][1])
-    return ClusteringResult(labels=runs[k - 1][0], k=k)
+    return ClusteringResult(runs[k - 1][0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -587,4 +587,4 @@ def run_online(embeddings, threshold: float) -> ClusteringResult:
             sums[best_label] = sums[best_label] + unit
             norms[best_label] = float(np.linalg.norm(sums[best_label]))
         labels.append(best_label)
-    return ClusteringResult(labels=np.array(labels), k=len(sums))
+    return ClusteringResult(np.array(labels))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,18 +58,6 @@ class TimeInterval:
         return self.end - self.start
 
 
-def interval_union(spans: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Union of (start, end) pairs as sorted, disjoint pairs: empty pairs
-    (end <= start) are skipped, overlapping or touching ones merged."""
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted((s, e) for s, e in spans if e > s):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
 @dataclass(frozen=True)
 class Segment:
     """A time interval and the speaker label it carries."""
@@ -84,7 +72,8 @@ class Segment:
 
 @dataclass(frozen=True)
 class Annotation:
-    """Speaker-labeled segments of one recording, sorted by start time.
+    """Speaker-labeled segments of one recording, sorted stably by start time:
+    segments that start together keep their given order.
 
     Reference annotations may contain overlapping segments (simultaneous
     speakers); hypotheses produced by this package never do.
@@ -96,18 +85,8 @@ class Annotation:
     def __post_init__(self):
         if not self.recording_id:
             raise InvalidInputError("recording_id must be non-empty")
-        object.__setattr__(self, "segments", tuple(self.segments))
-        prev = -math.inf
-        for seg in self.segments:
-            if seg.interval.start < prev:
-                raise InvalidInputError("annotation segments must be sorted by start")
-            prev = seg.interval.start
-
-    @classmethod
-    def create(cls, recording_id: str, segments: Sequence[Segment]) -> "Annotation":
-        """Build an annotation, sorting the segments by start time."""
-        ordered = sorted(segments, key=lambda s: s.interval.start)
-        return cls(recording_id, tuple(ordered))
+        ordered = sorted(self.segments, key=lambda s: s.interval.start)
+        object.__setattr__(self, "segments", tuple(ordered))
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -122,14 +101,6 @@ class Annotation:
             seen.setdefault(seg.speaker, None)
         return list(seen)
 
-    def extent(self) -> TimeInterval:
-        """Span from the first segment start to the last segment end."""
-        if not self.segments:
-            raise InvalidInputError("empty annotation has no extent")
-        start = self.segments[0].interval.start
-        end = max(seg.interval.end for seg in self.segments)
-        return TimeInterval(start, end)
-
 
 @dataclass(frozen=True, eq=False)
 class SegmentEmbedding:
@@ -142,23 +113,22 @@ class SegmentEmbedding:
 
 @dataclass(frozen=True, eq=False)
 class ClusteringResult:
-    """Dense integer cluster id per segment; every id in [0, k) occurs."""
+    """Dense integer cluster id per segment: k ids, each of 0 .. k - 1 occurring."""
 
     labels: np.ndarray
-    k: int
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "labels", labels)
-        if self.k < 1:
-            raise InvalidInputError(f"cluster count must be >= 1, got {self.k}")
         if labels.ndim != 1 or labels.size == 0:
             raise InvalidInputError("labels must be a non-empty 1-D array")
         present = np.unique(labels)
-        if present[0] < 0 or present[-1] >= self.k:
-            raise InvalidInputError("cluster ids must lie in [0, k)")
-        if present.size != self.k:
-            raise InvalidInputError("every cluster id in [0, k) must occur at least once")
+        if present[0] != 0 or present[-1] != present.size - 1:
+            raise InvalidInputError("cluster ids must be 0 .. k - 1, each occurring at least once")
+
+    @property
+    def k(self) -> int:
+        return int(self.labels.max()) + 1
 
 
 def annotation_from_clusters(
@@ -186,6 +156,5 @@ def annotation_from_clusters(
             merged[-1] = (merged[-1][0], interval.end, name)
         else:
             merged.append((interval.start, interval.end, name))
-    # merged in start order, which the constructor checks: no sort again
     segments = tuple(Segment(TimeInterval(s, e), name) for s, e, name in merged)
     return Annotation(recording_id, segments)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregation import InvalidWindowError, Windows
-from .core import Annotation, InvalidInputError, ParseError, Segment, TimeInterval, interval_union
+from .core import Annotation, InvalidInputError, ParseError, Segment, TimeInterval
 from .numerics import row_block
 
 RTTM_FIELDS = 10
@@ -62,7 +62,7 @@ def parse_rttm(text: str) -> list[Annotation]:
             raise ParseError("empty speaker name", lineno)
         interval = _interval(tbeg, tbeg + tdur, lineno)
         segments.setdefault(file_id, []).append(Segment(interval, name))
-    return [Annotation.create(file_id, segs) for file_id, segs in segments.items()]
+    return [Annotation(file_id, segs) for file_id, segs in segments.items()]
 
 
 def write_rttm(annotation: Annotation) -> str:
@@ -86,8 +86,9 @@ def write_rttm(annotation: Annotation) -> str:
 
 
 def parse_uem(text: str) -> dict[str, list[TimeInterval]]:
-    """Parse 'file channel start end' lines; overlapping spans are merged."""
-    raw: dict[str, list[tuple[float, float]]] = {}
+    """Parse 'file channel start end' lines: each file's spans as written, in
+    file order. Spans may overlap; scoring covers their union."""
+    spans: dict[str, list[TimeInterval]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields or fields[0].startswith(";;"):
@@ -96,12 +97,8 @@ def parse_uem(text: str) -> dict[str, list[TimeInterval]]:
             raise ParseError(f"expected 4 fields, got {len(fields)}", lineno)
         start = _parse_float(fields[2], "start time", lineno)
         end = _parse_float(fields[3], "end time", lineno)
-        _interval(start, end, lineno)  # each line a valid span, checked as parse_rttm does
-        raw.setdefault(fields[0], []).append((start, end))
-    return {
-        file_id: [TimeInterval(s, e) for s, e in interval_union(spans)]
-        for file_id, spans in raw.items()
-    }
+        spans.setdefault(fields[0], []).append(_interval(start, end, lineno))
+    return spans
 
 
 def _format_float(x: float) -> str:

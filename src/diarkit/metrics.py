@@ -47,47 +47,39 @@ class EvalOptions:
 
 @dataclass(frozen=True)
 class DerReport:
-    """FA / Miss / Confusion durations plus their rates against reference speech."""
+    """FA / Miss / Confusion seconds and the reference speech seconds they are
+    rated against; each rate is a percentage of reference speech."""
 
     fa_seconds: float
     miss_seconds: float
     confusion_seconds: float
     ref_speech_seconds: float
-    fa: float
-    miss: float
-    confusion: float
-    total: float
 
-    @classmethod
-    def from_seconds(
-        cls,
-        fa_seconds: float,
-        miss_seconds: float,
-        confusion_seconds: float,
-        ref_speech_seconds: float,
-    ) -> "DerReport":
-        for name, value in (
-            ("fa", fa_seconds),
-            ("miss", miss_seconds),
-            ("confusion", confusion_seconds),
-        ):
-            if value < 0:
-                raise InvalidInputError(f"{name}_seconds must be >= 0, got {value}")
-        if ref_speech_seconds <= 0:
-            raise InvalidInputError("ref_speech_seconds must be positive")
-        fa = fa_seconds / ref_speech_seconds * 100.0
-        miss = miss_seconds / ref_speech_seconds * 100.0
-        confusion = confusion_seconds / ref_speech_seconds * 100.0
-        return cls(
-            fa_seconds=fa_seconds,
-            miss_seconds=miss_seconds,
-            confusion_seconds=confusion_seconds,
-            ref_speech_seconds=ref_speech_seconds,
-            fa=fa,
-            miss=miss,
-            confusion=confusion,
-            total=fa + miss + confusion,
-        )
+    def __post_init__(self):
+        for name in ("fa_seconds", "miss_seconds", "confusion_seconds"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # NaN fails too
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
+        if not 0 < self.ref_speech_seconds < np.inf:
+            raise InvalidInputError(
+                f"ref_speech_seconds must be finite and positive, got {self.ref_speech_seconds}"
+            )
+
+    @property
+    def fa(self) -> float:
+        return self.fa_seconds / self.ref_speech_seconds * 100.0
+
+    @property
+    def miss(self) -> float:
+        return self.miss_seconds / self.ref_speech_seconds * 100.0
+
+    @property
+    def confusion(self) -> float:
+        return self.confusion_seconds / self.ref_speech_seconds * 100.0
+
+    @property
+    def total(self) -> float:
+        return self.fa + self.miss + self.confusion
 
 
 def _tick_spans(intervals: Sequence[TimeInterval], limit: int = _INT64_MAX) -> np.ndarray:
@@ -233,7 +225,7 @@ def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> Der
     mapping = map_speakers(ref_labels, hyp_labels, overlap)
     matched = sum(int(overlap[ref_labels.index(r), hyp_labels.index(h)])
                   for r, h in mapping.items())
-    return DerReport.from_seconds(
+    return DerReport(
         fa_seconds=_seconds(int(nh @ dur) - coactive),
         miss_seconds=_seconds(ref_ticks - coactive),
         confusion_seconds=_seconds(coactive - matched),
@@ -242,10 +234,10 @@ def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> Der
 
 
 def combine_reports(reports: Sequence[DerReport]) -> DerReport:
-    """Corpus aggregate: pool the seconds fields, then recompute the rates."""
+    """Corpus aggregate: the seconds fields pooled, from which the rates follow."""
     if not reports:
         raise InvalidInputError("no reports to combine")
-    return DerReport.from_seconds(
+    return DerReport(
         fa_seconds=sum(r.fa_seconds for r in reports),
         miss_seconds=sum(r.miss_seconds for r in reports),
         confusion_seconds=sum(r.confusion_seconds for r in reports),

@@ -94,7 +94,7 @@ def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
         assignment, centroids = precluster(x, seed=params.seed)
         # centroids have no time order: no blur
         result = spectral_cluster(centroids, replace(params, sigma=0.0), observe).clustering
-        return resegment(x, ClusteringResult(result.labels[assignment], result.k),
+        return resegment(x, ClusteringResult(result.labels[assignment]),
                          min_clusters=params.min_clusters)
     if config.algorithm == "naive":
         return run_online(x, config.threshold)

@@ -182,5 +182,5 @@ def generate(scenario: SynthScenario) -> tuple[Annotation, Windows, list[TimeInt
         vectors.append(vecs)
     starts = np.concatenate(starts)
     windows = Windows(starts, starts + WINDOW_SIZE, np.concatenate(vectors))
-    reference = Annotation.create(f"synth-{scenario.scenario_kind}-{scenario.seed}", segments)
+    reference = Annotation(f"synth-{scenario.scenario_kind}-{scenario.seed}", segments)
     return reference, windows, regions

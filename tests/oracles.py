@@ -574,7 +574,7 @@ def random_der_case(rng: np.random.Generator):
                     kept.append(seg)
                     cursor = seg.interval.end
             segments = kept
-        return Annotation.create(rec_id, segments)
+        return Annotation(rec_id, segments)
 
     reference = annotation("case", "A", 4, 20, allow_empty=False)
     hypothesis = annotation("case", "H", 5, 20, allow_empty=True)

@@ -129,7 +129,7 @@ def test_der_calls_each_traced_scoring_stage_once(monkeypatch):
     calls = count_calls(monkeypatch, stages)
 
     def annotation(*segments):
-        return Annotation.create("rec", [Segment(TimeInterval(s, e), spk) for s, e, spk in segments])
+        return Annotation("rec", [Segment(TimeInterval(s, e), spk) for s, e, spk in segments])
 
     reference = annotation((0.0, 4.0, "A"), (4.0, 8.0, "B"), (6.0, 9.0, "C"))
     hypothesis = annotation((0.0, 5.0, "x"), (5.0, 9.0, "y"))

@@ -903,7 +903,7 @@ class TestResegment:
         labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
         rng.shuffle(labels)
         x = rng.standard_normal((n, d)) + 2.0 * rng.standard_normal((k, d))[labels]
-        got = resegment(x, ClusteringResult(labels, k))
+        got = resegment(x, ClusteringResult(labels))
         want = resegment_oracle(x, labels, RESEGMENT_PENALTY, RESEGMENT_ROUNDS)
         assert got.labels.tolist() == want
         assert got.k == max(want) + 1
@@ -933,7 +933,7 @@ class TestResegment:
         # though a change of speaker at every segment costs the most
         x = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]] * 4)
         labels = np.array([0, 1] * 4)
-        got = resegment(x, ClusteringResult(labels, 2))
+        got = resegment(x, ClusteringResult(labels))
         assert got.labels.tolist() == labels.tolist()
         assert got.k == 2
 
@@ -942,12 +942,12 @@ class TestResegment:
         # alike, and the path would take the last segment's label throughout
         x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         labels = np.array([0, 1, 0, 1])
-        got = resegment(x, ClusteringResult(labels, 2))
+        got = resegment(x, ClusteringResult(labels))
         assert got.labels.tolist() == labels.tolist()
 
     def test_one_cluster(self):
         x = np.random.default_rng(4).standard_normal((30, 5))
-        got = resegment(x, ClusteringResult(np.zeros(30, dtype=int), 1))
+        got = resegment(x, ClusteringResult(np.zeros(30, dtype=int)))
         assert got.k == 1
         assert got.labels.tolist() == [0] * 30
 
@@ -960,19 +960,19 @@ class TestResegment:
         b = np.array([0.0, 0.0, 1.0]) + 0.2 * rng.standard_normal((6, 3))
         x = np.vstack([a, b])
         labels = np.array([0] * 5 + [1] + [0] * 4 + [2] * 6)
-        got = resegment(x, ClusteringResult(labels, 3))
+        got = resegment(x, ClusteringResult(labels))
         assert got.labels.tolist() == [0] * 10 + [1] * 6
         assert got.k == 2
         # unless that takes k below min_clusters: then the round is not taken
-        kept = resegment(x, ClusteringResult(labels, 3), min_clusters=3)
+        kept = resegment(x, ClusteringResult(labels), min_clusters=3)
         assert kept.labels.tolist() == labels.tolist()
         assert kept.k == 3
         # a bound the input does not meet lets no round lower k further
-        assert resegment(x, ClusteringResult(labels, 3), min_clusters=4).k == 3
+        assert resegment(x, ClusteringResult(labels), min_clusters=4).k == 3
 
     def test_label_count_checked(self):
         with pytest.raises(InvalidInputError, match="3 labels for 4 segments"):
-            resegment(np.eye(4), ClusteringResult(np.array([0, 1, 0]), 2))
+            resegment(np.eye(4), ClusteringResult(np.array([0, 1, 0])))
 
 
 class TestSpectralParams:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarkit import (
     Annotation,
@@ -45,30 +47,37 @@ class TestSegment:
             Segment(TimeInterval(0, 1), None)
 
 
-class TestAnnotation:
-    def test_create_sorts_by_start(self):
-        ann = Annotation.create(
-            "rec",
-            [
-                Segment(TimeInterval(5, 6), "b"),
-                Segment(TimeInterval(0, 1), "a"),
-            ],
-        )
-        assert [seg.interval.start for seg in ann] == [0, 5]
+def segment_lists(**kwargs):
+    """Lists of segments on a coarse grid, where equal starts are common."""
+    segment = st.builds(
+        lambda start, length, speaker: Segment(TimeInterval(start, start + length), speaker),
+        st.integers(0, 5), st.integers(1, 4), st.sampled_from("abc"),
+    )
+    return st.lists(segment, max_size=8, **kwargs)
 
-    def test_unsorted_segments_rejected(self):
-        with pytest.raises(InvalidInputError):
-            Annotation(
-                "rec",
-                (
-                    Segment(TimeInterval(5, 6), "b"),
-                    Segment(TimeInterval(0, 1), "a"),
-                ),
-            )
+
+class TestAnnotation:
+    @settings(deadline=None)
+    @given(segment_lists(unique_by=lambda seg: seg.interval.start), st.data())
+    def test_any_order_builds_the_same_annotation(self, segments, data):
+        shuffled = data.draw(st.permutations(segments))
+        assert Annotation("rec", shuffled) == Annotation("rec", segments)
+
+    @settings(deadline=None)
+    @given(segment_lists())
+    def test_sorted_stably_by_start(self, segments):
+        ann = Annotation("rec", segments)
+        starts = [seg.interval.start for seg in ann]
+        assert starts == sorted(starts)
+        # segments that start together keep their given order
+        for start in set(starts):
+            assert [seg for seg in ann if seg.interval.start == start] == [
+                seg for seg in segments if seg.interval.start == start
+            ]
 
     def test_all_segments_are_labeled(self):
         # a Segment carries a non-empty label by construction
-        ann = Annotation.create("rec", [Segment(TimeInterval(1, 2), "b"), Segment(TimeInterval(0, 1), "a")])
+        ann = Annotation("rec", [Segment(TimeInterval(1, 2), "b"), Segment(TimeInterval(0, 1), "a")])
         assert [seg.speaker for seg in ann] == ["a", "b"]
 
     def test_empty_recording_id_rejected(self):
@@ -76,7 +85,7 @@ class TestAnnotation:
             Annotation("", (Segment(TimeInterval(0, 1), "a"),))
 
     def test_labels_first_appearance_order(self):
-        ann = Annotation.create(
+        ann = Annotation(
             "rec",
             [
                 Segment(TimeInterval(0, 1), "b"),
@@ -86,19 +95,8 @@ class TestAnnotation:
         )
         assert ann.labels() == ["b", "a"]
 
-    def test_extent_spans_first_start_to_last_end(self):
-        ann = Annotation.create(
-            "rec",
-            [
-                Segment(TimeInterval(1, 9), "a"),
-                Segment(TimeInterval(2, 3), "b"),
-            ],
-        )
-        extent = ann.extent()
-        assert extent.start == 1 and extent.end == 9
-
     def test_overlapping_reference_segments_allowed(self):
-        ann = Annotation.create(
+        ann = Annotation(
             "rec",
             [
                 Segment(TimeInterval(0, 5), "a"),
@@ -118,19 +116,27 @@ class TestSegmentEmbedding:
 
 
 class TestClusteringResult:
-    def test_dense_ids_required(self):
-        with pytest.raises(InvalidInputError):
-            ClusteringResult(np.array([0, 2, 2]), k=3)  # id 1 never occurs
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=20))
+    def test_k_counts_the_distinct_labels(self, ids):
+        # renumber the drawn ids densely, in order of their value
+        labels = np.unique(ids, return_inverse=True)[1]
+        assert ClusteringResult(labels).k == len(set(ids))
 
-    def test_ids_must_be_in_range(self):
+    @pytest.mark.parametrize("labels", [
+        [0, 2, 2],  # id 1 never occurs
+        [1, 1],  # nor does 0
+        [-1, 0],
+        [],
+        [[0, 1], [1, 0]],
+    ], ids=["gapped", "no-zero", "negative", "empty", "2-D"])
+    def test_labels_other_than_0_to_k_minus_1_rejected(self, labels):
         with pytest.raises(InvalidInputError):
-            ClusteringResult(np.array([0, 3]), k=2)
-        with pytest.raises(InvalidInputError):
-            ClusteringResult(np.array([-1, 0]), k=1)
+            ClusteringResult(np.array(labels, dtype=np.int64))
 
     def test_valid(self):
-        r = ClusteringResult(np.array([1, 0, 1]), k=2)
+        r = ClusteringResult(np.array([1, 0, 1]))
         assert r.k == 2
+        assert r.labels.tolist() == [1, 0, 1]
 
 
 class TestAnnotationFromClusters:

@@ -1,4 +1,4 @@
-"""Property tests of the interval algebra against a tick-set oracle.
+"""Property tests of the scoring timeline (`_pieces`, `_depth`) against a tick-set oracle.
 
 Spans are half-open [start, end) over integer ticks, so the set of ticks a
 list of spans covers is an exact model of what the list means.
@@ -8,44 +8,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diarkit.core import interval_union
 from diarkit.metrics import _depth, _pieces
-
-# (start, start + length); a length <= 0 gives an empty pair, which
-# interval_union must skip. Short lengths on a small range make spans
-# that touch or share an end point common.
-SPANS = st.lists(
-    st.tuples(st.integers(0, 40), st.integers(-3, 12)).map(lambda p: (p[0], p[0] + p[1])),
-    max_size=10,
-)
 
 
 def ticks(spans) -> set[int]:
     return {t for s, e in spans for t in range(s, e)}
-
-
-def assert_sorted_apart(spans) -> None:
-    """Non-empty, sorted, and neither overlapping nor touching."""
-    assert all(s < e for s, e in spans)
-    for (_, prev_end), (start, _) in zip(spans, spans[1:]):
-        assert prev_end < start
-
-
-@settings(deadline=None)
-@given(SPANS)
-@example([(0, 5), (5, 10), (3, 3)])
-def test_union_covers_exactly_the_input_ticks(spans):
-    merged = interval_union(spans)
-    assert ticks(merged) == ticks(spans)
-    assert_sorted_apart(merged)
-
-
-@settings(deadline=None)
-@given(SPANS)
-def test_union_is_idempotent_and_order_free(spans):
-    merged = interval_union(spans)
-    assert interval_union(merged) == merged
-    assert interval_union(reversed(spans)) == merged
 
 
 # each row's spans, which may overlap, touch or be empty (start == end)

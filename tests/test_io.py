@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from diarkit import (
     Annotation,
+    EvalOptions,
     InvalidInputError,
     ParseError,
     Segment,
     SynthScenario,
     TimeInterval,
     Windows,
+    der,
     generate,
     parse_rttm,
     parse_uem,
@@ -70,7 +72,7 @@ class TestRttm:
             parse_rttm("SPEAKER rec1 1 zero 1.0 <NA> <NA> A <NA> <NA>\n")
 
     def test_write_format(self):
-        annotation = Annotation.create("rec1", [Segment(TimeInterval(0, 0.4), "spk0")])
+        annotation = Annotation("rec1", [Segment(TimeInterval(0, 0.4), "spk0")])
         assert (
             write_rttm(annotation)
             == "SPEAKER rec1 1 0.000000 0.400000 <NA> <NA> spk0 <NA> <NA>\n"
@@ -79,7 +81,7 @@ class TestRttm:
     @pytest.mark.parametrize("rec_id, label", [("my rec", "A"), ("rec1", "A\tB"), ("rec1", "A\u00a0B")])
     def test_whitespace_in_a_field_rejected(self, rec_id, label):
         # the line would not parse back as 10 fields
-        annotation = Annotation.create(rec_id, [Segment(TimeInterval(0, 1), label)])
+        annotation = Annotation(rec_id, [Segment(TimeInterval(0, 1), label)])
         with pytest.raises(InvalidInputError, match="contains whitespace"):
             write_rttm(annotation)
 
@@ -87,7 +89,7 @@ class TestRttm:
         assert write_rttm(Annotation("rec1", ())) == ""
 
     def test_round_trip(self):
-        annotation = Annotation.create(
+        annotation = Annotation(
             "meeting-07",
             [
                 Segment(TimeInterval(0.123456, 4.2), "alice"),
@@ -108,9 +110,20 @@ class TestUem:
     def test_single_line(self):
         assert parse_uem("rec1 1 0.0 60.0\n") == {"rec1": [TimeInterval(0, 60)]}
 
-    def test_overlapping_intervals_merged(self):
-        parsed = parse_uem("rec1 1 0.0 10.0\nrec1 1 5.0 20.0\nrec1 1 30.0 40.0\n")
-        assert parsed == {"rec1": [TimeInterval(0, 20), TimeInterval(30, 40)]}
+    def test_overlapping_spans_kept_as_written(self):
+        parsed = parse_uem("rec1 1 5.0 20.0\nrec1 1 30.0 40.0\nrec1 1 0.0 10.0\n")
+        spans = [TimeInterval(5, 20), TimeInterval(30, 40), TimeInterval(0, 10)]
+        assert parsed == {"rec1": spans}
+        # scoring covers their union
+        union = [TimeInterval(0, 20), TimeInterval(30, 40)]
+        reference = Annotation("rec1", [Segment(TimeInterval(2, 32), "A"),
+                                        Segment(TimeInterval(25, 37), "B")])
+        hypothesis = Annotation("rec1", [Segment(TimeInterval(1, 21), "x"),
+                                         Segment(TimeInterval(21, 39), "y")])
+        for collar, exclude_overlap in ((0.25, True), (0.0, False)):
+            scored = [der(reference, hypothesis, EvalOptions(collar, exclude_overlap, uem))
+                      for uem in (spans, union)]
+            assert scored[0] == scored[1]
 
     def test_comments_and_blank_lines_skipped(self):
         parsed = parse_uem(";; header\n\nrec1 1 0.0 5.0\n")
@@ -122,7 +135,7 @@ class TestUem:
         assert "line 1" in str(info.value)
 
     def test_negative_start_rejected_with_line(self):
-        # checked per line, before spans are merged, as parse_rttm checks its lines
+        # checked per line, as parse_rttm checks its lines
         with pytest.raises(ParseError, match=r"^line 2: negative interval start -1\.0$"):
             parse_uem("rec1 1 0.0 5.0\nrec1 1 -1.0 40.0\n")
 
@@ -303,7 +316,7 @@ def microsecond_annotations(draw):
             max_size=8,
         )
     )
-    return Annotation.create(
+    return Annotation(
         draw(NAMES),
         [Segment(TimeInterval(s / 1e6, s / 1e6 + d / 1e6), name) for s, d, name in spans],
     )

@@ -20,13 +20,12 @@ from diarkit import (
     map_speakers,
     scoring_region,
 )
-from diarkit.core import interval_union
 from diarkit.metrics import TICKS_PER_SECOND
 from oracles import der_oracle, overlap_milliseconds, random_der_case
 
 
 def ann(rec_id, *spans):
-    return Annotation.create(
+    return Annotation(
         rec_id, [Segment(TimeInterval(a, b), spk) for a, b, spk in spans]
     )
 
@@ -329,7 +328,7 @@ class TestMapSpeakers:
 
 class TestDerReport:
     def test_percentages_reproduce_ratios_exactly(self):
-        report = DerReport.from_seconds(
+        report = DerReport(
             fa_seconds=1.3, miss_seconds=0.7, confusion_seconds=2.1, ref_speech_seconds=9.5
         )
         assert report.fa == 1.3 / 9.5 * 100.0
@@ -338,18 +337,39 @@ class TestDerReport:
         assert report.total == report.fa + report.miss + report.confusion
 
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(InvalidInputError):
-            DerReport.from_seconds(-0.1, 0, 0, 10)
-        with pytest.raises(InvalidInputError):
-            DerReport.from_seconds(0, 0, 0, 0)
+        nan, inf = math.nan, math.inf
+        for seconds in [(-0.1, 0, 0, 10), (0, 0, 0, 0), (nan, 0, 0, 10), (0, nan, 0, 10),
+                        (0, 0, inf, 10), (0, -inf, 0, 10), (0, 0, 0, nan), (0, 0, 0, inf),
+                        (0, 0, 0, -inf)]:
+            with pytest.raises(InvalidInputError):
+                DerReport(*seconds)
+        # the rates follow from the seconds and cannot be given
+        with pytest.raises(TypeError):
+            DerReport(fa_seconds=-1.0, miss_seconds=0.0, confusion_seconds=0.0,
+                      ref_speech_seconds=0.0, fa=99.0, miss=0.0, confusion=0.0, total=5.0)
+
+    def test_equality_and_hash_follow_the_four_fields(self):
+        report = DerReport(1.3, 0.7, 2.1, 9.5)
+        assert report == DerReport(1.3, 0.7, 2.1, 9.5)
+        assert hash(report) == hash(DerReport(1.3, 0.7, 2.1, 9.5))
+        for i in range(4):
+            seconds = [1.3, 0.7, 2.1, 9.5]
+            seconds[i] += 1.0
+            assert DerReport(*seconds) != report
 
     def test_combine_pools_seconds(self):
-        first = DerReport.from_seconds(0, 1.0, 0, 10.0)
-        second = DerReport.from_seconds(0, 0, 0, 5.0)
+        first = DerReport(0, 1.0, 0, 10.0)
+        second = DerReport(0, 0, 0, 5.0)
         pooled = combine_reports([first, second])
         assert pooled.miss_seconds == 1.0
         assert pooled.ref_speech_seconds == 15.0
         assert pooled.total == 1.0 / 15.0 * 100.0
+
+    @given(st.lists(st.tuples(*[st.floats(0, 1e4)] * 3, st.floats(1e-3, 1e4)),
+                    min_size=1, max_size=5))
+    def test_combine_is_the_report_of_the_summed_seconds(self, rows):
+        combined = combine_reports([DerReport(*row) for row in rows])
+        assert combined == DerReport(*(sum(column) for column in zip(*rows)))
 
     def test_combine_empty_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -447,7 +467,7 @@ def annotations(prefix: str, min_size: int):
     """Annotations of up to 12 segments on a 0.1 s grid, over up to 4 speakers."""
     segment = st.tuples(st.integers(0, 180), st.integers(1, 40), st.integers(0, 3))
     return st.lists(segment, min_size=min_size, max_size=12).map(
-        lambda spans: Annotation.create(
+        lambda spans: Annotation(
             "rec",
             [Segment(TimeInterval(s / 10, (s + d) / 10), f"{prefix}{k}") for s, d, k in spans],
         )
@@ -531,7 +551,7 @@ class TestDerProperties:
         labels = hypothesis.labels()
         new_names = data.draw(st.permutations([f"x{i}" for i in range(len(labels))]))
         renamed = dict(zip(labels, new_names))
-        relabeled = Annotation.create(
+        relabeled = Annotation(
             "rec", [Segment(seg.interval, renamed[seg.speaker]) for seg in hypothesis]
         )
         assert scored(reference, relabeled, opts) == scored(reference, hypothesis, opts)
@@ -564,10 +584,10 @@ class TestDerProperties:
             for seg in reference for b in (seg.interval.start, seg.interval.end)
         ]
         if opts.uem is not None:  # every gap of the UEM, and 5 s past its end
-            ends = [t for span in interval_union((iv.start, iv.end) for iv in opts.uem)
-                    for t in span]
+            union = scoring_region(reference, EvalOptions(0.0, False, opts.uem))
+            ends = [t for iv in union for t in (iv.start, iv.end)]
             spans += list(zip([0.0, *ends[1::2]], [*ends[::2], ends[-1] + 5.0]))
         outside = [Segment(TimeInterval(s, e), "ghost") for s, e in spans if e > s]
         assume(outside)
-        padded = Annotation.create("rec", [*hypothesis, *outside])
+        padded = Annotation("rec", [*hypothesis, *outside])
         assert scored(reference, padded, opts) == scored(reference, hypothesis, opts)

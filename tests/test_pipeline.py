@@ -212,10 +212,10 @@ def two_stage(monkeypatch):
 
 
 def _stage_two_labels(x, params):
-    """(labels, k): each segment its centroid's stage-2 label, before the pass."""
+    """Each segment its centroid's stage-2 label, before the pass."""
     assignment, centroids = precluster(x, seed=params.seed)
     stage2 = spectral_cluster(centroids, replace(params, sigma=0.0)).clustering
-    return stage2.labels[assignment], stage2.k
+    return stage2.labels[assignment]
 
 
 class TestTwoStage:
@@ -236,7 +236,7 @@ class TestTwoStage:
         assignment, centroids = precluster(x, seed=3)
         assert len(centroids) == 40
         stage2 = spectral_cluster(centroids, SpectralParams(sigma=0.0, seed=3)).clustering
-        want = resegment(x, ClusteringResult(stage2.labels[assignment], stage2.k), min_clusters=2)
+        want = resegment(x, ClusteringResult(stage2.labels[assignment]), min_clusters=2)
         assert got.k == want.k == 3
         assert np.array_equal(got.labels, want.labels)
 
@@ -249,7 +249,7 @@ class TestTwoStage:
                                                      scenario_kind="imbalanced", seed=5))
         x, _ = stack_segments(segment_embeddings(windows, regions))
         params = SpectralParams(min_clusters=4, max_clusters=4)
-        unbounded = resegment(x, ClusteringResult(*_stage_two_labels(x, params)))
+        unbounded = resegment(x, ClusteringResult(_stage_two_labels(x, params)))
         assert unbounded.k < 4
         assert cluster(x, DiarizeConfig(spectral=params)).k == 4
 
