@@ -5,10 +5,14 @@ Unit rows, Gram products and the eigensolver's matvec on scipy's BLAS
 2-D Gaussian blur of a Gram matrix from its factor, the nearest-rank
 percentile index, symmetric eigen-decomposition (full, or partial top-k
 when fewer than all pairs are asked for) with a deterministic
-ordering/sign convention, and maximum-weight assignment
-(scipy.sparse.csgraph's matching). Both eigensolver paths read the lower
-triangle of their input only. The n x n passes work in row blocks or tiles,
-and the Gram product can write into its own input.
+ordering/sign convention, and maximum-weight assignment (a numpy
+Kuhn-Munkres). Both eigensolver paths read the lower triangle of their
+input only. The n x n passes work in row blocks or tiles, and the Gram
+product can write into its own input.
+
+Importing this module loads numpy only: scipy is imported by the spectral
+kernels (`gram`, `gram_diagonal_and_row_max`, `eigh`) when they first run,
+so a process that never clusters spectrally never loads it.
 """
 
 from __future__ import annotations
@@ -18,10 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dsymv, dsyrk
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .core import InvalidInputError, NumericError
 
@@ -171,6 +171,10 @@ def gram(x, out=None) -> np.ndarray:
 def _gram_rows(x: np.ndarray, g: np.ndarray, lo: int, hi: int) -> None:
     """Rows lo..hi-1 of g = x xᵀ, given rows 0..lo-1; reads x only from row lo on.
     Its BLAS results are freed on return, before the next block's are made."""
+    # here, not at the top: only spectral clustering needs scipy, whose import
+    # costs a fresh process several times numpy's
+    from scipy.linalg.blas import dgemm, dsyrk
+
     n = g.shape[0]
     block = x[lo:hi].T
     upper = dsyrk(1.0, block, trans=1)
@@ -193,6 +197,8 @@ def gram_diagonal_and_row_max(x) -> tuple[np.ndarray, np.ndarray]:
     """The diagonal of x xᵀ and each row's largest entry off it, for an x of at
     least 2 rows, from dgemm's blocks of x xᵀ: no n x n matrix. Each block is
     F-ordered, a column per row of x, so each maximum is read down a column."""
+    from scipy.linalg.blas import dgemm  # on first use: see _gram_rows
+
     xt = np.asarray(x, dtype=np.float64).T  # F-ordered for a C-ordered x: no copy
     n = xt.shape[1]
     diagonal, row_max = np.empty(n), np.empty(n)
@@ -275,6 +281,9 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
         raise InvalidInputError(f"matrix is asymmetric beyond tolerance ({asym:.3e})")
     if count is not None and not (1 <= count <= n):
         raise InvalidInputError(f"count must lie in [1, {n}], got {count}")
+    from scipy.linalg.blas import dsymv  # on first use: see _gram_rows
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     try:
         if count is None or count == n:
             values, vectors = np.linalg.eigh(m)
@@ -306,27 +315,69 @@ def optimal_assignment(weights) -> list[tuple[int, int]]:
 
     Returns (row, col) pairs, rows ascending, maximizing the total weight.
 
-    The solver minimizes, so it gets each entry's distance below the maximum.
-    Every full matching has min(r, c) edges, so adding one constant to every
-    entry leaves the optimum where it is: those costs are shifted up to
-    [span, 2 span] (span = max - min, or 1 if all are equal), as the solver
-    takes a zero entry for a missing edge. Integer weights spanning less than
-    2**52 stay exact.
+    Kuhn-Munkres (Kuhn 1955; Munkres 1957) on each entry's distance below the
+    maximum as its cost, by shortest augmenting paths: the smaller side's
+    lines are matched one at a time, each by a Dijkstra search over the
+    reduced costs that row and column potentials keep >= 0, its inner step
+    vectorized over the larger side: O(s² l) work for sides s <= l, in
+    O(s²) numpy steps. At DER's sizes it is as fast as
+    scipy.sparse.csgraph's matching (random integer weights, 2 vCPUs):
+    0.09-0.5 ms at 2 x 2 to 8 x 8 against 0.16-0.2 ms, 0.16-0.18 ms for 4
+    x 1002 (4 reference speakers against a naive hypothesis) either way
+    round against 0.24-0.46 ms. It is slower at sizes DER does not reach:
+    5.7-5.9 against 0.3-0.4 ms at 50 x 50, 0.09-0.12 against 0.023-0.037 s
+    at 500 x 500. Ties go to the lowest index, so repeated calls agree.
+    One search moves a potential by at most the costs' span, so integer
+    weights stay exact while (min(r, c) + 1) times their span is below
+    2**53.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or weights.size == 0:
         raise InvalidInputError(f"expected a non-empty 2-D matrix, got shape {weights.shape}")
     if not np.all(np.isfinite(weights)):
         raise InvalidInputError("assignment matrix contains non-finite entries")
+    flip = weights.shape[0] > weights.shape[1]
+    if flip:
+        weights = weights.T
+    s, l = weights.shape
     low, high = float(weights.min()), float(weights.max())
-    if not math.isfinite(4 * (high - low)):  # costs reach 2 span; a power of two scales exactly
-        weights, low, high = weights / 8, low / 8, high / 8
-    span = (high - low) or 1.0
-    costs = (high - weights) + span
-    # every cost is >= span > 0, so the matrix is full: build it row by row
-    r, c = costs.shape
-    indices = np.tile(np.arange(c, dtype=np.int32), r)
-    indptr = np.arange(0, r * c + 1, c, dtype=np.int32)
-    matrix = csr_array((costs.ravel(), indices, indptr), shape=(r, c))
-    rows, cols = min_weight_full_bipartite_matching(matrix)
-    return list(zip(rows.tolist(), cols.tolist()))
+    if not math.isfinite(2 * (s + 1) * (high - low)):  # a power of two scales exactly
+        scale = 2.0 ** -math.ceil(math.log2(8 * (s + 1)))
+        weights, high = weights * scale, high * scale
+    cost = high - weights
+    u, v = np.zeros(s), np.zeros(l)  # potentials: cost - u[row] - v[col] >= 0
+    row_of, col_of = np.full(l, -1), np.full(s, -1)  # -1: not matched yet
+    via = np.empty(l, dtype=np.intp)  # the row before each column on its shortest path
+    for start in range(s):
+        # Dijkstra from row `start` over the reduced costs until it settles a free
+        # column; `reach` is the last distance settled, and a settled column's
+        # distance moves to `settled` (dist reads inf there)
+        dist, settled = np.full(l, np.inf), np.zeros(l)
+        done = np.zeros(l, dtype=bool)
+        i, reach = start, 0.0
+        while True:
+            reduced = cost[i] - (u[i] - reach) - v
+            closer = reduced < dist
+            closer[done] = False
+            np.copyto(dist, reduced, where=closer)
+            via[closer] = i
+            j = int(np.argmin(dist))
+            reach = settled[j] = dist[j]
+            done[j], dist[j] = True, np.inf
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        # the potentials that keep every reduced cost >= 0 and the path's at 0
+        gain = reach - settled[done]
+        rows = row_of[done]
+        u[start] += reach
+        u[rows[rows >= 0]] += gain[rows >= 0]
+        v[done] -= gain
+        while True:  # flip the path's matches, from the free column back to `start`
+            i = via[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == start:
+                break
+    pairs = [(int(i), int(j)) for i, j in enumerate(col_of)]
+    return sorted((j, i) for i, j in pairs) if flip else pairs

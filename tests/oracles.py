@@ -5,8 +5,8 @@ the package code: direct 2-D convolution, or scipy.ndimage's separable
 filter, instead of blurring a Gram matrix's factor, the refinement chain's
 stages as plain dense matrices instead of one matrix rewritten in place,
 midpoint slicing in floats instead of integer-tick coverage counts, exhaustive
-permutation search or scipy.optimize's Hungarian-type solver instead of the
-package's bipartite matching, one vector pair at a time instead of whole
+permutation search or scipy.optimize's compiled assignment solver instead of
+the package's numpy Kuhn-Munkres, one vector pair at a time instead of whole
 matrices, one cluster at a time in k-means, every label path instead of the
 Viterbi recursion, every cluster norm recomputed for every row in online
 clustering. Slow but obviously correct on small inputs.
@@ -103,8 +103,7 @@ def brute_force_assignment(matrix: np.ndarray) -> float:
 
 def scipy_assignment_total(matrix: np.ndarray) -> float:
     """Maximum one-to-one assignment total by scipy.optimize.linear_sum_assignment:
-    the package's solver before it moved to scipy.sparse.csgraph, and an
-    oracle at sizes exhaustive search cannot reach."""
+    an oracle at sizes exhaustive search cannot reach."""
     m = np.asarray(matrix, dtype=np.float64)
     rows, cols = linear_sum_assignment(m, maximize=True)
     return float(m[rows, cols].sum())

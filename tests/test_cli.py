@@ -6,7 +6,6 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import diarkit.cli
 import diarkit.clustering
-import diarkit.numerics
 import diarkit.pipeline
 from diarkit import (
     EvalOptions,
@@ -64,7 +63,7 @@ def arpack_fails(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-    monkeypatch.setattr(diarkit.numerics, "eigsh", no_convergence)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
 
 
 class TestDiarize:
@@ -957,8 +956,37 @@ class TestEntrypointPlumbing:
             assert [f.name for f in fields(a) if getattr(a, f.name) == getattr(b, f.name)] == []
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # scipy.optimize costs every process about 16 MiB of RSS; nothing in the
-    # library needs it (the tests' assignment oracle does)
-    loaded = run_python("import sys, diarkit.cli; print('scipy.optimize' in sys.modules)")
-    assert loaded.strip() == "False"
+def test_cli_import_loads_no_scipy():
+    # scipy's import costs a fresh process several times numpy's; only the
+    # spectral kernels need it, and they import it when they first run
+    loaded = run_python(
+        "import sys, diarkit, diarkit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert loaded.strip() == "[]"
+
+
+def test_only_spectral_clustering_loads_scipy(tmp_path):
+    emb, ref, reg = (str(tmp_path / name) for name in ("s.csv", "s.rttm", "s-regions.csv"))
+    (tmp_path / "s.uem").write_text("s 1 5.0 20.0\ns 1 15.0 40.0\n")
+    commands = [
+        ["synth", "--speakers", "3", "--duration", "60", "--seed", "0", "--out-embeddings", emb,
+         "--out-reference", ref, "--out-regions", reg],
+        *(["diarize", "--embeddings", emb, "--regions", reg, "--algorithm", algorithm,
+           "--out", str(tmp_path / f"{algorithm}.rttm")] for algorithm in ("kmeans", "naive")),
+        ["evaluate", "--reference", ref, "--hypothesis", str(tmp_path / "kmeans.rttm")],
+        ["evaluate", "--reference", ref, "--hypothesis", str(tmp_path / "naive.rttm"),
+         "--uem", str(tmp_path / "s.uem")],
+        ["diarize", "--embeddings", emb, "--regions", reg, "--out", str(tmp_path / "spectral.rttm")],
+    ]
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from diarkit.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    assert out.splitlines() == [
+        "synth 0 False", "diarize 0 False", "diarize 0 False", "evaluate 0 False",
+        "evaluate 0 False", "diarize 0 True",
+    ]

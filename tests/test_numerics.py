@@ -7,7 +7,6 @@ import pytest
 
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-import diarkit.numerics
 from diarkit import (
     InvalidInputError,
     NumericError,
@@ -453,7 +452,7 @@ class TestEighPartial:
             return eigsh(*args, **kwargs)
 
         m = refined_affinity(n, n)  # built by a clustering run: its own solve is not counted
-        monkeypatch.setattr(diarkit.numerics, "eigsh", counted_eigsh)
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", counted_eigsh)
         d = eigh(m, count=self.COUNT)
         assert arpack_calls == [n]
         dense = np.linalg.eigh(m)[0][::-1][: self.COUNT]
@@ -500,7 +499,7 @@ class TestEighPartial:
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        monkeypatch.setattr(diarkit.numerics, "eigsh", no_convergence)
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
         m, _ = large_refined
         with pytest.raises(NumericError):
             eigh(m, count=self.COUNT)
@@ -610,21 +609,24 @@ class TestOptimalAssignment:
             self.assert_optimal(rng.integers(-50, -1, size=shape))
             self.assert_optimal(rng.integers(-50, 50, size=shape))
 
-    def test_naive_clusterer_overlap_size(self):
-        # a 4-speaker reference against the naive clusterer's ~120 hypothesis
-        # speakers: each reference speaker's ticks spread over 40 of them
+    @pytest.mark.parametrize("speakers", [120, 1002])
+    def test_naive_clusterer_overlap_size(self, speakers):
+        # a 4-speaker reference against the naive clusterer's hypothesis
+        # speakers (about 120 on a 5-min synth, 1002 on a noisy 20-min one):
+        # each reference speaker's ticks spread over a third of them
         rng = np.random.default_rng(24)
-        overlap = np.zeros((4, 120))
+        overlap = np.zeros((4, speakers))
         for row in overlap:
-            cols = rng.choice(120, size=40, replace=False)
-            row[cols] = rng.integers(1, 3 * 10**8, size=40)
-        self.assert_optimal(overlap)
-        self.assert_optimal(overlap.T)
+            cols = rng.choice(speakers, size=speakers // 3, replace=False)
+            row[cols] = rng.integers(1, 3 * 10**8, size=speakers // 3)
+        for m in (overlap, overlap.T):
+            self.assert_optimal(m)
+            assert optimal_assignment(m) == optimal_assignment(m)
 
     def test_spans_at_the_ends_of_the_float_range(self):
         # the solver's costs are the weights' distances below their maximum,
-        # shifted by their span: a span beyond the float range, or far below
-        # the weights' magnitude
+        # and its potentials reach (min(r, c) + 1) times their span: a span
+        # beyond the float range, or far below the weights' magnitude
         rng = np.random.default_rng(25)
         for shape in [(2, 2), (2, 5), (5, 2)] * 3:  # two pairs: the totals stay finite
             self.assert_optimal(rng.uniform(-8e307, 8e307, size=shape))
