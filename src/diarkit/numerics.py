@@ -1,18 +1,12 @@
 """Vector and matrix primitives used across the pipeline.
 
-Unit rows, Gram products and the eigensolver's matvec on scipy's BLAS
-(not numpy's: two OpenBLAS thread pools slow each other, see README), the
-2-D Gaussian blur of a Gram matrix from its factor, the nearest-rank
+Unit rows, Gram products in row blocks (in place if asked), the 2-D
+Gaussian blur of a Gram matrix from its factor, the nearest-rank
 percentile index, symmetric eigen-decomposition (full, or partial top-k
-when fewer than all pairs are asked for) with a deterministic
+by Lanczos when fewer than all pairs are asked for) with a deterministic
 ordering/sign convention, and maximum-weight assignment (a numpy
-Kuhn-Munkres). Both eigensolver paths read the lower triangle of their
-input only. The n x n passes work in row blocks or tiles, and the Gram
-product can write into its own input.
-
-Importing this module loads numpy only: scipy is imported by the spectral
-kernels (`gram`, `gram_diagonal_and_row_max`, `eigh`) when they first run,
-so a process that never clusters spectrally never loads it.
+Kuhn-Munkres). Both eigensolver paths solve the lower triangle of their
+input. The n x n passes work in row blocks or tiles, all on numpy's BLAS.
 """
 
 from __future__ import annotations
@@ -136,10 +130,9 @@ def upper_tiles(n: int) -> Iterator[tuple[slice, slice]]:
 
 
 # Rows of x that each step of `gram` multiplies by the rest: two tiles, so
-# the tiled copies meet the block edges, and its BLAS results, up to 256 x n,
+# the tiled copies meet the block edges, and its products, up to 256 x n,
 # stay small beside the n x n output. A short last block joins the one before
-# it: a dgemm with only 1-4 columns to its right (n = 257-260, 513-516)
-# moved entries by an ulp or two from one dsyrk's.
+# it: a product with only 1-4 columns right of it moved entries by an ulp or two.
 _GRAM_ROWS = 2 * _TILE
 
 
@@ -147,15 +140,11 @@ def gram(x, out=None) -> np.ndarray:
     """x xᵀ, exactly symmetric, into `out` (which may be x itself when x is
     square); without `out`, a new F-ordered matrix.
 
-    A block of rows at a time on scipy's BLAS: dsyrk (half a dgemm's work)
-    gives the block's diagonal tile from the view xᵀ (no copy of a C-ordered x),
-    dgemm the part right of it, and the part left of it is copied from the
-    rows already done. Each block is read before its rows are written, and
-    later blocks read only later rows. Bit for bit one dsyrk over all of x,
-    its upper triangle mirrored, while OpenBLAS runs dgemm on 2 or more
-    threads; with one thread (OpenBLAS 0.3.30) an x of more than 384 columns
-    can differ from it by an ulp, as its serial dgemm splits the long inner
-    sum elsewhere. Either way the result is deterministic and exactly symmetric.
+    A block of rows at a time: the block times its own transpose (one syrk,
+    mirrored) gives its diagonal tile, the block times the later rows the part
+    right of it, and the part left of it is copied from the rows already done.
+    Each block is read before its rows are written, later blocks read only later
+    rows, and its products are freed first. Bit for bit x @ x.T up to 512 rows.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -164,51 +153,35 @@ def gram(x, out=None) -> np.ndarray:
     if len(starts) > 1 and n - starts[-1] < _GRAM_ROWS:
         starts.pop()
     for lo, hi in zip(starts, starts[1:] + [n]):
-        _gram_rows(x, g, lo, hi)
+        block = x[lo:hi]
+        tile, right = block @ block.T, block @ x[hi:].T
+        for c in range(0, lo, _TILE):  # tile by tile: the transposed copies stay in cache
+            g[lo:hi, c : c + _TILE] = g[c : c + _TILE, lo:hi].T
+        g[lo:hi, lo:hi] = tile
+        for c in range(hi, n, _TILE):
+            g[lo:hi, c : c + _TILE] = right[:, c - hi : c - hi + _TILE]
+        del tile, right
     return g
 
 
-def _gram_rows(x: np.ndarray, g: np.ndarray, lo: int, hi: int) -> None:
-    """Rows lo..hi-1 of g = x xᵀ, given rows 0..lo-1; reads x only from row lo on.
-    Its BLAS results are freed on return, before the next block's are made."""
-    # here, not at the top: only spectral clustering needs scipy, whose import
-    # costs a fresh process several times numpy's
-    from scipy.linalg.blas import dgemm, dsyrk
-
-    n = g.shape[0]
-    block = x[lo:hi].T
-    upper = dsyrk(1.0, block, trans=1)
-    right = dgemm(1.0, block, x[hi:].T, trans_a=1) if hi < n else None
-    for c in range(0, lo, _TILE):  # tile by tile: the transposed copies stay in cache
-        g[lo:hi, c : c + _TILE] = g[c : c + _TILE, lo:hi].T
-    tile = g[lo:hi, lo:hi]
-    tile[...] = upper
-    np.copyto(tile, upper.T, where=np.tri(hi - lo, k=-1, dtype=bool))
-    for c in range(hi, n, _TILE):
-        g[lo:hi, c : c + _TILE] = right[:, c - hi : c - hi + _TILE]
-
-
-# Rows of x xᵀ that each dgemm of gram_diagonal_and_row_max makes: at
+# Rows of x xᵀ that each product of gram_diagonal_and_row_max makes: at
 # n = 2800 on 2 vCPUs, 32-128 ran alike and 23 (a row_block) took twice as long.
 _ROW_MAX_ROWS = _TILE // 2
 
 
 def gram_diagonal_and_row_max(x) -> tuple[np.ndarray, np.ndarray]:
     """The diagonal of x xᵀ and each row's largest entry off it, for an x of at
-    least 2 rows, from dgemm's blocks of x xᵀ: no n x n matrix. Each block is
-    F-ordered, a column per row of x, so each maximum is read down a column."""
-    from scipy.linalg.blas import dgemm  # on first use: see _gram_rows
-
-    xt = np.asarray(x, dtype=np.float64).T  # F-ordered for a C-ordered x: no copy
-    n = xt.shape[1]
+    least 2 rows, from blocks of rows of x xᵀ: no n x n matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
     diagonal, row_max = np.empty(n), np.empty(n)
     for lo in range(0, n, _ROW_MAX_ROWS):
         hi = min(lo + _ROW_MAX_ROWS, n)
-        block = dgemm(1.0, xt, xt[:, lo:hi], trans_a=1)  # x x[lo:hi]ᵀ
-        on = (np.arange(lo, hi), np.arange(hi - lo))
+        block = x[lo:hi] @ x.T  # rows lo..hi-1 of x xᵀ
+        on = (np.arange(hi - lo), np.arange(lo, hi))
         diagonal[lo:hi] = block[on]
         block[on] = -np.inf
-        block.max(axis=0, out=row_max[lo:hi])
+        block.max(axis=1, out=row_max[lo:hi])
     return diagonal, row_max
 
 
@@ -252,52 +225,92 @@ def blurred_gram(x, diagonal, sigma: float) -> np.ndarray:
     return g
 
 
+# _lanczos checks its basis after _LANCZOS_FIRST vectors per wanted pair, then every
+# _LANCZOS_GROW more, up to _LANCZOS_STEPS, until each wanted residual estimate is at most
+# _LANCZOS_TOL of the largest |Ritz value| (each decade costs 1-2 steps). A vector left
+# below _LANCZOS_KEEP of what one pass removed is orthogonalized again (~1/_LANCZOS_KEEP ulps).
+_LANCZOS_FIRST, _LANCZOS_GROW, _LANCZOS_STEPS = 4, 6, 500
+_LANCZOS_TOL, _LANCZOS_KEEP, _LANCZOS_SEED = 1e-12, 1e-2, 0
+
+
+def _lanczos(m: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` largest eigenpairs (Ritz pairs) of the exactly symmetric m,
+    by Lanczos with full reorthogonalization (Golub & Van Loan, "Matrix
+    Computations", ch. 10). On breakdown (an invariant subspace found) the
+    basis goes on from a fresh random vector, so a repeated eigenvalue keeps
+    every copy. Raises NumericError past _LANCZOS_STEPS vectors."""
+    n, rng = m.shape[0], np.random.default_rng(_LANCZOS_SEED)
+    limit = min(n, _LANCZOS_STEPS)
+    alpha, beta = np.empty(limit), np.empty(limit)
+    w = rng.standard_normal(n)
+    q = (w / math.sqrt(w @ w))[None]  # the basis, a row per vector, grown as it is used
+    j, stop, scale = 0, min(limit, _LANCZOS_FIRST * count), 0.0
+    while True:
+        q = np.concatenate((q, np.empty((min(stop + 1, limit) - len(q), n))))
+        for j in range(j, stop):
+            basis = q[: j + 1]
+            w = m @ q[j]
+            h = basis @ w
+            alpha[j], scale = h[j], max(scale, abs(h[j]))
+            w -= basis.T @ h
+            if w @ w < _LANCZOS_KEEP**2 * (h @ h):
+                w -= basis.T @ (basis @ w)
+            beta[j] = norm = math.sqrt(w @ w)
+            if j + 1 == limit:
+                break
+            if norm <= _LANCZOS_TOL * scale:  # breakdown
+                beta[j], w = 0.0, rng.standard_normal(n)
+                for _ in range(2):
+                    w -= basis.T @ (basis @ w)
+                norm = math.sqrt(w @ w)
+            np.divide(w, norm, out=q[j + 1])
+        j = stop
+        t = np.diag(alpha[:j]) + np.diag(beta[: j - 1], 1) + np.diag(beta[: j - 1], -1)
+        theta, s = np.linalg.eigh(t)
+        estimate = np.abs(beta[j - 1] * s[-1, -count:])
+        if j == n or estimate.max() <= _LANCZOS_TOL * np.abs(theta).max():
+            return theta[-count:], q[:j].T @ s[:, -count:]
+        if j == limit:
+            raise NumericError(f"eigen-decomposition failed: no convergence in {limit} steps")
+        stop = min(limit, j + _LANCZOS_GROW)
+
+
 def eigh(m, count: int | None = None) -> EigenDecomposition:
     """Eigen-decomposition of a symmetric matrix with deterministic output.
 
     Eigenvalues come back sorted descending (stable on ties) with unit-norm,
     sign-fixed eigenvectors: the `count` largest pairs, or all n for None.
-    For count < n only those are computed, by ARPACK from a fixed start
-    vector (repeated calls agree) with a scipy BLAS dsymv matvec; else the
-    dense solver runs. The input is solved as given, not re-symmetrized: both
-    paths read only the lower triangle of m, the matvec through the
-    F-ordered view mᵀ (no copy; its upper triangle) if m is C-ordered. Raises
-    InvalidInputError if the input is not symmetric within 1e-10 or count
-    lies outside [1, n], NumericError if the solver fails to converge.
+    For count < n (at most _LANCZOS_STEPS) only those are computed, by
+    `_lanczos` from a fixed-seed start vector (repeated calls agree); else the
+    dense solver runs. Both solve the lower triangle of m: the dense solver
+    reads only that, `_lanczos` a copy mirrored from it unless m is exactly
+    symmetric. Raises InvalidInputError if the input is not symmetric within
+    1e-10 or count lies outside [1, n], NumericError if a solver fails.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    # finiteness and max |m - mᵀ|, a tile and its mirror at a time: no n x n temporary
+    # max |m - mᵀ|, a tile and its mirror at a time (no n x n temporary), and
+    # finiteness, read from the entries only where a difference is not finite
     asym = 0.0
     for rows, cols in upper_tiles(n):
         upper, lower = m[rows, cols], m[cols, rows]
-        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-            raise InvalidInputError("matrix contains non-finite entries")
         diff = upper - lower.T
-        asym = max(asym, float(np.abs(diff, out=diff).max()))
+        peak = float(np.abs(diff, out=diff).max())
+        if not math.isfinite(peak) and not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            raise InvalidInputError("matrix contains non-finite entries")
+        asym = max(asym, peak)
     if asym > SYMMETRY_TOL:
         raise InvalidInputError(f"matrix is asymmetric beyond tolerance ({asym:.3e})")
     if count is not None and not (1 <= count <= n):
         raise InvalidInputError(f"count must lie in [1, {n}], got {count}")
-    from scipy.linalg.blas import dsymv  # on first use: see _gram_rows
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
     try:
-        if count is None or count == n:
+        if count is None or count > min(n - 1, _LANCZOS_STEPS):
             values, vectors = np.linalg.eigh(m)
         else:
-            # dsymv reads one triangle of the F-ordered a: m's lower one either way
-            if m.flags.c_contiguous:
-                a, lower = m.T, 0
-            else:
-                a, lower = np.asfortranarray(m), 1
-            op = LinearOperator(
-                (n, n), matvec=lambda v: dsymv(1.0, a, v, lower=lower), dtype=np.float64
-            )
-            values, vectors = eigsh(op, k=count, which="LA", v0=np.ones(n))
-    except (np.linalg.LinAlgError, ArpackError) as exc:
+            values, vectors = _lanczos(np.tril(m) + np.tril(m, -1).T if asym else m, count)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigen-decomposition failed: {exc}") from exc
     order = np.argsort(-values, kind="stable")[:count]
     values = values[order]

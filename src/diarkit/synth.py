@@ -62,6 +62,8 @@ class SynthScenario:
             )
         if not (0.0 <= self.within_noise_deg <= 90.0):
             raise InvalidInputError("within_noise_deg must lie in [0, 90]")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.scenario_kind == "hierarchical":
             if self.n_speakers + 2 > self.dim:
                 raise InvalidInputError(

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 from scipy.ndimage import gaussian_filter
 from scipy.optimize import linear_sum_assignment
 
@@ -133,12 +132,6 @@ def direct_blur(m: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def mirrored_syrk(x: np.ndarray) -> np.ndarray:
-    """x xᵀ as BLAS dsyrk computes its upper triangle, mirrored whole onto the lower."""
-    upper = dsyrk(1.0, np.asarray(x, dtype=np.float64).T, trans=1)
-    return np.where(np.tri(upper.shape[0], k=-1, dtype=bool), upper.T, upper)
-
-
 def sort_threshold(m: np.ndarray, kth: int, soft: float) -> np.ndarray:
     """Threshold every row at its k-th smallest entry, read from a full sort."""
     return np.where(m < np.sort(m, axis=1)[:, [kth]], m * soft, m)
@@ -147,7 +140,8 @@ def sort_threshold(m: np.ndarray, kth: int, soft: float) -> np.ndarray:
 def affinity(x) -> np.ndarray:
     """Pairwise cosines of the rows of x, clipped to [-1, 1], each diagonal
     entry set to its row's largest cosine off the diagonal."""
-    a = np.clip(mirrored_syrk(l2_normalize_rows(np.asarray(x, dtype=np.float64))), -1.0, 1.0)
+    u = l2_normalize_rows(np.asarray(x, dtype=np.float64))
+    a = np.clip(u @ u.T, -1.0, 1.0)
     np.fill_diagonal(a, -np.inf)
     np.fill_diagonal(a, a.max(axis=1))
     return a
@@ -176,7 +170,7 @@ def dense_refined(x, sigma: float, p: float, soft: float) -> np.ndarray:
     (the Gram product), row-max normalization R."""
     m = blur(affinity(x), sigma)
     m = symmetrize(sort_threshold(m, nearest_rank_index(p, m.shape[1]), soft))
-    r = row_max_normalize(mirrored_syrk(m))
+    r = row_max_normalize(m @ m.T)
     return (r + r.T) * 0.5
 
 

@@ -2,7 +2,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import diarkit.cli
 import diarkit.clustering
@@ -57,13 +56,9 @@ def run_synth(tmp_path, name, *extra):
 
 
 @pytest.fixture
-def arpack_fails(monkeypatch):
-    """numerics.eigh's ARPACK solve raising non-convergence."""
-
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+def lanczos_fails(monkeypatch):
+    """numerics.eigh's partial solve held to too few Lanczos steps to converge."""
+    monkeypatch.setattr("diarkit.numerics._LANCZOS_STEPS", 12)
 
 
 class TestDiarize:
@@ -420,7 +415,19 @@ class TestDiarize:
         )
         assert rc == 1
 
-    def test_eigensolver_non_convergence_exits_one(self, tmp_path, arpack_fails, capsys):
+    def test_exactly_repeated_embeddings_exit_zero(self, tmp_path):
+        # no within-speaker noise: every window of a speaker is one vector, and
+        # the refined affinity repeats an eigenvalue at the edge of the nine
+        # pairs solved
+        paths = run_synth(tmp_path, "still", "--speakers", "3", "--duration", "120",
+                          "--noise-deg", "0", "--seed", "5")
+        out = tmp_path / "o.rttm"
+        rc = main(["diarize", "--embeddings", str(paths["emb"]), "--regions", str(paths["reg"]),
+                   "--out", str(out)])
+        assert rc == 0
+        assert parse_rttm(out.read_text())
+
+    def test_eigensolver_non_convergence_exits_one(self, tmp_path, lanczos_fails, capsys):
         paths = run_synth(tmp_path, "conv")
         rc = main(
             [
@@ -434,7 +441,7 @@ class TestDiarize:
         assert rc == 1
         assert "eigen-decomposition failed" in capsys.readouterr().err
 
-    def test_eigensolver_non_convergence_keeps_the_stages_formed(self, tmp_path, arpack_fails,
+    def test_eigensolver_non_convergence_keeps_the_stages_formed(self, tmp_path, lanczos_fails,
                                                                  capsys):
         # every stage is written as it is formed, before the solve that fails;
         # the RTTM is written only once clustering succeeds
@@ -965,28 +972,35 @@ def test_cli_import_loads_no_scipy():
     assert loaded.strip() == "[]"
 
 
-def test_only_spectral_clustering_loads_scipy(tmp_path):
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable, every
+    # subcommand and clustering algorithm exits 0
     emb, ref, reg = (str(tmp_path / name) for name in ("s.csv", "s.rttm", "s-regions.csv"))
     (tmp_path / "s.uem").write_text("s 1 5.0 20.0\ns 1 15.0 40.0\n")
+    (tmp_path / "s.list").write_text(emb + "\n")
     commands = [
         ["synth", "--speakers", "3", "--duration", "60", "--seed", "0", "--out-embeddings", emb,
          "--out-reference", ref, "--out-regions", reg],
         *(["diarize", "--embeddings", emb, "--regions", reg, "--algorithm", algorithm,
-           "--out", str(tmp_path / f"{algorithm}.rttm")] for algorithm in ("kmeans", "naive")),
-        ["evaluate", "--reference", ref, "--hypothesis", str(tmp_path / "kmeans.rttm")],
+           "--out", str(tmp_path / f"{algorithm}.rttm")] for algorithm in ALGORITHMS),
+        ["diarize", "--embeddings", emb, "--out", str(tmp_path / "dumped.rttm"),
+         "--dump-stages", str(tmp_path / "run")],
+        ["evaluate", "--reference", ref, "--hypothesis", str(tmp_path / "spectral.rttm")],
         ["evaluate", "--reference", ref, "--hypothesis", str(tmp_path / "naive.rttm"),
          "--uem", str(tmp_path / "s.uem")],
-        ["diarize", "--embeddings", emb, "--regions", reg, "--out", str(tmp_path / "spectral.rttm")],
+        ["sweep", "--embeddings-list", str(tmp_path / "s.list"), "--reference", ref,
+         "--param", "p-percentile", "--grid", "90:96:2"],
     ]
     out = run_python(
         "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from diarkit.cli import main\n"
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv)\n"
-        "    print(argv[0], code, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        "    print(argv[0], code)\n"
     )
     assert out.splitlines() == [
-        "synth 0 False", "diarize 0 False", "diarize 0 False", "evaluate 0 False",
-        "evaluate 0 False", "diarize 0 True",
+        "synth 0", *["diarize 0"] * (len(ALGORITHMS) + 1), "evaluate 0", "evaluate 0", "sweep 0",
     ]
+    assert len(list(tmp_path.glob("run_*.pgm"))) == 4

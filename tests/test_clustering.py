@@ -53,7 +53,7 @@ from diarkit.clustering import (
 from diarkit.numerics import _TILE, gram, l2_normalize_rows, nearest_rank_index
 from diarkit.pipeline import segment_embeddings
 from helpers import refinement_stages, run_python
-from oracles import (affinity, best_path_oracle, blur, dense_refined, lloyd_oracle, mirrored_syrk,
+from oracles import (affinity, best_path_oracle, blur, dense_refined, lloyd_oracle,
                      online_oracle, resegment_oracle, row_max_normalize, sort_threshold,
                      symmetrize)
 
@@ -415,7 +415,7 @@ class TestRowMaxNormalizeSymmetrize:
         assert np.max(np.abs(b - blur(affinity(synth_segments), params.sigma))) <= 1e-15
         kth = nearest_rank_index(params.p_percentile, len(b))
         assert s.tobytes() == symmetrize(sort_threshold(b, kth, params.soft_multiplier)).tobytes()
-        assert np.asfortranarray(y).tobytes() == mirrored_syrk(s).tobytes()
+        assert np.asfortranarray(y).tobytes() == np.asfortranarray(s @ s.T).tobytes()
         r = row_max_normalize(y)
         assert refined.tobytes() == ((r + r.T) * 0.5).tobytes()
 
@@ -708,6 +708,20 @@ class TestSpectralCluster:
             result = spectral_cluster(points, SpectralParams(p_percentile=50, seed=0))
             assert result.clustering.k == 2
             assert same_partition(result.clustering.labels, truth)
+
+    @pytest.mark.parametrize("per_cluster", [20, 40, 80])
+    def test_exactly_repeated_embeddings(self, per_cluster):
+        # three clusters of one vector each: the refined affinity repeats
+        # eigenvalues (at 20 per cluster 19.40 twice, 18.42, 0.87, 0.25 twice,
+        # then zeros), one of them at the edge of the nine pairs solved
+        x = np.repeat(np.eye(3, 8), per_cluster, axis=0)
+        params = SpectralParams()
+        *_, (_, refined) = refinement_stages(x, params)
+        dense = np.linalg.eigh(refined)[0][::-1][: params.max_clusters + 1]
+        result = spectral_cluster(x, params)
+        assert np.max(np.abs(result.eigenvalues - dense)) <= 1e-12 * dense[0]
+        assert result.clustering.k == estimate_k_eigengap(dense, params.min_clusters,
+                                                          params.max_clusters)
 
     def test_n2_forced_to_min_clusters(self):
         x = np.array([[1.0, 0.0], [0.8, 0.6]])
@@ -1099,9 +1113,9 @@ N_THREADED = 692
 
 
 def test_speaker_count_does_not_depend_on_blas_threads():
-    # The Gram products (dgemm) and the eigensolver's matvec (dsymv) may split
-    # their sums by thread count; a process's count is fixed at its start,
-    # so each setting runs in its own interpreter.
+    # numpy's BLAS may split the sums of the Gram products and of the
+    # eigensolver's matrix-vector products by thread count; a process's count
+    # is fixed at its start, so each setting runs in its own interpreter.
     one, two = (
         json.loads(run_python(SPECTRAL_IN_CHILD, OPENBLAS_NUM_THREADS=threads))
         for threads in ("1", "2")

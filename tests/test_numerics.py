@@ -5,8 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
 from diarkit import (
     InvalidInputError,
     NumericError,
@@ -23,10 +21,20 @@ from oracles import (
     cosine_distance,
     cosine_similarity,
     direct_blur,
-    mirrored_syrk,
     nearest_rank_percentile,
     scipy_assignment_total,
 )
+
+
+def assert_one_syrk(g, x):
+    """g is numpy's x @ x.T (one syrk, its triangle mirrored): bit for bit up to
+    512 rows of x, within 1e-15 of its largest entry above that, where no
+    block size from 64 to 1024 matched it bit for bit."""
+    expected = x @ x.T
+    if len(x) <= 512:
+        assert np.asfortranarray(g).tobytes() == np.asfortranarray(expected).tobytes()
+    else:
+        assert np.max(np.abs(g - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 class TestL2NormalizeRows:
@@ -83,7 +91,7 @@ class TestGram:
         y = x.copy()
         assert gram(y, out=y) is y
         assert y.tobytes() == fresh.tobytes()
-        expected = mirrored_syrk(x)
+        expected = x @ x.T
         assert np.max(np.abs(fresh - expected)) <= 1e-15 * np.max(expected)
 
     def test_identity_and_positive_semidefinite(self):
@@ -121,7 +129,7 @@ class TestGram:
     def test_rows_by_dims_bit_equal_to_one_syrk(self, n):
         # the affinity's shape: n unit rows of d = 64
         x = l2_normalize_rows(np.random.default_rng(n).standard_normal((n, 64)))
-        assert gram(x).tobytes() == mirrored_syrk(x).tobytes()
+        assert_one_syrk(gram(x), x)
 
 
 class TestCosineSimilarity:
@@ -176,7 +184,7 @@ class TestBlurredGram:
     def test_sigma_zero_is_the_gram_matrix_plus_the_diagonal(self):
         rng = np.random.default_rng(13)
         x, diagonal = rng.normal(size=(6, 3)), rng.normal(size=6)
-        assert np.array_equal(blurred_gram(x, diagonal, 0.0), mirrored_syrk(x) + np.diag(diagonal))
+        assert np.array_equal(blurred_gram(x, diagonal, 0.0), x @ x.T + np.diag(diagonal))
 
     def test_constant_matrix_preserved(self):
         x = np.full((5, 1), math.sqrt(3.25))
@@ -213,7 +221,7 @@ class TestBlurredGram:
         # (5 over these cases). The factor's layout does not change a bit.
         rng = np.random.default_rng(n)
         x, diagonal = rng.uniform(-1.0, 1.0, (n, d)), rng.uniform(0.0, 1.0, n)
-        dense = mirrored_syrk(x) + np.diag(diagonal)
+        dense = x @ x.T + np.diag(diagonal)
         b = blurred_gram(np.asarray(x, order=order), diagonal, sigma)
         assert b.tobytes() == b.T.tobytes()
         assert b.tobytes() == blurred_gram(np.ascontiguousarray(x), diagonal, sigma).tobytes()
@@ -366,7 +374,7 @@ class TestTiledPasses:
         g = gram(x)
         assert g.flags.f_contiguous
         assert g.tobytes() == g.T.tobytes()
-        assert g.tobytes() == mirrored_syrk(x).tobytes()
+        assert_one_syrk(g, x)
 
     @pytest.mark.parametrize("n", TILE_EDGES[1:])  # an entry below the diagonal
     @pytest.mark.parametrize("where", ["corner", "tile_edge"])
@@ -403,7 +411,7 @@ def large_refined():
 class TestEighPartial:
     COUNT = 9
 
-    def test_dense_path_returns_count_pairs(self, large_refined):
+    def test_dense_path_returns_count_pairs(self, large_refined, monkeypatch):
         m, dense = large_refined
         assert dense.values.shape == (m.shape[0],)
         # count = n takes the dense path too: the full solve, as it is
@@ -414,6 +422,11 @@ class TestEighPartial:
         assert top.vectors.shape == (n, n)
         assert np.array_equal(top.values, full.values)
         assert np.array_equal(top.vectors, full.vectors)
+        # and so does a count above the Lanczos step bound: its leading pairs
+        monkeypatch.setattr("diarkit.numerics._LANCZOS_STEPS", self.COUNT - 1)
+        capped = eigh(small, count=self.COUNT)
+        assert np.array_equal(capped.values, full.values[: self.COUNT])
+        assert np.array_equal(capped.vectors, full.vectors[:, : self.COUNT])
 
     def test_c_and_f_order_agree_without_copy(self):
         n = 1500
@@ -445,19 +458,40 @@ class TestEighPartial:
 
     @pytest.mark.parametrize("n", range(COUNT + 1, 61))
     def test_partial_solve_at_small_n(self, n, monkeypatch):
-        arpack_calls = []
-
-        def counted_eigsh(*args, **kwargs):
-            arpack_calls.append(n)
-            return eigsh(*args, **kwargs)
-
-        m = refined_affinity(n, n)  # built by a clustering run: its own solve is not counted
-        monkeypatch.setattr("scipy.sparse.linalg.eigsh", counted_eigsh)
+        m = refined_affinity(n, n)
         d = eigh(m, count=self.COUNT)
-        assert arpack_calls == [n]
         dense = np.linalg.eigh(m)[0][::-1][: self.COUNT]
         assert np.max(np.abs(d.values - dense)) <= 1e-10
         assert estimate_k_eigengap(d.values, 2, 8) == estimate_k_eigengap(dense, 2, 8)
+        # it was the partial solver: held to as many Lanczos steps as pairs
+        # wanted, it does not converge
+        monkeypatch.setattr("diarkit.numerics._LANCZOS_STEPS", self.COUNT)
+        with pytest.raises(NumericError, match=f"no convergence in {self.COUNT} steps$"):
+            eigh(m, count=self.COUNT)
+
+    def assert_matches_dense(self, m):
+        d = eigh(m, count=self.COUNT)
+        dense = np.linalg.eigh(m)[0][::-1][: self.COUNT]
+        scale = max(1.0, dense[0])
+        assert np.max(np.abs(d.values - dense)) <= 1e-12 * scale
+        assert np.max(np.abs(m @ d.vectors - d.vectors * d.values)) <= 1e-8 * scale
+        assert np.max(np.abs(d.vectors.T @ d.vectors - np.eye(self.COUNT))) <= 1e-8
+
+    def test_every_eigenvalue_doubled(self):
+        # two equal blocks: each eigenvalue twice, one copy in each block; a
+        # Krylov space started from ones stays symmetric across them, and
+        # would miss every second copy
+        block = refined_affinity(150, 31)
+        m = np.zeros((300, 300))
+        m[:150, :150] = m[150:, 150:] = block
+        self.assert_matches_dense(m)
+
+    def test_gram_of_three_exact_clusters(self):
+        # rank 3: the Krylov space is invariant after three steps (breakdown),
+        # and the six zero eigenvalues come from fresh start vectors
+        centers = np.random.default_rng(3).standard_normal((3, 16))
+        x = np.repeat(centers, [40, 50, 60], axis=0)
+        self.assert_matches_dense(x @ x.T)
 
     def test_residual_and_orthonormality(self, large_refined):
         m, _ = large_refined
@@ -496,12 +530,10 @@ class TestEighPartial:
                 eigh(np.eye(3), count=count)
 
     def test_non_convergence_is_numeric_error(self, large_refined, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-        monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+        monkeypatch.setattr("diarkit.numerics._LANCZOS_STEPS", 12)
         m, _ = large_refined
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="^eigen-decomposition failed: no convergence in "
+                                               "12 steps$"):
             eigh(m, count=self.COUNT)
 
 

@@ -38,6 +38,12 @@ class TestScenarioValidation:
         with pytest.raises(InvalidInputError, match="duration must be finite and positive"):
             SynthScenario(n_speakers=2, duration=duration)
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators take only non-negative seeds
+        with pytest.raises(InvalidInputError, match="^seed must be >= 0, got -1$"):
+            SynthScenario(n_speakers=2, duration=10.0, seed=-1)
+        SynthScenario(n_speakers=2, duration=10.0, seed=0)
+
     def test_separated_needs_enough_dimensions(self):
         with pytest.raises(InvalidInputError):
             SynthScenario(n_speakers=5, duration=10, dim=4)
