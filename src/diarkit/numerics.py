@@ -227,18 +227,17 @@ def blurred_gram(x, diagonal, sigma: float) -> np.ndarray:
 
 # _lanczos checks its basis after _LANCZOS_FIRST vectors per wanted pair, then every
 # _LANCZOS_GROW more, up to _LANCZOS_STEPS, until each wanted residual estimate is at most
-# _LANCZOS_TOL of the largest |Ritz value| (each decade costs 1-2 steps). A vector left
-# below _LANCZOS_KEEP of what one pass removed is orthogonalized again (~1/_LANCZOS_KEEP ulps).
+# _LANCZOS_TOL of the largest |Ritz value| (each decade costs 1-2 steps).
 _LANCZOS_FIRST, _LANCZOS_GROW, _LANCZOS_STEPS = 4, 6, 500
-_LANCZOS_TOL, _LANCZOS_KEEP, _LANCZOS_SEED = 1e-12, 1e-2, 0
+_LANCZOS_TOL, _LANCZOS_SEED = 1e-12, 0
 
 
 def _lanczos(m: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The `count` largest eigenpairs (Ritz pairs) of the exactly symmetric m,
     by Lanczos with full reorthogonalization (Golub & Van Loan, "Matrix
     Computations", ch. 10). On breakdown (an invariant subspace found) the
-    basis goes on from a fresh random vector, so a repeated eigenvalue keeps
-    every copy. Raises NumericError past _LANCZOS_STEPS vectors."""
+    basis goes on from a fresh random vector, so an exactly repeated eigenvalue
+    keeps its copies. Raises NumericError past _LANCZOS_STEPS vectors."""
     n, rng = m.shape[0], np.random.default_rng(_LANCZOS_SEED)
     limit = min(n, _LANCZOS_STEPS)
     alpha, beta = np.empty(limit), np.empty(limit)
@@ -250,11 +249,10 @@ def _lanczos(m: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
         for j in range(j, stop):
             basis = q[: j + 1]
             w = m @ q[j]
-            h = basis @ w
-            alpha[j], scale = h[j], max(scale, abs(h[j]))
-            w -= basis.T @ h
-            if w @ w < _LANCZOS_KEEP**2 * (h @ h):
-                w -= basis.T @ (basis @ w)
+            h = basis[-2:] @ w  # the three-term recurrence's two vectors first,
+            alpha[j], scale = h[-1], max(scale, abs(h[-1]))
+            w -= basis[-2:].T @ h
+            w -= basis.T @ (basis @ w)  # then one pass against the whole basis
             beta[j] = norm = math.sqrt(w @ w)
             if j + 1 == limit:
                 break
@@ -267,8 +265,12 @@ def _lanczos(m: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
         j = stop
         t = np.diag(alpha[:j]) + np.diag(beta[: j - 1], 1) + np.diag(beta[: j - 1], -1)
         theta, s = np.linalg.eigh(t)
-        estimate = np.abs(beta[j - 1] * s[-1, -count:])
-        if j == n or estimate.max() <= _LANCZOS_TOL * np.abs(theta).max():
+        estimate = np.abs(beta[j - 1] * s[-1, -count:]).max()
+        # a block that broke down at the check (beta 0) leaves only further copies of its
+        # Ritz values in the rest of the space: none of them may exceed the wanted ones
+        first = np.r_[0, np.flatnonzero(beta[: j - 1] == 0) + 1][-1]
+        peak = np.linalg.eigvalsh(t[first:, first:])[-1] if beta[j - 1] == 0 else -np.inf
+        if j == n or max(estimate, peak - theta[-count]) <= _LANCZOS_TOL * np.abs(theta).max():
             return theta[-count:], q[:j].T @ s[:, -count:]
         if j == limit:
             raise NumericError(f"eigen-decomposition failed: no convergence in {limit} steps")
@@ -291,16 +293,14 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
-    # max |m - mᵀ|, a tile and its mirror at a time (no n x n temporary), and
-    # finiteness, read from the entries only where a difference is not finite
+    # finiteness and max |m - mᵀ|, a tile and its mirror at a time: no n x n temporary
     asym = 0.0
     for rows, cols in upper_tiles(n):
         upper, lower = m[rows, cols], m[cols, rows]
-        diff = upper - lower.T
-        peak = float(np.abs(diff, out=diff).max())
-        if not math.isfinite(peak) and not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
             raise InvalidInputError("matrix contains non-finite entries")
-        asym = max(asym, peak)
+        diff = upper - lower.T
+        asym = max(asym, float(np.abs(diff, out=diff).max()))
     if asym > SYMMETRY_TOL:
         raise InvalidInputError(f"matrix is asymmetric beyond tolerance ({asym:.3e})")
     if count is not None and not (1 <= count <= n):

@@ -21,6 +21,7 @@ from diarkit import (
 )
 from diarkit.aggregation import DEFAULT_MAX_SEGMENT_LEN
 from diarkit.cli import MAX_GRID_VALUES, _parse_grid, _read, build_parser, main
+from diarkit.clustering import estimate_k_eigengap
 from diarkit.pipeline import ALGORITHMS, DiarizeConfig, diarize, segment_embeddings
 from helpers import run_python
 import test_io
@@ -415,17 +416,32 @@ class TestDiarize:
         )
         assert rc == 1
 
-    def test_exactly_repeated_embeddings_exit_zero(self, tmp_path):
+    def test_exactly_repeated_embeddings_exit_zero(self, tmp_path, monkeypatch):
         # no within-speaker noise: every window of a speaker is one vector, and
         # the refined affinity repeats an eigenvalue at the edge of the nine
-        # pairs solved
+        # pairs solved; the partial solve must equal the dense one there
         paths = run_synth(tmp_path, "still", "--speakers", "3", "--duration", "120",
                           "--noise-deg", "0", "--seed", "5")
+        real, solves = diarkit.clustering.eigh, []
+
+        def recorded(m, count=None):
+            solves.append((m.copy(), real(m, count)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(diarkit.clustering, "eigh", recorded)
         out = tmp_path / "o.rttm"
         rc = main(["diarize", "--embeddings", str(paths["emb"]), "--regions", str(paths["reg"]),
                    "--out", str(out)])
         assert rc == 0
-        assert parse_rttm(out.read_text())
+        [(m, partial)] = solves
+        dense = np.linalg.eigh(m)[0][::-1][: partial.values.size]
+        assert partial.values.size == 9
+        assert np.max(np.abs(partial.values - dense)) <= 1e-12 * dense[0]
+        params = SpectralParams()
+        k = estimate_k_eigengap(dense, params.min_clusters, params.max_clusters)
+        assert estimate_k_eigengap(partial.values, params.min_clusters, params.max_clusters) == k
+        (hypothesis,) = parse_rttm(out.read_text())
+        assert len(hypothesis.labels()) == k
 
     def test_eigensolver_non_convergence_exits_one(self, tmp_path, lanczos_fails, capsys):
         paths = run_synth(tmp_path, "conv")

@@ -469,13 +469,13 @@ class TestEighPartial:
         with pytest.raises(NumericError, match=f"no convergence in {self.COUNT} steps$"):
             eigh(m, count=self.COUNT)
 
-    def assert_matches_dense(self, m):
-        d = eigh(m, count=self.COUNT)
-        dense = np.linalg.eigh(m)[0][::-1][: self.COUNT]
+    def assert_matches_dense(self, m, count=COUNT):
+        d = eigh(m, count=count)
+        dense = np.linalg.eigh(m)[0][::-1][:count]
         scale = max(1.0, dense[0])
         assert np.max(np.abs(d.values - dense)) <= 1e-12 * scale
         assert np.max(np.abs(m @ d.vectors - d.vectors * d.values)) <= 1e-8 * scale
-        assert np.max(np.abs(d.vectors.T @ d.vectors - np.eye(self.COUNT))) <= 1e-8
+        assert np.max(np.abs(d.vectors.T @ d.vectors - np.eye(count))) <= 1e-8
 
     def test_every_eigenvalue_doubled(self):
         # two equal blocks: each eigenvalue twice, one copy in each block; a
@@ -492,6 +492,18 @@ class TestEighPartial:
         centers = np.random.default_rng(3).standard_normal((3, 16))
         x = np.repeat(centers, [40, 50, 60], axis=0)
         self.assert_matches_dense(x @ x.T)
+
+    @pytest.mark.parametrize("diagonal, count", [
+        # 36 distinct eigenvalues: a Krylov space is invariant after 36 steps,
+        # the first check (4 per pair wanted), with the second 36 not found yet
+        (np.r_[np.arange(1.0, 37.0), 36.0], 9),
+        ([9.0, 9, 8, 7, 6, 5, 4, 3, 2], 2),
+        # every eigenvalue twice beside 600 zeros: the second copies appear only
+        # after some 70 steps, and only while the basis stays orthogonal
+        (np.r_[np.arange(1.0, 37.0), np.arange(1.0, 37.0), np.zeros(600)], 9),
+    ], ids=["36-and-36-again", "9-twice", "each-twice-and-zeros"])
+    def test_diagonal_with_repeated_eigenvalues(self, diagonal, count):
+        self.assert_matches_dense(np.diag(diagonal), count)
 
     def test_residual_and_orthonormality(self, large_refined):
         m, _ = large_refined
