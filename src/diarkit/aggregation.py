@@ -60,7 +60,7 @@ class Windows:
             )
         # one row per check, in the order a bad window reports them
         failed = np.stack([
-            ~np.isfinite(np.column_stack([starts, ends, vectors])).all(axis=1),
+            ~(np.isfinite(starts) & np.isfinite(ends) & np.isfinite(vectors).all(axis=1)),
             starts < np.r_[-np.inf, starts[:-1]],
             starts < 0,
             ~(ends > starts),

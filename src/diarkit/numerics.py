@@ -297,9 +297,12 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
     asym = 0.0
     for rows, cols in upper_tiles(n):
         upper, lower = m[rows, cols], m[cols, rows]
-        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-            raise InvalidInputError("matrix contains non-finite entries")
-        diff = upper - lower.T
+        with np.errstate(invalid="ignore", over="ignore"):
+            diff = upper - lower.T
+        # non-finite where either entry is, or where two finite ones overflow
+        if not np.isfinite(diff).all():
+            if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+                raise InvalidInputError("matrix contains non-finite entries")
         asym = max(asym, float(np.abs(diff, out=diff).max()))
     if asym > SYMMETRY_TOL:
         raise InvalidInputError(f"matrix is asymmetric beyond tolerance ({asym:.3e})")

@@ -1,3 +1,4 @@
+import itertools
 import logging
 
 import numpy as np
@@ -207,6 +208,25 @@ class TestWindows:
             windows(*rows)
         assert info.value.row == bad_row
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("order", list(itertools.permutations(["start", "end", "vector"])))
+    def test_non_finite_start_end_and_vector_each_found(self, order, value):
+        # rows 1, 2 and 3 each hold one non-finite value, in every order: the
+        # first of them is reported, whichever array holds it
+        starts, ends = np.arange(5) * 0.5, np.arange(5) * 0.5 + 0.24
+        vectors = np.ones((5, 3))
+        for row, where in enumerate(order, start=1):
+            if where == "start":
+                starts[row] = value
+            elif where == "end":
+                ends[row] = value
+            else:
+                vectors[row, 1] = value
+        with pytest.raises(InvalidWindowError) as info:
+            Windows(starts, ends, vectors)
+        assert info.value.row == 1
+        assert str(info.value) == "window values must be finite"
 
     @pytest.mark.parametrize(
         "starts, ends, vectors",

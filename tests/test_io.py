@@ -200,6 +200,37 @@ class TestEmbeddingsCsv:
             read_embeddings_csv("start,end,v0\n" + rows)
         assert str(info.value) == message
 
+    def test_bad_cell_mid_line_leaves_no_half_row(self):
+        # cells parsed before the bad one must not shift the rows after it,
+        # or the unsorted line 5 would be reported against another row
+        text = (
+            "start,end,v0,v1,v2\n0.0,0.24,1.0,2.0,3.0\n0.5,0.74,1.0,x,3.0\n"
+            "1.0,1.24,1.0,2.0,3.0\n0.2,0.44,1.0,2.0,3.0\n"
+        )
+        with pytest.raises(ParseError) as info:
+            read_embeddings_csv(text)
+        assert str(info.value) == "line 3: bad component: 'x'"
+
+    # 150-s recordings: 1064 rows, 0.37 MiB of text at d = 16 and 5.4 MiB at d = 256
+    @pytest.mark.parametrize("dim", [16, 256])
+    def test_peaks_as_multiples_of_the_text(self, dim):
+        # the reader holds the lines and one packed float64 table, then the
+        # table and the Windows copies: 1.4-1.7 times the text, where a list
+        # of Python floats took 3.8-4.1; the writer holds the text twice, as
+        # row-block strings and their join: 2.0-2.1 times, where nested lists
+        # of Python floats took 4.6-5.0
+        _, windows, _ = generate(SynthScenario(n_speakers=4, duration=150, dim=dim, seed=1))
+        text = write_embeddings_csv(windows)
+        calls = ((read_embeddings_csv, text, 2.0), (write_embeddings_csv, windows, 2.5))
+        for call, arg, bound in calls:
+            tracemalloc.start()
+            try:
+                call(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * len(text), call.__name__
+
     def test_no_rows_rejected(self):
         with pytest.raises(ParseError):
             read_embeddings_csv("start,end,v0\n")

@@ -391,6 +391,49 @@ class TestTiledPasses:
         with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
             eigh(bad)
 
+    # the check reads finiteness from each tile's difference with its mirror
+    @pytest.mark.parametrize("n", [5, 2 * _TILE + 1])
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(-1, 0): np.inf, (0, -1): np.inf},  # inf - inf: a mirrored pair
+            {(-1, 0): -np.inf, (0, -1): -np.inf},
+            {(-1, 0): np.inf, (0, -1): -np.inf},
+            {(0, -1): np.nan},  # above the diagonal only
+            {(-1, 0): np.nan},  # below it only
+            {(-1, -1): np.nan},  # on the diagonal
+            {(-1, -1): np.inf},
+            {(0, 0): -np.inf},
+        ],
+    )
+    def test_eigh_check_finds_non_finite_entries(self, n, entries):
+        bad = symmetric(n)
+        for (i, j), value in entries.items():
+            bad[i, j] = value
+        for count in (None, 1):
+            with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
+                eigh(bad, count=count)
+
+    def test_eigh_check_non_finite_after_an_asymmetric_tile(self):
+        # the first tile is asymmetric, the last holds a NaN: non-finite is reported
+        n = 2 * _TILE + 1
+        bad = symmetric(n)
+        bad[1, 0] += 1.0
+        bad[-1, -2] = np.nan
+        with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
+            eigh(bad)
+        bad[-1, -2] = bad[-2, -1]
+        with pytest.raises(InvalidInputError, match="asymmetric"):
+            eigh(bad)
+
+    def test_eigh_check_finite_pair_whose_difference_overflows(self):
+        # both entries are finite: asymmetric by inf, not non-finite, and no warning
+        bad = np.zeros((3, 3))
+        bad[0, 2], bad[2, 0] = 1e308, -1e308
+        text = r"^matrix is asymmetric beyond tolerance \(inf\)$"
+        with pytest.raises(InvalidInputError, match=text):
+            eigh(bad)
+
 
 def refined_affinity(n: int, seed: int) -> np.ndarray:
     """The refined affinity of n points around 4 centers, as spectral_cluster solves it."""
