@@ -18,12 +18,10 @@ from .clustering import (
     DEFAULT_MAX_CLUSTERS,
     SpectralParams,
     SpectralResult,
-    estimate_k_eigengap,
     estimate_k_elbow,
     kmeans,
     run_online,
     spectral_cluster,
-    spectral_embed,
     spectral_grid,
 )
 from .core import (
@@ -53,18 +51,11 @@ from .metrics import (
     EvalOptions,
     combine_reports,
     der,
-    map_speakers,
     scoring_region,
-)
-from .numerics import (
-    EigenDecomposition,
-    eigh,
-    optimal_assignment,
 )
 from .synth import (
     SynthScenario,
     generate,
-    speaker_directions,
 )
 
 __version__ = "0.1.0"

@@ -5,19 +5,22 @@ count) on a refined cosine affinity: a sigma-only front half,
 blurred_affinity, then one refinement chain that rewrites that matrix in
 place (spectral_cluster shows each stage to an optional observer;
 spectral_grid runs a grid of configs, each chain in a copy of the blurred
-matrix its sigma shares). Online: a naive threshold clusterer over the rows
-in order.
+matrix its sigma shares; two_stage_cluster clusters many rows through a
+k-means pre-clustering, spectral_cluster on its centroids and a
+resegmentation pass). Online: a naive threshold clusterer over the rows in
+order.
 
 The chain's input is checked where it enters: embedding_matrix checks the
 embeddings and SpectralParams the knobs. From there every matrix of the
 chain is finite and exactly symmetric by construction, and its private
-kernels check nothing again.
+kernels check nothing again. two_stage_cluster checks and normalizes its
+rows once, for both of the stages that read them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -362,20 +365,6 @@ def kmeans(embeddings, k: int, *, seed: int = 0) -> ClusteringResult:
     return ClusteringResult(_best_run(u, k, seed)[0])
 
 
-def precluster(embeddings, *, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, centroids) of one seeded spherical k-means run with
-    PRECLUSTER_COUNT clusters and at most PRECLUSTER_ITERS Lloyd steps: each
-    row's centroid, and the (PRECLUSTER_COUNT, d) unit centroids, every one of
-    which some row takes."""
-    _check_seed(seed)
-    u = l2_normalize_rows(embedding_matrix(embeddings))
-    if len(u) < PRECLUSTER_COUNT:
-        raise InvalidInputError(f"{len(u)} rows for {PRECLUSTER_COUNT} pre-cluster centroids")
-    labels, centroids, _, _ = _lloyd(u, PRECLUSTER_COUNT, np.random.default_rng(seed),
-                                     PRECLUSTER_ITERS, _TOL)
-    return labels, centroids
-
-
 def _viterbi(scores: np.ndarray, penalty: float, last: int) -> np.ndarray:
     """The label path z maximizing sum(scores[i, z_i]) - penalty * (changes of
     label), staying put on a tie.
@@ -401,9 +390,10 @@ def _viterbi(scores: np.ndarray, penalty: float, last: int) -> np.ndarray:
     return np.array(z[::-1], dtype=np.intp)
 
 
-def resegment(embeddings, clustering: ClusteringResult, *, min_clusters: int = 1) -> ClusteringResult:
-    """A von Mises-Fisher HMM pass over segments in time order: each segment's
-    label again, by its rows' fit and its neighbours'.
+def _resegment(u: np.ndarray, clustering: ClusteringResult, min_clusters: int) -> ClusteringResult:
+    """A von Mises-Fisher HMM pass over the unit rows u of segments in time
+    order, one label each: each segment's label again, by its row's fit and
+    its neighbours'.
 
     Each round takes every cluster's centroid c_j as the normalized sum of its
     unit rows u_i, R as the mean of u_i . c_{z_i}, and the concentration
@@ -416,10 +406,7 @@ def resegment(embeddings, clustering: ClusteringResult, *, min_clusters: int = 1
     would leave fewer than min(min_clusters, the input's k) clusters is not
     taken: the pass keeps the speaker bounds its input meets.
     """
-    u = l2_normalize_rows(embedding_matrix(embeddings))
     z = clustering.labels
-    if len(z) != len(u):
-        raise InvalidInputError(f"{len(z)} labels for {len(u)} segments")
     floor = min(min_clusters, int(z.max()) + 1)
     for _ in range(RESEGMENT_ROUNDS):
         sums, norms = _cluster_sums(u, z, int(z.max()) + 1)
@@ -551,6 +538,27 @@ def spectral_grid(embeddings, grid) -> list[SpectralResult]:
                 results[i] = _solve(blurred.copy(), params, _unobserved)
         del blurred  # before the next sigma's matrix is built
     return [results[i] for i in range(len(grid))]
+
+
+def two_stage_cluster(embeddings, params: SpectralParams, observe=None) -> ClusteringResult:
+    """Spectral clustering in two stages, with no n x n matrix (after Wang et
+    al., arXiv:2210.13690).
+
+    The rows are checked and unit-normalized once. One seeded spherical
+    k-means run (_lloyd, at most PRECLUSTER_ITERS steps) reduces them to
+    PRECLUSTER_COUNT centroids, every one of which some row takes;
+    spectral_cluster clusters those at sigma 0, observe seeing its chain
+    (centroids have no time order: no blur); each row takes its centroid's
+    label; and _resegment revisits the rows in time order without taking k
+    below min_clusters.
+    """
+    u = l2_normalize_rows(embedding_matrix(embeddings))
+    if len(u) < PRECLUSTER_COUNT:
+        raise InvalidInputError(f"{len(u)} rows for {PRECLUSTER_COUNT} pre-cluster centroids")
+    assignment, centroids, _, _ = _lloyd(u, PRECLUSTER_COUNT, np.random.default_rng(params.seed),
+                                         PRECLUSTER_ITERS, _TOL)
+    stage2 = spectral_cluster(centroids, replace(params, sigma=0.0), observe).clustering
+    return _resegment(u, ClusteringResult(stage2.labels[assignment]), params.min_clusters)
 
 
 def check_threshold(threshold: float) -> None:

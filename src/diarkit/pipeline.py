@@ -11,7 +11,7 @@ TWO_STAGE_CAP segments; see `cluster`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +22,10 @@ from .clustering import (
     embedding_matrix,
     estimate_k_elbow,
     kmeans,
-    precluster,
-    resegment,
     run_online,
     spectral_cluster,
     spectral_grid,
+    two_stage_cluster,
 )
 from .core import (Annotation, ClusteringResult, InvalidInputError, TimeInterval,
                    annotation_from_clusters)
@@ -75,13 +74,12 @@ def stack_segments(seg_embs) -> tuple[np.ndarray, list[TimeInterval]]:
 def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
     """Cluster the rows of an (n, d) segment matrix with the configured algorithm.
 
-    Spectral clustering of more than TWO_STAGE_CAP rows runs in two stages:
-    `precluster` reduces the rows to a few hundred centroids, spectral
-    clustering at sigma 0 clusters those, each row takes its centroid's
-    label, and `resegment` revisits the rows in time order without taking k
-    below min_clusters. Up to the cap it is `spectral_cluster` alone.
-    `observe` goes to that one `spectral_cluster` call, so above the cap it
-    sees stage 2's chain; the other algorithms never call it.
+    Spectral clustering of more than TWO_STAGE_CAP rows is
+    `two_stage_cluster`: a pre-clustering to a few hundred centroids,
+    spectral clustering of those at sigma 0, and a resegmentation pass over
+    the rows. Up to the cap it is `spectral_cluster` alone. `observe` goes
+    to the one `spectral_cluster` call, so above the cap it sees stage 2's
+    chain; the other algorithms never call it.
 
     k-means clamps the speaker bounds to n, as spectral clustering does. When
     that leaves only k = 1 it returns one cluster, otherwise the elbow search's
@@ -91,11 +89,7 @@ def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
     if config.algorithm == "spectral":
         if len(x) <= TWO_STAGE_CAP:
             return spectral_cluster(x, params, observe).clustering
-        assignment, centroids = precluster(x, seed=params.seed)
-        # centroids have no time order: no blur
-        result = spectral_cluster(centroids, replace(params, sigma=0.0), observe).clustering
-        return resegment(x, ClusteringResult(result.labels[assignment]),
-                         min_clusters=params.min_clusters)
+        return two_stage_cluster(x, params, observe)
     if config.algorithm == "naive":
         return run_online(x, config.threshold)
     n = len(x)

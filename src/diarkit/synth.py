@@ -81,7 +81,7 @@ def _orthonormal_columns(rng: np.random.Generator, dim: int, count: int) -> np.n
     return q
 
 
-def speaker_directions(scenario: SynthScenario) -> np.ndarray:
+def _speaker_directions(scenario: SynthScenario) -> np.ndarray:
     """Planted unit mean direction per speaker, reproducible from the seed alone.
 
     separated/imbalanced: mutually orthogonal random directions.
@@ -156,7 +156,7 @@ def generate(scenario: SynthScenario) -> tuple[Annotation, Windows, list[TimeInt
     plus isotropic tangent noise scaled so the expected angular deviation
     is about within_noise_deg, then normalized.
     """
-    directions = speaker_directions(scenario)
+    directions = _speaker_directions(scenario)
     turns = _draw_turns(scenario)
     rng = np.random.default_rng([scenario.seed, _STREAM_NOISE])
     # tangent noise scale targeting the requested mean angular deviation

@@ -18,9 +18,6 @@ from diarkit import (
     SpectralParams,
     SynthScenario,
     der,
-    eigh,
-    estimate_k_eigengap,
-    map_speakers,
     spectral_cluster,
 )
 from helpers import (
@@ -32,8 +29,9 @@ from helpers import (
     refinement_stages,
     score_total,
 )
-from diarkit.clustering import _row_max_normalize_symmetrize, blurred_affinity
-from diarkit.numerics import gram, nearest_rank_index
+from diarkit.clustering import _row_max_normalize_symmetrize, blurred_affinity, estimate_k_eigengap
+from diarkit.metrics import map_speakers
+from diarkit.numerics import eigh, gram, nearest_rank_index
 from oracles import (
     brute_force_assignment,
     der_oracle,

@@ -171,14 +171,15 @@ class TestDiarize:
         expected = test_io.TestPgm.whole_matrix_pgm(m)
         assert (tmp_path / "run_04_refined.pgm").read_bytes() == expected
 
-    @pytest.mark.parametrize("cap, counted", [(None, "blurred_affinity"), (50, "precluster")])
+    @pytest.mark.parametrize("cap, counted",
+                             [(None, "blurred_affinity"), (50, "two_stage_cluster")])
     def test_dump_stages_runs_the_chain_once(self, tmp_path, monkeypatch, cap, counted):
         # the stages are written from the clustering run itself: no second
         # affinity below the cap, no second pre-clustering above it
         if cap is not None:
             monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", cap)
             monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 30)
-        module = diarkit.pipeline if counted == "precluster" else diarkit.clustering
+        module = diarkit.pipeline if counted == "two_stage_cluster" else diarkit.clustering
         original, calls = getattr(module, counted), []
 
         def count(*args, **kwargs):

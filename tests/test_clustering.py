@@ -14,20 +14,16 @@ from diarkit import (
     DEFAULT_MAX_CLUSTERS,
     ClusteringResult,
     DegenerateAffinityError,
-    EigenDecomposition,
     InvalidInputError,
     SegmentEmbedding,
     SpectralParams,
     SynthScenario,
     TimeInterval,
-    eigh,
-    estimate_k_eigengap,
     estimate_k_elbow,
     generate,
     kmeans,
     run_online,
     spectral_cluster,
-    spectral_embed,
     spectral_grid,
 )
 from diarkit.clustering import (
@@ -35,6 +31,7 @@ from diarkit.clustering import (
     _RESTARTS,
     _TOL,
     EIG_FLOOR,
+    PRECLUSTER_COUNT,
     PRECLUSTER_ITERS,
     RESEGMENT_PENALTY,
     RESEGMENT_ROUNDS,
@@ -42,15 +39,18 @@ from diarkit.clustering import (
     _draw,
     _elbow_runs,
     _lloyd,
+    _resegment,
     _row_max_normalize_symmetrize,
     _threshold_symmetrize,
     _viterbi,
     blurred_affinity,
     embedding_matrix,
-    precluster,
-    resegment,
+    estimate_k_eigengap,
+    spectral_embed,
+    two_stage_cluster,
 )
-from diarkit.numerics import _TILE, gram, l2_normalize_rows, nearest_rank_index
+from diarkit.numerics import (_TILE, EigenDecomposition, eigh, gram, l2_normalize_rows,
+                              nearest_rank_index)
 from diarkit.pipeline import segment_embeddings
 from helpers import refinement_stages, run_python
 from oracles import (affinity, best_path_oracle, blur, dense_refined, lloyd_oracle,
@@ -888,24 +888,44 @@ class TestSpectralCluster:
 
 class TestPrecluster:
     def test_one_seeded_lloyd_run(self, monkeypatch):
+        # two_stage_cluster's stage 1: stage 2 clusters the centroids of one
+        # seeded _lloyd run on the unit rows, and _resegment starts from its labels
         monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 30)
+        clustered = []
+        original = diarkit.clustering.spectral_cluster
+
+        def capture(embeddings, *args):
+            clustered.append(np.array(embeddings))
+            return original(embeddings, *args)
+
+        monkeypatch.setattr(diarkit.clustering, "spectral_cluster", capture)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((200, 6))
-        labels, centroids = precluster(x, seed=5)
+        params = SpectralParams(seed=5)
+        got = two_stage_cluster(x, params)
         u = l2_normalize_rows(x)
         want_labels, want_centroids, _, _ = _lloyd(u, 30, np.random.default_rng(5),
                                                    PRECLUSTER_ITERS, _TOL)
-        assert np.array_equal(labels, want_labels)
+        (centroids,) = clustered
         assert np.array_equal(centroids, want_centroids)
-        assert set(labels.tolist()) == set(range(30))
+        assert set(want_labels.tolist()) == set(range(30))
         assert np.allclose(np.linalg.norm(centroids, axis=1), 1.0, atol=1e-15)
+        stage2 = original(centroids, SpectralParams(sigma=0.0, seed=5)).clustering
+        want = _resegment(u, ClusteringResult(stage2.labels[want_labels]), 2)
+        assert np.array_equal(got.labels, want.labels)
 
     def test_bad_arguments_rejected(self, monkeypatch):
         monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 5)
         with pytest.raises(InvalidInputError, match="4 rows for 5 pre-cluster centroids"):
-            precluster(np.eye(4), seed=0)
+            two_stage_cluster(np.eye(4), SpectralParams())
         with pytest.raises(InvalidInputError, match="seed"):
-            precluster(np.eye(5), seed=-1)
+            two_stage_cluster(np.eye(5), SpectralParams(seed=-1))
+
+    def test_fewer_rows_than_centroids_rejected(self):
+        x = np.random.default_rng(6).standard_normal((PRECLUSTER_COUNT - 1, 4))
+        with pytest.raises(InvalidInputError, match=f"{PRECLUSTER_COUNT - 1} rows for "
+                                                    f"{PRECLUSTER_COUNT} pre-cluster centroids"):
+            two_stage_cluster(x, SpectralParams())
 
 
 class TestResegment:
@@ -917,7 +937,7 @@ class TestResegment:
         labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
         rng.shuffle(labels)
         x = rng.standard_normal((n, d)) + 2.0 * rng.standard_normal((k, d))[labels]
-        got = resegment(x, ClusteringResult(labels))
+        got = _resegment(l2_normalize_rows(x), ClusteringResult(labels), 1)
         want = resegment_oracle(x, labels, RESEGMENT_PENALTY, RESEGMENT_ROUNDS)
         assert got.labels.tolist() == want
         assert got.k == max(want) + 1
@@ -947,7 +967,7 @@ class TestResegment:
         # though a change of speaker at every segment costs the most
         x = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]] * 4)
         labels = np.array([0, 1] * 4)
-        got = resegment(x, ClusteringResult(labels))
+        got = _resegment(l2_normalize_rows(x), ClusteringResult(labels), 1)
         assert got.labels.tolist() == labels.tolist()
         assert got.k == 2
 
@@ -956,12 +976,12 @@ class TestResegment:
         # alike, and the path would take the last segment's label throughout
         x = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         labels = np.array([0, 1, 0, 1])
-        got = resegment(x, ClusteringResult(labels))
+        got = _resegment(l2_normalize_rows(x), ClusteringResult(labels), 1)
         assert got.labels.tolist() == labels.tolist()
 
     def test_one_cluster(self):
         x = np.random.default_rng(4).standard_normal((30, 5))
-        got = resegment(x, ClusteringResult(np.zeros(30, dtype=int)))
+        got = _resegment(l2_normalize_rows(x), ClusteringResult(np.zeros(30, dtype=int)), 1)
         assert got.k == 1
         assert got.labels.tolist() == [0] * 30
 
@@ -974,19 +994,15 @@ class TestResegment:
         b = np.array([0.0, 0.0, 1.0]) + 0.2 * rng.standard_normal((6, 3))
         x = np.vstack([a, b])
         labels = np.array([0] * 5 + [1] + [0] * 4 + [2] * 6)
-        got = resegment(x, ClusteringResult(labels))
+        got = _resegment(l2_normalize_rows(x), ClusteringResult(labels), 1)
         assert got.labels.tolist() == [0] * 10 + [1] * 6
         assert got.k == 2
         # unless that takes k below min_clusters: then the round is not taken
-        kept = resegment(x, ClusteringResult(labels), min_clusters=3)
+        kept = _resegment(l2_normalize_rows(x), ClusteringResult(labels), 3)
         assert kept.labels.tolist() == labels.tolist()
         assert kept.k == 3
         # a bound the input does not meet lets no round lower k further
-        assert resegment(x, ClusteringResult(labels), min_clusters=4).k == 3
-
-    def test_label_count_checked(self):
-        with pytest.raises(InvalidInputError, match="3 labels for 4 segments"):
-            resegment(np.eye(4), ClusteringResult(np.array([0, 1, 0])))
+        assert _resegment(l2_normalize_rows(x), ClusteringResult(labels), 4).k == 3
 
 
 class TestSpectralParams:

@@ -17,10 +17,9 @@ from diarkit import (
     TimeInterval,
     combine_reports,
     der,
-    map_speakers,
     scoring_region,
 )
-from diarkit.metrics import TICKS_PER_SECOND
+from diarkit.metrics import TICKS_PER_SECOND, map_speakers
 from oracles import der_oracle, overlap_milliseconds, random_der_case
 
 

@@ -9,11 +9,10 @@ from diarkit import (
     InvalidInputError,
     NumericError,
     SpectralParams,
-    eigh,
-    estimate_k_eigengap,
-    optimal_assignment,
 )
-from diarkit.numerics import _TILE, blurred_gram, gram, l2_normalize_rows, upper_tiles
+from diarkit.clustering import estimate_k_eigengap
+from diarkit.numerics import (_TILE, blurred_gram, eigh, gram, l2_normalize_rows,
+                              optimal_assignment, upper_tiles)
 from helpers import refinement_stages
 from oracles import (
     blur,

@@ -22,7 +22,8 @@ from diarkit import (
     segmentize,
     spectral_cluster,
 )
-from diarkit.clustering import precluster, resegment
+from diarkit.clustering import PRECLUSTER_ITERS, _TOL, _lloyd, _resegment
+from diarkit.numerics import l2_normalize_rows
 from diarkit.pipeline import (
     DiarizeConfig,
     cluster,
@@ -211,14 +212,25 @@ def two_stage(monkeypatch):
     monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 40)
 
 
+def _precluster(x, seed):
+    """Stage 1: each row's centroid and the unit centroids of one seeded
+    _lloyd run on the unit rows, as many as the fixture's PRECLUSTER_COUNT."""
+    return _lloyd(l2_normalize_rows(x), diarkit.clustering.PRECLUSTER_COUNT,
+                  np.random.default_rng(seed), PRECLUSTER_ITERS, _TOL)[:2]
+
+
 def _stage_two_labels(x, params):
     """Each segment its centroid's stage-2 label, before the pass."""
-    assignment, centroids = precluster(x, seed=params.seed)
+    assignment, centroids = _precluster(x, params.seed)
     stage2 = spectral_cluster(centroids, replace(params, sigma=0.0)).clustering
     return stage2.labels[assignment]
 
 
 class TestTwoStage:
+    def test_the_cap_exceeds_the_centroid_count(self):
+        # so the pipeline never reaches two_stage_cluster's size refusal
+        assert diarkit.pipeline.TWO_STAGE_CAP > diarkit.clustering.PRECLUSTER_COUNT
+
     def test_up_to_the_cap_cluster_is_spectral_cluster(self, monkeypatch):
         x, _ = stack_segments(three_speakers())
         monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", len(x))
@@ -233,10 +245,10 @@ class TestTwoStage:
         x, _ = stack_segments(three_speakers())
         params = SpectralParams(sigma=2.0, seed=3)
         got = cluster(x, DiarizeConfig(spectral=params))
-        assignment, centroids = precluster(x, seed=3)
+        assignment, centroids = _precluster(x, seed=3)
         assert len(centroids) == 40
         stage2 = spectral_cluster(centroids, SpectralParams(sigma=0.0, seed=3)).clustering
-        want = resegment(x, ClusteringResult(stage2.labels[assignment]), min_clusters=2)
+        want = _resegment(l2_normalize_rows(x), ClusteringResult(stage2.labels[assignment]), 2)
         assert got.k == want.k == 3
         assert np.array_equal(got.labels, want.labels)
 
@@ -249,7 +261,8 @@ class TestTwoStage:
                                                      scenario_kind="imbalanced", seed=5))
         x, _ = stack_segments(segment_embeddings(windows, regions))
         params = SpectralParams(min_clusters=4, max_clusters=4)
-        unbounded = resegment(x, ClusteringResult(_stage_two_labels(x, params)))
+        stage_two = ClusteringResult(_stage_two_labels(x, params))
+        unbounded = _resegment(l2_normalize_rows(x), stage_two, 1)
         assert unbounded.k < 4
         assert cluster(x, DiarizeConfig(spectral=params)).k == 4
 

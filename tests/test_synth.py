@@ -10,10 +10,10 @@ from diarkit import (
     SynthScenario,
     der,
     generate,
-    speaker_directions,
 )
 from diarkit.pipeline import DiarizeConfig, cluster, diarize, segment_embeddings, stack_segments
-from diarkit.synth import GROUP_ANGLE_DEG, SPEAKER_ANGLE_DEG, WINDOW_SIZE, WINDOW_STEP
+from diarkit.synth import (GROUP_ANGLE_DEG, SPEAKER_ANGLE_DEG, WINDOW_SIZE, WINDOW_STEP,
+                           _speaker_directions)
 from oracles import angular_stats
 
 
@@ -59,7 +59,7 @@ class TestScenarioValidation:
 
 class TestSpeakerDirections:
     def test_separated_orthonormal(self):
-        dirs = speaker_directions(SynthScenario(n_speakers=4, duration=10, seed=7))
+        dirs = _speaker_directions(SynthScenario(n_speakers=4, duration=10, seed=7))
         gram = dirs @ dirs.T
         assert np.max(np.abs(gram - np.eye(4))) < 1e-10
 
@@ -71,7 +71,7 @@ class TestSpeakerDirections:
             scenario_kind="hierarchical",
             seed=2,
         )
-        dirs = speaker_directions(scenario)
+        dirs = _speaker_directions(scenario)
         tilt, groups = math.radians(SPEAKER_ANGLE_DEG), math.radians(GROUP_ANGLE_DEG)
         within = math.degrees(math.acos(math.cos(tilt) ** 2))
         across = math.degrees(math.acos(math.cos(tilt) ** 2 * math.cos(groups)))
@@ -82,8 +82,8 @@ class TestSpeakerDirections:
             assert angle_deg(dirs[a], dirs[b]) == pytest.approx(across, abs=1e-8)
 
     def test_directions_depend_only_on_geometry_inputs(self):
-        a = speaker_directions(SynthScenario(n_speakers=3, duration=10, seed=5))
-        b = speaker_directions(SynthScenario(n_speakers=3, duration=500, seed=5))
+        a = _speaker_directions(SynthScenario(n_speakers=3, duration=10, seed=5))
+        b = _speaker_directions(SynthScenario(n_speakers=3, duration=500, seed=5))
         assert np.array_equal(a, b)
 
 
@@ -136,7 +136,7 @@ class TestGenerate:
     def test_zero_noise_windows_equal_planted_direction(self):
         scenario = SynthScenario(n_speakers=3, duration=60, within_noise_deg=0, seed=6)
         reference, windows, _ = generate(scenario)
-        directions = speaker_directions(scenario)
+        directions = _speaker_directions(scenario)
         for start, end, vector in zip(windows.starts, windows.ends, windows.vectors):
             center = 0.5 * (start + end)
             host = next(s for s in reference if s.interval.start <= center < s.interval.end)
@@ -186,7 +186,7 @@ class TestAngularStats:
             n_speakers=2, duration=300, within_noise_deg=10, seed=12
         )
         reference, windows, _ = generate(scenario)
-        directions = speaker_directions(scenario)
+        directions = _speaker_directions(scenario)
         stats = angular_stats(windows, reference)
         assert set(stats) == {"S0", "S1"}
         for label, entry in stats.items():
