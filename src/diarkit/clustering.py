@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ClusteringResult, DegenerateAffinityError, InvalidInputError
+from .core import ClusteringResult, DegenerateAffinityError, InvalidInputError, check_integers
 from .numerics import (
     ZERO_NORM_TOL,
     EigenDecomposition,
@@ -73,6 +73,7 @@ class SpectralParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, "min_clusters", "max_clusters", "seed")
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise InvalidInputError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not (0.0 < self.p_percentile < 100.0):
@@ -173,6 +174,8 @@ def estimate_k_eigengap(values, min_clusters: int, max_clusters: int) -> int:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size < 2:
         raise InvalidInputError("need at least 2 eigenvalues")
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("eigenvalues must be finite")
     if np.any(np.diff(values) > 1e-10):
         raise InvalidInputError("eigenvalues must be sorted descending")
     lo = min_clusters
@@ -424,13 +427,11 @@ def _resegment(u: np.ndarray, clustering: ClusteringResult, min_clusters: int) -
 
 
 def _elbow_runs(embeddings, max_clusters: int, seed: int) -> list[tuple]:
-    """(labels, MSCD) of kmeans' best run at each k = 1..max_clusters."""
+    """(labels, MSCD) of kmeans' best run at each k = 1..min(max_clusters, n)."""
     _check_seed(seed)
     u = l2_normalize_rows(embedding_matrix(embeddings))
     n = u.shape[0]
-    if not (1 <= max_clusters <= n):
-        raise InvalidInputError(f"max_clusters must lie in [1, {n}], got {max_clusters}")
-    runs = (_best_run(u, k, seed) for k in range(1, max_clusters + 1))
+    runs = (_best_run(u, k, seed) for k in range(1, min(max_clusters, n) + 1))
     return [(labels, obj / n) for labels, obj in runs]
 
 
@@ -439,16 +440,26 @@ def estimate_k_elbow(
 ) -> ClusteringResult:
     """The clustering at the k with the largest drop MSCD(k-1) - MSCD(k), k >= 2.
 
-    The search range is [max(2, min_clusters), max_clusters]; ties break
-    toward smaller k. The labels are the search's own best run at that k,
-    the run kmeans makes with that k and the same seed.
+    The bounds are clamped to n, as spectral clustering does. When that
+    leaves only k = 1 (max_clusters = 1, or one row) the result is the k = 1
+    run, the labels kmeans(x, 1) gives; otherwise the search range is
+    [max(2, min_clusters), max_clusters], clamped, and ties break toward
+    smaller k. The labels are the search's own best run at that k, the run
+    kmeans makes with that k and the same seed.
     """
+    if max_clusters < max(1, min_clusters):
+        raise InvalidInputError(
+            f"cluster-count range [{min_clusters}, {max_clusters}] holds no k >= 1"
+        )
     runs = _elbow_runs(embeddings, max_clusters, seed)
-    lo = max(2, min_clusters)
-    if lo > max_clusters:
-        raise InvalidInputError(f"empty cluster-count search range [{lo}, {max_clusters}]")
-    # runs[k - 1] is k's run; max keeps the first, so the smallest, k of a tie
-    k = max(range(lo, max_clusters + 1), key=lambda k: runs[k - 2][1] - runs[k - 1][1])
+    # runs[k - 1] is k's run, up to hi = min(max_clusters, n); as min_clusters
+    # <= max_clusters, min(min_clusters, n) is min(min_clusters, hi)
+    hi = len(runs)
+    if hi == 1:
+        return ClusteringResult(runs[0][0])
+    # max keeps the first, so the smallest, k of a tie
+    k = max(range(max(2, min(min_clusters, hi)), hi + 1),
+            key=lambda k: runs[k - 2][1] - runs[k - 1][1])
     return ClusteringResult(runs[k - 1][0])
 
 

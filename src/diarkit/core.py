@@ -8,6 +8,7 @@ speaker label strings ("spk0", "spk1", ...) at RTTM export time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +25,17 @@ class DegenerateAffinityError(InvalidInputError):
 
 class NumericError(RuntimeError):
     """A numeric routine failed to converge."""
+
+
+def check_integers(settings, *names: str) -> None:
+    """InvalidInputError naming the first of the named fields of settings that
+    is not an integer; numpy integers are integers (operator.index)."""
+    for name in names:
+        try:
+            operator.index(getattr(settings, name))
+        except TypeError:
+            raise InvalidInputError(
+                f"{name} must be an integer, got {getattr(settings, name)!r}") from None
 
 
 class ParseError(ValueError):

@@ -118,11 +118,11 @@ def _depth(bounds: np.ndarray, at: np.ndarray, which: np.ndarray) -> np.ndarray:
     return np.cumsum(starts - ends)[:-1]
 
 
-def _rows(annotation: Annotation, first: int = 0) -> tuple[list[str], list[int]]:
-    """The sorted speaker labels, and each segment's row: first + its label's index."""
+def _rows(annotation: Annotation, first: int = 0) -> tuple[int, list[int]]:
+    """The speaker count, and each segment's row: first + its label's sorted index."""
     labels = sorted({seg.speaker for seg in annotation})
     index = {label: first + i for i, label in enumerate(labels)}
-    return labels, [index[seg.speaker] for seg in annotation]
+    return len(labels), [index[seg.speaker] for seg in annotation]
 
 
 def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterval]:
@@ -157,26 +157,6 @@ def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterva
     return [TimeInterval(_seconds(ticks[s]), _seconds(ticks[e])) for s, e in runs.tolist()]
 
 
-def map_speakers(
-    ref_labels: Sequence[str],
-    hyp_labels: Sequence[str],
-    overlap_matrix,
-) -> dict[str, str]:
-    """Reference-to-hypothesis mapping maximizing total matched duration."""
-    overlap = np.asarray(overlap_matrix, dtype=np.float64)
-    if overlap.shape != (len(ref_labels), len(hyp_labels)):
-        raise InvalidInputError(
-            f"overlap matrix shape {overlap.shape} does not match "
-            f"{len(ref_labels)} x {len(hyp_labels)} labels"
-        )
-    if overlap.size == 0:
-        return {}
-    if np.any(overlap < 0):
-        raise InvalidInputError("overlap durations must be >= 0")
-    pairs = optimal_assignment(overlap)
-    return {ref_labels[i]: hyp_labels[j] for i, j in pairs}
-
-
 def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> DerReport:
     """Score a hypothesis against a reference under the given conventions.
 
@@ -202,12 +182,11 @@ def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> Der
     region = scoring_region(reference, opts)
     if not region:
         raise InvalidInputError("scoring region is empty")
-    ref_labels, ref_rows = _rows(reference)
-    n_ref = len(ref_labels)  # the region's row; the hypothesis speakers' rows follow
-    hyp_labels, hyp_rows = _rows(hypothesis, first=n_ref + 1)
+    n_ref, ref_rows = _rows(reference)
+    n_hyp, hyp_rows = _rows(hypothesis, first=n_ref + 1)  # row n_ref is the region's
     spans = _tick_spans(
         [*(seg.interval for seg in reference), *region, *(seg.interval for seg in hypothesis)],
-        _INT64_MAX // max(n_ref, len(hyp_labels)),
+        _INT64_MAX // max(n_ref, n_hyp),
     )
     bounds, row, at = _pieces(ref_rows + [n_ref] * len(region) + hyp_rows, spans)
     hyp = row > n_ref
@@ -220,11 +199,10 @@ def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> Der
     before = np.zeros((n_ref, bounds.size), dtype=np.int64)  # region time before each bound
     for r in range(n_ref):
         np.cumsum(_depth(bounds, at, row == r) * dur, out=before[r, 1:])
-    overlap = np.zeros((n_ref, len(hyp_labels)), dtype=np.int64)
+    overlap = np.zeros((n_ref, n_hyp), dtype=np.int64)
     np.add.at(overlap.T, row[hyp] - n_ref - 1, (before[:, at[1, hyp]] - before[:, at[0, hyp]]).T)
-    mapping = map_speakers(ref_labels, hyp_labels, overlap)
-    matched = sum(int(overlap[ref_labels.index(r), hyp_labels.index(h)])
-                  for r, h in mapping.items())
+    pairs = optimal_assignment(overlap) if overlap.size else []
+    matched = sum(int(overlap[i, j]) for i, j in pairs)
     return DerReport(
         fa_seconds=_seconds(int(nh @ dur) - coactive),
         miss_seconds=_seconds(ref_ticks - coactive),

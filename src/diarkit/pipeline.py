@@ -21,7 +21,6 @@ from .clustering import (
     check_threshold,
     embedding_matrix,
     estimate_k_elbow,
-    kmeans,
     run_online,
     spectral_cluster,
     spectral_grid,
@@ -80,10 +79,6 @@ def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
     the rows. Up to the cap it is `spectral_cluster` alone. `observe` goes
     to the one `spectral_cluster` call, so above the cap it sees stage 2's
     chain; the other algorithms never call it.
-
-    k-means clamps the speaker bounds to n, as spectral clustering does. When
-    that leaves only k = 1 it returns one cluster, otherwise the elbow search's
-    own clustering at its k in [max(2, min_clusters), max_clusters].
     """
     params = config.spectral
     if config.algorithm == "spectral":
@@ -92,11 +87,8 @@ def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
         return two_stage_cluster(x, params, observe)
     if config.algorithm == "naive":
         return run_online(x, config.threshold)
-    n = len(x)
-    min_c, max_c = min(params.min_clusters, n), min(params.max_clusters, n)
-    if max_c == 1:
-        return kmeans(x, 1, seed=params.seed)
-    return estimate_k_elbow(x, max_c, min_clusters=min_c, seed=params.seed)
+    return estimate_k_elbow(x, params.max_clusters, min_clusters=params.min_clusters,
+                            seed=params.seed)
 
 
 def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig(),

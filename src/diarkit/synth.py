@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import Windows
-from .core import Annotation, InvalidInputError, Segment, TimeInterval
+from .core import Annotation, InvalidInputError, Segment, TimeInterval, check_integers
 from .numerics import l2_normalize_rows
 
 WINDOW_SIZE = 0.24
@@ -50,6 +50,7 @@ class SynthScenario:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, "n_speakers", "dim", "seed")
         if self.n_speakers < 1:
             raise InvalidInputError(f"n_speakers must be >= 1, got {self.n_speakers}")
         if not (0 < self.duration < math.inf):

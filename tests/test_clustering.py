@@ -481,6 +481,14 @@ class TestEstimateKEigengap:
         with pytest.raises(InvalidInputError):
             estimate_k_eigengap([1.0, 2.0, 0.5], 1, 2)
 
+    # a NaN passes the sortedness check and no NaN ratio compares greater;
+    # an infinite leading value gives an infinite first ratio
+    @pytest.mark.parametrize("values", [[3.0, math.nan, 1.0, 0.5], [math.inf, 2.0, 1.0, 0.5]],
+                             ids=["nan", "inf"])
+    def test_non_finite_rejected(self, values):
+        with pytest.raises(InvalidInputError, match="^eigenvalues must be finite$"):
+            estimate_k_eigengap(values, 1, 3)
+
 
 class TestSpectralEmbed:
     def test_full_k_keeps_unit_rows(self):
@@ -692,9 +700,26 @@ class TestEstimateKElbow:
         with pytest.raises(InvalidInputError):
             estimate_k_elbow(np.eye(4), 2, min_clusters=3, seed=0)
 
-    def test_max_clusters_above_n_rejected(self):
-        with pytest.raises(InvalidInputError, match=r"max_clusters must lie in \[1, 3\], got 4"):
-            estimate_k_elbow(np.eye(3), 4, seed=0)
+    def test_bounds_above_n_clamped(self):
+        # as spectral clustering does: bounds above n search what bounds at n do
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((4, 3))
+        at_n = estimate_k_elbow(x, 4, min_clusters=4, seed=1).labels
+        assert estimate_k_elbow(x, 7, min_clusters=6, seed=1).labels.tolist() == at_n.tolist()
+        assert estimate_k_elbow(x, 9, seed=1).labels.tolist() == (
+            estimate_k_elbow(x, 4, seed=1).labels.tolist())
+
+    def test_only_k1_left_is_the_k1_run(self):
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal((5, 3))
+        one = kmeans(x, 1, seed=2).labels.tolist()
+        assert estimate_k_elbow(x, 1, seed=2).labels.tolist() == one
+        assert estimate_k_elbow(x[:1], 8, min_clusters=2, seed=2).labels.tolist() == [0]
+
+    def test_no_k_in_range_rejected(self):
+        for max_clusters, min_clusters in [(0, 1), (2, 3)]:
+            with pytest.raises(InvalidInputError, match="holds no k >= 1"):
+                estimate_k_elbow(np.eye(3), max_clusters, min_clusters=min_clusters)
 
 
 class TestSpectralCluster:
@@ -1017,6 +1042,20 @@ class TestSpectralParams:
             SpectralParams(min_clusters=5, max_clusters=3)
         with pytest.raises(InvalidInputError):
             SpectralParams(seed=-1)
+
+    @pytest.mark.parametrize("field", ["min_clusters", "max_clusters", "seed"])
+    def test_integer_fields_refuse_non_integers(self, field):
+        # a float would reach range() or numpy's SeedSequence as a bare TypeError
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got 2.5$"):
+            SpectralParams(**{field: 2.5})
+
+    @pytest.mark.parametrize("field", ["min_clusters", "max_clusters", "seed"])
+    def test_integer_fields_take_numpy_integers(self, field):
+        rng = np.random.default_rng(46)
+        x = np.repeat(np.eye(3, 4), 5, axis=0) + 0.05 * rng.standard_normal((15, 4))
+        labels = [spectral_cluster(x, SpectralParams(**{field: value})).clustering.labels.tolist()
+                  for value in (np.int64(3), 3)]
+        assert labels[0] == labels[1]
 
     # the paper's multiplier is 0.01; above 1 (1e160 at n = 60) the diffusion
     # could overflow, so the range is checked here, where the chain's knobs enter

@@ -19,7 +19,8 @@ from diarkit import (
     der,
     scoring_region,
 )
-from diarkit.metrics import TICKS_PER_SECOND, map_speakers
+from diarkit.metrics import TICKS_PER_SECOND
+from diarkit.numerics import optimal_assignment
 from oracles import der_oracle, overlap_milliseconds, random_der_case
 
 
@@ -135,11 +136,13 @@ class TestDerHandCases:
         assert report.total == 50.0
 
     def test_empty_hypothesis_is_pure_miss(self):
+        # no hypothesis speaker: an empty overlap table, and nothing to map
         report = der(
             ann("r", (0, 10, "A"), (12, 14, "B")),
             Annotation("r", ()),
             EvalOptions(collar=0.0),
         )
+        assert report.miss_seconds == report.ref_speech_seconds == 12.0
         assert report.fa == 0.0
         assert report.confusion == 0.0
         assert report.miss == 100.0
@@ -275,39 +278,33 @@ class TestManyHypothesisSpeakers:
         assert peak <= 2 * 2**20
 
 
-class TestMapSpeakers:
+class TestSpeakerMapping:
+    """der maps reference rows to hypothesis columns of its overlap table
+    (speakers in sorted label order) through optimal_assignment's pairs."""
+
     def test_diagonal_dominant_identity(self):
         matrix = np.array([[5.0, 1.0, 0.0], [1.0, 6.0, 2.0], [0.0, 0.0, 4.0]])
-        mapping = map_speakers(["A", "B", "C"], ["X", "Y", "Z"], matrix)
-        assert mapping == {"A": "X", "B": "Y", "C": "Z"}
+        assert optimal_assignment(matrix) == [(0, 0), (1, 1), (2, 2)]
 
     def test_off_diagonal_example(self):
-        mapping = map_speakers(["A", "B"], ["X", "Y"], np.array([[5.0, 1.0], [2.0, 4.0]]))
-        assert mapping == {"A": "X", "B": "Y"}
+        assert optimal_assignment(np.array([[5.0, 1.0], [2.0, 4.0]])) == [(0, 0), (1, 1)]
 
     def test_crossed_assignment(self):
-        mapping = map_speakers(["A", "B"], ["X", "Y"], np.array([[1.0, 5.0], [4.0, 2.0]]))
-        assert mapping == {"A": "Y", "B": "X"}
+        assert optimal_assignment(np.array([[1.0, 5.0], [4.0, 2.0]])) == [(0, 1), (1, 0)]
+
+    def test_crossed_labels_score_no_confusion(self):
+        # A talks where Y does and B where X does: the mapping crosses the
+        # sorted label order, and every co-active second is matched
+        report = der(ann("r", (0, 5, "A"), (5, 10, "B")), ann("r", (0, 5, "Y"), (5, 10, "X")),
+                     EvalOptions(collar=0.0))
+        assert report.confusion_seconds == 0.0
+        assert report.total == 0.0
 
     def test_rectangular_more_hyp(self):
-        mapping = map_speakers(["A"], ["X", "Y"], np.array([[3.0, 7.0]]))
-        assert mapping == {"A": "Y"}
+        assert optimal_assignment(np.array([[3.0, 7.0]])) == [(0, 1)]
 
     def test_rectangular_more_ref(self):
-        mapping = map_speakers(["A", "B"], ["X"], np.array([[5.0], [7.0]]))
-        assert mapping == {"B": "X"}
-
-    def test_empty_inputs(self):
-        assert map_speakers([], ["X"], np.zeros((0, 1))) == {}
-        assert map_speakers(["A"], [], np.zeros((1, 0))) == {}
-
-    def test_negative_durations_rejected(self):
-        with pytest.raises(InvalidInputError):
-            map_speakers(["A"], ["X"], np.array([[-1.0]]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            map_speakers(["A", "B"], ["X"], np.array([[1.0, 2.0]]))
+        assert optimal_assignment(np.array([[5.0], [7.0]])) == [(1, 0)]
 
     def test_beats_every_permutation(self):
         rng = np.random.default_rng(60)
@@ -315,10 +312,7 @@ class TestMapSpeakers:
             nr = int(rng.integers(1, 7))
             nh = int(rng.integers(1, 7))
             matrix = np.rint(rng.uniform(0, 50, size=(nr, nh)))
-            ref = [f"A{i}" for i in range(nr)]
-            hyp = [f"X{j}" for j in range(nh)]
-            mapping = map_speakers(ref, hyp, matrix)
-            total = sum(matrix[ref.index(r), hyp.index(h)] for r, h in mapping.items())
+            total = sum(matrix[i, j] for i, j in optimal_assignment(matrix))
             size = min(nr, nh)
             for rows in itertools.permutations(range(nr), size):
                 for cols in itertools.permutations(range(nh), size):
@@ -449,13 +443,7 @@ class TestInvariants:
                 continue
             if matrix.size == 0:
                 continue
-            ref_labels = sorted({seg.speaker for seg in reference})
-            hyp_labels = sorted({seg.speaker for seg in hypothesis})
-            mapping = map_speakers(ref_labels, hyp_labels, matrix)
-            total = sum(
-                matrix[ref_labels.index(r), hyp_labels.index(h)]
-                for r, h in mapping.items()
-            )
+            total = sum(matrix[i, j] for i, j in optimal_assignment(matrix))
             from oracles import brute_force_assignment
 
             assert total == brute_force_assignment(matrix)

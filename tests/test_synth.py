@@ -44,6 +44,19 @@ class TestScenarioValidation:
             SynthScenario(n_speakers=2, duration=10.0, seed=-1)
         SynthScenario(n_speakers=2, duration=10.0, seed=0)
 
+    @pytest.mark.parametrize("field", ["n_speakers", "dim", "seed"])
+    def test_integer_fields_refuse_non_integers(self, field):
+        # a float would fail inside generate with a bare TypeError
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got 2.5$"):
+            SynthScenario(**{"n_speakers": 2, "duration": 10.0, field: 2.5})
+
+    @pytest.mark.parametrize("field", ["n_speakers", "dim", "seed"])
+    def test_integer_fields_take_numpy_integers(self, field):
+        plain = generate(SynthScenario(**{"n_speakers": 2, "duration": 10.0, field: 3}))
+        wide = generate(SynthScenario(**{"n_speakers": 2, "duration": 10.0, field: np.int64(3)}))
+        assert wide[0] == plain[0] and wide[2] == plain[2]
+        assert np.array_equal(wide[1].vectors, plain[1].vectors)
+
     def test_separated_needs_enough_dimensions(self):
         with pytest.raises(InvalidInputError):
             SynthScenario(n_speakers=5, duration=10, dim=4)
