@@ -95,11 +95,11 @@ def cmd_diarize(args) -> int:
 
     windows = _read(args.embeddings, formats.read_embeddings_csv)
     regions = _read(args.regions, formats.read_regions_csv) if args.regions else None
-    seg_embs = segment_embeddings(windows, regions, args.max_segment_len)
+    segments = segment_embeddings(windows, regions, args.max_segment_len)
     observe = None if args.dump_stages is None else _stage_writer(args.dump_stages)
     # the stage heatmaps are written as the clusterer forms them, the RTTM
     # only once clustering succeeds
-    rttm = _rttm(args.out, diarize(recording_id, seg_embs, config, observe))
+    rttm = _rttm(args.out, diarize(recording_id, segments, config, observe))
     Path(args.out).write_text(rttm)
     return 0
 
@@ -235,8 +235,8 @@ def cmd_sweep(args) -> int:
         prepared.append((rec, segment_embeddings(windows, None)))
 
     reports: list[list[DerReport]] = [[] for _ in configs]
-    for rec, seg_embs in prepared:
-        for row, hypothesis in zip(reports, diarize_grid(rec, seg_embs, configs)):
+    for rec, segments in prepared:
+        for row, hypothesis in zip(reports, diarize_grid(rec, segments, configs)):
             row.append(der(references[rec], hypothesis, EvalOptions()))
     results = [(value, combine_reports(row).total) for value, row in zip(grid, reports)]
 

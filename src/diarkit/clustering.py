@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ClusteringResult, DegenerateAffinityError, InvalidInputError, check_integers
+from .core import (ClusteringResult, DegenerateAffinityError, InvalidInputError, check_integers,
+                   check_reals)
 from .numerics import (
     ZERO_NORM_TOL,
-    EigenDecomposition,
     blurred_gram,
     eigh,
     gram,
@@ -73,7 +73,10 @@ class SpectralParams:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, "min_clusters", "max_clusters", "seed")
+        check_integers(min_clusters=self.min_clusters, max_clusters=self.max_clusters,
+                       seed=self.seed)
+        check_reals(sigma=self.sigma, p_percentile=self.p_percentile,
+                    soft_multiplier=self.soft_multiplier)
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise InvalidInputError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not (0.0 < self.p_percentile < 100.0):
@@ -193,17 +196,18 @@ def estimate_k_eigengap(values, min_clusters: int, max_clusters: int) -> int:
     return best_k
 
 
-def spectral_embed(decomp: EigenDecomposition, k: int) -> np.ndarray:
-    """Rows of the top-k eigenvectors, not normalized: kmeans normalizes its input.
+def spectral_embed(vectors: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the first k columns of `vectors` (eigh's eigenvectors, leading
+    first), not normalized: kmeans normalizes its input.
 
     Row i is the new embedding of segment i. Zero rows (possible when a
     segment has no weight in the top-k subspace) are replaced by the unit
     vector along the first coordinate.
     """
-    n = decomp.vectors.shape[0]
+    n = vectors.shape[0]
     if not (1 <= k <= n):
         raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
-    rows = np.array(decomp.vectors[:, :k])
+    rows = np.array(vectors[:, :k])
     zero = np.linalg.norm(rows, axis=1) < ZERO_NORM_TOL
     rows[zero] = 0.0
     rows[zero, 0] = 1.0
@@ -358,6 +362,7 @@ def kmeans(embeddings, k: int, *, seed: int = 0) -> ClusteringResult:
     objective falls by less than _TOL) and keeps the run with the lowest objective
     sum(d(x_i, c_{a(i)})^2), d being the halved cosine distance.
     """
+    check_integers(k=k, seed=seed)
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     _check_seed(seed)
@@ -426,15 +431,6 @@ def _resegment(u: np.ndarray, clustering: ClusteringResult, min_clusters: int) -
     return ClusteringResult(z)
 
 
-def _elbow_runs(embeddings, max_clusters: int, seed: int) -> list[tuple]:
-    """(labels, MSCD) of kmeans' best run at each k = 1..min(max_clusters, n)."""
-    _check_seed(seed)
-    u = l2_normalize_rows(embedding_matrix(embeddings))
-    n = u.shape[0]
-    runs = (_best_run(u, k, seed) for k in range(1, min(max_clusters, n) + 1))
-    return [(labels, obj / n) for labels, obj in runs]
-
-
 def estimate_k_elbow(
     embeddings, max_clusters: int, *, min_clusters: int = 1, seed: int = 0
 ) -> ClusteringResult:
@@ -445,21 +441,26 @@ def estimate_k_elbow(
     run, the labels kmeans(x, 1) gives; otherwise the search range is
     [max(2, min_clusters), max_clusters], clamped, and ties break toward
     smaller k. The labels are the search's own best run at that k, the run
-    kmeans makes with that k and the same seed.
+    kmeans makes with that k and the same seed; MSCD(k) is that run's
+    objective over n.
     """
+    check_integers(max_clusters=max_clusters, min_clusters=min_clusters, seed=seed)
     if max_clusters < max(1, min_clusters):
         raise InvalidInputError(
             f"cluster-count range [{min_clusters}, {max_clusters}] holds no k >= 1"
         )
-    runs = _elbow_runs(embeddings, max_clusters, seed)
-    # runs[k - 1] is k's run, up to hi = min(max_clusters, n); as min_clusters
-    # <= max_clusters, min(min_clusters, n) is min(min_clusters, hi)
+    _check_seed(seed)
+    u = l2_normalize_rows(embedding_matrix(embeddings))
+    n = u.shape[0]
+    # runs[k - 1] is k's (labels, objective), up to hi = min(max_clusters, n);
+    # as min_clusters <= max_clusters, min(min_clusters, n) is min(min_clusters, hi)
+    runs = [_best_run(u, k, seed) for k in range(1, min(max_clusters, n) + 1)]
+    mscd = [obj / n for _, obj in runs]
     hi = len(runs)
     if hi == 1:
         return ClusteringResult(runs[0][0])
     # max keeps the first, so the smallest, k of a tie
-    k = max(range(max(2, min(min_clusters, hi)), hi + 1),
-            key=lambda k: runs[k - 2][1] - runs[k - 1][1])
+    k = max(range(max(2, min(min_clusters, hi)), hi + 1), key=lambda k: mscd[k - 2] - mscd[k - 1])
     return ClusteringResult(runs[k - 1][0])
 
 
@@ -515,14 +516,13 @@ def _solve(m: np.ndarray, params: SpectralParams, observe) -> SpectralResult:
     max_c = min(params.max_clusters, n)
     # the eigen-gap rule reads values[0 .. min(max_c, n - 1)] and the
     # embedding at most the first max_c vectors: nothing past them is needed
-    decomp = eigh(m, count=min(max_c, n - 1) + 1)
+    values, vectors = eigh(m, count=min(max_c, n - 1) + 1)
     if min_c > min(max_c, n - 1):
         k = min_c
     else:
-        k = estimate_k_eigengap(decomp.values, min_c, max_c)
-    emb = spectral_embed(decomp, k)
-    clustering = kmeans(emb, k, seed=params.seed)
-    return SpectralResult(clustering=clustering, eigenvalues=decomp.values)
+        k = estimate_k_eigengap(values, min_c, max_c)
+    clustering = kmeans(spectral_embed(vectors, k), k, seed=params.seed)
+    return SpectralResult(clustering=clustering, eigenvalues=values)
 
 
 def spectral_cluster(embeddings, params: SpectralParams, observe=None) -> SpectralResult:
@@ -573,7 +573,8 @@ def two_stage_cluster(embeddings, params: SpectralParams, observe=None) -> Clust
 
 
 def check_threshold(threshold: float) -> None:
-    """The naive online clusterer's cosine threshold must lie in (-1, 1)."""
+    """The naive online clusterer's cosine threshold: a real number in (-1, 1)."""
+    check_reals(threshold=threshold)
     if not (-1.0 < threshold < 1.0):
         raise InvalidInputError(f"threshold must lie in (-1, 1), got {threshold}")
 

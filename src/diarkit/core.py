@@ -8,6 +8,7 @@ speaker label strings ("spk0", "spk1", ...) at RTTM export time.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,15 +28,22 @@ class NumericError(RuntimeError):
     """A numeric routine failed to converge."""
 
 
-def check_integers(settings, *names: str) -> None:
-    """InvalidInputError naming the first of the named fields of settings that
-    is not an integer; numpy integers are integers (operator.index)."""
-    for name in names:
+def check_integers(**values) -> None:
+    """InvalidInputError naming the first keyword whose value is not an
+    integer; numpy integers are integers (operator.index)."""
+    for name, value in values.items():
         try:
-            operator.index(getattr(settings, name))
+            operator.index(value)
         except TypeError:
-            raise InvalidInputError(
-                f"{name} must be an integer, got {getattr(settings, name)!r}") from None
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_reals(**values) -> None:
+    """InvalidInputError naming the first keyword whose value is not a real
+    number; numpy floats and integers are real (numbers.Real)."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real):
+            raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
 class ParseError(ValueError):
@@ -117,7 +125,7 @@ class Annotation:
 @dataclass(frozen=True, eq=False)
 class SegmentEmbedding:
     """One speech segment and its embedding vector, as given: the vectors are
-    checked where they enter clustering (pipeline.stack_segments)."""
+    checked where they enter clustering (clustering.embedding_matrix)."""
 
     interval: TimeInterval
     embedding: np.ndarray

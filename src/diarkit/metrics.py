@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Annotation, InvalidInputError, TimeInterval
+from .core import Annotation, InvalidInputError, TimeInterval, check_reals
 from .numerics import optimal_assignment
 
 TICKS_PER_SECOND = 10_000_000
@@ -37,6 +37,7 @@ class EvalOptions:
     uem: tuple[TimeInterval, ...] | None = None
 
     def __post_init__(self):
+        check_reals(collar=self.collar)
         if not (0 <= self.collar < np.inf):
             raise InvalidInputError(f"collar must be finite and >= 0, got {self.collar}")
         if self.collar * TICKS_PER_SECOND >= 2**63:

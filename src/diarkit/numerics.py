@@ -12,7 +12,6 @@ input. The n x n passes work in row blocks or tiles, all on numpy's BLAS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -80,18 +79,6 @@ def nearest_rank_index(p: float, n: int) -> int:
     if n < 1:
         raise InvalidInputError("percentile of an empty collection")
     return min(n - 1, max(0, math.ceil(p / 100.0 * n) - 1))
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Eigenvalues sorted descending; column j of `vectors` pairs with values[j].
-
-    Sign convention: in each eigenvector, the entry of largest magnitude
-    (first such index on ties) is non-negative.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 # Inputs are required to be symmetric up to this absolute tolerance.
@@ -277,17 +264,21 @@ def _lanczos(m: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
         stop = min(limit, j + _LANCZOS_GROW)
 
 
-def eigh(m, count: int | None = None) -> EigenDecomposition:
-    """Eigen-decomposition of a symmetric matrix with deterministic output.
+def eigh(m, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decomposition of a symmetric matrix with deterministic output:
+    the `count` largest eigenpairs, or all n for None, as the pair (values,
+    vectors) that np.linalg.eigh returns, in another order and sign.
 
-    Eigenvalues come back sorted descending (stable on ties) with unit-norm,
-    sign-fixed eigenvectors: the `count` largest pairs, or all n for None.
-    For count < n (at most _LANCZOS_STEPS) only those are computed, by
-    `_lanczos` from a fixed-seed start vector (repeated calls agree); else the
-    dense solver runs. Both solve the lower triangle of m: the dense solver
-    reads only that, `_lanczos` a copy mirrored from it unless m is exactly
-    symmetric. Raises InvalidInputError if the input is not symmetric within
-    1e-10 or count lies outside [1, n], NumericError if a solver fails.
+    The values are sorted descending (stable on ties), and column j of
+    `vectors` is the unit-norm eigenvector of values[j]. Each column's sign
+    is fixed: its entry of largest magnitude (the first such on ties) is
+    non-negative. For count < n (at most _LANCZOS_STEPS) only those pairs are
+    computed, by `_lanczos` from a fixed-seed start vector (repeated calls
+    agree); else the dense solver runs. Both solve the lower triangle of m:
+    the dense solver reads only that, `_lanczos` a copy mirrored from it
+    unless m is exactly symmetric. Raises InvalidInputError if the input is
+    not symmetric within 1e-10 or count lies outside [1, n], NumericError if
+    a solver fails.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -323,7 +314,7 @@ def eigh(m, count: int | None = None) -> EigenDecomposition:
         lead = int(np.argmax(np.abs(column)))
         if column[lead] < 0:
             vectors[:, j] = -column
-    return EigenDecomposition(values=values, vectors=vectors)
+    return values, vectors
 
 
 def optimal_assignment(weights) -> list[tuple[int, int]]:

@@ -1,12 +1,12 @@
 """The diarize path, wired once: windows -> segments -> clusters -> hypothesis.
 
 The CLI's diarize and sweep subcommands and library callers go through
-these functions; nothing else chains the stages. `stack_segments` is the one
-place segments become the matrix the clusterers take and their intervals.
-`diarize_grid` runs many configs on one recording, building its affinity and
-blur once per sigma below the cap (through `spectral_grid`). This module
-alone decides when spectral clustering runs in two stages (more than
-TWO_STAGE_CAP segments; see `cluster`).
+these functions; nothing else chains the stages. `segment_embeddings`
+returns the (n, d) matrix the clusterers take and the n intervals their
+labels belong to. `diarize_grid` runs many configs on one recording,
+building its affinity and blur once per sigma below the cap (through
+`spectral_grid`). This module alone decides when spectral clustering runs
+in two stages (more than TWO_STAGE_CAP segments; see `cluster`).
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ from .aggregation import DEFAULT_MAX_SEGMENT_LEN, aggregate, regions_from_window
 from .clustering import (
     SpectralParams,
     check_threshold,
-    embedding_matrix,
     estimate_k_elbow,
     run_online,
     spectral_cluster,
     spectral_grid,
     two_stage_cluster,
 )
-from .core import (Annotation, ClusteringResult, InvalidInputError, TimeInterval,
-                   annotation_from_clusters)
+from .core import Annotation, ClusteringResult, InvalidInputError, annotation_from_clusters
 
 ALGORITHMS = ("spectral", "kmeans", "naive")
 # Spectral clustering of more segments than this runs in two stages: the
@@ -57,17 +55,13 @@ class DiarizeConfig:
 
 def segment_embeddings(windows, regions, max_len: float = DEFAULT_MAX_SEGMENT_LEN):
     """Cut the speech regions (if None, the union of the windows) into segments
-    of at most max_len seconds and average the window vectors inside each."""
+    of at most max_len seconds and average the window vectors inside each:
+    (x, intervals), the (n, d) float64 matrix of the segment means and their n
+    sorted, disjoint intervals, row i of x belonging to intervals[i]."""
     if regions is None:
         regions = regions_from_windows(windows)
-    return aggregate(windows, segmentize(regions, max_len))
-
-
-def stack_segments(seg_embs) -> tuple[np.ndarray, list[TimeInterval]]:
-    """segment_embeddings' output as the (n, d) matrix the clusterers take and
-    the n intervals their labels belong to. The vectors are checked here,
-    by embedding_matrix: ragged, non-numeric or non-finite ones are refused."""
-    return embedding_matrix([se.embedding for se in seg_embs]), [se.interval for se in seg_embs]
+    seg_embs = aggregate(windows, segmentize(regions, max_len))
+    return np.stack([se.embedding for se in seg_embs]), [se.interval for se in seg_embs]
 
 
 def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
@@ -91,20 +85,20 @@ def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
                             seed=params.seed)
 
 
-def diarize(recording_id: str, seg_embs, config: DiarizeConfig = DiarizeConfig(),
+def diarize(recording_id: str, segments, config: DiarizeConfig = DiarizeConfig(),
             observe=None) -> Annotation:
-    """One recording's segment embeddings (from segment_embeddings) to its
+    """One recording's (x, intervals) pair from segment_embeddings to its
     hypothesis; `observe` sees the refinement stages, as in `cluster`."""
-    x, intervals = stack_segments(seg_embs)
+    x, intervals = segments
     return annotation_from_clusters(recording_id, intervals, cluster(x, config, observe).labels)
 
 
-def diarize_grid(recording_id: str, seg_embs, configs) -> list[Annotation]:
-    """`diarize` under each config, in order. The segments are stacked once;
-    up to TWO_STAGE_CAP segments, the spectral configs go to one
-    `spectral_grid` call, which builds one blurred affinity per sigma. Above
-    the cap, and for other algorithms, each config runs as in `diarize`."""
-    x, intervals = stack_segments(seg_embs)
+def diarize_grid(recording_id: str, segments, configs) -> list[Annotation]:
+    """`diarize` of the (x, intervals) pair under each config, in order. Up
+    to TWO_STAGE_CAP segments, the spectral configs go to one `spectral_grid`
+    call, which builds one blurred affinity per sigma. Above the cap, and for
+    other algorithms, each config runs as in `diarize`."""
+    x, intervals = segments
     shared = [i for i, c in enumerate(configs)
               if c.algorithm == "spectral" and len(x) <= TWO_STAGE_CAP]
     results = spectral_grid(x, [configs[i].spectral for i in shared])

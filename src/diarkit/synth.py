@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import Windows
-from .core import Annotation, InvalidInputError, Segment, TimeInterval, check_integers
+from .core import Annotation, InvalidInputError, Segment, TimeInterval, check_integers, check_reals
 from .numerics import l2_normalize_rows
 
 WINDOW_SIZE = 0.24
@@ -50,7 +50,8 @@ class SynthScenario:
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, "n_speakers", "dim", "seed")
+        check_integers(n_speakers=self.n_speakers, dim=self.dim, seed=self.seed)
+        check_reals(duration=self.duration, within_noise_deg=self.within_noise_deg)
         if self.n_speakers < 1:
             raise InvalidInputError(f"n_speakers must be >= 1, got {self.n_speakers}")
         if not (0 < self.duration < math.inf):

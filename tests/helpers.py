@@ -17,7 +17,7 @@ from diarkit import (
     generate,
     spectral_cluster,
 )
-from diarkit.pipeline import DiarizeConfig, cluster, segment_embeddings, stack_segments
+from diarkit.pipeline import DiarizeConfig, cluster, segment_embeddings
 
 # Dev-tuned spectral settings for the synthetic corpus: the affinities are
 # already clean, so the pre-threshold smoothing is disabled; everything
@@ -60,31 +60,29 @@ def refinement_stages(embeddings, params: SpectralParams) -> list:
 
 
 def prepare(scenario: SynthScenario):
-    """Scenario -> (reference annotation, segment embeddings)."""
+    """Scenario -> (reference annotation, (segment matrix, intervals))."""
     reference, windows, regions = generate(scenario)
     return reference, segment_embeddings(windows, regions)
 
 
-def _labels(embeddings, config: DiarizeConfig):
-    result = cluster(stack_segments(embeddings)[0], config)
+def _labels(segments, config: DiarizeConfig):
+    result = cluster(segments[0], config)
     return result.labels, result.k
 
 
-def labels_spectral(embeddings, **overrides):
+def labels_spectral(segments, **overrides):
     params = SpectralParams(seed=0, **{**TUNED_SPECTRAL, **overrides})
-    return _labels(embeddings, DiarizeConfig(spectral=params))
+    return _labels(segments, DiarizeConfig(spectral=params))
 
 
-def labels_kmeans_elbow(embeddings, seed: int = 0):
-    return _labels(embeddings, DiarizeConfig("kmeans", spectral=SpectralParams(seed=seed)))
+def labels_kmeans_elbow(segments, seed: int = 0):
+    return _labels(segments, DiarizeConfig("kmeans", spectral=SpectralParams(seed=seed)))
 
 
-def labels_naive(embeddings, threshold: float = 0.5):
-    return _labels(embeddings, DiarizeConfig("naive", threshold=threshold))
+def labels_naive(segments, threshold: float = 0.5):
+    return _labels(segments, DiarizeConfig("naive", threshold=threshold))
 
 
-def score_total(reference, embeddings, labels, collar: float = 0.0):
-    hypothesis = annotation_from_clusters(
-        reference.recording_id, [e.interval for e in embeddings], labels
-    )
+def score_total(reference, segments, labels, collar: float = 0.0):
+    hypothesis = annotation_from_clusters(reference.recording_id, segments[1], labels)
     return der(reference, hypothesis, EvalOptions(collar=collar))

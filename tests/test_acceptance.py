@@ -66,11 +66,11 @@ def separated_suite():
         scenario = SynthScenario(
             n_speakers=n_speakers, duration=120, within_noise_deg=5.0, seed=seed
         )
-        reference, embeddings = prepare(scenario)
-        spectral_labels, k = labels_spectral(embeddings)
-        naive_labels, _ = labels_naive(embeddings)
-        spectral_report = score_total(reference, embeddings, spectral_labels)
-        naive_report = score_total(reference, embeddings, naive_labels)
+        reference, segments = prepare(scenario)
+        spectral_labels, k = labels_spectral(segments)
+        naive_labels, _ = labels_naive(segments)
+        spectral_report = score_total(reference, segments, spectral_labels)
+        naive_report = score_total(reference, segments, naive_labels)
         rows.append(
             {
                 "n_speakers": n_speakers,
@@ -154,13 +154,13 @@ def test_eigen_suite(capsys):
         n = int(rng.integers(2, 51))
         m = rng.normal(size=(n, n))
         m = 0.5 * (m + m.T)
-        decomp = eigh(m)
-        recon = decomp.vectors @ np.diag(decomp.values) @ decomp.vectors.T
+        values, vectors = eigh(m)
+        recon = vectors @ np.diag(values) @ vectors.T
         worst = max(worst, float(np.max(np.abs(recon - m))))
-        gram = decomp.vectors.T @ decomp.vectors
+        gram = vectors.T @ vectors
         worst = max(worst, float(np.max(np.abs(gram - np.eye(n)))))
 
-    block_k = estimate_k_eigengap(eigh(BLOCK).values, 1, 3)
+    block_k = estimate_k_eigengap(eigh(BLOCK)[0], 1, 3)
 
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and block_k == 2 and elapsed < 10.0
@@ -258,11 +258,11 @@ def test_clustering_ordering(capsys):
     def suite_means(scenarios):
         spectral_totals, kmeans_totals = [], []
         for scenario in scenarios:
-            reference, embeddings = prepare(scenario)
-            s_labels, _ = labels_spectral(embeddings)
-            k_labels, _ = labels_kmeans_elbow(embeddings)
-            spectral_totals.append(score_total(reference, embeddings, s_labels).total)
-            kmeans_totals.append(score_total(reference, embeddings, k_labels).total)
+            reference, segments = prepare(scenario)
+            s_labels, _ = labels_spectral(segments)
+            k_labels, _ = labels_kmeans_elbow(segments)
+            spectral_totals.append(score_total(reference, segments, s_labels).total)
+            kmeans_totals.append(score_total(reference, segments, k_labels).total)
         return float(np.mean(spectral_totals)), float(np.mean(kmeans_totals))
 
     hier_spectral, hier_kmeans = suite_means(hierarchical_suite())
@@ -317,11 +317,11 @@ def test_online_vs_offline_hierarchical_ordering(capsys):
     t0 = time.perf_counter()
     naive_totals, spectral_totals = [], []
     for scenario in hierarchical_suite():
-        reference, embeddings = prepare(scenario)
-        s_labels, _ = labels_spectral(embeddings)
-        n_labels, _ = labels_naive(embeddings)
-        spectral_totals.append(score_total(reference, embeddings, s_labels).total)
-        naive_totals.append(score_total(reference, embeddings, n_labels).total)
+        reference, segments = prepare(scenario)
+        s_labels, _ = labels_spectral(segments)
+        n_labels, _ = labels_naive(segments)
+        spectral_totals.append(score_total(reference, segments, s_labels).total)
+        naive_totals.append(score_total(reference, segments, n_labels).total)
     naive_mean = float(np.mean(naive_totals))
     spectral_mean = float(np.mean(spectral_totals))
     elapsed = time.perf_counter() - t0

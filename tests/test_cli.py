@@ -434,13 +434,13 @@ class TestDiarize:
         rc = main(["diarize", "--embeddings", str(paths["emb"]), "--regions", str(paths["reg"]),
                    "--out", str(out)])
         assert rc == 0
-        [(m, partial)] = solves
-        dense = np.linalg.eigh(m)[0][::-1][: partial.values.size]
-        assert partial.values.size == 9
-        assert np.max(np.abs(partial.values - dense)) <= 1e-12 * dense[0]
+        [(m, (partial, _))] = solves
+        dense = np.linalg.eigh(m)[0][::-1][: partial.size]
+        assert partial.size == 9
+        assert np.max(np.abs(partial - dense)) <= 1e-12 * dense[0]
         params = SpectralParams()
         k = estimate_k_eigengap(dense, params.min_clusters, params.max_clusters)
-        assert estimate_k_eigengap(partial.values, params.min_clusters, params.max_clusters) == k
+        assert estimate_k_eigengap(partial, params.min_clusters, params.max_clusters) == k
         (hypothesis,) = parse_rttm(out.read_text())
         assert len(hypothesis.labels()) == k
 

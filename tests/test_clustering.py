@@ -37,7 +37,6 @@ from diarkit.clustering import (
     RESEGMENT_ROUNDS,
     _best_run,
     _draw,
-    _elbow_runs,
     _lloyd,
     _resegment,
     _row_max_normalize_symmetrize,
@@ -49,8 +48,7 @@ from diarkit.clustering import (
     spectral_embed,
     two_stage_cluster,
 )
-from diarkit.numerics import (_TILE, EigenDecomposition, eigh, gram, l2_normalize_rows,
-                              nearest_rank_index)
+from diarkit.numerics import _TILE, eigh, gram, l2_normalize_rows, nearest_rank_index
 from diarkit.pipeline import segment_embeddings
 from helpers import refinement_stages, run_python
 from oracles import (affinity, best_path_oracle, blur, dense_refined, lloyd_oracle,
@@ -157,7 +155,7 @@ class TestEmbeddingMatrix:
              "spectral_grid", "kmeans", "estimate_k_elbow", "run_online"],
     )
     def test_segment_objects_rejected(self, call):
-        # the clusterers take the matrix; pipeline.stack_segments builds it
+        # the clusterers take the matrix; pipeline.segment_embeddings builds it
         segments = segment_objects(np.eye(3)[[0, 0, 1, 1, 2, 2]])
         with pytest.raises(InvalidInputError, match="of numbers"):
             call(segments)
@@ -360,8 +358,8 @@ def synth_segments():
     """Segment embeddings of a 2-min 3-speaker synth: 279 rows, past two tiles."""
     _, windows, regions = generate(SynthScenario(n_speakers=3, duration=120.0, seed=3))
     with contextlib.redirect_stderr(io.StringIO()):  # aggregate's drop warning
-        segments = segment_embeddings(windows, regions)
-    return np.stack([s.embedding for s in segments])
+        x, _ = segment_embeddings(windows, regions)
+    return x
 
 
 def raised(f, m) -> tuple[type, str]:
@@ -425,9 +423,9 @@ class TestRowMaxNormalizeSymmetrize:
         params = SpectralParams()
         x = synth_segments[:n]
         *_, (_, refined) = refinement_stages(x, params)
-        decomp = eigh(refined, count=params.max_clusters + 1)
-        k = estimate_k_eigengap(decomp.values, params.min_clusters, params.max_clusters)
-        expected = kmeans(spectral_embed(decomp, k), k, seed=params.seed)
+        values, vectors = eigh(refined, count=params.max_clusters + 1)
+        k = estimate_k_eigengap(values, params.min_clusters, params.max_clusters)
+        expected = kmeans(spectral_embed(vectors, k), k, seed=params.seed)
         got = spectral_cluster(x, params).clustering
         assert got.k == expected.k == k
         assert np.array_equal(got.labels, expected.labels)
@@ -439,13 +437,13 @@ class TestRowMaxNormalizeSymmetrize:
         params = SpectralParams()
         dense = dense_refined(synth_segments, params.sigma, params.p_percentile,
                               params.soft_multiplier)
-        expected = eigh(dense, count=params.max_clusters + 1)
-        k = estimate_k_eigengap(expected.values, params.min_clusters, params.max_clusters)
+        values, vectors = eigh(dense, count=params.max_clusters + 1)
+        k = estimate_k_eigengap(values, params.min_clusters, params.max_clusters)
         got = spectral_cluster(synth_segments, params)
-        assert np.max(np.abs(got.eigenvalues - expected.values)) <= 1e-12
+        assert np.max(np.abs(got.eigenvalues - values)) <= 1e-12
         assert got.clustering.k == k
         assert np.array_equal(got.clustering.labels,
-                              kmeans(spectral_embed(expected, k), k, seed=params.seed).labels)
+                              kmeans(spectral_embed(vectors, k), k, seed=params.seed).labels)
 
 
 class TestEstimateKEigengap:
@@ -494,36 +492,33 @@ class TestSpectralEmbed:
     def test_full_k_keeps_unit_rows(self):
         rng = np.random.default_rng(39)
         a = rng.normal(size=(6, 6))
-        decomp = eigh(a + a.T)
-        rows = spectral_embed(decomp, 6)
+        _, vectors = eigh(a + a.T)
+        rows = spectral_embed(vectors, 6)
         assert np.allclose(np.linalg.norm(rows, axis=1), 1.0)
 
     def test_block_matrix_rows(self):
-        decomp = eigh(BLOCK)
-        rows = spectral_embed(decomp, 2)
+        _, vectors = eigh(BLOCK)
+        rows = spectral_embed(vectors, 2)
         assert np.allclose(rows[0], rows[1])
         assert np.allclose(rows[2], rows[3])
         assert abs(rows[0] @ rows[2]) < 1e-10
 
     def test_k1_rows_collapse_to_unit_scalars(self):
         # kmeans' one normalization of the re-embedding leaves each row +-1
-        decomp = eigh(BLOCK)
-        rows = l2_normalize_rows(spectral_embed(decomp, 1))
+        _, vectors = eigh(BLOCK)
+        rows = l2_normalize_rows(spectral_embed(vectors, 1))
         assert np.allclose(np.abs(rows), 1.0)
 
     def test_zero_row_replaced_by_first_axis(self):
-        decomp = EigenDecomposition(
-            values=np.array([1.0, 0.5]), vectors=np.eye(2)
-        )
-        rows = spectral_embed(decomp, 1)
+        rows = spectral_embed(np.eye(2), 1)
         assert np.array_equal(rows, [[1.0], [1.0]])
 
     def test_k_out_of_range_rejected(self):
-        decomp = eigh(BLOCK)
+        _, vectors = eigh(BLOCK)
         with pytest.raises(InvalidInputError):
-            spectral_embed(decomp, 0)
+            spectral_embed(vectors, 0)
         with pytest.raises(InvalidInputError):
-            spectral_embed(decomp, 5)
+            spectral_embed(vectors, 5)
 
 
 class TestKMeans:
@@ -680,7 +675,8 @@ class TestEstimateKElbow:
         q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         points, _ = planted_points(rng, q.T, per_cluster=15, noise_deg=5)
         k = estimate_k_elbow(points, 6, seed=3).k
-        table = {kk: mscd for kk, (_, mscd) in enumerate(_elbow_runs(points, 6, 3), start=1)}
+        u = l2_normalize_rows(points)
+        table = {kk: _best_run(u, kk, 3)[1] / len(u) for kk in range(1, 7)}
         drops = {kk: table[kk - 1] - table[kk] for kk in range(2, 7)}
         best = min(kk for kk in drops if drops[kk] == max(drops.values()))
         assert k == best
@@ -688,8 +684,7 @@ class TestEstimateKElbow:
     def test_mscd_k1_closed_form(self):
         # one tight group: MSCD(1) is the squared mean cosine distance to it
         x = np.tile([1.0, 0.0], (12, 1))
-        _, mscd = _elbow_runs(x, 2, 0)[0]
-        assert mscd == 0.0
+        assert _best_run(l2_normalize_rows(x), 1, 0)[1] == 0.0
 
     def test_min_clusters_respected(self):
         x = np.array([[1.0, 0.0]] * 10 + [[-1.0, 0.0]] * 10)
@@ -807,12 +802,11 @@ class TestSpectralCluster:
             values, vectors = np.linalg.eigh(refined)
             count = params.max_clusters + 1
             order = np.argsort(-values, kind="stable")[:count]
-            dense = EigenDecomposition(values=values[order], vectors=vectors[:, order])
-            dense_k = estimate_k_eigengap(dense.values, params.min_clusters, params.max_clusters)
-            dense_emb = spectral_embed(dense, dense_k)
-            dense_labels = kmeans(dense_emb, dense_k).labels
-            assert partial.eigenvalues.shape == dense.values.shape == (count,)
-            assert np.max(np.abs(partial.eigenvalues - dense.values)) <= 1e-10
+            values, vectors = values[order], vectors[:, order]
+            dense_k = estimate_k_eigengap(values, params.min_clusters, params.max_clusters)
+            dense_labels = kmeans(spectral_embed(vectors, dense_k), dense_k).labels
+            assert partial.eigenvalues.shape == values.shape == (count,)
+            assert np.max(np.abs(partial.eigenvalues - values)) <= 1e-10
             assert partial.clustering.k == dense_k == 4
             assert same_partition(partial.clustering.labels, dense_labels)
             assert same_partition(partial.clustering.labels, truth)
@@ -1057,6 +1051,30 @@ class TestSpectralParams:
                   for value in (np.int64(3), 3)]
         assert labels[0] == labels[1]
 
+    @pytest.mark.parametrize("value", ["1", None], ids=["string", "none"])
+    @pytest.mark.parametrize("field", ["sigma", "p_percentile", "soft_multiplier"])
+    def test_float_fields_refuse_non_numbers(self, field, value):
+        # a comparison or math.isfinite would raise a bare TypeError
+        with pytest.raises(InvalidInputError,
+                           match=f"^{field} must be a real number, got {value!r}$"):
+            SpectralParams(**{field: value})
+
+    @pytest.mark.parametrize("field, value, outside", [
+        ("sigma", 0.5, -0.5), ("p_percentile", 90.0, 100.0), ("soft_multiplier", 0.25, 1.5),
+    ])
+    def test_float_fields_take_numpy_floats(self, field, value, outside):
+        rng = np.random.default_rng(46)
+        x = np.repeat(np.eye(3, 4), 5, axis=0) + 0.05 * rng.standard_normal((15, 4))
+        labels = [spectral_cluster(x, SpectralParams(**{field: v})).clustering.labels.tolist()
+                  for v in (np.float32(value), value)]
+        assert labels[0] == labels[1]
+        messages = []
+        for v in (np.float32(outside), outside):
+            with pytest.raises(InvalidInputError) as info:
+                SpectralParams(**{field: v})
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     # the paper's multiplier is 0.01; above 1 (1e160 at n = 60) the diffusion
     # could overflow, so the range is checked here, where the chain's knobs enter
     @pytest.mark.parametrize("soft", [-0.01, 1.5, 1e160, math.inf, math.nan])
@@ -1074,6 +1092,29 @@ class TestSpectralParams:
         for call in (lambda: kmeans(x, 2, seed=-1), lambda: estimate_k_elbow(x, 3, seed=-1)):
             with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
                 call()
+
+    # as SpectralParams checks its integer fields: a float would reach range()
+    # or numpy's SeedSequence as a bare TypeError, or pass unchecked
+    @pytest.mark.parametrize("call, name", [
+        (lambda x: kmeans(x, 2.5), "k"),
+        (lambda x: kmeans(x, 2, seed=1.5), "seed"),
+        (lambda x: estimate_k_elbow(x, 3.5), "max_clusters"),
+        (lambda x: estimate_k_elbow(x, 3, min_clusters=1.5), "min_clusters"),
+        (lambda x: estimate_k_elbow(x, 3, seed=1.5), "seed"),
+        (lambda x: kmeans(x, "2"), "k"),
+    ], ids=["kmeans_k", "kmeans_seed", "elbow_max", "elbow_min", "elbow_seed", "kmeans_k_str"])
+    def test_kmeans_integer_arguments_refuse_non_integers(self, call, name):
+        x = np.random.default_rng(47).standard_normal((10, 3))
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
+            call(x)
+
+    def test_kmeans_integer_arguments_take_numpy_integers(self):
+        x = np.random.default_rng(47).standard_normal((10, 3))
+        assert (kmeans(x, np.int64(3), seed=np.int32(1)).labels.tolist()
+                == kmeans(x, 3, seed=1).labels.tolist())
+        wide = estimate_k_elbow(x, np.int64(4), min_clusters=np.int8(2), seed=np.uint8(1))
+        plain = estimate_k_elbow(x, 4, min_clusters=2, seed=1)
+        assert wide.labels.tolist() == plain.labels.tolist()
 
 
 class TestNaiveOnline:
@@ -1153,9 +1194,9 @@ class TestNaiveOnline:
 SPECTRAL_IN_CHILD = """
 import json
 from diarkit import SpectralParams, SynthScenario, generate, spectral_cluster
-from diarkit.pipeline import segment_embeddings, stack_segments
+from diarkit.pipeline import segment_embeddings
 _, windows, regions = generate(SynthScenario(n_speakers=4, duration=300.0, seed=11))
-x = stack_segments(segment_embeddings(windows, regions))[0]
+x, _ = segment_embeddings(windows, regions)
 result = spectral_cluster(x, SpectralParams(seed=0))
 print(json.dumps({
     "n": len(x),

@@ -108,7 +108,7 @@ class TestAnnotation:
 
 class TestSegmentEmbedding:
     def test_vector_kept_as_given(self):
-        # checking and float coercion happen once, in pipeline.stack_segments
+        # checking and float coercion happen where the stacked vectors enter clustering
         vector = [1, 2, 3]
         se = SegmentEmbedding(TimeInterval(0, 1), vector)
         assert se.embedding is vector

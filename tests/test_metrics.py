@@ -379,6 +379,27 @@ class TestEvalOptions:
             with pytest.raises(InvalidInputError, match="collar must be finite and >= 0"):
                 EvalOptions(collar=collar)
 
+    @pytest.mark.parametrize("collar", ["0.25", None], ids=["string", "none"])
+    def test_collar_refuses_non_numbers(self, collar):
+        message = f"^collar must be a real number, got {collar!r}$"
+        with pytest.raises(InvalidInputError, match=message):
+            EvalOptions(collar=collar)
+
+    def test_collar_takes_numpy_floats(self):
+        reference = Annotation("r", (Segment(TimeInterval(0.0, 4.0), "A"),
+                                     Segment(TimeInterval(4.0, 9.0), "B")))
+        hypothesis = Annotation("r", (Segment(TimeInterval(0.0, 4.6), "x"),
+                                      Segment(TimeInterval(4.6, 9.3), "y")))
+        reports = [der(reference, hypothesis, EvalOptions(collar=collar))
+                   for collar in (np.float32(0.25), 0.25)]
+        assert reports[0] == reports[1]
+        messages = []
+        for collar in (np.float32(-0.5), -0.5):
+            with pytest.raises(InvalidInputError) as info:
+                EvalOptions(collar=collar)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_uem_stored_as_tuple(self):
         opts = EvalOptions(uem=[TimeInterval(0, 1)])
         assert opts.uem == (TimeInterval(0, 1),)

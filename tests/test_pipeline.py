@@ -5,16 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diarkit.clustering
 import diarkit.pipeline
 from diarkit import (
     ClusteringResult,
     InvalidInputError,
-    SegmentEmbedding,
     SpectralParams,
     SynthScenario,
     TimeInterval,
+    Windows,
     aggregate,
     generate,
     kmeans,
@@ -25,14 +27,40 @@ from diarkit import (
 from diarkit.clustering import PRECLUSTER_ITERS, _TOL, _lloyd, _resegment
 from diarkit.numerics import l2_normalize_rows
 from diarkit.pipeline import (
+    ALGORITHMS,
     DiarizeConfig,
     cluster,
     diarize,
     diarize_grid,
     segment_embeddings,
-    stack_segments,
 )
 from helpers import run_python
+
+
+# Times on a 1/8 s grid, so window centers (on the 1/16 grid) land on
+# segment bounds; no component is near zero, so no window vector is.
+GRID = 8.0
+COMPONENTS = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def windows_and_regions(draw):
+    """Windows sorted by start, and sorted disjoint regions (touching or not)
+    over the same span."""
+    dim = draw(st.integers(1, 4))
+    rows = sorted(draw(st.lists(
+        st.tuples(st.integers(0, 40), st.integers(1, 8),
+                  st.lists(COMPONENTS, min_size=dim, max_size=dim)),
+        min_size=1, max_size=30,
+    )), key=lambda row: row[0])
+    windows = Windows([s / GRID for s, _, _ in rows],
+                      [(s + length) / GRID for s, length, _ in rows],
+                      [vector for _, _, vector in rows])
+    bounds = sorted(draw(st.lists(st.integers(0, 50), min_size=2, max_size=12, unique=True)))
+    pairs = list(zip(bounds, bounds[1:]))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    regions = [TimeInterval(a / GRID, b / GRID) for (a, b), k in zip(pairs, keep) if k]
+    return windows, regions
 
 
 class TestDiarizeConfig:
@@ -54,54 +82,121 @@ class TestDiarizeConfig:
         for threshold in (-0.999, 0.0, 0.999):
             assert DiarizeConfig("naive", threshold=threshold).threshold == threshold
 
+    @pytest.mark.parametrize("threshold", ["0.5", None], ids=["string", "none"])
+    def test_threshold_refuses_non_numbers(self, threshold):
+        # for the config and for run_online, which both go through check_threshold
+        message = f"^threshold must be a real number, got {threshold!r}$"
+        with pytest.raises(InvalidInputError, match=message):
+            DiarizeConfig("naive", threshold=threshold)
+        with pytest.raises(InvalidInputError, match=message):
+            diarkit.clustering.run_online(np.eye(2), threshold)
+
+    def test_threshold_takes_numpy_floats(self):
+        segments = three_speakers()
+        hypotheses = [list(diarize("rec", segments, DiarizeConfig("naive", threshold=t)))
+                      for t in (np.float32(0.5), 0.5)]
+        assert hypotheses[0] == hypotheses[1]
+        messages = []
+        for threshold in (np.float32(1.0), 1.0):
+            with pytest.raises(InvalidInputError) as info:
+                DiarizeConfig("naive", threshold=threshold)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
 
 class TestSegmentEmbeddings:
     def test_default_regions_are_the_window_union(self):
         _, windows, _ = generate(SynthScenario(n_speakers=2, duration=20, seed=3))
         expected = aggregate(windows, segmentize(regions_from_windows(windows), 0.3))
-        got = segment_embeddings(windows, None, 0.3)
-        assert [se.interval for se in got] == [se.interval for se in expected]
-        assert all(np.array_equal(a.embedding, b.embedding) for a, b in zip(got, expected))
+        x, intervals = segment_embeddings(windows, None, 0.3)
+        assert intervals == [se.interval for se in expected]
+        assert x.tobytes() == np.stack([se.embedding for se in expected]).tobytes()
 
-
-class TestStackSegments:
     def test_matrix_and_intervals_in_order(self):
         _, windows, regions = generate(SynthScenario(n_speakers=2, duration=20, seed=3))
-        segs = segment_embeddings(windows, regions)
-        x, intervals = stack_segments(segs)
-        assert x.tobytes() == np.stack([se.embedding for se in segs]).tobytes()
-        assert intervals == [se.interval for se in segs]
+        expected = aggregate(windows, segmentize(regions, 0.4))
+        x, intervals = segment_embeddings(windows, regions)
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert x.shape == (len(expected), windows.vectors.shape[1])
+        assert x.tobytes() == np.stack([se.embedding for se in expected]).tobytes()
+        assert intervals == [se.interval for se in expected]
 
-    def test_no_segments_rejected(self):
-        with pytest.raises(InvalidInputError, match="no embeddings given"):
-            stack_segments([])
+    @settings(deadline=None)
+    @given(windows_and_regions(), st.booleans(), st.floats(0.05, 2.0))
+    def test_rows_are_the_means_of_their_windows(self, case, union, max_len):
+        windows, regions = case
+        regions = regions_from_windows(windows) if union else regions
+        pieces = segmentize(regions, max_len)
+        # a plain loop: the unit vectors of the windows centered in each piece
+        centers = [(s + e) / 2 for s, e in zip(windows.starts, windows.ends)]
+        units = [v / np.linalg.norm(v) for v in windows.vectors]
+        means = {}
+        for piece in pieces:
+            inside = [u for c, u in zip(centers, units) if piece.start <= c < piece.end]
+            if inside:
+                means[piece] = sum(inside[1:], inside[0]) / len(inside)
+        if not means:
+            message = "every segment was empty" if pieces else "no segments to aggregate into"
+            with pytest.raises(InvalidInputError, match=message):
+                segment_embeddings(windows, None if union else regions, max_len)
+            return
+        x, intervals = segment_embeddings(windows, None if union else regions, max_len)
+        expected = aggregate(windows, pieces)
+        assert x.tobytes() == np.stack([se.embedding for se in expected]).tobytes()
+        assert intervals == list(means)
+        assert x.shape == (len(intervals), windows.vectors.shape[1])
+        assert all(a.end <= b.start for a, b in zip(intervals, intervals[1:]))
+        for row, interval in zip(x, intervals):
+            assert np.max(np.abs(row - means[interval])) <= 1e-12
 
-    # a SegmentEmbedding holds its vector as given: stacking is where it is checked
+
+class TestDiarizeChecksTheMatrix:
+    """segment_embeddings hands over aggregate's means as they are: each
+    clusterer's embedding_matrix checks the matrix where it enters
+    clustering, for `cluster` and `diarize` alike."""
+
     @staticmethod
-    def stacked(*vectors):
-        return stack_segments([SegmentEmbedding(TimeInterval(i, i + 1.0), v)
-                               for i, v in enumerate(vectors)])[0]
+    def diarized(vectors, algorithm):
+        intervals = [TimeInterval(i, i + 1.0) for i in range(len(vectors))]
+        return diarize("rec", (list(vectors), intervals), DiarizeConfig(algorithm))
 
-    def test_int_vectors_coerced_to_float(self):
-        x = self.stacked([1, 2, 3], (4, 5, 6))
-        assert x.dtype == np.float64
-        assert x.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_int_vectors_coerced_to_float(self, algorithm):
+        ints = np.eye(3, dtype=int)[[0, 0, 1, 1, 2, 2]].tolist()
+        floats = np.array(ints, dtype=np.float64)
+        assert list(self.diarized(ints, algorithm)) == list(self.diarized(floats, algorithm))
 
+    @pytest.mark.parametrize("algorithm", ["kmeans", "naive"])
+    def test_no_segments_rejected(self, algorithm):
+        with pytest.raises(InvalidInputError, match="^no embeddings given$"):
+            self.diarized([], algorithm)
+        with pytest.raises(InvalidInputError, match="^no embeddings given$"):
+            cluster([], DiarizeConfig(algorithm))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize(
         "vectors, message",
         [
             (([1.0, 0.0], [1.0, float("nan")]), "^embeddings contain non-finite entries$"),
             (([1.0, 0.0], [float("inf"), 0.0]), "^embeddings contain non-finite entries$"),
-            ((3.0,), r"^expected an \(n, d\) embedding matrix, got shape \(1,\)$"),
             (([1.0, 0.0], 3.0), "share one dimension"),
             (([1.0, 0.0], [1.0]), "share one dimension"),
             (([1.0, 0.0], ["a", 0.0]), "of numbers"),
         ],
-        ids=["nan", "inf", "scalar", "scalar_among_vectors", "ragged", "not_a_number"],
+        ids=["nan", "inf", "scalar_among_vectors", "ragged", "not_a_number"],
     )
-    def test_bad_vectors_rejected(self, vectors, message):
+    def test_bad_vectors_rejected(self, algorithm, vectors, message):
         with pytest.raises(InvalidInputError, match=message):
-            self.stacked(*vectors)
+            self.diarized(vectors, algorithm)
+        with pytest.raises(InvalidInputError, match=message):
+            cluster(list(vectors), DiarizeConfig(algorithm))
+
+    @pytest.mark.parametrize("algorithm", ["kmeans", "naive"])
+    def test_scalar_rejected(self, algorithm):
+        # spectral clustering first asks for two segments
+        message = r"^expected an \(n, d\) embedding matrix, got shape \(1,\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            self.diarized([3.0], algorithm)
 
 
 class TestCluster:
@@ -117,7 +212,7 @@ class TestCluster:
         _, windows, regions = generate(
             SynthScenario(n_speakers=4, duration=30, scenario_kind=kind, seed=11)
         )
-        x, _ = stack_segments(segment_embeddings(windows, regions))
+        x, _ = segment_embeddings(windows, regions)
         calls = 0
         lloyd = diarkit.clustering._lloyd
 
@@ -139,7 +234,7 @@ class TestCluster:
 class TestDiarizeGrid:
     def test_same_hypotheses_as_diarize(self):
         _, windows, regions = generate(SynthScenario(n_speakers=3, duration=60, seed=4))
-        segs = segment_embeddings(windows, regions)
+        segments = segment_embeddings(windows, regions)
         configs = [
             DiarizeConfig(spectral=SpectralParams(sigma=1.0, p_percentile=90)),
             DiarizeConfig("naive", threshold=0.3),
@@ -147,12 +242,12 @@ class TestDiarizeGrid:
             DiarizeConfig(spectral=SpectralParams(sigma=1.0, p_percentile=95)),
             DiarizeConfig("kmeans"),
         ]
-        got = diarize_grid("rec", segs, configs)
-        assert [list(a) for a in got] == [list(diarize("rec", segs, c)) for c in configs]
+        got = diarize_grid("rec", segments, configs)
+        assert [list(a) for a in got] == [list(diarize("rec", segments, c)) for c in configs]
 
-    def test_segments_stacked_once(self, monkeypatch):
+    def test_every_config_clusters_the_callers_matrix(self, monkeypatch):
         _, windows, regions = generate(SynthScenario(n_speakers=3, duration=30, seed=4))
-        segs = segment_embeddings(windows, regions)
+        segments = segment_embeddings(windows, regions)
         configs = [
             DiarizeConfig(spectral=SpectralParams(sigma=1.0)),
             DiarizeConfig("kmeans"),
@@ -160,24 +255,25 @@ class TestDiarizeGrid:
             DiarizeConfig(spectral=SpectralParams(sigma=0.5)),
             DiarizeConfig("kmeans", spectral=SpectralParams(seed=1)),
         ]
-        expected = [list(diarize("rec", segs, c)) for c in configs]
-        stacked = []
-        stack = diarkit.pipeline.stack_segments
+        expected = [list(diarize("rec", segments, c)) for c in configs]
+        received = []
+        for name in ("cluster", "spectral_grid"):
+            def recorded(x, *args, real=getattr(diarkit.pipeline, name)):
+                received.append(x)
+                return real(x, *args)
 
-        def counted(seg_embs):
-            stacked.append(len(seg_embs))
-            return stack(seg_embs)
-
-        monkeypatch.setattr(diarkit.pipeline, "stack_segments", counted)
-        got = diarize_grid("rec", segs, configs)
-        assert stacked == [len(segs)]
+            monkeypatch.setattr(diarkit.pipeline, name, recorded)
+        got = diarize_grid("rec", segments, configs)
+        # one spectral_grid call for both spectral configs, one cluster call for each other
+        assert len(received) == 4
+        assert all(x is segments[0] for x in received)
         assert [list(a) for a in got] == expected
 
     def test_errors_as_in_diarize(self):
-        segs = [SegmentEmbedding(TimeInterval(0.0, 0.4), np.array([1.0, 0.0]))]
+        segments = (np.array([[1.0, 0.0]]), [TimeInterval(0.0, 0.4)])
         with pytest.raises(InvalidInputError, match="at least 2 segments"):
-            diarize_grid("rec", segs, [DiarizeConfig()])
-        assert diarize_grid("rec", segs, []) == []
+            diarize_grid("rec", segments, [DiarizeConfig()])
+        assert diarize_grid("rec", segments, []) == []
 
     @pytest.mark.parametrize("n", [1000, 1500])
     def test_peak_memory_three_matrices(self, monkeypatch, n):
@@ -187,11 +283,11 @@ class TestDiarizeGrid:
         rng = np.random.default_rng(0)
         centers = rng.standard_normal((4, 16))
         x = centers[np.arange(n) * 4 // n] + 0.6 * rng.standard_normal((n, 16))
-        segs = [SegmentEmbedding(TimeInterval(0.4 * i, 0.4 * (i + 1)), v) for i, v in enumerate(x)]
+        intervals = [TimeInterval(0.4 * i, 0.4 * (i + 1)) for i in range(n)]
         configs = [DiarizeConfig(spectral=SpectralParams(p_percentile=p)) for p in (90, 95, 98)]
         tracemalloc.start()
         try:
-            hypotheses = diarize_grid("rec", segs, configs)
+            hypotheses = diarize_grid("rec", (x, intervals), configs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -232,7 +328,7 @@ class TestTwoStage:
         assert diarkit.pipeline.TWO_STAGE_CAP > diarkit.clustering.PRECLUSTER_COUNT
 
     def test_up_to_the_cap_cluster_is_spectral_cluster(self, monkeypatch):
-        x, _ = stack_segments(three_speakers())
+        x, _ = three_speakers()
         monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", len(x))
         params = SpectralParams(seed=2)
         got = cluster(x, DiarizeConfig(spectral=params))
@@ -242,7 +338,7 @@ class TestTwoStage:
 
     @pytest.mark.usefixtures("two_stage")
     def test_above_the_cap_the_stages_compose(self):
-        x, _ = stack_segments(three_speakers())
+        x, _ = three_speakers()
         params = SpectralParams(sigma=2.0, seed=3)
         got = cluster(x, DiarizeConfig(spectral=params))
         assignment, centroids = _precluster(x, seed=3)
@@ -259,7 +355,7 @@ class TestTwoStage:
         # below the bound
         _, windows, regions = generate(SynthScenario(n_speakers=3, duration=120,
                                                      scenario_kind="imbalanced", seed=5))
-        x, _ = stack_segments(segment_embeddings(windows, regions))
+        x, _ = segment_embeddings(windows, regions)
         params = SpectralParams(min_clusters=4, max_clusters=4)
         stage_two = ClusteringResult(_stage_two_labels(x, params))
         unbounded = _resegment(l2_normalize_rows(x), stage_two, 1)
@@ -268,7 +364,7 @@ class TestTwoStage:
 
     @pytest.mark.usefixtures("two_stage")
     def test_grid_is_diarize_per_config(self):
-        segs = three_speakers()
+        segments = three_speakers()
         sigmas = [0.0, 0.5, 1.0, 2.0]
         configs = [DiarizeConfig(spectral=SpectralParams(sigma=s)) for s in sigmas] + [
             DiarizeConfig(spectral=SpectralParams(p_percentile=90)),
@@ -276,13 +372,13 @@ class TestTwoStage:
             DiarizeConfig(spectral=SpectralParams(sigma=1.0, seed=5)),
             DiarizeConfig("kmeans"),
         ]
-        got = [list(a) for a in diarize_grid("rec", segs, configs)]
-        assert got == [list(diarize("rec", segs, c)) for c in configs]
+        got = [list(a) for a in diarize_grid("rec", segments, configs)]
+        assert got == [list(diarize("rec", segments, c)) for c in configs]
         # sigma has no effect above the cap
         assert all(row == got[0] for row in got[: len(sigmas)])
 
     def test_stages_are_those_of_the_matrix_cluster_solves(self, monkeypatch):
-        x, _ = stack_segments(three_speakers())
+        x, _ = three_speakers()
 
         def observed(config):
             stages = []
@@ -310,7 +406,7 @@ class TestTwoStage:
         assert np.array_equal(m, want)
 
     def test_only_spectral_clustering_calls_the_observer(self):
-        x, _ = stack_segments(three_speakers())
+        x, _ = three_speakers()
         calls = []
         for config in (DiarizeConfig("kmeans"), DiarizeConfig("naive", threshold=0.3)):
             cluster(x, config, lambda name, m: calls.append(name))
@@ -340,7 +436,7 @@ import json
 import diarkit.pipeline as pipeline
 from diarkit import SynthScenario, generate
 _, windows, regions = generate(SynthScenario(n_speakers=4, duration=300.0, seed=11))
-x = pipeline.stack_segments(pipeline.segment_embeddings(windows, regions))[0]
+x, _ = pipeline.segment_embeddings(windows, regions)
 pipeline.TWO_STAGE_CAP = 600
 result = pipeline.cluster(x, pipeline.DiarizeConfig())
 print(json.dumps({"n": len(x), "k": result.k, "labels": result.labels.tolist()}))

@@ -11,7 +11,7 @@ from diarkit import (
     der,
     generate,
 )
-from diarkit.pipeline import DiarizeConfig, cluster, diarize, segment_embeddings, stack_segments
+from diarkit.pipeline import DiarizeConfig, cluster, diarize, segment_embeddings
 from diarkit.synth import (GROUP_ANGLE_DEG, SPEAKER_ANGLE_DEG, WINDOW_SIZE, WINDOW_STEP,
                            _speaker_directions)
 from oracles import angular_stats
@@ -49,6 +49,30 @@ class TestScenarioValidation:
         # a float would fail inside generate with a bare TypeError
         with pytest.raises(InvalidInputError, match=f"^{field} must be an integer, got 2.5$"):
             SynthScenario(**{"n_speakers": 2, "duration": 10.0, field: 2.5})
+
+    @pytest.mark.parametrize("value", ["10", None], ids=["string", "none"])
+    @pytest.mark.parametrize("field", ["duration", "within_noise_deg"])
+    def test_float_fields_refuse_non_numbers(self, field, value):
+        # a comparison would raise a bare TypeError
+        with pytest.raises(InvalidInputError,
+                           match=f"^{field} must be a real number, got {value!r}$"):
+            SynthScenario(**{"n_speakers": 2, "duration": 10.0, field: value})
+
+    @pytest.mark.parametrize("field, value, outside", [
+        ("duration", 10.0, -10.0), ("within_noise_deg", 10.0, 100.0),
+    ])
+    def test_float_fields_take_numpy_floats(self, field, value, outside):
+        plain = generate(SynthScenario(**{"n_speakers": 2, "duration": 10.0, field: value}))
+        wide = generate(SynthScenario(**{"n_speakers": 2, "duration": 10.0,
+                                         field: np.float32(value)}))
+        assert wide[0] == plain[0] and wide[2] == plain[2]
+        assert np.array_equal(wide[1].vectors, plain[1].vectors)
+        messages = []
+        for v in (np.float32(outside), outside):
+            with pytest.raises(InvalidInputError) as info:
+                SynthScenario(**{"n_speakers": 2, "duration": 10.0, field: v})
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("field", ["n_speakers", "dim", "seed"])
     def test_integer_fields_take_numpy_integers(self, field):
@@ -180,14 +204,14 @@ class TestGenerate:
         reference, windows, regions = generate(scenario)
         assert reference.labels() == ["S0"]
         config = DiarizeConfig(spectral=SpectralParams(min_clusters=1, seed=0))
-        x, _ = stack_segments(segment_embeddings(windows, regions))
+        x, _ = segment_embeddings(windows, regions)
         assert cluster(x, config).k == 1
 
     def test_separated_three_speakers_end_to_end(self):
         scenario = SynthScenario(n_speakers=3, duration=120, within_noise_deg=5, seed=0)
         reference, windows, regions = generate(scenario)
-        seg_embs = segment_embeddings(windows, regions)
-        hypothesis = diarize(reference.recording_id, seg_embs, DiarizeConfig())
+        segments = segment_embeddings(windows, regions)
+        hypothesis = diarize(reference.recording_id, segments, DiarizeConfig())
         assert len(hypothesis.labels()) == 3
         report = der(reference, hypothesis, EvalOptions(collar=0.0))
         assert report.confusion < 2.0
