@@ -13,8 +13,8 @@ order.
 The chain's input is checked where it enters: embedding_matrix checks the
 embeddings and SpectralParams the knobs. From there every matrix of the
 chain is finite and exactly symmetric by construction, and its private
-kernels check nothing again. two_stage_cluster checks and normalizes its
-rows once, for both of the stages that read them.
+kernels, its solve (numerics._eigh) included, check nothing again.
+two_stage_cluster checks and normalizes its rows once, for both stages.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .core import (ClusteringResult, DegenerateAffinityError, InvalidInputError,
                    check_reals)
 from .numerics import (
     ZERO_NORM_TOL,
+    _eigh,
     blurred_gram,
-    eigh,
     gram,
     gram_diagonal_and_row_max,
     l2_normalize_rows,
@@ -168,35 +168,15 @@ def _threshold_symmetrize(m: np.ndarray, p: float, soft_multiplier: float) -> np
     return m
 
 
-def estimate_k_eigengap(values, min_clusters: int, max_clusters: int) -> int:
-    """k maximizing values[k-1] / max(values[k], EIG_FLOOR) over the allowed range.
-
-    `values` must be sorted descending. The search range is
-    [min_clusters, min(max_clusters, n-1)]; ties break toward smaller k.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size < 2:
-        raise InvalidInputError("need at least 2 eigenvalues")
-    if not np.all(np.isfinite(values)):
-        raise InvalidInputError("eigenvalues must be finite")
-    if np.any(np.diff(values) > 1e-10):
-        raise InvalidInputError("eigenvalues must be sorted descending")
-    lo = min_clusters
-    hi = min(max_clusters, values.size - 1)
-    if lo < 1 or lo > hi:
-        raise InvalidInputError(
-            f"empty cluster-count search range [{lo}, {hi}]"
-        )
-    best_k = lo
-    best_ratio = -math.inf
-    for k in range(lo, hi + 1):
-        ratio = values[k - 1] / max(values[k], EIG_FLOOR)
-        if ratio > best_ratio:
-            best_k, best_ratio = k, ratio
-    return best_k
+def _estimate_k_eigengap(values, min_clusters: int, max_clusters: int) -> int:
+    """k maximizing values[k-1] / max(values[k], EIG_FLOOR) over [min_clusters,
+    min(max_clusters, n-1)], ties toward smaller k. Unchecked: _solve hands over
+    values sorted descending and a range that is not empty."""
+    return max(range(min_clusters, min(max_clusters, len(values) - 1) + 1),
+               key=lambda k: values[k - 1] / max(values[k], EIG_FLOOR))
 
 
-def spectral_embed(vectors: np.ndarray, k: int) -> np.ndarray:
+def _spectral_embed(vectors: np.ndarray, k: int) -> np.ndarray:
     """Rows of the first k columns of `vectors` (eigh's eigenvectors, leading
     first), not normalized: kmeans normalizes its input.
 
@@ -204,9 +184,6 @@ def spectral_embed(vectors: np.ndarray, k: int) -> np.ndarray:
     segment has no weight in the top-k subspace) are replaced by the unit
     vector along the first coordinate.
     """
-    n = vectors.shape[0]
-    if not (1 <= k <= n):
-        raise InvalidInputError(f"k must lie in [1, {n}], got {k}")
     rows = np.array(vectors[:, :k])
     zero = np.linalg.norm(rows, axis=1) < ZERO_NORM_TOL
     rows[zero] = 0.0
@@ -486,9 +463,10 @@ def blurred_affinity(embeddings, sigma: float) -> np.ndarray:
     row i's diagonal to its largest off-diagonal cosine (clipped to [-1, 1]),
     so blurred_gram builds its blur from the rank-d factor: no n x n affinity.
     """
-    if len(embeddings) < 2:
+    x = embedding_matrix(embeddings)
+    if len(x) < 2:
         raise InvalidInputError("spectral clustering needs at least 2 segments")
-    u = l2_normalize_rows(embedding_matrix(embeddings))
+    u = l2_normalize_rows(x)
     squares, row_max = gram_diagonal_and_row_max(u)
     return blurred_gram(u, row_max.clip(-1.0, 1.0) - squares, sigma).T
 
@@ -505,7 +483,8 @@ def _solve(m: np.ndarray, params: SpectralParams, observe) -> SpectralResult:
 
     After the blur: the row threshold and symmetrization in one pass,
     diffusion (the Gram product), then the row-max normalization R and
-    (R + Rᵀ)/2 in another; that last matrix is the one eigh solves.
+    (R + Rᵀ)/2 in another; that last matrix is the one _eigh solves. The
+    count and k it passes on are valid by construction.
     """
     observe("blur", m)
     observe("symmetrize", _threshold_symmetrize(m, params.p_percentile, params.soft_multiplier))
@@ -516,12 +495,9 @@ def _solve(m: np.ndarray, params: SpectralParams, observe) -> SpectralResult:
     max_c = min(params.max_clusters, n)
     # the eigen-gap rule reads values[0 .. min(max_c, n - 1)] and the
     # embedding at most the first max_c vectors: nothing past them is needed
-    values, vectors = eigh(m, count=min(max_c, n - 1) + 1)
-    if min_c > min(max_c, n - 1):
-        k = min_c
-    else:
-        k = estimate_k_eigengap(values, min_c, max_c)
-    clustering = kmeans(spectral_embed(vectors, k), k, seed=params.seed)
+    values, vectors = _eigh(m, count=min(max_c, n - 1) + 1)
+    k = min_c if min_c > min(max_c, n - 1) else _estimate_k_eigengap(values, min_c, max_c)
+    clustering = kmeans(_spectral_embed(vectors, k), k, seed=params.seed)
     return SpectralResult(clustering=clustering, eigenvalues=values)
 
 
@@ -532,7 +508,7 @@ def spectral_cluster(embeddings, params: SpectralParams, observe=None) -> Spectr
     minimum. observe(stage name, matrix), if given, is called after each
     stage (blur, symmetrize, diffuse, refined) with the one n x n matrix the
     chain rewrites in place, so it holds the stage only until observe
-    returns; the last is the matrix eigh solves."""
+    returns; the last is the matrix that is solved."""
     return _solve(blurred_affinity(embeddings, params.sigma), params, observe or _unobserved)
 
 

@@ -83,16 +83,20 @@ class DerReport:
         return self.fa + self.miss + self.confusion
 
 
-def _tick_spans(intervals: Sequence[TimeInterval], limit: int = _INT64_MAX) -> np.ndarray:
-    """(start, end) ticks per interval as an m x 2 int64 array, each rounded half
-    to even; InvalidInputError past limit, which each caller sets so that its
+def _within(ticks: np.ndarray, limit: int) -> np.ndarray:
+    """ticks; InvalidInputError past limit, which each caller sets so that its
     own arithmetic stays inside int64."""
-    seconds = np.array([(iv.start, iv.end) for iv in intervals], dtype=np.float64).reshape(-1, 2)
-    ticks = np.rint(seconds * TICKS_PER_SECOND)
     if ticks.size and int(ticks.max()) > limit:
         raise InvalidInputError(f"cannot score times past {limit / TICKS_PER_SECOND:.6g} s: "
                                 "they leave the int64 tick range")
-    return ticks.astype(np.int64)
+    return ticks
+
+
+def _tick_spans(intervals: Sequence[TimeInterval], limit: int = _INT64_MAX) -> np.ndarray:
+    """(start, end) ticks per interval as an m x 2 int64 array, each rounded half
+    to even; InvalidInputError past limit (see _within)."""
+    seconds = np.array([(iv.start, iv.end) for iv in intervals], dtype=np.float64).reshape(-1, 2)
+    return _within(np.rint(seconds * TICKS_PER_SECOND), limit).astype(np.int64)
 
 
 def _pieces(rows, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,15 +130,16 @@ def _rows(annotation: Annotation, first: int = 0) -> tuple[int, list[int]]:
     return len(labels), [index[seg.speaker] for seg in annotation]
 
 
-def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterval]:
-    """Where scoring happens: UEM (or annotation extent) minus collars and overlap.
+def _region_ticks(reference: Annotation, opts: EvalOptions) -> np.ndarray:
+    """Where scoring happens, UEM (or annotation extent) minus collars and
+    overlap: sorted (start, end) tick spans that neither overlap nor touch.
 
     A collar of +/- opts.collar is cut around every reference segment
     boundary; with exclude_overlap, spans where two or more reference
     speakers talk at once are cut as well. Of the slices cut by the base
     (row 0), the collar strips (row 1) and, with exclude_overlap, each
     reference speaker, those the base covers, no strip does and at most one
-    speaker does are kept; each run of kept slices is one interval.
+    speaker does are kept; each run of kept slices is one span.
     InvalidInputError if a time plus the collar leaves int64 ticks.
     """
     if len(reference) == 0:
@@ -153,9 +158,13 @@ def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterva
     bounds, row, at = _pieces(rows, np.vstack(spans))
     kept = ((_depth(bounds, at, row == 0) > 0) & (_depth(bounds, at, row == 1) == 0)
             & (_depth(bounds, at, row >= 2) <= 1))
-    runs = np.flatnonzero(np.diff(kept, prepend=False, append=False)).reshape(-1, 2)
-    ticks = bounds.tolist()
-    return [TimeInterval(_seconds(ticks[s]), _seconds(ticks[e])) for s, e in runs.tolist()]
+    return bounds[np.flatnonzero(np.diff(kept, prepend=False, append=False)).reshape(-1, 2)]
+
+
+def scoring_region(reference: Annotation, opts: EvalOptions) -> list[TimeInterval]:
+    """The spans of _region_ticks, the region der scores in, as intervals in seconds."""
+    return [TimeInterval(_seconds(s), _seconds(e))
+            for s, e in _region_ticks(reference, opts).tolist()]
 
 
 def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> DerReport:
@@ -180,15 +189,15 @@ def der(reference: Annotation, hypothesis: Annotation, opts: EvalOptions) -> Der
             f"recording ids differ: {reference.recording_id!r} "
             f"vs {hypothesis.recording_id!r}"
         )
-    region = scoring_region(reference, opts)
-    if not region:
+    region = _region_ticks(reference, opts)
+    if not len(region):
         raise InvalidInputError("scoring region is empty")
     n_ref, ref_rows = _rows(reference)
     n_hyp, hyp_rows = _rows(hypothesis, first=n_ref + 1)  # row n_ref is the region's
-    spans = _tick_spans(
-        [*(seg.interval for seg in reference), *region, *(seg.interval for seg in hypothesis)],
-        _INT64_MAX // max(n_ref, n_hyp),
-    )
+    limit = _INT64_MAX // max(n_ref, n_hyp)
+    spans = np.vstack([_tick_spans([seg.interval for seg in reference], limit),
+                       _within(region, limit),
+                       _tick_spans([seg.interval for seg in hypothesis], limit)])
     bounds, row, at = _pieces(ref_rows + [n_ref] * len(region) + hyp_rows, spans)
     hyp = row > n_ref
     dur = np.diff(bounds) * _depth(bounds, at, row == n_ref)  # 0 outside the region

@@ -264,6 +264,24 @@ def _lanczos(m: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
         stop = min(limit, j + _LANCZOS_GROW)
 
 
+def _eigh(m: np.ndarray, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """eigh's solve, which checks nothing: m is finite, exactly symmetric and
+    float64, and count None or in [1, n], as eigh and the chain hand them over."""
+    n = m.shape[0]
+    try:
+        if count is None or count > min(n - 1, _LANCZOS_STEPS):
+            values, vectors = np.linalg.eigh(m)
+        else:
+            values, vectors = _lanczos(m, count)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigen-decomposition failed: {exc}") from exc
+    order = np.argsort(-values, kind="stable")[:count]
+    values, vectors = values[order], vectors[:, order]
+    lead = np.abs(vectors).argmax(axis=0)  # the first on ties
+    vectors *= np.where(vectors[lead, np.arange(lead.size)] < 0, -1.0, 1.0)
+    return values, vectors
+
+
 def eigh(m, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a symmetric matrix with deterministic output:
     the `count` largest eigenpairs, or all n for None, as the pair (values,
@@ -274,11 +292,10 @@ def eigh(m, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     is fixed: its entry of largest magnitude (the first such on ties) is
     non-negative. For count < n (at most _LANCZOS_STEPS) only those pairs are
     computed, by `_lanczos` from a fixed-seed start vector (repeated calls
-    agree); else the dense solver runs. Both solve the lower triangle of m:
-    the dense solver reads only that, `_lanczos` a copy mirrored from it
-    unless m is exactly symmetric. Raises InvalidInputError if the input is
-    not symmetric within 1e-10 or count lies outside [1, n], NumericError if
-    a solver fails.
+    agree); else the dense solver runs. Both solve the lower triangle of m,
+    as `_eigh` solves a copy mirrored from it unless m is exactly symmetric.
+    Raises InvalidInputError if m is not finite, not symmetric within 1e-10
+    or count lies outside [1, n], NumericError if a solver fails.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -299,22 +316,7 @@ def eigh(m, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError(f"matrix is asymmetric beyond tolerance ({asym:.3e})")
     if count is not None and not (1 <= count <= n):
         raise InvalidInputError(f"count must lie in [1, {n}], got {count}")
-    try:
-        if count is None or count > min(n - 1, _LANCZOS_STEPS):
-            values, vectors = np.linalg.eigh(m)
-        else:
-            values, vectors = _lanczos(np.tril(m) + np.tril(m, -1).T if asym else m, count)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigen-decomposition failed: {exc}") from exc
-    order = np.argsort(-values, kind="stable")[:count]
-    values = values[order]
-    vectors = vectors[:, order]
-    for j in range(vectors.shape[1]):
-        column = vectors[:, j]
-        lead = int(np.argmax(np.abs(column)))
-        if column[lead] < 0:
-            vectors[:, j] = -column
-    return values, vectors
+    return _eigh(np.tril(m) + np.tril(m, -1).T if asym else m, count)
 
 
 def optimal_assignment(weights) -> list[tuple[int, int]]:

@@ -64,6 +64,15 @@ def segment_embeddings(windows, regions, max_len: float = DEFAULT_MAX_SEGMENT_LE
     return np.stack([se.embedding for se in seg_embs]), [se.interval for se in seg_embs]
 
 
+def _one_stage(x) -> bool:
+    """Whether spectral clustering of x runs in one stage: at most TWO_STAGE_CAP
+    rows, or no rows at all, which spectral_cluster's check then refuses."""
+    try:
+        return len(x) <= TWO_STAGE_CAP
+    except TypeError:  # a scalar or None
+        return True
+
+
 def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
     """Cluster the rows of an (n, d) segment matrix with the configured algorithm.
 
@@ -76,7 +85,7 @@ def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
     """
     params = config.spectral
     if config.algorithm == "spectral":
-        if len(x) <= TWO_STAGE_CAP:
+        if _one_stage(x):
             return spectral_cluster(x, params, observe).clustering
         return two_stage_cluster(x, params, observe)
     if config.algorithm == "naive":
@@ -99,8 +108,7 @@ def diarize_grid(recording_id: str, segments, configs) -> list[Annotation]:
     call, which builds one blurred affinity per sigma. Above the cap, and for
     other algorithms, each config runs as in `diarize`."""
     x, intervals = segments
-    shared = [i for i, c in enumerate(configs)
-              if c.algorithm == "spectral" and len(x) <= TWO_STAGE_CAP]
+    shared = [i for i, c in enumerate(configs) if c.algorithm == "spectral" and _one_stage(x)]
     results = spectral_grid(x, [configs[i].spectral for i in shared])
     labels = {i: result.clustering.labels for i, result in zip(shared, results)}
     return [annotation_from_clusters(recording_id, intervals,

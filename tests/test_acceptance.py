@@ -29,7 +29,8 @@ from helpers import (
     refinement_stages,
     score_total,
 )
-from diarkit.clustering import _row_max_normalize_symmetrize, blurred_affinity, estimate_k_eigengap
+from diarkit.clustering import (_estimate_k_eigengap, _row_max_normalize_symmetrize,
+                                blurred_affinity)
 from diarkit.numerics import eigh, gram, nearest_rank_index, optimal_assignment
 from oracles import (
     brute_force_assignment,
@@ -160,7 +161,7 @@ def test_eigen_suite(capsys):
         gram = vectors.T @ vectors
         worst = max(worst, float(np.max(np.abs(gram - np.eye(n)))))
 
-    block_k = estimate_k_eigengap(eigh(BLOCK)[0], 1, 3)
+    block_k = _estimate_k_eigengap(eigh(BLOCK)[0], 1, 3)
 
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and block_k == 2 and elapsed < 10.0

@@ -21,7 +21,8 @@ from diarkit import (
 )
 from diarkit.aggregation import DEFAULT_MAX_SEGMENT_LEN
 from diarkit.cli import MAX_GRID_VALUES, _parse_grid, _read, build_parser, main
-from diarkit.clustering import estimate_k_eigengap
+from diarkit.clustering import _estimate_k_eigengap
+from diarkit.numerics import eigh
 from diarkit.pipeline import ALGORITHMS, DiarizeConfig, diarize, segment_embeddings
 from helpers import run_python
 import test_io
@@ -54,6 +55,25 @@ def run_synth(tmp_path, name, *extra):
     )
     assert rc == 0
     return paths
+
+
+@pytest.fixture
+def refined(monkeypatch) -> list:
+    """Copies of the refined matrix of each clustering the CLI's diarize runs,
+    the matrix it solves, seen by an observer chained before the CLI's own."""
+    matrices, diarize_once = [], diarkit.cli.diarize
+
+    def observed(recording_id, segments, config, observe=None):
+        def both(name, m):
+            if name == "refined":
+                matrices.append(m.copy())
+            if observe is not None:
+                observe(name, m)
+
+        return diarize_once(recording_id, segments, config, both)
+
+    monkeypatch.setattr(diarkit.cli, "diarize", observed)
+    return matrices
 
 
 @pytest.fixture
@@ -125,45 +145,29 @@ class TestDiarize:
         for name in dumped:
             assert (tmp_path / "stages" / name).read_bytes().startswith(b"P5\n")
 
-    def test_dump_stages_shows_the_matrix_eigh_solves(self, tmp_path, monkeypatch):
-        solved = []
-        original = diarkit.clustering.eigh
-
-        def capture(m, *args, **kwargs):
-            solved.append(np.array(m))
-            return original(m, *args, **kwargs)
-
-        monkeypatch.setattr(diarkit.clustering, "eigh", capture)
+    def test_dump_stages_shows_the_matrix_eigh_solves(self, tmp_path, refined):
         paths = run_synth(tmp_path, "conv")
         prefix = tmp_path / "run"
         rc = main(["diarize", "--embeddings", str(paths["emb"]), "--regions", str(paths["reg"]),
                    "--out", str(tmp_path / "hyp.rttm"), "--dump-stages", str(prefix)])
         assert rc == 0
-        (m,) = solved
+        (m,) = refined
         data = (tmp_path / "run_04_refined.pgm").read_bytes()
         assert data == test_io.TestPgm.whole_matrix_pgm(m)
         n = len(m)
         grid = np.frombuffer(data[len(f"P5\n{n} {n}\n255\n"):], dtype=np.uint8).reshape(n, n)
         assert np.array_equal(grid, grid.T)
 
-    def test_dump_stages_above_the_cap_shows_stage_two(self, tmp_path, monkeypatch):
-        # the matrix eigh solves is the centroids': no segment x segment stage is written
+    def test_dump_stages_above_the_cap_shows_stage_two(self, tmp_path, monkeypatch, refined):
+        # the matrix solved is the centroids': no segment x segment stage is written
         monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", 50)
         monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 30)
-        solved = []
-        original = diarkit.clustering.eigh
-
-        def capture(m, *args, **kwargs):
-            solved.append(np.array(m))
-            return original(m, *args, **kwargs)
-
-        monkeypatch.setattr(diarkit.clustering, "eigh", capture)
         paths = run_synth(tmp_path, "conv")
         prefix = tmp_path / "run"
         rc = main(["diarize", "--embeddings", str(paths["emb"]), "--regions", str(paths["reg"]),
                    "--out", str(tmp_path / "hyp.rttm"), "--dump-stages", str(prefix)])
         assert rc == 0
-        (m,) = solved
+        (m,) = refined
         assert m.shape == (30, 30)
         for name in ("blur", "symmetrize", "diffuse", "refined"):
             data = next(tmp_path.glob(f"run_*_{name}.pgm")).read_bytes()
@@ -417,30 +421,25 @@ class TestDiarize:
         )
         assert rc == 1
 
-    def test_exactly_repeated_embeddings_exit_zero(self, tmp_path, monkeypatch):
+    def test_exactly_repeated_embeddings_exit_zero(self, tmp_path, refined):
         # no within-speaker noise: every window of a speaker is one vector, and
         # the refined affinity repeats an eigenvalue at the edge of the nine
-        # pairs solved; the partial solve must equal the dense one there
+        # pairs solved; the partial solve (the one the run made: eigh is
+        # deterministic) must equal the dense one there
         paths = run_synth(tmp_path, "still", "--speakers", "3", "--duration", "120",
                           "--noise-deg", "0", "--seed", "5")
-        real, solves = diarkit.clustering.eigh, []
-
-        def recorded(m, count=None):
-            solves.append((m.copy(), real(m, count)))
-            return solves[-1][1]
-
-        monkeypatch.setattr(diarkit.clustering, "eigh", recorded)
         out = tmp_path / "o.rttm"
         rc = main(["diarize", "--embeddings", str(paths["emb"]), "--regions", str(paths["reg"]),
                    "--out", str(out)])
         assert rc == 0
-        [(m, (partial, _))] = solves
+        (m,) = refined
+        partial, _ = eigh(m, count=SpectralParams().max_clusters + 1)
         dense = np.linalg.eigh(m)[0][::-1][: partial.size]
         assert partial.size == 9
         assert np.max(np.abs(partial - dense)) <= 1e-12 * dense[0]
         params = SpectralParams()
-        k = estimate_k_eigengap(dense, params.min_clusters, params.max_clusters)
-        assert estimate_k_eigengap(partial, params.min_clusters, params.max_clusters) == k
+        k = _estimate_k_eigengap(dense, params.min_clusters, params.max_clusters)
+        assert _estimate_k_eigengap(partial, params.min_clusters, params.max_clusters) == k
         (hypothesis,) = parse_rttm(out.read_text())
         assert len(hypothesis.labels()) == k
 

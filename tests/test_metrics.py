@@ -546,6 +546,21 @@ class TestScoringRegionProperties:
 
 
 class TestDerProperties:
+    @pytest.mark.parametrize("collar", [0.0, 0.25])
+    @pytest.mark.parametrize("exclude_overlap", [True, False])
+    @pytest.mark.parametrize("uem", [False, True], ids=["extent", "uem"])
+    @settings(deadline=None, max_examples=40)
+    @given(reference=annotations("A", 1), hypothesis=annotations("H", 0), uem_span=UEM)
+    def test_scores_inside_the_public_region(self, collar, exclude_overlap, uem, reference,
+                                             hypothesis, uem_span):
+        # der reads the region as ticks; scoring_region gives the same region
+        # in seconds, and as a UEM with no collar and overlap kept it scores
+        # every seconds field the same
+        opts = EvalOptions(collar, exclude_overlap, uem_span if uem else None)
+        report = scored(reference, hypothesis, opts)
+        region = EvalOptions(0.0, False, scoring_region(reference, opts))
+        assert der(reference, hypothesis, region) == report
+
     @settings(deadline=None)
     @given(annotations("A", 1), OPTIONS)
     def test_reference_against_itself_is_zero(self, reference, opts):

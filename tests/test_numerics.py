@@ -10,7 +10,7 @@ from diarkit import (
     NumericError,
     SpectralParams,
 )
-from diarkit.clustering import estimate_k_eigengap
+from diarkit.clustering import _estimate_k_eigengap
 from diarkit.numerics import (_TILE, blurred_gram, eigh, gram, l2_normalize_rows,
                               optimal_assignment, upper_tiles)
 from helpers import refinement_stages
@@ -293,13 +293,19 @@ class TestEigh:
         assert np.all(np.diff(values) <= 1e-12)
 
     def test_sign_convention(self):
+        # bit for bit numpy's columns in descending order, each flipped, column
+        # by column, when its first largest-magnitude entry is negative
         rng = np.random.default_rng(18)
         for _ in range(20):
             a = rng.normal(size=(6, 6))
             _, vectors = eigh(a + a.T)
-            for j in range(6):
+            raw_values, raw = np.linalg.eigh(a + a.T)
+            for j, i in enumerate(np.argsort(-raw_values, kind="stable")):
                 col = vectors[:, j]
                 assert col[int(np.argmax(np.abs(col)))] >= 0
+                given = raw[:, i]
+                expected = -given if given[int(np.argmax(np.abs(given)))] < 0 else given
+                assert col.tobytes() == expected.tobytes()
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(19)
@@ -504,7 +510,7 @@ class TestEighPartial:
         values, _ = eigh(m, count=self.COUNT)
         dense = np.linalg.eigh(m)[0][::-1][: self.COUNT]
         assert np.max(np.abs(values - dense)) <= 1e-10
-        assert estimate_k_eigengap(values, 2, 8) == estimate_k_eigengap(dense, 2, 8)
+        assert _estimate_k_eigengap(values, 2, 8) == _estimate_k_eigengap(dense, 2, 8)
         # it was the partial solver: held to as many Lanczos steps as pairs
         # wanted, it does not converge
         monkeypatch.setattr("diarkit.numerics._LANCZOS_STEPS", self.COUNT)

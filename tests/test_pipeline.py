@@ -24,8 +24,9 @@ from diarkit import (
     segmentize,
     spectral_cluster,
 )
-from diarkit.clustering import PRECLUSTER_ITERS, _TOL, _lloyd, _resegment
-from diarkit.numerics import l2_normalize_rows
+from diarkit.clustering import (PRECLUSTER_ITERS, _TOL, _lloyd, _resegment, blurred_affinity,
+                                spectral_grid, two_stage_cluster)
+from diarkit.numerics import eigh, l2_normalize_rows
 from diarkit.pipeline import (
     ALGORITHMS,
     DiarizeConfig,
@@ -191,9 +192,27 @@ class TestDiarizeChecksTheMatrix:
         with pytest.raises(InvalidInputError, match=message):
             cluster(list(vectors), DiarizeConfig(algorithm))
 
-    @pytest.mark.parametrize("algorithm", ["kmeans", "naive"])
+    @pytest.mark.parametrize("given", [3.0, None], ids=["scalar", "none"])
+    @pytest.mark.parametrize("call", [
+        lambda x: cluster(x, DiarizeConfig()),
+        lambda x: diarize_grid("rec", (x, []), [DiarizeConfig()]),
+        lambda x: spectral_cluster(x, SpectralParams()),
+        lambda x: spectral_grid(x, [SpectralParams()]),
+        lambda x: blurred_affinity(x, 1.0),
+        lambda x: two_stage_cluster(x, SpectralParams()),
+        lambda x: cluster(x, DiarizeConfig("kmeans")),
+        lambda x: cluster(x, DiarizeConfig("naive")),
+    ], ids=["cluster", "diarize_grid", "spectral_cluster", "spectral_grid", "blurred_affinity",
+            "two_stage_cluster", "kmeans", "naive"])
+    def test_no_rows_rejected(self, call, given):
+        # every entry point checks its input before it reads a row count
+        message = r"^expected an \(n, d\) embedding matrix, got shape \(\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            call(given)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_scalar_rejected(self, algorithm):
-        # spectral clustering first asks for two segments
+        # a row of scalars is refused before spectral clustering counts its segments
         message = r"^expected an \(n, d\) embedding matrix, got shape \(1,\)$"
         with pytest.raises(InvalidInputError, match=message):
             self.diarized([3.0], algorithm)
@@ -391,19 +410,20 @@ class TestTwoStage:
         assert {m.shape for _, m in stages} == {(len(x), len(x))}
         monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", len(x) - 1)
         monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 40)
-        solved = []
-        eigh = diarkit.clustering.eigh
+        # stage 2's result holds the eigenvalues of the matrix it solved
+        results, stage2 = [], diarkit.clustering.spectral_cluster
 
-        def capture(m, *args, **kwargs):
-            solved.append(np.array(m))
-            return eigh(m, *args, **kwargs)
+        def capture(*args, **kwargs):
+            results.append(stage2(*args, **kwargs))
+            return results[-1]
 
-        monkeypatch.setattr(diarkit.clustering, "eigh", capture)
+        monkeypatch.setattr(diarkit.clustering, "spectral_cluster", capture)
         *_, (name, m) = observed(DiarizeConfig(spectral=SpectralParams(sigma=1.0)))
         assert name == "refined"
-        (want,) = solved
+        (result,) = results
         assert m.shape == (40, 40)
-        assert np.array_equal(m, want)
+        values, _ = eigh(m, count=len(result.eigenvalues))
+        assert values.tobytes() == result.eigenvalues.tobytes()
 
     def test_only_spectral_clustering_calls_the_observer(self):
         x, _ = three_speakers()
