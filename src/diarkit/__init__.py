@@ -17,7 +17,6 @@ from .aggregation import (
 from .clustering import (
     DEFAULT_MAX_CLUSTERS,
     SpectralParams,
-    SpectralResult,
     estimate_k_elbow,
     kmeans,
     run_online,

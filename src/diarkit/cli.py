@@ -226,16 +226,17 @@ def cmd_sweep(args) -> int:
         a.recording_id: a for a in _read(args.reference, formats.parse_rttm)
     }
 
-    prepared = []
+    prepared = {}
     for path in embedding_paths:
         rec = Path(path).stem
         if rec not in references:
             raise UsageError(f"recording {rec} is missing from the reference RTTM")
+        _require(rec not in prepared, f"recording {rec} is listed twice in the embeddings list")
         windows = _read(path, formats.read_embeddings_csv)
-        prepared.append((rec, segment_embeddings(windows, None)))
+        prepared[rec] = segment_embeddings(windows, None)
 
     reports: list[list[DerReport]] = [[] for _ in configs]
-    for rec, segments in prepared:
+    for rec, segments in prepared.items():
         for row, hypothesis in zip(reports, diarize_grid(rec, segments, configs)):
             row.append(der(references[rec], hypothesis, EvalOptions()))
     results = [(value, combine_reports(row).total) for value, row in zip(grid, reports)]

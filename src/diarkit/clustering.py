@@ -8,7 +8,7 @@ spectral_grid runs a grid of configs, each chain in a copy of the blurred
 matrix its sigma shares; two_stage_cluster clusters many rows through a
 k-means pre-clustering, spectral_cluster on its centroids and a
 resegmentation pass). Online: a naive threshold clusterer over the rows in
-order.
+order. Every clusterer returns a ClusteringResult, one label per row.
 
 The chain's input is checked where it enters: embedding_matrix checks the
 embeddings and SpectralParams the knobs. From there every matrix of the
@@ -357,21 +357,20 @@ def _viterbi(scores: np.ndarray, penalty: float, last: int) -> np.ndarray:
     A segment keeps the next one's label wherever changing it gains no more,
     the last segment keeps label `last` if that ties for the best, and among
     tied other labels the lowest wins. Each step is scalar Python: with a
-    handful of labels that is faster than numpy's per-call cost.
+    handful of labels that is faster than numpy's per-call cost, and the
+    backtrack finds a step's best label only where the path changes label.
     """
     rows = scores.tolist()
     total = rows[0]
-    stay, best = [], []
+    steps = []
     for row in rows[1:]:
-        top = max(total)
-        switch = top - penalty
-        best.append(total.index(top))
-        stay.append([t >= switch for t in total])
+        switch = max(total) - penalty
+        steps.append((total, switch))
         total = [s + (t if t >= switch else switch) for s, t in zip(row, total)]
     top = max(total)
     z = [last if total[last] == top else total.index(top)]
-    for keep, other in zip(reversed(stay), reversed(best)):
-        z.append(z[-1] if keep[z[-1]] else other)
+    for prev, switch in reversed(steps):
+        z.append(z[-1] if prev[z[-1]] >= switch else prev.index(max(prev)))
     return np.array(z[::-1], dtype=np.intp)
 
 
@@ -441,18 +440,6 @@ def estimate_k_elbow(
     return ClusteringResult(runs[k - 1][0])
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralResult:
-    """Clustering plus the eigenvalues its speaker count was read from.
-
-    `eigenvalues` are the leading min(max_clusters, n - 1) + 1 of the
-    refined affinity, descending: those the eigen-gap rule reads.
-    """
-
-    clustering: ClusteringResult
-    eigenvalues: np.ndarray
-
-
 def blurred_affinity(embeddings, sigma: float) -> np.ndarray:
     """The refinement chain's first matrix, p-independent: the cosine affinity
     of the embeddings, each diagonal entry taking its row's largest cosine off
@@ -475,7 +462,7 @@ def _unobserved(name: str, m: np.ndarray) -> None:
     pass
 
 
-def _solve(m: np.ndarray, params: SpectralParams, observe) -> SpectralResult:
+def _solve(m: np.ndarray, params: SpectralParams, observe) -> ClusteringResult:
     """The refinement chain on a blurred affinity m (C-ordered and exactly
     symmetric, as blurred_affinity makes it), each stage written into m and
     shown to observe(stage name, m), then eigen-gap k, re-embedding and
@@ -497,11 +484,10 @@ def _solve(m: np.ndarray, params: SpectralParams, observe) -> SpectralResult:
     # embedding at most the first max_c vectors: nothing past them is needed
     values, vectors = _eigh(m, count=min(max_c, n - 1) + 1)
     k = min_c if min_c > min(max_c, n - 1) else _estimate_k_eigengap(values, min_c, max_c)
-    clustering = kmeans(_spectral_embed(vectors, k), k, seed=params.seed)
-    return SpectralResult(clustering=clustering, eigenvalues=values)
+    return kmeans(_spectral_embed(vectors, k), k, seed=params.seed)
 
 
-def spectral_cluster(embeddings, params: SpectralParams, observe=None) -> SpectralResult:
+def spectral_cluster(embeddings, params: SpectralParams, observe=None) -> ClusteringResult:
     """Spectral clustering of segment embeddings: blurred_affinity, then the
     refinement chain in that matrix, eigen-gap k, re-embedding and k-means.
     Cluster bounds are clamped to n; with no eigen-gap range left, k is the
@@ -512,7 +498,7 @@ def spectral_cluster(embeddings, params: SpectralParams, observe=None) -> Spectr
     return _solve(blurred_affinity(embeddings, params.sigma), params, observe or _unobserved)
 
 
-def spectral_grid(embeddings, grid) -> list[SpectralResult]:
+def spectral_grid(embeddings, grid) -> list[ClusteringResult]:
     """spectral_cluster under each SpectralParams of the sequence grid, in
     order, bit for bit. The blurred affinity is built once per distinct
     sigma, and each config's chain runs in a copy of it; only the current
@@ -544,7 +530,7 @@ def two_stage_cluster(embeddings, params: SpectralParams, observe=None) -> Clust
         raise InvalidInputError(f"{len(u)} rows for {PRECLUSTER_COUNT} pre-cluster centroids")
     assignment, centroids, _, _ = _lloyd(u, PRECLUSTER_COUNT, np.random.default_rng(params.seed),
                                          PRECLUSTER_ITERS, _TOL)
-    stage2 = spectral_cluster(centroids, replace(params, sigma=0.0), observe).clustering
+    stage2 = spectral_cluster(centroids, replace(params, sigma=0.0), observe)
     return _resegment(u, ClusteringResult(stage2.labels[assignment]), params.min_clusters)
 
 

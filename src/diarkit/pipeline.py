@@ -86,7 +86,7 @@ def cluster(x, config: DiarizeConfig, observe=None) -> ClusteringResult:
     params = config.spectral
     if config.algorithm == "spectral":
         if _one_stage(x):
-            return spectral_cluster(x, params, observe).clustering
+            return spectral_cluster(x, params, observe)
         return two_stage_cluster(x, params, observe)
     if config.algorithm == "naive":
         return run_online(x, config.threshold)
@@ -109,8 +109,7 @@ def diarize_grid(recording_id: str, segments, configs) -> list[Annotation]:
     other algorithms, each config runs as in `diarize`."""
     x, intervals = segments
     shared = [i for i, c in enumerate(configs) if c.algorithm == "spectral" and _one_stage(x)]
-    results = spectral_grid(x, [configs[i].spectral for i in shared])
-    labels = {i: result.clustering.labels for i, result in zip(shared, results)}
+    results = dict(zip(shared, spectral_grid(x, [configs[i].spectral for i in shared])))
     return [annotation_from_clusters(recording_id, intervals,
-                                     labels[i] if i in labels else cluster(x, c).labels)
+                                     (results[i] if i in results else cluster(x, c)).labels)
             for i, c in enumerate(configs)]

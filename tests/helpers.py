@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import diarkit
+import diarkit.clustering
 from diarkit import (
     EvalOptions,
     SpectralParams,
@@ -57,6 +58,22 @@ def refinement_stages(embeddings, params: SpectralParams) -> list:
     stages = []
     spectral_cluster(embeddings, params, observe=lambda name, m: stages.append((name, m.copy())))
     return stages
+
+
+def capture_solves(monkeypatch) -> list:
+    """A list that gets the (eigenvalues, count) of each spectral solve from
+    here until monkeypatch undoes it, in call order: the leading `count`
+    eigenvalues of the refined affinity, descending, that the eigen-gap rule
+    reads, as the solve's _eigh call returns them."""
+    solves, solve = [], diarkit.clustering._eigh
+
+    def capture(m, count=None):
+        values, vectors = solve(m, count)
+        solves.append((values, count))
+        return values, vectors
+
+    monkeypatch.setattr(diarkit.clustering, "_eigh", capture)
+    return solves
 
 
 def prepare(scenario: SynthScenario):

@@ -98,7 +98,7 @@ def test_spectral_cluster_calls_each_traced_stage_once(monkeypatch):
     # spectral_cluster's own.
     called = ["clustering.kmeans"]
     calls = count_calls(monkeypatch, called)
-    assert spectral_cluster(three_groups(), SpectralParams()).clustering.k == 3
+    assert spectral_cluster(three_groups(), SpectralParams()).k == 3
     assert calls == Counter(called)
 
 
@@ -124,7 +124,7 @@ def test_spectral_grid_calls_kmeans_once_per_config(monkeypatch):
     # the sweep clusters through spectral_grid; the kmeans span times each config's last step
     calls = count_calls(monkeypatch, ["clustering.kmeans"])
     grid = [SpectralParams(), SpectralParams(sigma=0.5), SpectralParams(p_percentile=90.0)]
-    assert [r.clustering.k for r in spectral_grid(three_groups(), grid)] == [3, 3, 3]
+    assert [r.k for r in spectral_grid(three_groups(), grid)] == [3, 3, 3]
     assert calls == Counter({"clustering.kmeans": 3})
 
 

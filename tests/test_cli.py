@@ -809,6 +809,31 @@ class TestSweep:
         )
         assert rc == 2
 
+    def sweep_listing(self, listing, ref):
+        return main(["sweep", "--embeddings-list", str(listing), "--reference", str(ref),
+                     "--param", "sigma", "--grid", "1:1:1"])
+
+    def test_recording_listed_twice_is_usage_error(self, tmp_path, capsys):
+        # both lines were scored against reference dev0, and the pooled DER counted both
+        listing, ref = self.make_corpus(tmp_path)
+        listing.write_text(listing.read_text() * 2)
+        assert self.sweep_listing(listing, ref) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: recording dev0 is listed twice in the embeddings list\n"
+
+    def test_one_stem_in_two_directories_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "d1").mkdir()
+        (tmp_path / "d2").mkdir()
+        first = run_synth(tmp_path / "d1", "a")
+        second = run_synth(tmp_path / "d2", "a", "--seed", "5")
+        listing = tmp_path / "dev.list"
+        listing.write_text(f"{first['emb']}\n{second['emb']}\n")
+        assert self.sweep_listing(listing, first["ref"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: recording a is listed twice in the embeddings list\n"
+
     def test_empty_grid_is_usage_error(self, tmp_path):
         listing, ref = self.make_corpus(tmp_path)
         rc = main(

@@ -49,8 +49,8 @@ from diarkit.clustering import (
     two_stage_cluster,
 )
 from diarkit.numerics import _TILE, eigh, gram, l2_normalize_rows, nearest_rank_index
-from diarkit.pipeline import segment_embeddings
-from helpers import refinement_stages, run_python
+from diarkit.pipeline import ALGORITHMS, DiarizeConfig, cluster, segment_embeddings
+from helpers import capture_solves, refinement_stages, run_python
 from oracles import (affinity, best_path_oracle, blur, dense_refined, lloyd_oracle,
                      online_oracle, resegment_oracle, row_max_normalize, sort_threshold,
                      symmetrize)
@@ -312,23 +312,25 @@ class TestRefineChain:
         assert np.array_equal(stages["diffuse"], 2 * BLOCK)
         assert np.array_equal(stages["refined"], BLOCK)
 
-    def test_stage_names_and_one_matrix(self):
+    def test_stage_names_and_one_matrix(self, monkeypatch):
         # the observer is a side channel: called once per stage, in order,
         # always with the one matrix, the last time with the one solved (no
         # stage rewrites it after that, so it still holds the refined matrix)
         x, params = np.random.default_rng(36).normal(size=(10, 4)), SpectralParams()
+        solves = capture_solves(monkeypatch)
         plain = spectral_cluster(x, params)
         stages = []
         observed = spectral_cluster(x, params, observe=lambda name, m: stages.append((name, m)))
-        assert observed.clustering.labels.tobytes() == plain.clustering.labels.tobytes()
-        assert observed.clustering.k == plain.clustering.k
-        assert observed.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
+        assert observed.labels.tobytes() == plain.labels.tobytes()
+        assert observed.k == plain.k
+        (plain_values, count), (observed_values, _) = solves
+        assert observed_values.tobytes() == plain_values.tobytes()
         assert [name for name, _ in stages] == ["blur", "symmetrize", "diffuse", "refined"]
         assert all(m is stages[0][1] for _, m in stages)
         final = stages[-1][1]
         assert final.tobytes() == np.ascontiguousarray(final.T).tobytes()
-        values, _ = eigh(final, count=len(plain.eigenvalues))
-        assert values.tobytes() == plain.eigenvalues.tobytes()
+        values, _ = eigh(final, count=count)
+        assert values.tobytes() == plain_values.tobytes()
 
     def test_bad_embeddings_rejected(self):
         bad = np.ones((4, 3))
@@ -421,11 +423,12 @@ class TestRowMaxNormalizeSymmetrize:
         values, vectors = eigh(refined, count=params.max_clusters + 1)
         k = _estimate_k_eigengap(values, params.min_clusters, params.max_clusters)
         expected = kmeans(_spectral_embed(vectors, k), k, seed=params.seed)
-        got = spectral_cluster(x, params).clustering
+        got = spectral_cluster(x, params)
         assert got.k == expected.k == k
         assert np.array_equal(got.labels, expected.labels)
 
-    def test_spectral_cluster_solves_the_dense_chains_matrix(self, synth_segments):
+    def test_spectral_cluster_solves_the_dense_chains_matrix(self, synth_segments,
+                                                            monkeypatch):
         # the factored blur rounds differently from the dense chain, so the
         # eigenvalues agree to a tolerance, not bit for bit: they differed by at
         # most 2.8e-14 here (values up to 41), 35 times inside the bound
@@ -434,10 +437,12 @@ class TestRowMaxNormalizeSymmetrize:
                               params.soft_multiplier)
         values, vectors = eigh(dense, count=params.max_clusters + 1)
         k = _estimate_k_eigengap(values, params.min_clusters, params.max_clusters)
+        solves = capture_solves(monkeypatch)
         got = spectral_cluster(synth_segments, params)
-        assert np.max(np.abs(got.eigenvalues - values)) <= 1e-12
-        assert got.clustering.k == k
-        assert np.array_equal(got.clustering.labels,
+        ((solved, _),) = solves
+        assert np.max(np.abs(solved - values)) <= 1e-12
+        assert got.k == k
+        assert np.array_equal(got.labels,
                               kmeans(_spectral_embed(vectors, k), k, seed=params.seed).labels)
 
 
@@ -698,11 +703,11 @@ class TestSpectralCluster:
             q, _ = np.linalg.qr(rng.standard_normal((8, 2)))
             points, truth = planted_points(rng, q.T, per_cluster=10, noise_deg=5)
             result = spectral_cluster(points, SpectralParams(p_percentile=50, seed=0))
-            assert result.clustering.k == 2
-            assert same_partition(result.clustering.labels, truth)
+            assert result.k == 2
+            assert same_partition(result.labels, truth)
 
     @pytest.mark.parametrize("per_cluster", [20, 40, 80])
-    def test_exactly_repeated_embeddings(self, per_cluster):
+    def test_exactly_repeated_embeddings(self, per_cluster, monkeypatch):
         # three clusters of one vector each: the refined affinity repeats
         # eigenvalues (at 20 per cluster 19.40 twice, 18.42, 0.87, 0.25 twice,
         # then zeros), one of them at the edge of the nine pairs solved
@@ -710,16 +715,17 @@ class TestSpectralCluster:
         params = SpectralParams()
         *_, (_, refined) = refinement_stages(x, params)
         dense = np.linalg.eigh(refined)[0][::-1][: params.max_clusters + 1]
+        solves = capture_solves(monkeypatch)
         result = spectral_cluster(x, params)
-        assert np.max(np.abs(result.eigenvalues - dense)) <= 1e-12 * dense[0]
-        assert result.clustering.k == _estimate_k_eigengap(dense, params.min_clusters,
-                                                          params.max_clusters)
+        ((solved, _),) = solves
+        assert np.max(np.abs(solved - dense)) <= 1e-12 * dense[0]
+        assert result.k == _estimate_k_eigengap(dense, params.min_clusters, params.max_clusters)
 
     def test_n2_forced_to_min_clusters(self):
         x = np.array([[1.0, 0.0], [0.8, 0.6]])
         result = spectral_cluster(x, SpectralParams(min_clusters=2, seed=0))
-        assert result.clustering.k == 2
-        assert sorted(result.clustering.labels.tolist()) == [0, 1]
+        assert result.k == 2
+        assert sorted(result.labels.tolist()) == [0, 1]
 
     def test_hierarchical_four_speakers_single_seed(self):
         rng = np.random.default_rng(45)
@@ -734,17 +740,17 @@ class TestSpectralCluster:
         )
         points, truth = planted_points(rng, dirs, per_cluster=25, noise_deg=8)
         result = spectral_cluster(points, SpectralParams(seed=1))
-        assert result.clustering.k == 4
-        assert same_partition(result.clustering.labels, truth)
+        assert result.k == 4
+        assert same_partition(result.labels, truth)
 
     def test_permutation_equivariance_without_blur(self):
         rng = np.random.default_rng(46)
         q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
         points, _ = planted_points(rng, q.T, per_cluster=9, noise_deg=12)
         params = SpectralParams(sigma=0.0, seed=5)
-        base = spectral_cluster(points, params).clustering.labels
+        base = spectral_cluster(points, params).labels
         perm = rng.permutation(len(points))
-        permuted = spectral_cluster(points[perm], params).clustering.labels
+        permuted = spectral_cluster(points[perm], params).labels
         assert same_partition(base[perm], permuted)
 
     def test_deterministic(self):
@@ -752,23 +758,29 @@ class TestSpectralCluster:
         x = rng.normal(size=(25, 6))
         a = spectral_cluster(x, SpectralParams(seed=2))
         b = spectral_cluster(x, SpectralParams(seed=2))
-        assert np.array_equal(a.clustering.labels, b.clustering.labels)
-        assert a.clustering.k == b.clustering.k
+        assert np.array_equal(a.labels, b.labels)
+        assert a.k == b.k
 
-    def test_diagnostics_shapes(self):
+    def test_solve_asks_for_the_values_the_eigengap_reads(self, monkeypatch):
         rng = np.random.default_rng(48)
         x = rng.normal(size=(12, 4))
-        result = spectral_cluster(x, SpectralParams(seed=0))
+        solves = capture_solves(monkeypatch)
+        spectral_cluster(x, SpectralParams(seed=0))
         # the leading max_clusters + 1 that the eigen-gap rule reads
-        assert result.eigenvalues.shape == (DEFAULT_MAX_CLUSTERS + 1,)
+        ((values, count),) = solves
+        assert count == DEFAULT_MAX_CLUSTERS + 1
+        assert values.shape == (count,)
 
-    def test_partial_eigensolve_matches_dense(self):
+    def test_partial_eigensolve_matches_dense(self, monkeypatch):
         for per_cluster in (175, 275):  # n = 700 and 1100
             rng = np.random.default_rng(50)
             q, _ = np.linalg.qr(rng.standard_normal((16, 4)))
             points, truth = planted_points(rng, q.T, per_cluster=per_cluster, noise_deg=40)
             params = SpectralParams(seed=0)
+            solves = capture_solves(monkeypatch)
             partial = spectral_cluster(points, params)
+            monkeypatch.undo()
+            ((partial_values, _),) = solves
             # the same refined matrix, solved whole by the dense solver
             *_, (_, refined) = refinement_stages(points, params)
             values, vectors = np.linalg.eigh(refined)
@@ -777,11 +789,11 @@ class TestSpectralCluster:
             values, vectors = values[order], vectors[:, order]
             dense_k = _estimate_k_eigengap(values, params.min_clusters, params.max_clusters)
             dense_labels = kmeans(_spectral_embed(vectors, dense_k), dense_k).labels
-            assert partial.eigenvalues.shape == values.shape == (count,)
-            assert np.max(np.abs(partial.eigenvalues - values)) <= 1e-10
-            assert partial.clustering.k == dense_k == 4
-            assert same_partition(partial.clustering.labels, dense_labels)
-            assert same_partition(partial.clustering.labels, truth)
+            assert partial_values.shape == values.shape == (count,)
+            assert np.max(np.abs(partial_values - values)) <= 1e-10
+            assert partial.k == dense_k == 4
+            assert same_partition(partial.labels, dense_labels)
+            assert same_partition(partial.labels, truth)
 
     @pytest.mark.parametrize("n", [1000, 1500])
     def test_peak_memory_at_most_five_matrices(self, n):
@@ -796,7 +808,7 @@ class TestSpectralCluster:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.clustering.k == 4
+        assert result.k == 4
         assert peak <= 5 * 8 * n * n
 
     @pytest.mark.parametrize("n, arrays", [(1000, 2.3), (1500, 2.2), (2000, 2.2)])
@@ -812,7 +824,7 @@ class TestSpectralCluster:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.clustering.k == 4
+        assert result.k == 4
         assert peak <= arrays * 8 * n * n
 
     @pytest.mark.parametrize("n", [1500, 2000])
@@ -829,7 +841,7 @@ class TestSpectralCluster:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.clustering.k == 4
+        assert result.k == 4
         assert peak <= 1.3 * 8 * n * n
 
     def test_single_segment_rejected(self):
@@ -852,15 +864,20 @@ class TestSpectralCluster:
             return build(embeddings, sigma)
 
         monkeypatch.setattr(diarkit.clustering, "blurred_affinity", counted)
+        solves = capture_solves(monkeypatch)
         results = spectral_grid(points, grid)
         monkeypatch.undo()
         assert built == [1.0, 0.5]
-        assert len(results) == len(grid)
-        for result, params in zip(results, grid):
+        assert len(results) == len(solves) == len(grid)
+        # the grid solves each sigma's configs in turn
+        order = [i for sigma in built for i, params in enumerate(grid) if params.sigma == sigma]
+        grid_values = dict(zip(order, (values for values, _ in solves)))
+        solves = capture_solves(monkeypatch)
+        for i, (result, params) in enumerate(zip(results, grid)):
             expected = spectral_cluster(points, params)
-            assert result.clustering.k == expected.clustering.k
-            assert result.clustering.labels.tobytes() == expected.clustering.labels.tobytes()
-            assert result.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+            assert result.k == expected.k
+            assert result.labels.tobytes() == expected.labels.tobytes()
+            assert grid_values[i].tobytes() == solves[-1][0].tobytes()
 
     def test_grid_edges(self):
         assert spectral_grid(np.eye(3), []) == []
@@ -874,7 +891,31 @@ class TestSpectralCluster:
             x = rng.normal(size=(n, 4))
             params = SpectralParams(min_clusters=2, max_clusters=5, seed=0)
             result = spectral_cluster(x, params)
-            assert min(2, n) <= result.clustering.k <= min(5, n)
+            assert min(2, n) <= result.k <= min(5, n)
+
+
+CLUSTERERS = {
+    "spectral_cluster": lambda x: spectral_cluster(x, SpectralParams()),
+    "spectral_grid": lambda x: spectral_grid(x, [SpectralParams(), SpectralParams(sigma=0.0)]),
+    "two_stage_cluster": lambda x: two_stage_cluster(x, SpectralParams()),
+    "kmeans": lambda x: kmeans(x, 3),
+    "estimate_k_elbow": lambda x: estimate_k_elbow(x, 4),
+    "run_online": lambda x: run_online(x, 0.5),
+    **{f"cluster-{algorithm}": (lambda x, a=algorithm: cluster(x, DiarizeConfig(a)))
+       for algorithm in ALGORITHMS},
+}
+
+
+@pytest.mark.parametrize("name", CLUSTERERS)
+def test_every_clusterer_returns_a_clustering_result(name):
+    # PRECLUSTER_COUNT rows and more: two_stage_cluster's smallest input
+    rng = np.random.default_rng(52)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+    x, _ = planted_points(rng, q.T, per_cluster=PRECLUSTER_COUNT // 3 + 1, noise_deg=10)
+    results = CLUSTERERS[name](x)
+    for result in results if name == "spectral_grid" else [results]:
+        assert type(result) is ClusteringResult
+        assert result.labels.shape == (len(x),)
 
 
 class TestPrecluster:
@@ -901,7 +942,7 @@ class TestPrecluster:
         assert np.array_equal(centroids, want_centroids)
         assert set(want_labels.tolist()) == set(range(30))
         assert np.allclose(np.linalg.norm(centroids, axis=1), 1.0, atol=1e-15)
-        stage2 = original(centroids, SpectralParams(sigma=0.0, seed=5)).clustering
+        stage2 = original(centroids, SpectralParams(sigma=0.0, seed=5))
         want = _resegment(u, ClusteringResult(stage2.labels[want_labels]), 2)
         assert np.array_equal(got.labels, want.labels)
 
@@ -1019,7 +1060,7 @@ class TestSpectralParams:
     def test_integer_fields_take_numpy_integers(self, field):
         rng = np.random.default_rng(46)
         x = np.repeat(np.eye(3, 4), 5, axis=0) + 0.05 * rng.standard_normal((15, 4))
-        labels = [spectral_cluster(x, SpectralParams(**{field: value})).clustering.labels.tolist()
+        labels = [spectral_cluster(x, SpectralParams(**{field: value})).labels.tolist()
                   for value in (np.int64(3), 3)]
         assert labels[0] == labels[1]
 
@@ -1037,7 +1078,7 @@ class TestSpectralParams:
     def test_float_fields_take_numpy_floats(self, field, value, outside):
         rng = np.random.default_rng(46)
         x = np.repeat(np.eye(3, 4), 5, axis=0) + 0.05 * rng.standard_normal((15, 4))
-        labels = [spectral_cluster(x, SpectralParams(**{field: v})).clustering.labels.tolist()
+        labels = [spectral_cluster(x, SpectralParams(**{field: v})).labels.tolist()
                   for v in (np.float32(value), value)]
         assert labels[0] == labels[1]
         messages = []
@@ -1165,16 +1206,22 @@ class TestNaiveOnline:
 # printed as JSON: floats round-trip exactly.
 SPECTRAL_IN_CHILD = """
 import json
+import diarkit.clustering
 from diarkit import SpectralParams, SynthScenario, generate, spectral_cluster
 from diarkit.pipeline import segment_embeddings
 _, windows, regions = generate(SynthScenario(n_speakers=4, duration=300.0, seed=11))
 x, _ = segment_embeddings(windows, regions)
+solves, solve = [], diarkit.clustering._eigh
+def capture(m, count=None):
+    solves.append(solve(m, count))
+    return solves[-1]
+diarkit.clustering._eigh = capture
 result = spectral_cluster(x, SpectralParams(seed=0))
 print(json.dumps({
     "n": len(x),
-    "k": result.clustering.k,
-    "labels": result.clustering.labels.tolist(),
-    "eigenvalues": result.eigenvalues.tolist(),
+    "k": result.k,
+    "labels": result.labels.tolist(),
+    "eigenvalues": solves[0][0].tolist(),
 }))
 """
 N_THREADED = 692

@@ -16,7 +16,6 @@ EXPORTS = [
     "Segment",
     "SegmentEmbedding",
     "SpectralParams",
-    "SpectralResult",
     "SynthScenario",
     "TimeInterval",
     "Windows",

@@ -35,7 +35,7 @@ from diarkit.pipeline import (
     diarize_grid,
     segment_embeddings,
 )
-from helpers import run_python
+from helpers import capture_solves, run_python
 
 
 # Times on a 1/8 s grid, so window centers (on the 1/16 grid) land on
@@ -337,8 +337,7 @@ def _precluster(x, seed):
 def _stage_two_labels(x, params):
     """Each segment its centroid's stage-2 label, before the pass."""
     assignment, centroids = _precluster(x, params.seed)
-    stage2 = spectral_cluster(centroids, replace(params, sigma=0.0)).clustering
-    return stage2.labels[assignment]
+    return spectral_cluster(centroids, replace(params, sigma=0.0)).labels[assignment]
 
 
 class TestTwoStage:
@@ -351,7 +350,7 @@ class TestTwoStage:
         monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", len(x))
         params = SpectralParams(seed=2)
         got = cluster(x, DiarizeConfig(spectral=params))
-        want = spectral_cluster(x, params).clustering
+        want = spectral_cluster(x, params)
         assert got.k == want.k
         assert np.array_equal(got.labels, want.labels)
 
@@ -362,7 +361,7 @@ class TestTwoStage:
         got = cluster(x, DiarizeConfig(spectral=params))
         assignment, centroids = _precluster(x, seed=3)
         assert len(centroids) == 40
-        stage2 = spectral_cluster(centroids, SpectralParams(sigma=0.0, seed=3)).clustering
+        stage2 = spectral_cluster(centroids, SpectralParams(sigma=0.0, seed=3))
         want = _resegment(l2_normalize_rows(x), ClusteringResult(stage2.labels[assignment]), 2)
         assert got.k == want.k == 3
         assert np.array_equal(got.labels, want.labels)
@@ -410,20 +409,14 @@ class TestTwoStage:
         assert {m.shape for _, m in stages} == {(len(x), len(x))}
         monkeypatch.setattr(diarkit.pipeline, "TWO_STAGE_CAP", len(x) - 1)
         monkeypatch.setattr(diarkit.clustering, "PRECLUSTER_COUNT", 40)
-        # stage 2's result holds the eigenvalues of the matrix it solved
-        results, stage2 = [], diarkit.clustering.spectral_cluster
-
-        def capture(*args, **kwargs):
-            results.append(stage2(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(diarkit.clustering, "spectral_cluster", capture)
+        # stage 2's one solve is of the last matrix the observer saw
+        solves = capture_solves(monkeypatch)
         *_, (name, m) = observed(DiarizeConfig(spectral=SpectralParams(sigma=1.0)))
         assert name == "refined"
-        (result,) = results
+        ((solved, count),) = solves
         assert m.shape == (40, 40)
-        values, _ = eigh(m, count=len(result.eigenvalues))
-        assert values.tobytes() == result.eigenvalues.tobytes()
+        values, _ = eigh(m, count=count)
+        assert values.tobytes() == solved.tobytes()
 
     def test_only_spectral_clustering_calls_the_observer(self):
         x, _ = three_speakers()
